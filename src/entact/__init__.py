@@ -55,13 +55,11 @@ from .witnesses import WitnessOperator, expect, w2, w3
 from .tomo import (
     CountsTable,
     MeasurementSetting,
-    WaveplateScheduleRow,
     mc_errorbar,
     pauli_settings,
     project_psd,
     reconstruct,
     simulate_counts,
-    table1_schedule,
 )
 
 __version__ = "0.1.0"

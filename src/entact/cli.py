@@ -62,10 +62,14 @@ class ExperimentConfig:
             raise ConfigError("q_values must be nonempty")
         if any(not 0 <= q <= 1 for q in self.q_values):
             raise ConfigError("q values must lie in [0, 1]")
-        if self.exposure <= 0:
-            raise ConfigError("exposure must be positive")
-        if self.grid_step <= 0:
-            raise ConfigError("grid_step must be positive")
+        if not (math.isfinite(self.exposure) and self.exposure > 0):
+            raise ConfigError("exposure must be finite and positive")
+        if not 0 < self.grid_step <= math.pi / 90 + 1e-12:
+            raise ConfigError("grid_step must lie in (0, pi/90]")
+        if not 0 <= self.seed < 2**64:  # the Philox key is an unsigned 64-bit integer
+            raise ConfigError("seed must be a nonnegative 64-bit integer")
+        if self.mc_reps != 0 and self.mc_reps < 50:
+            raise ConfigError("mc_reps must be 0 (exact values) or at least 50")
         self.werner_visibility()  # parses/validates the noise string
 
     def werner_visibility(self):
@@ -73,7 +77,10 @@ class ExperimentConfig:
         if self.noise == "ideal":
             return None
         if self.noise.startswith("werner:"):
-            v = float(self.noise.split(":", 1)[1])
+            try:
+                v = float(self.noise.split(":", 1)[1])
+            except ValueError:
+                raise ConfigError(f"bad werner visibility in {self.noise!r}") from None
             if not 0 <= v <= 1:
                 raise ConfigError("werner visibility must be in [0, 1]")
             return v
@@ -91,8 +98,9 @@ class ExperimentConfig:
         return DensityMatrix(m, (2, 2))
 
     def hash(self) -> str:
+        """12-hex digest of the experiment; where its outputs go is left out."""
         payload = asdict(self)
-        payload["net"] = {"thetas": list(self.net.thetas), "phis": list(self.net.phis)}
+        del payload["output_dir"]
         blob = json.dumps(payload, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
@@ -104,19 +112,22 @@ def load_config(args) -> ExperimentConfig:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}")
-        if "q_values" in raw:
-            cfg.q_values = tuple(float(q) for q in raw["q_values"])
-        for key in ("noise", "output_dir"):
-            if key in raw:
-                setattr(cfg, key, raw[key])
-        for key in ("exposure", "grid_step"):
-            if key in raw:
-                setattr(cfg, key, float(raw[key]))
-        for key in ("seed", "mc_reps"):
-            if key in raw:
-                setattr(cfg, key, int(raw[key]))
-        if "net" in raw:
-            cfg.net = NetSpec(tuple(raw["net"]["thetas"]), tuple(raw["net"]["phis"]))
+        try:
+            if "q_values" in raw:
+                cfg.q_values = tuple(float(q) for q in raw["q_values"])
+            for key in ("noise", "output_dir"):
+                if key in raw:
+                    setattr(cfg, key, str(raw[key]))
+            for key in ("exposure", "grid_step"):
+                if key in raw:
+                    setattr(cfg, key, float(raw[key]))
+            for key in ("seed", "mc_reps"):
+                if key in raw:
+                    setattr(cfg, key, int(raw[key]))
+            if "net" in raw:
+                cfg.net = NetSpec(tuple(raw["net"]["thetas"]), tuple(raw["net"]["phis"]))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigError(f"bad field in config {args.config}: {e!r}") from None
     # flags override file fields
     for attr, flag in [("noise", "noise"), ("output_dir", "out")]:
         v = getattr(args, flag.replace("-", "_"), None)
@@ -131,21 +142,33 @@ def load_config(args) -> ExperimentConfig:
     if getattr(args, "mc_reps", None) is not None:
         cfg.mc_reps = args.mc_reps
     cfg.validate()
+    if not 0 <= getattr(args, "q", 0.0) <= 1:
+        raise ConfigError("--q must lie in [0, 1]")
+    if not 0 <= getattr(args, "epsilon", 0.0) <= 2:
+        raise ConfigError("--epsilon must lie in [0, 2]")
+    if getattr(args, "resolution", 1000) < 1000:
+        raise ConfigError("--resolution must be at least 1000")
     return cfg
 
 
 def parse_angle(text: str) -> float:
     """Angle given in degrees ('15') or as a fraction of pi ('1/12 pi', '0.25pi')."""
     t = text.strip().lower()
-    if t.endswith("pi"):
-        frac = t[:-2].strip().rstrip("*").strip()
-        if not frac:
-            return math.pi
-        if "/" in frac:
+    try:
+        if not t.endswith("pi"):
+            angle = math.radians(float(t))
+        elif not (frac := t[:-2].strip().rstrip("*").strip()):
+            angle = math.pi
+        elif "/" in frac:
             num, den = frac.split("/")
-            return float(num) / float(den) * math.pi
-        return float(frac) * math.pi
-    return math.radians(float(text))
+            angle = float(num) / float(den) * math.pi
+        else:
+            angle = float(frac) * math.pi
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(angle):
+        raise ConfigError(f"angle {text!r} is not finite")
+    return angle
 
 
 def _fmt(x: float) -> str:
@@ -181,9 +204,8 @@ def cmd_activate(cfg: ExperimentConfig) -> int:
             state = premeasurement(chi, s)
             theory = negativity_theory(q, s)
             if cfg.mc_reps > 0:
-                mean, std = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed,
-                                        "negativity")
-                value, err = mean, std
+                value, err = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed,
+                                         "negativity")
             else:
                 value, err = negativity(state, [0, 1]), 0.0
             rows.append((q, s.theta, s.phi, theory, value, err))
@@ -198,7 +220,7 @@ def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
     verdicts = {}
     for q in cfg.q_values:
         chi, records = _noisy_records(cfg, q)
-        min_low, argmin, rows = sphere_scan(q, cfg.net, cfg.grid_step, records=records)
+        min_low, argmin, rows = sphere_scan(q, cfg.net, cfg.grid_step, records=records, chi=chi)
         verdicts[q] = min_low
         _write_csv(out / f"certify_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_low1,n_low2,n_low",
@@ -282,9 +304,7 @@ def cmd_net_verify(cfg: ExperimentConfig, epsilon: float = 0.5,
 
 def _write_manifest(out: Path, cfg: ExperimentConfig, command: str, extra=None):
     out.mkdir(parents=True, exist_ok=True)
-    payload = asdict(cfg)
-    payload["net"] = {"thetas": list(cfg.net.thetas), "phis": list(cfg.net.phis)}
-    manifest = {"command": command, "config": payload, "cfg_hash": cfg.hash()}
+    manifest = {"command": command, "config": asdict(cfg), "cfg_hash": cfg.hash()}
     if extra:
         manifest["results"] = extra
     (out / f"manifest_{command.replace('-', '_')}.json").write_text(
@@ -332,10 +352,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
         if args.command == "activate":
             return cmd_activate(cfg)
         if args.command == "certify":
@@ -349,6 +365,9 @@ def main(argv=None) -> int:
                                  parse_angle(args.phi), exact=args.exact)
         if args.command == "net-verify":
             return cmd_net_verify(cfg, args.epsilon, args.resolution)
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     except OptimizerError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 4

@@ -14,7 +14,7 @@ from typing import List, Optional
 import numpy as np
 
 from .qcore import DensityMatrix, chi_q
-from .protocol import BlochVector, WaveplateSetting, bloch_vector, premeasurement
+from .protocol import BlochVector, WaveplateSetting, _premeasure, bloch_vector, premeasurement, u_b
 from .measures import _fibonacci_directions, negativity_theory
 
 
@@ -134,6 +134,12 @@ def _basis_chords(points: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.minimum(dots, 1.0))))
 
 
+def _pt_trace_norms(ops: np.ndarray) -> np.ndarray:
+    """||X^Gamma||_1, transpose on the last qubit, for a Hermitian stack (..., 8, 8)."""
+    pt = ops.reshape(ops.shape[:-2] + (4, 2, 4, 2)).swapaxes(-1, -3).reshape(ops.shape)
+    return np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1)
+
+
 def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
     """Check that every point of a Fibonacci lattice lies within chord epsilon of the net.
 
@@ -152,14 +158,10 @@ def verify_packing(net: NetSpec, epsilon: float):
 
     Returns (packed, min_pairwise_distance).
     """
-    bases = [b.as_array() for b in dedup_bloch(net)]
+    bases = np.array([b.as_array() for b in dedup_bloch(net)])
     if len(bases) < 2:
         return True, math.inf
-    dmin = math.inf
-    for i in range(len(bases)):
-        for j in range(i + 1, len(bases)):
-            dot = abs(float(np.dot(bases[i], bases[j])))
-            dmin = min(dmin, math.sqrt(max(0.0, 2.0 * (1.0 - min(dot, 1.0)))))
+    dmin = float(_basis_chords(bases, bases)[np.triu_indices(len(bases), 1)].min())
     # the default net attains the threshold exactly, so compare with a float margin
     return dmin >= epsilon - 1e-9, dmin
 
@@ -171,18 +173,9 @@ def bound1(records: List[NetRecord], target: BlochVector) -> float:
     """
     if not records:
         raise ValueError("bound1 needs at least one record")
-    t = target.as_array()
-    best = -math.inf
-    for r in records:
-        dot = abs(float(np.dot(t, r.bloch.as_array())))
-        chord = math.sqrt(max(0.0, 2.0 * (1.0 - min(dot, 1.0))))
-        best = max(best, r.negativity_measured - chord)
-    return best
-
-
-def _pt_last(mats: np.ndarray) -> np.ndarray:
-    """Partial transpose on the last qubit of a batch of 8x8 operators."""
-    return mats.reshape(-1, 4, 2, 4, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 8, 8)
+    rec_n = np.array([r.negativity_measured for r in records])
+    rec_b = np.array([r.bloch.as_array() for r in records])
+    return float((rec_n - _basis_chords(target.as_array()[None], rec_b)[0]).max())
 
 
 def bound2(records: List[NetRecord], target_state: DensityMatrix) -> float:
@@ -192,51 +185,43 @@ def bound2(records: List[NetRecord], target_state: DensityMatrix) -> float:
         raise ValueError("bound2 needs at least one record")
     if any(r.state is None for r in records):
         raise ValueError("bound2 needs records carrying premeasurement states")
-    stack = np.array([r.state.mat for r in records])
-    diffs = _pt_last(target_state.mat[None, :, :] - stack)
-    norms = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
-    vals = np.array([r.negativity_measured for r in records]) - norms
-    return float(vals.max())
+    rec_n = np.array([r.negativity_measured for r in records])
+    rec_s = np.array([r.state.mat for r in records])
+    return float((rec_n - _pt_trace_norms(target_state.mat - rec_s)).max())
 
 
 def combined_bound(records: List[NetRecord], target: WaveplateSetting,
                    chi: DensityMatrix) -> BoundReport:
     """Both lower bounds at an unmeasured target; bound2 uses the model
     premeasurement state built from `chi` (ideal-model assumption)."""
-    n_target = bloch_vector(target)
-    t = n_target.as_array()
-    b1_vals = []
-    for r in records:
-        dot = abs(float(np.dot(t, r.bloch.as_array())))
-        chord = math.sqrt(max(0.0, 2.0 * (1.0 - min(dot, 1.0))))
-        b1_vals.append(r.negativity_measured - chord)
-    i1 = int(np.argmax(b1_vals))
-    target_state = premeasurement(chi, target)
-    stack = np.array([r.state.mat for r in records])
-    diffs = _pt_last(target_state.mat[None, :, :] - stack)
-    norms = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
-    b2_vals = np.array([r.negativity_measured for r in records]) - norms
-    i2 = int(np.argmax(b2_vals))
+    rec_n = np.array([r.negativity_measured for r in records])
+    rec_b = np.array([r.bloch.as_array() for r in records])
+    rec_s = np.array([r.state.mat for r in records])
+    b1 = rec_n - _basis_chords(bloch_vector(target).as_array()[None], rec_b)[0]
+    b2 = rec_n - _pt_trace_norms(premeasurement(chi, target).mat - rec_s)
+    i1, i2 = int(np.argmax(b1)), int(np.argmax(b2))
     return BoundReport(
         target=target,
-        low1=float(b1_vals[i1]),
-        low2=float(b2_vals[i2]),
+        low1=float(b1[i1]),
+        low2=float(b2[i2]),
         witness_record=(i1, i2),
     )
 
 
 def sphere_scan(q: float, net: NetSpec, grid_step: float = math.pi / 180,
-                records: Optional[List[NetRecord]] = None):
+                records: Optional[List[NetRecord]] = None,
+                chi: Optional[DensityMatrix] = None):
     """Evaluate the combined bound on a (theta, phi) grid over the full angular range.
 
-    Returns (min_low, argmin_setting, rows) where rows carry per-point values
-    (theta, phi, n_theory, low1, low2, low).
+    `records` default to the ideal records of chi_q(q), and bound2 targets are built
+    from `chi`, by default chi_q(q).  Returns (min_low, argmin_setting, rows) where
+    rows carry per-point values (theta, phi, n_theory, low1, low2, low).
     """
     if grid_step > math.pi / 90 + 1e-12:
         raise ValueError("grid_step must be at most pi/90")
     if records is None:
         records = ideal_records(q, net)
-    chi = chi_q(q)
+    chi = chi_q(q) if chi is None else chi
     rec_n = np.array([r.negativity_measured for r in records])
     rec_b = np.array([r.bloch.as_array() for r in records])
     rec_s = np.array([r.state.mat for r in records])
@@ -246,16 +231,12 @@ def sphere_scan(q: float, net: NetSpec, grid_step: float = math.pi / 180,
     argmin = None
     rows = []
     for th in thetas:
-        # batch the per-theta strip: states and bound2 trace norms at once
+        # one batch per theta strip: a whole-grid batch of differences would take ~120 MB
         settings = [WaveplateSetting(float(th), float(ph)) for ph in phis]
-        targets = np.array([premeasurement(chi, s).mat for s in settings])
-        diffs = (targets[:, None, :, :] - rec_s[None, :, :, :]).reshape(-1, 8, 8)
-        norms = np.abs(np.linalg.eigvalsh(_pt_last(diffs))).sum(axis=1)
-        norms = norms.reshape(len(settings), len(records))
-        b2 = (rec_n[None, :] - norms).max(axis=1)
+        targets = _premeasure(chi.mat, np.array([u_b(s) for s in settings]))
+        b2 = (rec_n - _pt_trace_norms(targets[:, None] - rec_s)).max(axis=1)
         n_t = np.array([bloch_vector(s).as_array() for s in settings])
-        chords = _basis_chords(n_t, rec_b)
-        b1 = (rec_n[None, :] - chords).max(axis=1)
+        b1 = (rec_n - _basis_chords(n_t, rec_b)).max(axis=1)
         low = np.maximum(b1, b2)
         for i, s in enumerate(settings):
             rows.append((s.theta, s.phi, negativity_theory(q, s),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, basis_ket, projector, tensor
+from .qcore import DensityMatrix, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
 
 THETA_PERIOD = math.pi / 2
 PHI_PERIOD = math.pi / 4
@@ -101,13 +101,25 @@ def coupling_unitary(s: WaveplateSetting) -> np.ndarray:
     return cnot_bm() @ tensor(u_b(s), I2)
 
 
+# The C-NOT sends |a, b, 0>_ABM to |a, b, b>: the premeasurement state is the
+# B-rotated chi placed on these rows and columns of the 8x8 basis, zero elsewhere.
+_CNOT_IMAGE = np.array([0, 3, 4, 7])
+
+
+def _premeasure(chi: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Premeasurement states of a raw 4x4 `chi`, one per 2x2 basis unitary in the
+    stack `u` (..., 2, 2); returns the (..., 8, 8) stack, unvalidated."""
+    w = np.einsum("ac,...bd->...abcd", I2, u).reshape(u.shape[:-2] + (4, 4))  # I_A x U_B
+    out = np.zeros(u.shape[:-2] + (8, 8), dtype=complex)
+    out[..., _CNOT_IMAGE[:, None], _CNOT_IMAGE] = w @ chi @ w.conj().swapaxes(-1, -2)
+    return out
+
+
 def premeasurement(chi: DensityMatrix, s: WaveplateSetting) -> DensityMatrix:
     """Three-qubit state (I_A x V_BM)(chi x |0><0|_M)(I_A x V_BM)^dag."""
     if chi.dims != (2, 2):
         raise ValueError(f"chi must be a 2-qubit state, got dims {chi.dims}")
-    rho0 = tensor(chi.mat, projector(basis_ket(0)))
-    w = tensor(I2, coupling_unitary(s))
-    return DensityMatrix(w @ rho0 @ w.conj().T, (2, 2, 2))
+    return DensityMatrix(_premeasure(chi.mat, u_b(s)), (2, 2, 2))
 
 
 def basis_kets(n: BlochVector):

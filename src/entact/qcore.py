@@ -1,7 +1,8 @@
 """Dense complex matrix algebra on small dimensions and the canonical two-qubit states.
 
-Everything here operates on plain complex numpy arrays; `DensityMatrix` is a
-thin validated wrapper used at module boundaries.  Qubit order is (A, B, M)
+Everything here operates on plain complex numpy arrays, with spectra and norms
+taken straight from `np.linalg` (LAPACK); `DensityMatrix` is a thin validated
+wrapper used at module boundaries.  Qubit order is (A, B, M)
 with A most significant, computational basis |H> = |0>, |V> = |1>,
 path |a> = |0>, |b> = |1>.
 """
@@ -55,7 +56,7 @@ def _as_square(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(float))):
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains non-finite entries")
     return a
 
@@ -147,60 +148,17 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     return DensityMatrix(t.reshape(d, d), tuple(rho.dims[i] for i in keep))
 
 
-def _eigh_2x2(a: float, d: float, b: complex):
-    """Analytic eigendecomposition of [[a, b], [conj(b), d]], eigenvalues ascending."""
-    m = 0.5 * (a + d)
-    r = math.hypot(0.5 * (a - d), abs(b))
-    lo, hi = m - r, m + r
-    y = hi - a
-    nrm = math.hypot(abs(b), y)
-    if nrm < 1e-300:
-        return (lo, hi), np.eye(2, dtype=complex)
-    v_hi = np.array([b / nrm, y / nrm], dtype=complex)
-    v_lo = np.array([-np.conj(v_hi[1]), np.conj(v_hi[0])], dtype=complex)
-    return (lo, hi), np.column_stack([v_lo, v_hi])
-
-
-def hermitian_eigen(h, tol: float = 1e-12, max_sweeps: int = 100):
-    """Cyclic Jacobi eigensolver for Hermitian matrices.
-
-    Returns (eigenvalues ascending, unitary matrix of column eigenvectors).
-    Convergence: off-diagonal Frobenius norm <= `tol`.
-    """
+def hermitian_eigen(h):
+    """Eigenvalues (ascending) and column eigenvectors of a Hermitian matrix, via LAPACK."""
     a = _as_square(h)
     if np.abs(a - a.conj().T).max() > 1e-8:
         raise ValueError("input is not Hermitian")
-    n = a.shape[0]
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    for _ in range(max_sweeps):
-        off = a - np.diag(np.diag(a))
-        if np.linalg.norm(off) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) < 1e-300:
-                    continue
-                _, u = _eigh_2x2(a[p, p].real, a[q, q].real, a[p, q])
-                cols = [p, q]
-                a[:, cols] = a[:, cols] @ u
-                a[cols, :] = u.conj().T @ a[cols, :]
-                v[:, cols] = v[:, cols] @ u
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals)
-    return vals[order], v[:, order]
+    return np.linalg.eigh(a)
 
 
 def trace_norm(o) -> float:
-    """Sum of singular values, via the spectrum of O^dag O."""
-    a = _as_square(o)
-    vals, _ = hermitian_eigen(a.conj().T @ a)
-    return float(np.sqrt(np.clip(vals, 0.0, None)).sum())
-
-
-def _abs_eigsum(h) -> float:
-    """Fast trace norm for Hermitian input (batched-friendly numpy path)."""
-    return float(np.abs(np.linalg.eigvalsh(h)).sum())
+    """Sum of singular values."""
+    return float(np.linalg.svd(_as_square(o), compute_uv=False).sum())
 
 
 def basis_ket(index: int, dim: int = 2) -> np.ndarray:
@@ -265,7 +223,7 @@ def quantum_classical(ps, taus, basis) -> DensityMatrix:
     n = np.asarray(basis, dtype=float)
     n = n / np.linalg.norm(n)
     h = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    vals, vecs = hermitian_eigen(h)
+    _, vecs = np.linalg.eigh(h)
     p_plus, p_minus = projector(vecs[:, 1]), projector(vecs[:, 0])
     mats = []
     for tau in taus:
@@ -277,7 +235,7 @@ def quantum_classical(ps, taus, basis) -> DensityMatrix:
 
 
 def _psd_sqrt(h) -> np.ndarray:
-    vals, vecs = hermitian_eigen(h)
+    vals, vecs = np.linalg.eigh(h)
     s = np.sqrt(np.clip(vals, 0.0, None))
     return (vecs * s) @ vecs.conj().T
 
@@ -288,6 +246,6 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     sr = _psd_sqrt(rho.mat)
     inner = sr @ sigma.mat @ sr
-    vals, _ = hermitian_eigen(0.5 * (inner + inner.conj().T))
+    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     f = np.sqrt(np.clip(vals, 0.0, None)).sum() ** 2
     return float(min(max(f, 0.0), 1.0))

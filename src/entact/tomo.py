@@ -7,6 +7,7 @@ Monte-Carlo error bars for derived quantities.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,16 +49,21 @@ class MeasurementSetting:
     def outcome_parities(self, ops: str) -> np.ndarray:
         """Eigenvalue (+-1) of the Pauli string `ops` on each outcome; identity
         positions contribute +1."""
-        signs = np.ones(1)
-        for qubit, op in enumerate(ops):
-            if op == "I":
-                q_signs = np.array([1.0, 1.0])
-            else:
-                if op != self.axes[qubit]:
-                    raise ValueError(f"{ops} not measurable with axes {self.axes}")
-                q_signs = np.array([1.0, -1.0])
-            signs = np.kron(signs, q_signs)
+        signs = _parities(self.axes, ops)
+        if not signs[0]:
+            raise ValueError(f"{ops} not measurable with axes {self.axes}")
         return signs
+
+
+def _parities(axes: str, ops: str) -> np.ndarray:
+    """Eigenvalue (+-1) of the Pauli string `ops` on each outcome of the setting
+    `axes`; all zeros when that setting does not measure `ops`."""
+    if any(o not in ("I", a) for o, a in zip(ops, axes)):
+        return np.zeros(2 ** len(axes))
+    signs = np.ones(1)
+    for op in ops:
+        signs = np.outer(signs, [1.0, 1.0] if op == "I" else [1.0, -1.0]).ravel()
+    return signs
 
 
 @dataclass(frozen=True)
@@ -73,23 +79,6 @@ class CountsTable:
             raise ValueError("counts must be nonnegative")
 
 
-@dataclass(frozen=True)
-class WaveplateScheduleRow:
-    """One row of the lab waveplate schedule for the B/M analysis stages."""
-
-    set_label: str
-    state_label: str
-    qwp_a: float
-    hwp_a: float
-    qwp_b: float
-    hwp_b: float
-    qwp_c: float
-    hwp_c: float
-    qwp_d: float
-    hwp_d: float
-    detector: int
-
-
 def pauli_settings(n_qubits: int) -> List[MeasurementSetting]:
     """All 3^n axis combinations for n in {2, 3}."""
     if n_qubits not in (2, 3):
@@ -100,35 +89,6 @@ def pauli_settings(n_qubits: int) -> List[MeasurementSetting]:
     ]
 
 
-_TABLE1 = [
-    # set, states (order fixes the detector column), qwp_a, hwp_a, qwp_b, hwp_b,
-    # qwp_c, hwp_c, qwp_d, hwp_d, detectors
-    ("I", ("H,a", "H,b", "V,a", "V,b"), 0, 0, 0, 45, 0, 0, 0, 0, (1, 2, 3, 4)),
-    ("II", ("+,a", "+,b", "-,a", "-,b"), 45, 22.5, 45, -22.5, 0, 0, 0, 0, (1, 2, 3, 4)),
-    ("III", ("R,a", "R,b", "L,a", "L,b"), 0, 22.5, 0, -22.5, 0, 0, 0, 0, (1, 2, 3, 4)),
-    ("IV", ("H,+", "H,-", "V,+", "V,-"), 0, 0, 0, 45, 45, 22.5, 45, 22.5, (1, 2, 4, 3)),
-    ("V", ("+,+", "+,-", "-,+", "-,-"), 45, 22.5, 45, -22.5, 45, 22.5, 45, 22.5, (1, 2, 4, 3)),
-    ("VI", ("R,+", "R,-", "L,+", "L,-"), 0, 22.5, 0, -22.5, 45, 22.5, 45, 22.5, (1, 2, 4, 3)),
-    ("VII", ("H,r", "H,l", "V,r", "V,l"), 0, 0, 0, 45, 0, 22.5, 0, 22.5, (1, 2, 3, 4)),
-    ("VIII", ("+,r", "+,l", "-,r", "-,l"), 45, 22.5, 45, -22.5, 0, 22.5, 0, 22.5, (1, 2, 4, 3)),
-    ("IX", ("R,r", "R,l", "L,r", "L,l"), 0, 22.5, 0, -22.5, 0, 22.5, 0, 22.5, (1, 2, 4, 3)),
-]
-
-
-def table1_schedule() -> List[WaveplateScheduleRow]:
-    """The 36-row waveplate schedule for the B/M measurement stages.
-
-    Documentation data only; the simulation uses abstract Pauli settings.
-    """
-    rows = []
-    for set_label, states, qa, ha, qb, hb, qc, hc, qd, hd, dets in _TABLE1:
-        for state, det in zip(states, dets):
-            rows.append(
-                WaveplateScheduleRow(set_label, state, qa, ha, qb, hb, qc, hc, qd, hd, det)
-            )
-    return rows
-
-
 def _stream(seed: int, rep: int = 0) -> np.random.Generator:
     """Counter-based (Philox) stream; reps get statistically independent substreams."""
     bg = np.random.Philox(key=np.uint64(seed))
@@ -137,23 +97,20 @@ def _stream(seed: int, rep: int = 0) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def born_probabilities(rho: DensityMatrix, setting: MeasurementSetting) -> np.ndarray:
-    p = np.array([np.trace(proj @ rho.mat).real for proj in setting.projectors])
-    return np.clip(p, 0.0, None)
-
-
 def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
                     exposure: float, seed: int, rep: int = 0) -> List[CountsTable]:
     """Independent Poisson(exposure * p_outcome) counts per outcome, per setting."""
     if exposure <= 0:
         raise ValueError("exposure must be positive")
-    rng = _stream(seed, rep)
-    tables = []
-    for setting in settings:
-        p = born_probabilities(rho, setting)
-        counts = rng.poisson(exposure * p)
-        tables.append(CountsTable(setting, tuple(int(c) for c in counts), exposure))
-    return tables
+    if not settings:
+        return []
+    projs = np.array([s.projectors for s in settings])  # (setting, outcome, d, d)
+    p = np.clip(np.trace(projs @ rho.mat, axis1=-2, axis2=-1).real, 0.0, None)
+    # one draw over the (setting, outcome) array consumes the stream in the
+    # order of per-setting draws, so the counts do not depend on the batching
+    counts = _stream(seed, rep).poisson(exposure * p)
+    return [CountsTable(s, tuple(int(c) for c in row), exposure)
+            for s, row in zip(settings, counts)]
 
 
 def project_psd(h, trace_tol: float = 0.2) -> DensityMatrix:
@@ -189,50 +146,59 @@ def _pauli_strings(n_qubits: int):
     return ["".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)]
 
 
+@functools.cache
+def _pauli_tables(n_qubits: int):
+    """Read-only tables in `_pauli_strings` order: the Pauli-basis stack (4^n, d, d),
+    the row of each setting's axes string, and the parity table (3^n, 4^n, 2^n)
+    from `_parities`."""
+    strings = _pauli_strings(n_qubits)
+    axes = ["".join(a) for a in itertools.product("XYZ", repeat=n_qubits)]
+    basis = np.array([PauliString(ops).matrix() for ops in strings])
+    parities = np.array([[_parities(a, ops) for ops in strings] for a in axes])
+    basis.flags.writeable = parities.flags.writeable = False
+    return basis, {a: i for i, a in enumerate(axes)}, parities
+
+
 def pauli_expectations_exact(rho: DensityMatrix) -> dict:
     """Analytic (infinite-exposure) Pauli expectations, for the inversion identity."""
-    return {
-        ops: float(np.trace(PauliString(ops).matrix() @ rho.mat).real)
-        for ops in _pauli_strings(rho.n_qubits)
-    }
+    basis = _pauli_tables(rho.n_qubits)[0]
+    values = np.einsum("pij,ji->p", basis, rho.mat).real
+    return dict(zip(_pauli_strings(rho.n_qubits), values.tolist()))
 
 
 def reconstruct_from_expectations(expectations: dict, n_qubits: int) -> DensityMatrix:
-    dim = 2**n_qubits
-    h = np.zeros((dim, dim), dtype=complex)
-    for ops, value in expectations.items():
-        h += value * PauliString(ops).matrix()
-    return project_psd(h / dim)
+    strings = _pauli_strings(n_qubits)
+    unknown = set(expectations) - set(strings)
+    if unknown:
+        raise ValueError(f"not {n_qubits}-qubit Pauli strings: {sorted(unknown)}")
+    values = np.array([expectations.get(ops, 0.0) for ops in strings])
+    return project_psd(np.einsum("p,pij->ij", values, _pauli_tables(n_qubits)[0]) / 2**n_qubits)
 
 
 def reconstruct(counts: Sequence[CountsTable]) -> DensityMatrix:
     """Linear inversion from a complete Pauli-setting count set, then PSD projection.
 
     Each Pauli-string expectation is the parity-weighted frequency, averaged
-    over every setting that measures it.
+    over every setting with nonzero counts that measures it; a string that no
+    such setting measures is taken as 0.
     """
     if not counts:
         raise ValueError("no counts given")
     n_qubits = len(counts[0].setting.axes)
+    _, rows, parities = _pauli_tables(n_qubits)
     seen = {t.setting.axes for t in counts}
-    required = {"".join(p) for p in itertools.product("XYZ", repeat=n_qubits)}
-    if not required <= seen:
-        raise ValueError(f"incomplete Pauli setting set; missing {sorted(required - seen)}")
-    sums: dict = {}
-    hits: dict = {}
-    for table in counts:
-        total = sum(table.counts)
-        if total == 0:
-            continue
-        freqs = np.array(table.counts, dtype=float) / total
-        for ops in _pauli_strings(n_qubits):
-            if all(o == "I" or o == a for o, a in zip(ops, table.setting.axes)):
-                value = float(table.setting.outcome_parities(ops) @ freqs)
-                sums[ops] = sums.get(ops, 0.0) + value
-                hits[ops] = hits.get(ops, 0) + 1
-    expectations = {ops: sums[ops] / hits[ops] for ops in sums}
-    expectations["I" * n_qubits] = 1.0
-    return reconstruct_from_expectations(expectations, n_qubits)
+    if seen != set(rows):
+        raise ValueError(f"not the {n_qubits}-qubit Pauli setting set; missing "
+                         f"{sorted(set(rows) - seen)}, unexpected {sorted(seen - set(rows))}")
+    c = np.array([t.counts for t in counts], dtype=float)
+    totals = c.sum(axis=1)
+    kept = totals > 0
+    table = parities[[rows[t.setting.axes] for t in counts]][kept]  # (table, string, outcome)
+    sums = np.einsum("tpo,to->p", table, c[kept] / totals[kept, None])
+    hits = table[:, :, 0].sum(axis=0)  # outcome 0 has parity +1 on every measured string
+    values = np.divide(sums, hits, out=np.zeros_like(sums), where=hits > 0)
+    values[0] = 1.0  # the identity string
+    return reconstruct_from_expectations(dict(zip(_pauli_strings(n_qubits), values)), n_qubits)
 
 
 def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,

@@ -1,8 +1,8 @@
 """Bipartite and genuine-tripartite entanglement witnesses.
 
 Both witnesses are carried in two equivalent forms, a dense matrix and a
-Pauli-string decomposition, and every expectation value is computed through
-both routes as an internal consistency check.
+Pauli-string decomposition.  The two forms are proven equal once, when the
+operator is constructed; expectation values then use the matrix alone.
 """
 
 from __future__ import annotations
@@ -74,12 +74,8 @@ def w3() -> WitnessOperator:
     return WitnessOperator(matrix, terms, "W3")
 
 
-def _pauli_expectation(term: PauliString, rho: DensityMatrix) -> float:
-    return float(np.trace(term.matrix() @ rho.mat).real)
-
-
 def expect(w: WitnessOperator, rho: DensityMatrix) -> float:
-    """Tr[W rho], computed via the full matrix and via the Pauli sum; both must agree."""
+    """Tr[W rho] through the dense matrix."""
     if w.matrix.shape != rho.mat.shape:
         raise ValueError(
             f"dimension mismatch: witness {w.matrix.shape} vs state {rho.mat.shape}"
@@ -87,7 +83,4 @@ def expect(w: WitnessOperator, rho: DensityMatrix) -> float:
     full = np.trace(w.matrix @ rho.mat)
     if abs(full.imag) > 1e-10:
         raise ValueError(f"expectation has imaginary residue {full.imag}")
-    by_terms = sum(_pauli_expectation(t, rho) for t in w.pauli_terms)
-    if abs(full.real - by_terms) > 1e-10:
-        raise AssertionError("matrix and Pauli-sum expectation routes disagree")
     return float(full.real)

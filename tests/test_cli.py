@@ -52,6 +52,8 @@ class TestConfig:
         b = ExperimentConfig(seed=2)
         assert a.hash() != b.hash()
         assert len(a.hash()) == 12
+        # where the outputs go is not part of the experiment
+        assert ExperimentConfig(output_dir="elsewhere").hash() == a.hash()
 
     def test_werner_input_state_is_valid(self):
         cfg = ExperimentConfig(noise="werner:0.9")
@@ -68,6 +70,30 @@ class TestCommands:
 
     def test_bad_noise_flag_exits_2(self, tmp_path):
         assert main(["witness", "--noise", "pink", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["activate", "--mc-reps", "10"],
+        ["certify", "--grid-step", "0.1"],
+        ["certify", "--grid-step", "nan"],
+        ["certify", "--exposure", "inf"],
+        ["tomo-demo", "--q", "2"],
+        ["tomo-demo", "--theta", "abc"],
+        ["tomo-demo", "--phi", "nan"],
+        ["tomo-demo", "--seed", "-1"],
+        ["net-verify", "--resolution", "10"],
+        ["net-verify", "--epsilon", "3"],
+        ["witness", "--noise", "werner:abc"],
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, argv):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_config_field_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"exposure": "lots"}))
+        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_witness_csv(self, tmp_path):
         assert main(["witness", "--out", str(tmp_path)]) == 0
@@ -104,6 +130,25 @@ class TestCommands:
         assert header[:7] == ["q", "theta_rad", "phi_rad", "n_theory",
                               "n_low1", "n_low2", "n_low"]
         assert all(float(r[6]) > 0 for r in rows)
+
+    def test_certify_zero_discord_not_certified(self, tmp_path, capsys):
+        # the default pi/180 grid holds settings with zero negativity; LAPACK's
+        # +4e-16 there must still read as 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.0]}))
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "not certified" in capsys.readouterr().out
+        _, rows = read_csv(tmp_path / "certify_q0.00.csv")
+        assert min(float(r[6]) for r in rows) <= 0
+
+    def test_certify_bounds_use_the_noisy_state(self, tmp_path):
+        # bound2 targets built from the ideal chi_q(0.2) left a margin of only 0.0057
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.2], "grid_step": math.pi / 90,
+                                   "noise": "werner:0.9"}))
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, rows = read_csv(tmp_path / "certify_q0.20.csv")
+        assert min(float(r[6]) for r in rows) > 0.04
 
     def test_certify_strict_fails_under_heavy_noise(self, tmp_path):
         # visibility 0.5 destroys the certifiable margin at small q

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from entact.qcore import DensityMatrix, I2, chi_q, partial_trace, tensor
+from entact.qcore import DensityMatrix, I2, chi_q, partial_trace, projector, tensor
 from entact.protocol import (
     BlochVector,
     WaveplateSetting,
+    _premeasure,
     basis_kets,
     bloch_vector,
     cnot_bm,
@@ -16,12 +19,27 @@ from entact.protocol import (
     premeasurement,
     u_b,
 )
+from entact.measures import negativity, negativity_offdiag
 
 PAULI_VEC = [
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ]
+
+
+def full_rank_state(re_im):
+    """Two-qubit density matrix (A A^dag + I/10) / trace from a real (2, 4, 4) array."""
+    a = re_im[0] + 1j * re_im[1]
+    m = a @ a.conj().T + 0.1 * np.eye(4)
+    return DensityMatrix(m / np.trace(m).real, (2, 2))
+
+
+in_range_settings = st.builds(
+    WaveplateSetting,
+    st.floats(0.0, math.pi / 2),
+    st.floats(0.0, math.pi / 4),
+)
 
 
 def grid_settings(n_theta=7, n_phi=5):
@@ -116,6 +134,19 @@ class TestPremeasurement:
         red_a = partial_trace(rho, [0])
         chi_a = partial_trace(chi, [0])
         assert np.abs(red_a.mat - chi_a.mat).max() < 1e-12
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+           st.lists(in_range_settings, min_size=1, max_size=3))
+    def test_kernel_matches_kron_formula(self, re_im, targets):
+        chi = full_rank_state(re_im)
+        stack = _premeasure(chi.mat, np.array([u_b(s) for s in targets]))
+        rho0 = tensor(chi.mat, projector([1, 0]))
+        for s, rho in zip(targets, stack):
+            w = tensor(I2, coupling_unitary(s))
+            assert np.abs(rho - w @ rho0 @ w.conj().T).max() < 1e-12
+            assert negativity(premeasurement(chi, s), [0, 1]) == pytest.approx(
+                negativity_offdiag(chi, bloch_vector(s)), abs=1e-9)
 
     def test_rejects_wrong_input_dims(self):
         bad = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))

@@ -10,7 +10,6 @@ from entact.qcore import (
     BellKind,
     DensityMatrix,
     PauliString,
-    _abs_eigsum,
     bell_ket,
     bell_state,
     chi_q,
@@ -55,6 +54,8 @@ class TestPauliString:
 
 class TestDensityMatrix:
     def test_validation(self):
+        # a transposed (non-C-contiguous) matrix is valid input
+        assert DensityMatrix(chi_q(0.3).mat.T, (2, 2)).dims == (2, 2)
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[1.0, 0.5j], [0.5j, 0.0]]), (2,))  # not Hermitian
         with pytest.raises(ValueError):
@@ -120,7 +121,7 @@ class TestPartialOps:
 
 
 class TestEigenAndNorms:
-    def test_jacobi_matches_numpy(self):
+    def test_hermitian_eigen_matches_numpy(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 4, 8):
             h = random_hermitian(n, rng)
@@ -129,7 +130,7 @@ class TestEigenAndNorms:
             # eigenvector columns actually diagonalize
             assert np.abs(vecs.conj().T @ h @ vecs - np.diag(vals)).max() < 1e-9
 
-    def test_jacobi_rejects_non_hermitian(self):
+    def test_hermitian_eigen_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -141,7 +142,7 @@ class TestEigenAndNorms:
     def test_trace_norm_routes_agree_on_hermitian(self):
         rng = np.random.default_rng(13)
         h = random_hermitian(8, rng)
-        assert trace_norm(h) == pytest.approx(_abs_eigsum(h), abs=1e-8)
+        assert trace_norm(h) == pytest.approx(np.abs(np.linalg.eigvalsh(h)).sum(), abs=1e-8)
 
 
 class TestStates:

@@ -1,16 +1,18 @@
 """Simulated tomography: counts, reconstruction, error bars."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from entact.qcore import BellKind, bell_state, chi_q, fidelity
+from entact.qcore import BellKind, PauliString, bell_state, chi_q, fidelity
 from entact.protocol import WaveplateSetting, premeasurement
 from entact.measures import negativity
 from entact.tomo import (
     CountsTable,
     MeasurementSetting,
+    _stream,
     mc_errorbar,
     pauli_expectations_exact,
     pauli_settings,
@@ -18,8 +20,23 @@ from entact.tomo import (
     reconstruct,
     reconstruct_from_expectations,
     simulate_counts,
-    table1_schedule,
 )
+
+
+def reconstruct_reference(counts, n_qubits):
+    """Per-string loop: each Pauli expectation is the parity-weighted frequency,
+    averaged over the settings with nonzero counts that measure it."""
+    dim = 2**n_qubits
+    h = np.eye(dim, dtype=complex) / dim
+    for ops in ("".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)):
+        if ops == "I" * n_qubits:
+            continue
+        values = [t.setting.outcome_parities(ops) @ (np.array(t.counts) / sum(t.counts))
+                  for t in counts
+                  if sum(t.counts) and all(o in ("I", a) for o, a in zip(ops, t.setting.axes))]
+        if values:
+            h += np.mean(values) * PauliString(ops).matrix() / dim
+    return project_psd(h)
 
 
 @pytest.fixture(scope="module")
@@ -46,16 +63,6 @@ class TestSettings:
         with pytest.raises(ValueError):
             s.outcome_parities("XZ")
 
-    def test_schedule_has_36_rows(self):
-        rows = table1_schedule()
-        assert len(rows) == 36
-        assert sorted({r.set_label for r in rows}) == sorted(
-            ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX"])
-        # each set addresses each detector exactly once
-        for label in "I II III IV V VI VII VIII IX".split():
-            dets = sorted(r.detector for r in rows if r.set_label == label)
-            assert dets == [1, 2, 3, 4]
-
 
 class TestCounts:
     def test_reproducible_with_seed(self, rho3):
@@ -72,6 +79,14 @@ class TestCounts:
         tables = simulate_counts(rho3, pauli_settings(3)[:3], 1e5, seed=2)
         for t in tables:
             assert sum(t.counts) == pytest.approx(1e5, rel=0.05)
+
+    def test_one_draw_equals_per_setting_draws(self, rho3):
+        settings = pauli_settings(3)
+        for seed, rep in ((1, 0), (1, 7), (123, 3)):
+            rng = _stream(seed, rep)
+            for table in simulate_counts(rho3, settings, 1e4, seed, rep=rep):
+                p = [np.trace(proj @ rho3.mat).real for proj in table.setting.projectors]
+                assert table.counts == tuple(rng.poisson(1e4 * np.clip(p, 0.0, None)))
 
     def test_exposure_guard(self, rho3):
         with pytest.raises(ValueError):
@@ -123,6 +138,14 @@ class TestReconstruction:
         tables = simulate_counts(rho, pauli_settings(2), 1e6, seed=3)
         recon = reconstruct(tables)
         assert fidelity(recon, rho) > 0.999
+
+    @pytest.mark.parametrize("exposure", [1e4, 1.0])
+    def test_matches_per_string_reference(self, rho3, exposure):
+        tables = simulate_counts(rho3, pauli_settings(3), exposure, seed=4)
+        if exposure == 1.0:
+            assert any(sum(t.counts) == 0 for t in tables)
+        ref = reconstruct_reference(tables, 3)
+        assert np.abs(reconstruct(tables).mat - ref.mat).max() < 1e-12
 
     def test_incomplete_settings_rejected(self, rho3):
         tables = simulate_counts(rho3, pauli_settings(3)[:-1], 1e4, seed=1)
