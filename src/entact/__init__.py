@@ -36,17 +36,13 @@ from .measures import (
     negativity_theory,
 )
 from .epsnet import (
-    BoundReport,
     NetRecord,
     NetSpec,
-    bound1,
-    bound2,
     cap_radius,
-    combined_bound,
     dedup_bloch,
     default_net,
-    euclid_chord,
-    ideal_records,
+    lower_bounds,
+    net_records,
     sphere_scan,
     verify_covering,
     verify_packing,

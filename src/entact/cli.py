@@ -15,7 +15,9 @@ import sys
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .qcore import BellKind, DensityMatrix, chi_q, fidelity, werner_mix
+import numpy as np
+
+from .qcore import DensityMatrix, chi_q, fidelity
 from .protocol import WaveplateSetting, premeasurement
 from .measures import (
     OptimizerError,
@@ -26,11 +28,10 @@ from .measures import (
     negativity_theory,
 )
 from .epsnet import (
-    NetRecord,
     NetSpec,
-    bloch_vector,
     cap_radius,
     default_net,
+    net_records,
     sphere_scan,
     verify_covering,
     verify_packing,
@@ -90,12 +91,8 @@ class ExperimentConfig:
         v = self.werner_visibility()
         if v is None:
             return chi_q(q)
-        m = (
-            q * werner_mix(BellKind.PSI_PLUS, v).mat
-            + 0.5 * (1 - q) * (werner_mix(BellKind.PHI_PLUS, v).mat
-                               + werner_mix(BellKind.PSI_MINUS, v).mat)
-        )
-        return DensityMatrix(m, (2, 2))
+        # each Bell state mixed with white noise; the three weights sum to 1
+        return DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
 
     def hash(self) -> str:
         """12-hex digest of the experiment; where its outputs go is left out."""
@@ -186,15 +183,6 @@ def _write_csv(path: Path, header: str, rows, cfg: ExperimentConfig):
                      + f",{tag},{cfg.seed}\n")
 
 
-def _noisy_records(cfg: ExperimentConfig, q: float):
-    chi = cfg.input_state(q)
-    records = []
-    for s in cfg.net.settings():
-        state = premeasurement(chi, s)
-        records.append(NetRecord(s, bloch_vector(s), negativity(state, [0, 1]), state))
-    return chi, records
-
-
 def cmd_activate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     for q in cfg.q_values:
@@ -219,12 +207,13 @@ def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
     out = Path(cfg.output_dir)
     verdicts = {}
     for q in cfg.q_values:
-        chi, records = _noisy_records(cfg, q)
-        min_low, argmin, rows = sphere_scan(q, cfg.net, cfg.grid_step, records=records, chi=chi)
+        min_low, argmin, rows = sphere_scan(cfg.input_state(q), cfg.net, cfg.grid_step)
         verdicts[q] = min_low
+        # n_theory is the closed form of the ideal chi_q(q), also under noise
         _write_csv(out / f"certify_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_low1,n_low2,n_low",
-                   [(q, *r) for r in rows], cfg)
+                   [(q, th, ph, negativity_theory(q, WaveplateSetting(th, ph)), *lows)
+                    for th, ph, *lows in rows], cfg)
         print(f"q={q}: min_low={min_low:.6f} at (theta={argmin.theta:.6f}, "
               f"phi={argmin.phi:.6f}) -> {'certified' if min_low > 0 else 'not certified'}")
     _write_manifest(out, cfg, "certify", {str(q): v for q, v in verdicts.items()})
@@ -237,8 +226,8 @@ def cmd_discord_match(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     rows = []
     for q in cfg.q_values:
-        chi, records = _noisy_records(cfg, q)
-        min_net = min(r.negativity_measured for r in records)
+        chi = cfg.input_state(q)
+        min_net = min(r.negativity_measured for r in net_records(chi, cfg.net))
         d_closed = discord_bell_diagonal(chi)
         status = "ok"
         try:
@@ -257,10 +246,11 @@ def cmd_witness(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     rows = []
     worst_setting = WaveplateSetting(math.pi / 4, 0.0)
+    bipartite, tripartite = w2(), w3()
     for q in cfg.q_values:
         chi = cfg.input_state(q)
         rho = premeasurement(chi, worst_setting)
-        rows.append((q, expect(w2(), chi), expect(w3(), rho), 0.5 - q))
+        rows.append((q, expect(bipartite, chi), expect(tripartite, rho), 0.5 - q))
     _write_csv(out / "witness.csv", "q,w2_expect,w3_expect,theory", rows, cfg)
     _write_manifest(out, cfg, "witness")
     return 0

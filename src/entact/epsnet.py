@@ -1,21 +1,25 @@
 """Finite-sample certification of entanglement over the whole Bloch sphere.
 
 A 28-setting waveplate net, spherical-cap covering/packing checks under the
-chord metric, two continuity lower bounds on the premeasurement negativity,
-and full-sphere positivity scans built from them.
+chord metric, the net records of an input state, one kernel for the two
+continuity lower bounds on the premeasurement negativity, and the full-sphere
+positivity scan built on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-from .qcore import DensityMatrix, chi_q
-from .protocol import BlochVector, WaveplateSetting, _premeasure, bloch_vector, premeasurement, u_b
-from .measures import _fibonacci_directions, negativity_theory
+from .qcore import DensityMatrix
+from .protocol import WaveplateSetting, _premeasure, bloch_vector, premeasurement, u_b
+from .measures import _fibonacci_directions, negativity
+
+# targets per stacked eigvalsh in `lower_bounds`
+_TARGET_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -35,48 +39,15 @@ class NetSpec:
 
 @dataclass(frozen=True)
 class NetRecord:
-    """One sampled setting with its (computed or simulated) negativity."""
+    """One net setting with its AB|M negativity and the premeasurement state it came from."""
 
     setting: WaveplateSetting
-    bloch: BlochVector
     negativity_measured: float
-    state: Optional[DensityMatrix] = None
+    state: DensityMatrix
 
     def __post_init__(self):
         if self.negativity_measured < 0:
             raise ValueError("measured negativity must be nonnegative")
-        expected = bloch_vector(self.setting).as_array()
-        if np.abs(expected - self.bloch.as_array()).max() > 1e-10:
-            raise ValueError("bloch does not match bloch_vector(setting)")
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Lower bounds on the negativity at one unmeasured setting.
-
-    `low` is the certified bound: the larger of the two individually valid
-    lower bounds.  (Taking the smaller, as a worst case over modelling
-    assumptions, makes the q = 0.2 and q = 0.4 ideal nets uncertifiable.)
-    """
-
-    target: WaveplateSetting
-    low1: float
-    low2: float
-    low: float = field(default=None)
-    witness_record: tuple = (None, None)
-
-    def __post_init__(self):
-        if self.low is None:
-            object.__setattr__(self, "low", max(self.low1, self.low2))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": self.target.to_json_dict(),
-            "low1": self.low1,
-            "low2": self.low2,
-            "low": self.low,
-            "witness_record": list(self.witness_record),
-        }
 
 
 def default_net() -> NetSpec:
@@ -87,26 +58,14 @@ def default_net() -> NetSpec:
     )
 
 
-def ideal_records(q: float, net: NetSpec, with_states: bool = True) -> List[NetRecord]:
-    """Noise-free records for the chi_q family over a net."""
-    chi = chi_q(q)
-    recs = []
+def net_records(chi: DensityMatrix, net: NetSpec) -> List[NetRecord]:
+    """One record per net setting: the premeasurement state of `chi` and its
+    brute-force AB|M negativity."""
+    records = []
     for s in net.settings():
-        recs.append(
-            NetRecord(
-                setting=s,
-                bloch=bloch_vector(s),
-                negativity_measured=negativity_theory(q, s),
-                state=premeasurement(chi, s) if with_states else None,
-            )
-        )
-    return recs
-
-
-def euclid_chord(n1: BlochVector, n2: BlochVector) -> float:
-    """Euclidean (chord) distance between two unit vectors: sqrt(2(1 - n1.n2))."""
-    dot = float(np.dot(n1.as_array(), n2.as_array()))
-    return math.sqrt(max(0.0, 2.0 * (1.0 - min(dot, 1.0))))
+        state = premeasurement(chi, s)
+        records.append(NetRecord(s, negativity(state, [0, 1]), state))
+    return records
 
 
 def cap_radius(epsilon: float) -> float:
@@ -116,8 +75,8 @@ def cap_radius(epsilon: float) -> float:
     return 0.25 * math.sqrt(epsilon**2 * (4.0 - epsilon**2))
 
 
-def dedup_bloch(net: NetSpec, tol: float = 1e-8) -> List[BlochVector]:
-    """Unique measurement bases of a net, identifying n with -n."""
+def dedup_bloch(net: NetSpec, tol: float = 1e-8) -> np.ndarray:
+    """Unique measurement bases of a net as a (k, 3) array, identifying n with -n."""
     unique: List[np.ndarray] = []
     for s in net.settings():
         v = bloch_vector(s).as_array()
@@ -125,7 +84,7 @@ def dedup_bloch(net: NetSpec, tol: float = 1e-8) -> List[BlochVector]:
             np.abs(v - u).max() <= tol or np.abs(v + u).max() <= tol for u in unique
         ):
             unique.append(v)
-    return [BlochVector.from_array(v) for v in unique]
+    return np.array(unique)
 
 
 def _basis_chords(points: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -147,7 +106,7 @@ def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
     """
     if resolution < 1000:
         raise ValueError("resolution must be at least 10^3 sample points")
-    bases = np.array([b.as_array() for b in dedup_bloch(net)])
+    bases = dedup_bloch(net)
     lattice = _fibonacci_directions(resolution)
     worst_gap = float(_basis_chords(lattice, bases).min(axis=1).max())
     return worst_gap <= epsilon + 1e-9, worst_gap
@@ -158,7 +117,7 @@ def verify_packing(net: NetSpec, epsilon: float):
 
     Returns (packed, min_pairwise_distance).
     """
-    bases = np.array([b.as_array() for b in dedup_bloch(net)])
+    bases = dedup_bloch(net)
     if len(bases) < 2:
         return True, math.inf
     dmin = float(_basis_chords(bases, bases)[np.triu_indices(len(bases), 1)].min())
@@ -166,82 +125,47 @@ def verify_packing(net: NetSpec, epsilon: float):
     return dmin >= epsilon - 1e-9, dmin
 
 
-def bound1(records: List[NetRecord], target: BlochVector) -> float:
-    """Chord-continuity lower bound: max_j { N_j - chord(target, n_j) }.
+def lower_bounds(records: List[NetRecord], settings: List[WaveplateSetting],
+                 chi: DensityMatrix):
+    """Two continuity lower bounds on the AB|M negativity at each target setting.
 
-    May be negative; a negative bound means "not certified", not "zero".
+    low1 = max_j (N_j - chord(n, n_j)) is model-free: it reads only the records.
+    low2 = max_j (N_j - ||(rho(n) - rho_j)^Gamma||_1), with the partial transpose
+    on M, builds each target state rho(n) from `chi`, so it holds only for the
+    state that was measured.  A negative bound means "not certified", not "zero".
+    Returns the arrays (low1, low2) over `settings`.
     """
     if not records:
-        raise ValueError("bound1 needs at least one record")
+        raise ValueError("lower_bounds needs at least one record")
     rec_n = np.array([r.negativity_measured for r in records])
-    rec_b = np.array([r.bloch.as_array() for r in records])
-    return float((rec_n - _basis_chords(target.as_array()[None], rec_b)[0]).max())
-
-
-def bound2(records: List[NetRecord], target_state: DensityMatrix) -> float:
-    """State-continuity lower bound: max_j { N_j - ||(rho_target - rho_j)^Gamma||_1 }
-    with the partial transpose on M (the AB|M cut)."""
-    if not records:
-        raise ValueError("bound2 needs at least one record")
-    if any(r.state is None for r in records):
-        raise ValueError("bound2 needs records carrying premeasurement states")
-    rec_n = np.array([r.negativity_measured for r in records])
+    rec_b = np.array([bloch_vector(r.setting).as_array() for r in records])
     rec_s = np.array([r.state.mat for r in records])
-    return float((rec_n - _pt_trace_norms(target_state.mat - rec_s)).max())
+    n_t = np.array([bloch_vector(s).as_array() for s in settings]).reshape(-1, 3)
+    low1 = (rec_n - _basis_chords(n_t, rec_b)).max(axis=1)
+    u = np.array([u_b(s) for s in settings]).reshape(-1, 2, 2)
+    low2 = np.empty(len(u))
+    # targets go in batches: the differences for a whole 1-degree grid would take ~120 MB
+    for i in range(0, len(u), _TARGET_BATCH):
+        targets = _premeasure(chi.mat, u[i:i + _TARGET_BATCH])
+        low2[i:i + _TARGET_BATCH] = (rec_n - _pt_trace_norms(targets[:, None] - rec_s)).max(axis=1)
+    return low1, low2
 
 
-def combined_bound(records: List[NetRecord], target: WaveplateSetting,
-                   chi: DensityMatrix) -> BoundReport:
-    """Both lower bounds at an unmeasured target; bound2 uses the model
-    premeasurement state built from `chi` (ideal-model assumption)."""
-    rec_n = np.array([r.negativity_measured for r in records])
-    rec_b = np.array([r.bloch.as_array() for r in records])
-    rec_s = np.array([r.state.mat for r in records])
-    b1 = rec_n - _basis_chords(bloch_vector(target).as_array()[None], rec_b)[0]
-    b2 = rec_n - _pt_trace_norms(premeasurement(chi, target).mat - rec_s)
-    i1, i2 = int(np.argmax(b1)), int(np.argmax(b2))
-    return BoundReport(
-        target=target,
-        low1=float(b1[i1]),
-        low2=float(b2[i2]),
-        witness_record=(i1, i2),
-    )
+def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 180):
+    """Both lower bounds, from the net records of `chi`, on a (theta, phi) grid over
+    the full angular range.
 
-
-def sphere_scan(q: float, net: NetSpec, grid_step: float = math.pi / 180,
-                records: Optional[List[NetRecord]] = None,
-                chi: Optional[DensityMatrix] = None):
-    """Evaluate the combined bound on a (theta, phi) grid over the full angular range.
-
-    `records` default to the ideal records of chi_q(q), and bound2 targets are built
-    from `chi`, by default chi_q(q).  Returns (min_low, argmin_setting, rows) where
-    rows carry per-point values (theta, phi, n_theory, low1, low2, low).
+    Returns (min_low, argmin_setting, rows) with rows (theta, phi, low1, low2, low),
+    where low = max(low1, low2) is the certified bound at that point.
     """
     if grid_step > math.pi / 90 + 1e-12:
         raise ValueError("grid_step must be at most pi/90")
-    if records is None:
-        records = ideal_records(q, net)
-    chi = chi_q(q) if chi is None else chi
-    rec_n = np.array([r.negativity_measured for r in records])
-    rec_b = np.array([r.bloch.as_array() for r in records])
-    rec_s = np.array([r.state.mat for r in records])
     thetas = np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step)
     phis = np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)
-    min_low = math.inf
-    argmin = None
-    rows = []
-    for th in thetas:
-        # one batch per theta strip: a whole-grid batch of differences would take ~120 MB
-        settings = [WaveplateSetting(float(th), float(ph)) for ph in phis]
-        targets = _premeasure(chi.mat, np.array([u_b(s) for s in settings]))
-        b2 = (rec_n - _pt_trace_norms(targets[:, None] - rec_s)).max(axis=1)
-        n_t = np.array([bloch_vector(s).as_array() for s in settings])
-        b1 = (rec_n - _basis_chords(n_t, rec_b)).max(axis=1)
-        low = np.maximum(b1, b2)
-        for i, s in enumerate(settings):
-            rows.append((s.theta, s.phi, negativity_theory(q, s),
-                         float(b1[i]), float(b2[i]), float(low[i])))
-            if low[i] < min_low:
-                min_low = float(low[i])
-                argmin = s
-    return min_low, argmin, rows
+    settings = [WaveplateSetting(th, ph) for th in thetas.tolist() for ph in phis.tolist()]
+    low1, low2 = lower_bounds(net_records(chi, net), settings, chi)
+    low = np.maximum(low1, low2)
+    i = int(np.argmin(low))
+    rows = [(s.theta, s.phi, a, b, c)
+            for s, a, b, c in zip(settings, low1.tolist(), low2.tolist(), low.tolist())]
+    return float(low[i]), settings[i], rows

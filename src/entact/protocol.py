@@ -15,23 +15,22 @@ import numpy as np
 
 from .qcore import DensityMatrix, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
 
-THETA_PERIOD = math.pi / 2
-PHI_PERIOD = math.pi / 4
-
 
 @dataclass(frozen=True)
 class WaveplateSetting:
-    """Quarter-waveplate angle theta and half-waveplate angle phi, in radians."""
+    """Quarter-waveplate angle theta and half-waveplate angle phi, in radians.
+
+    Any real angles are used as given: `bloch_vector` and `u_b` are smooth in
+    both.  theta + pi gives the same direction n, and phi + pi/4 gives -n, the
+    same basis; theta + pi/2 flips n_y, which is a different basis.
+    """
 
     theta: float
     phi: float
 
     def __post_init__(self):
-        # reduce by the stated periodicities, then require the canonical ranges
-        th = self.theta % THETA_PERIOD if not 0 <= self.theta <= THETA_PERIOD else self.theta
-        ph = self.phi % PHI_PERIOD if not 0 <= self.phi <= PHI_PERIOD else self.phi
-        object.__setattr__(self, "theta", float(th))
-        object.__setattr__(self, "phi", float(ph))
+        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "phi", float(self.phi))
 
     def to_json_dict(self) -> dict:
         return {"theta_rad": self.theta, "phi_rad": self.phi}

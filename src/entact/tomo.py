@@ -11,7 +11,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,14 +79,20 @@ class CountsTable:
             raise ValueError("counts must be nonnegative")
 
 
-def pauli_settings(n_qubits: int) -> List[MeasurementSetting]:
-    """All 3^n axis combinations for n in {2, 3}."""
+@functools.cache
+def pauli_settings(n_qubits: int) -> Tuple[MeasurementSetting, ...]:
+    """All 3^n axis combinations for n in {2, 3}, built once per process; the
+    projector arrays are read-only."""
     if n_qubits not in (2, 3):
         raise ValueError(f"unsupported qubit count {n_qubits}")
-    return [
+    settings = tuple(
         MeasurementSetting.from_axes("".join(axes))
         for axes in itertools.product("XYZ", repeat=n_qubits)
-    ]
+    )
+    for s in settings:
+        for p in s.projectors:
+            p.flags.writeable = False
+    return settings
 
 
 def _stream(seed: int, rep: int = 0) -> np.random.Generator:

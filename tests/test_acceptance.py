@@ -72,9 +72,9 @@ def test_04_certification_positivity():
     net = default_net()
     step = math.pi / 180
     for q in Q_GRID[1:]:
-        min_low, argmin, _ = sphere_scan(q, net, grid_step=step)
+        min_low, argmin, _ = sphere_scan(chi_q(q), net, grid_step=step)
         assert min_low > 0, f"q={q} not certified (min_low={min_low:.4f} at {argmin})"
-    min_low0, _, _ = sphere_scan(0.0, net, grid_step=step)
+    min_low0, _, _ = sphere_scan(chi_q(0.0), net, grid_step=step)
     assert min_low0 <= 0, "classical point must not certify"
     report(4, "certification positivity over the sphere", t0, 60.0)
 

@@ -142,7 +142,7 @@ class TestCommands:
         assert min(float(r[6]) for r in rows) <= 0
 
     def test_certify_bounds_use_the_noisy_state(self, tmp_path):
-        # bound2 targets built from the ideal chi_q(0.2) left a margin of only 0.0057
+        # low2 targets built from the ideal chi_q(0.2) left a margin of only 0.0057
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q_values": [0.2], "grid_step": math.pi / 90,
                                    "noise": "werner:0.9"}))

@@ -1,29 +1,29 @@
-"""Net geometry, continuity bounds, and full-sphere certification scans."""
+"""Net geometry, the lower-bounds kernel, and full-sphere certification scans."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entact.qcore import chi_q
 from entact.protocol import BlochVector, WaveplateSetting, bloch_vector, premeasurement
-from entact.measures import negativity_theory
+from entact.measures import negativity_offdiag, negativity_theory
 from entact.epsnet import (
-    BoundReport,
     NetRecord,
     NetSpec,
-    bound1,
-    bound2,
+    _basis_chords,
     cap_radius,
-    combined_bound,
     dedup_bloch,
     default_net,
-    euclid_chord,
-    ideal_records,
+    lower_bounds,
+    net_records,
     sphere_scan,
     verify_covering,
     verify_packing,
 )
+from test_protocol import full_rank_state
 
 # exact covering radius of the default net: the worst point sits on the
 # phi = 0 meridian midway between adjacent theta settings (15 degrees away)
@@ -37,7 +37,13 @@ def net():
 
 @pytest.fixture(scope="module")
 def records02(net):
-    return ideal_records(0.2, net)
+    return net_records(chi_q(0.2), net)
+
+
+def low_at(records, target, chi=None):
+    """(low1, low2) at one target setting; low2's target state comes from `chi`."""
+    low1, low2 = lower_bounds(records, [target], chi_q(0.2) if chi is None else chi)
+    return float(low1[0]), float(low2[0])
 
 
 class TestNetSpec:
@@ -50,30 +56,45 @@ class TestNetSpec:
 
     def test_dedup_count(self, net):
         # 28 settings collapse to 16 distinct bases under +-n identification
-        assert len(dedup_bloch(net)) == 16
+        bases = dedup_bloch(net)
+        assert bases.shape == (16, 3)
+        assert np.abs(np.linalg.norm(bases, axis=1) - 1).max() < 1e-12
 
-    def test_records_validate_bloch(self, net):
+    def test_records_reject_negative_negativity(self, net):
         s = net.settings()[5]
-        wrong = bloch_vector(net.settings()[6])
         with pytest.raises(ValueError):
-            NetRecord(s, wrong, 0.5)
-        with pytest.raises(ValueError):
-            NetRecord(s, bloch_vector(s), -0.1)
+            NetRecord(s, -0.1, premeasurement(chi_q(0.2), s))
+
+    def test_net_records_match_closed_form(self, net):
+        # brute-force record values agree with the chi_q closed form, with exact
+        # zeros at q = 0 (a spurious +4e-16 there would certify a classical state)
+        for q in (0.0, 0.2, 0.6):
+            for r in net_records(chi_q(q), net):
+                assert r.state.dims == (2, 2, 2)
+                assert r.negativity_measured == pytest.approx(
+                    negativity_theory(q, r.setting), abs=1e-15)
+                if negativity_theory(q, r.setting) == 0.0:
+                    assert r.negativity_measured == 0.0
+
+
+def chord(a, b):
+    """Sign-identified chord distance between two unit 3-vectors."""
+    return float(_basis_chords(np.asarray(a, float)[None], np.asarray(b, float)[None])[0, 0])
 
 
 class TestChordMetric:
     def test_basic_values(self):
-        z = BlochVector(0, 0, 1)
-        x = BlochVector(1, 0, 0)
-        assert euclid_chord(z, z) == 0.0
-        assert euclid_chord(z, BlochVector(0, 0, -1)) == pytest.approx(2.0)
-        assert euclid_chord(z, x) == pytest.approx(math.sqrt(2.0))
+        z, x = [0, 0, 1], [1, 0, 0]
+        assert chord(z, z) == 0.0
+        # n and -n are one basis
+        assert chord(z, [0, 0, -1]) == 0.0
+        assert chord(z, x) == pytest.approx(math.sqrt(2.0))
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):
-            a, b, c = (BlochVector.from_array(rng.normal(size=3)) for _ in range(3))
-            assert euclid_chord(a, c) <= euclid_chord(a, b) + euclid_chord(b, c) + 1e-12
+            a, b, c = (BlochVector.from_array(rng.normal(size=3)).as_array() for _ in range(3))
+            assert chord(a, c) <= chord(a, b) + chord(b, c) + 1e-12
 
     def test_cap_radius_values(self):
         assert cap_radius(0.5) == pytest.approx(0.242061, abs=1e-6)
@@ -114,91 +135,112 @@ class TestCoveringPacking:
 
 
 class TestBound1:
+    """low1 = max_j (N_j - chord(n, n_j)), the model-free bound."""
+
     def test_exact_at_net_point(self, records02):
         r = records02[3]
-        assert bound1(records02, r.bloch) == pytest.approx(r.negativity_measured, abs=1e-12)
+        assert low_at(records02, r.setting)[0] == pytest.approx(r.negativity_measured, abs=1e-12)
 
     def test_antipodal_worst_case(self):
         s = WaveplateSetting(0.0, 0.0)
-        rec = NetRecord(s, bloch_vector(s), 1.0)
-        # identifying n with -n, nothing is more than sqrt(2) away
-        far = BlochVector.from_array([1, 1, 0] / np.sqrt(2))
-        assert bound1([rec], far) == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-12)
+        rec = NetRecord(s, 1.0, premeasurement(chi_q(0.2), s))
+        # identifying n with -n, nothing is more than sqrt(2) away; (pi/8, pi/16)
+        # measures along (-1, 0, 1)/sqrt(2), at chord sqrt(2 - sqrt(2)) from z,
+        # and (pi/4, 0) along -y, at chord sqrt(2)
+        assert low_at([rec], WaveplateSetting(math.pi / 4, 0.0))[0] == pytest.approx(
+            1.0 - math.sqrt(2.0), abs=1e-12)
+        assert low_at([rec], WaveplateSetting(math.pi / 8, math.pi / 16))[0] == pytest.approx(
+            1.0 - math.sqrt(2.0 - math.sqrt(2.0)), abs=1e-12)
 
     def test_minus_y_target_at_q02(self, records02):
-        assert bound1(records02, BlochVector(0, -1, 0)) >= 0.05
+        # (pi/4, 0) measures along -y, the least-entangling basis of chi_q
+        assert np.allclose(bloch_vector(WaveplateSetting(math.pi / 4, 0)).as_array(), [0, -1, 0])
+        assert low_at(records02, WaveplateSetting(math.pi / 4, 0.0))[0] >= 0.05
 
     def test_empty_records(self):
         with pytest.raises(ValueError):
-            bound1([], BlochVector(0, 0, 1))
+            lower_bounds([], [WaveplateSetting(0, 0)], chi_q(0.2))
 
 
 class TestBound2:
+    """low2 = max_j (N_j - ||(rho(n) - rho_j)^Gamma||_1), with rho(n) built from chi."""
+
     def test_exact_at_net_state(self, records02):
         r = records02[7]
-        assert bound2(records02, r.state) == pytest.approx(r.negativity_measured, abs=1e-10)
+        assert low_at(records02, r.setting)[1] == pytest.approx(r.negativity_measured, abs=1e-10)
 
     def test_never_exceeds_true_negativity(self):
-        records = ideal_records(0.4, default_net())
-        target = premeasurement(chi_q(0.4), WaveplateSetting(math.pi / 8, math.pi / 24))
-        assert bound2(records, target) <= 0.4 + 1e-10
+        records = net_records(chi_q(0.4), default_net())
+        target = WaveplateSetting(math.pi / 8, math.pi / 24)
+        assert low_at(records, target, chi_q(0.4))[1] <= 0.4 + 1e-10
 
     def test_requires_states(self, net):
-        recs = ideal_records(0.2, net, with_states=False)
-        with pytest.raises(ValueError):
-            bound2(recs, premeasurement(chi_q(0.2), WaveplateSetting(0, 0)))
+        # records always carry the premeasurement state that low2 compares against
+        with pytest.raises(TypeError):
+            NetRecord(net.settings()[0], 0.5)
 
 
 class TestCombinedBound:
+    """low = max(low1, low2), the certified bound."""
+
     def test_report_fields(self, records02):
-        rep = combined_bound(records02, WaveplateSetting(0.2, 0.1), chi_q(0.2))
-        assert rep.low == pytest.approx(max(rep.low1, rep.low2), abs=1e-15)
-        assert rep.witness_record[0] is not None
-        d = rep.to_json_dict()
-        assert set(d) == {"target", "low1", "low2", "low", "witness_record"}
+        targets = [WaveplateSetting(0.2, 0.1), WaveplateSetting(1.0, 0.5), WaveplateSetting(-3.0, 7.0)]
+        low1, low2 = lower_bounds(records02, targets, chi_q(0.2))
+        assert low1.shape == low2.shape == (3,)
+        for i, s in enumerate(targets):
+            assert (low1[i], low2[i]) == pytest.approx(low_at(records02, s), abs=1e-15)
+        assert lower_bounds(records02, [], chi_q(0.2))[0].shape == (0,)
 
     def test_soundness_against_theory(self, records02):
         # the bound never overclaims relative to the exact negativity
         rng = np.random.default_rng(17)
-        for _ in range(40):
-            s = WaveplateSetting(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi / 4))
-            rep = combined_bound(records02, s, chi_q(0.2))
-            assert rep.low <= negativity_theory(0.2, s) + 1e-9
+        targets = [WaveplateSetting(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi / 4))
+                   for _ in range(40)]
+        low = np.maximum(*lower_bounds(records02, targets, chi_q(0.2)))
+        for s, b in zip(targets, low):
+            assert b <= negativity_theory(0.2, s) + 1e-9
 
     def test_soundness_at_classical_point(self, net):
-        recs = ideal_records(0.0, net)
-        rep = combined_bound(recs, WaveplateSetting(math.pi / 4, 0.0), chi_q(0.0))
-        assert rep.low <= 1e-12
+        recs = net_records(chi_q(0.0), net)
+        assert max(low_at(recs, WaveplateSetting(math.pi / 4, 0.0), chi_q(0.0))) <= 1e-12
 
     def test_monotone_under_record_removal(self, records02):
         s = WaveplateSetting(0.33, 0.21)
-        full = combined_bound(records02, s, chi_q(0.2)).low
-        subset = combined_bound(records02[::3], s, chi_q(0.2)).low
-        assert subset <= full + 1e-12
+        full = np.array(low_at(records02, s))
+        subset = np.array(low_at(records02[::3], s))
+        assert (subset <= full + 1e-12).all()
 
-    def test_bound_report_default_low(self):
-        rep = BoundReport(target=WaveplateSetting(0, 0), low1=0.1, low2=0.3)
-        assert rep.low == 0.3
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+           st.lists(st.builds(WaveplateSetting, st.floats(-math.pi, math.pi),
+                              st.floats(-math.pi, math.pi)), min_size=1, max_size=8))
+    def test_sound_on_random_states(self, re_im, targets):
+        # low1 rests on N(n) being 1-Lipschitz in the chord metric, which is
+        # checked here beyond chi_q; low2 holds by the triangle inequality
+        chi = full_rank_state(re_im)
+        low = np.maximum(*lower_bounds(net_records(chi, default_net()), targets, chi))
+        for s, b in zip(targets, low):
+            assert b <= negativity_offdiag(chi, bloch_vector(s)) + 1e-9
 
 
 class TestSphereScan:
     def test_grid_step_guard(self, net):
         with pytest.raises(ValueError):
-            sphere_scan(0.2, net, grid_step=math.pi / 10)
+            sphere_scan(chi_q(0.2), net, grid_step=math.pi / 10)
 
     def test_certifies_q02(self, net):
-        min_low, argmin, rows = sphere_scan(0.2, net, grid_step=math.pi / 90)
+        min_low, argmin, rows = sphere_scan(chi_q(0.2), net, grid_step=math.pi / 90)
         assert min_low > 0
         assert isinstance(argmin, WaveplateSetting)
         assert len(rows) == 46 * 23  # theta 0..pi/2, phi 0..pi/4 at pi/90 steps
 
     def test_zero_discord_not_certified(self, net):
         # the pi/180 grid contains the exact zero-negativity settings
-        min_low, _, _ = sphere_scan(0.0, net, grid_step=math.pi / 180)
+        min_low, _, _ = sphere_scan(chi_q(0.0), net, grid_step=math.pi / 180)
         assert min_low <= 0
 
     def test_rows_are_consistent(self, net):
-        _, _, rows = sphere_scan(0.6, net, grid_step=math.pi / 90)
-        for th, ph, n_th, low1, low2, low in rows[::50]:
-            assert low == pytest.approx(max(low1, low2), abs=1e-12)
-            assert low <= n_th + 1e-9
+        _, _, rows = sphere_scan(chi_q(0.6), net, grid_step=math.pi / 90)
+        for th, ph, low1, low2, low in rows[::50]:
+            assert low == max(low1, low2)
+            assert low <= negativity_theory(0.6, WaveplateSetting(th, ph)) + 1e-9

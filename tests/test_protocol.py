@@ -51,15 +51,13 @@ def grid_settings(n_theta=7, n_phi=5):
 
 
 class TestWaveplateSetting:
-    def test_periodic_reduction(self):
-        s = WaveplateSetting(math.pi / 12 + math.pi / 2, math.pi / 12 + math.pi / 4)
-        assert s.theta == pytest.approx(math.pi / 12)
-        assert s.phi == pytest.approx(math.pi / 12)
-
-    def test_negative_angles_reduce(self):
-        s = WaveplateSetting(-math.pi / 12, -math.pi / 24)
-        assert 0 <= s.theta <= math.pi / 2
-        assert 0 <= s.phi <= math.pi / 4
+    def test_angles_used_as_given(self):
+        s = WaveplateSetting(0.3 + math.pi / 2, -0.1)
+        assert (s.theta, s.phi) == (0.3 + math.pi / 2, -0.1)
+        # theta + pi/2 is a different basis: it flips n_y and keeps n_x, n_z
+        n = bloch_vector(WaveplateSetting(0.3, -0.1)).as_array()
+        assert np.abs(bloch_vector(s).as_array() - n * [1, -1, 1]).max() < 1e-12
+        assert abs(n[1]) > 0.1
 
     def test_json_dict(self):
         d = WaveplateSetting(0.1, 0.2).to_json_dict()
@@ -83,9 +81,10 @@ class TestBlochVector:
             atol=1e-15)
 
     def test_periodicity_of_direction(self):
-        s1 = bloch_vector(WaveplateSetting(0.3, 0.11))
-        s2 = bloch_vector(WaveplateSetting(0.3 + math.pi / 2, 0.11 + math.pi / 4))
-        assert np.abs(s1.as_array() - s2.as_array()).max() < 1e-12
+        # theta has period pi; phi + pi/4 gives -n, the same basis
+        n = bloch_vector(WaveplateSetting(0.3, 0.11)).as_array()
+        assert np.abs(bloch_vector(WaveplateSetting(0.3 + math.pi, 0.11)).as_array() - n).max() < 1e-12
+        assert np.abs(bloch_vector(WaveplateSetting(0.3, 0.11 + math.pi / 4)).as_array() + n).max() < 1e-12
 
 
 class TestUnitaries:

@@ -51,6 +51,13 @@ class TestSettings:
         with pytest.raises(ValueError):
             pauli_settings(4)
 
+    def test_settings_built_once(self):
+        settings = pauli_settings(3)
+        assert pauli_settings(3) is settings
+        assert [s.axes for s in settings] == ["".join(a) for a in itertools.product("XYZ", repeat=3)]
+        with pytest.raises(ValueError):
+            settings[0].projectors[0][0, 0] = 0.0
+
     def test_projectors_resolve_identity(self):
         s = MeasurementSetting.from_axes("XZY")
         total = sum(s.projectors)
