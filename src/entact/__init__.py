@@ -22,6 +22,7 @@ from .protocol import (
     bloch_vector,
     cnot_bm,
     premeasurement,
+    setting_of,
     u_b,
 )
 from .measures import (

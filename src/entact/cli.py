@@ -231,7 +231,7 @@ def cmd_discord_match(cfg: ExperimentConfig) -> int:
         d_closed = discord_bell_diagonal(chi)
         status = "ok"
         try:
-            d_num = discord_numeric(chi, seed=cfg.seed).value
+            d_num = discord_numeric(chi).value
             qn = negativity_of_quantumness(chi).value
         except OptimizerError as e:
             d_num, qn, status = float("nan"), float("nan"), f"optimizer-failed:{e}"

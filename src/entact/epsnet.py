@@ -15,7 +15,7 @@ from typing import List
 import numpy as np
 
 from .qcore import DensityMatrix
-from .protocol import WaveplateSetting, _premeasure, bloch_vector, premeasurement, u_b
+from .protocol import WaveplateSetting, _premeasure, _u_b, bloch_vector, premeasurement
 from .measures import _fibonacci_directions, negativity
 
 # targets per stacked eigvalsh in `lower_bounds`
@@ -142,7 +142,8 @@ def lower_bounds(records: List[NetRecord], settings: List[WaveplateSetting],
     rec_s = np.array([r.state.mat for r in records])
     n_t = np.array([bloch_vector(s).as_array() for s in settings]).reshape(-1, 3)
     low1 = (rec_n - _basis_chords(n_t, rec_b)).max(axis=1)
-    u = np.array([u_b(s) for s in settings]).reshape(-1, 2, 2)
+    angles = np.array([(s.theta, s.phi) for s in settings]).reshape(-1, 2)
+    u = _u_b(angles[:, 0], angles[:, 1])
     low2 = np.empty(len(u))
     # targets go in batches: the differences for a whole 1-degree grid would take ~120 MB
     for i in range(0, len(u), _TARGET_BATCH):
@@ -156,7 +157,9 @@ def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 1
     the full angular range.
 
     Returns (min_low, argmin_setting, rows) with rows (theta, phi, low1, low2, low),
-    where low = max(low1, low2) is the certified bound at that point.
+    where low = max(low1, low2) is the certified bound at that point, and
+    argmin_setting is the lexicographically smallest (theta, phi) whose low is
+    within 1e-12 of min_low.
     """
     if grid_step > math.pi / 90 + 1e-12:
         raise ValueError("grid_step must be at most pi/90")
@@ -165,7 +168,10 @@ def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 1
     settings = [WaveplateSetting(th, ph) for th in thetas.tolist() for ph in phis.tolist()]
     low1, low2 = lower_bounds(net_records(chi, net), settings, chi)
     low = np.maximum(low1, low2)
-    i = int(np.argmin(low))
+    # settings run theta-major in ascending order, so the first near-tie is the
+    # lexicographically smallest; rounding-level changes in chi do not move it
+    min_low = float(low.min())
+    i = int(np.flatnonzero(low <= min_low + 1e-12)[0])
     rows = [(s.theta, s.phi, a, b, c)
             for s, a, b, c in zip(settings, low1.tolist(), low2.tolist(), low.tolist())]
-    return float(low[i]), settings[i], rows
+    return min_low, settings[i], rows

@@ -20,12 +20,15 @@ from .qcore import (
     DensityMatrix,
     PAULIS,
     partial_transpose,
-    projector,
     tensor,
 )
-from .protocol import BlochVector, WaveplateSetting, basis_kets, bloch_vector
+from .protocol import BlochVector, WaveplateSetting, basis_kets, bloch_vector, setting_of
 
 BELL_DIAGONAL_TOL = 1e-8
+_SIGMAS = np.array([PAULIS[p] for p in "XYZ"])
+# Nelder-Mead runs from this many of the best seed directions: one start missed
+# the global minimum on 7 of 300 random full-rank states, four on none of 1,000
+_STARTS = 4
 
 
 class Method(Enum):
@@ -104,12 +107,7 @@ def correlation_matrix(chi: DensityMatrix) -> np.ndarray:
     """3x3 real matrix T_ij = Tr[chi (sigma_i x sigma_j)]."""
     if chi.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
-    axes = "XYZ"
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = np.trace(chi.mat @ tensor(PAULIS[axes[i]], PAULIS[axes[j]])).real
-    return t
+    return np.einsum("abcd,ica,jdb->ij", chi.mat.reshape(2, 2, 2, 2), _SIGMAS, _SIGMAS).real
 
 
 def is_bell_diagonal(chi: DensityMatrix, tol: float = BELL_DIAGONAL_TOL) -> bool:
@@ -148,80 +146,47 @@ def _fibonacci_directions(count: int) -> np.ndarray:
     return np.stack([r * np.cos(az), r * np.sin(az), z], axis=1)
 
 
-def _basis_projectors(n: np.ndarray):
-    h = (n[0] * PAULIS["X"] + n[1] * PAULIS["Y"] + n[2] * PAULIS["Z"])
-    _, v = np.linalg.eigh(h)
-    return projector(v[:, 1]), projector(v[:, 0])
+def _dephased_distance(chi_mat: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """||chi - D_n(chi)||_1 for each direction in the stack `ns` (k, 3), where D_n
+    dephases B in the basis of n . sigma.
 
-
-def _closest_qc_distance(chi_mat: np.ndarray, n: np.ndarray, iters: int,
-                         restarts: int, rng: np.random.Generator) -> float:
-    """Minimal ||chi - (M0 x P_n + M1 x P_perp)||_1 over PSD M0, M1 with total trace 1.
-
-    Convex in (M0, M1); solved by projected subgradient descent with restarts.
+    D_n(chi) is the closest state to chi that is classical on B along n: for any
+    such sigma, I x Z_n fixes sigma and flips the sign of X = chi - D_n(chi), so
+    2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n) and ||chi - sigma||_1 >= ||X||_1.
     """
-    p0, p1 = _basis_projectors(n)
-    c4 = chi_mat.reshape(2, 2, 2, 2)
-    best = np.inf
-    for r in range(restarts):
-        if r == 0:
-            # measured-block seed: exact optimum whenever chi is classical along n
-            m0 = np.einsum("abcd,db->ac", c4, p0)
-            m1 = np.einsum("abcd,db->ac", c4, p1)
-        else:
-            a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            m0, m1 = a @ a.conj().T, b @ b.conj().T
-            s = np.trace(m0 + m1).real
-            m0, m1 = m0 / s, m1 / s
-        step = 0.15
-        for _ in range(iters):
-            delta = chi_mat - np.kron(m0, p0) - np.kron(m1, p1)
-            w, v = np.linalg.eigh(delta)
-            best = min(best, float(np.abs(w).sum()))
-            g = (v * np.sign(w)) @ v.conj().T
-            g4 = g.reshape(2, 2, 2, 2)
-            m0n = m0 + step * np.einsum("abcd,db->ac", g4, p0)
-            m1n = m1 + step * np.einsum("abcd,db->ac", g4, p1)
-            ww, vv = np.linalg.eigh(m0n)
-            m0n = (vv * np.maximum(ww, 0.0)) @ vv.conj().T
-            ww, vv = np.linalg.eigh(m1n)
-            m1n = (vv * np.maximum(ww, 0.0)) @ vv.conj().T
-            s = np.trace(m0n + m1n).real
-            if s > 1e-12:
-                m0n, m1n = m0n / s, m1n / s
-            m0, m1 = m0n, m1n
-            step *= 0.97
-    return best
+    _, v = np.linalg.eigh(np.einsum("ki,ijl->kjl", ns, _SIGMAS))
+    # chi in each n basis, B index first: r[k, x, y, a, c] = <a x_n| chi |c y_n>
+    r = np.einsum("kbx,abcd,kdy->kxyac", v.conj(), chi_mat.reshape(2, 2, 2, 2), v)
+    r[:, 0, 0] = r[:, 1, 1] = 0.0  # X keeps only the B-off-diagonal blocks
+    x = r.swapaxes(2, 3).reshape(-1, 4, 4)
+    return np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
 
 
-def discord_numeric(chi: DensityMatrix, seed: int = 0, max_restarts: int = 5) -> MeasureResult:
-    """Trace-distance discord by a two-level minimization.
+def discord_numeric(chi: DensityMatrix) -> MeasureResult:
+    """Trace-distance discord of a two-qubit state, measured on B.
 
-    Outer: measurement direction on B's Bloch sphere, seeded on a 64-point
-    Fibonacci lattice and refined by Nelder-Mead.  Inner: convex projected
-    subgradient descent over the quantum-classical blocks.
+    For each direction n the closest B-classical state is the dephased D_n(chi)
+    (see `_dephased_distance`), so only n is searched: the 64-point Fibonacci
+    lattice in one batch, then Nelder-Mead in polar angles from its best few
+    points (one start can miss the global minimum of a general state).
     """
     if chi.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
-    rng = np.random.default_rng(seed)
     seeds = _fibonacci_directions(64)
-    coarse = [( _closest_qc_distance(chi.mat, n, 60, 1, rng), n) for n in seeds]
-    f0, n0 = min(coarse, key=lambda x: x[0])
+    coarse = _dephased_distance(chi.mat, seeds)
 
     def objective(angles):
         th, ph = angles
-        n = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
-        return _closest_qc_distance(chi.mat, n, 150, 1, rng)
+        n = [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
+        return float(_dephased_distance(chi.mat, np.array([n]))[0])
 
-    th0 = math.acos(min(max(n0[2], -1.0), 1.0))
-    ph0 = math.atan2(n0[1], n0[0])
-    res = minimize(objective, [th0, ph0], method="Nelder-Mead",
-                   options=dict(xatol=1e-6, fatol=1e-8, maxiter=200, maxfev=300))
-    th, ph = res.x
-    n_best = np.array([math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)])
-    polish = _closest_qc_distance(chi.mat, n_best, 400, max_restarts, rng)
-    value = min(f0, float(res.fun), polish)
+    value = float(coarse.min())
+    for n0 in seeds[np.argsort(coarse, kind="stable")[:_STARTS]]:
+        th0 = math.acos(min(max(n0[2], -1.0), 1.0))
+        ph0 = math.atan2(n0[1], n0[0])
+        res = minimize(objective, [th0, ph0], method="Nelder-Mead",
+                       options=dict(xatol=1e-6, fatol=1e-8, maxiter=200, maxfev=300))
+        value = min(value, float(res.fun))
     if not np.isfinite(value):
         raise OptimizerError("trace-distance minimization did not converge")
     return MeasureResult(max(value, 0.0), Method.NUMERICAL_MIN)
@@ -230,30 +195,30 @@ def discord_numeric(chi: DensityMatrix, seed: int = 0, max_restarts: int = 5) ->
 def negativity_of_quantumness(chi: DensityMatrix, angular_tol: float = 1e-6) -> MeasureResult:
     """Minimum premeasurement negativity over all measurement bases on B.
 
-    Coarse stage: the 28-setting net over the full angular periodicity;
-    refinement: Nelder-Mead in (theta, phi) down to `angular_tol`.
-    Ties at the coarse stage resolve to the lexicographically smallest setting.
+    Coarse stage: the bases of the 28-setting net plus 64 Fibonacci directions,
+    each as its `setting_of` (the net alone leaves Nelder-Mead in local minima
+    on general states); refinement: Nelder-Mead in (theta, phi) down to
+    `angular_tol` from the best few.  Ties at the coarse stage resolve to the
+    lexicographically smallest setting.
     """
-    from .epsnet import default_net  # local import to avoid a module cycle
+    from .epsnet import dedup_bloch, default_net  # local import to avoid a module cycle
 
-    net = default_net()
-    grid = [WaveplateSetting(th, ph) for th in net.thetas for ph in net.phis]
+    # distinct bases only: the 28 net settings hold 16, +-y four times
+    dirs = np.vstack([dedup_bloch(default_net()), _fibonacci_directions(64)])
+    grid = [setting_of(BlochVector(*n)) for n in dirs]
     vals = [negativity_offdiag(chi, bloch_vector(s)) for s in grid]
     vmin = min(vals)
-    candidates = sorted(
-        (s for s, v in zip(grid, vals) if v <= vmin + 1e-9),
-        key=lambda s: (s.theta, s.phi),
-    )
-    s0 = candidates[0]
+    # near-ties of the minimum rank first, lexicographically; then by value
+    ranked = sorted(zip(vals, grid),
+                    key=lambda vs: (max(vs[0], vmin + 1e-9), vs[1].theta, vs[1].phi))
 
     def objective(angles):
         return negativity_offdiag(chi, bloch_vector(WaveplateSetting(angles[0], angles[1])))
 
-    res = minimize(objective, [s0.theta, s0.phi], method="Nelder-Mead",
-                   options=dict(xatol=angular_tol * 0.1, fatol=1e-12, maxiter=400))
-    if res.fun < vmin - 1e-9:
-        best = WaveplateSetting(res.x[0], res.x[1])
-        value = float(res.fun)
-    else:
-        best, value = s0, vmin
+    best, value = ranked[0][1], vmin
+    for _, s0 in ranked[:_STARTS]:
+        res = minimize(objective, [s0.theta, s0.phi], method="Nelder-Mead",
+                       options=dict(xatol=angular_tol * 0.1, fatol=1e-12, maxiter=400))
+        if res.fun < value - 1e-9:
+            best, value = WaveplateSetting(res.x[0], res.x[1]), float(res.fun)
     return MeasureResult(max(value, 0.0), Method.NUMERICAL_MIN, settings_used=best)

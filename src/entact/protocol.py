@@ -68,14 +68,37 @@ def bloch_vector(s: WaveplateSetting) -> BlochVector:
     )
 
 
-def _rot(a: float) -> np.ndarray:
-    c, s = math.cos(a), math.sin(a)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def setting_of(n: BlochVector) -> WaveplateSetting:
+    """A waveplate setting selecting direction n: the inverse of `bloch_vector`.
+
+    With a = 2 (theta - 2 phi), n_y = -sin a and (n_x, n_z) = cos a (-sin 2 theta,
+    cos 2 theta), cos a >= 0.  a is taken by atan2, which stays exact near
+    n = +-y where asin(n_y) loses half the digits; at n = +-y any theta works
+    and theta = 0 is returned.
+    """
+    a = math.atan2(-n.y, math.hypot(n.x, n.z))
+    theta = 0.5 * math.atan2(-n.x, n.z)
+    return WaveplateSetting(theta, (theta - a / 2.0) / 2.0)
 
 
-def _waveplate(angle: float, retardance: complex) -> np.ndarray:
+def _rot(a) -> np.ndarray:
+    c, s = np.cos(a), np.sin(a)
+    r = np.empty(np.shape(a) + (2, 2), dtype=complex)
+    r[..., 0, 0] = r[..., 1, 1] = c
+    r[..., 0, 1] = -s
+    r[..., 1, 0] = s
+    return r
+
+
+def _waveplate(angle, retardance: complex) -> np.ndarray:
+    """Jones matrices R(-angle) diag(1, retardance) R(-angle)^dag, shape angle.shape + (2, 2)."""
     r = _rot(-angle)
-    return r @ np.diag([1.0 + 0j, retardance]) @ r.conj().T
+    return r @ (np.array([[1.0], [retardance]]) * r.conj().swapaxes(-1, -2))
+
+
+def _u_b(theta, phi) -> np.ndarray:
+    """`u_b` for float or array angles of one shape; returns shape + (2, 2)."""
+    return _waveplate(phi, -1.0) @ _waveplate(theta, 1j)
 
 
 def u_b(s: WaveplateSetting) -> np.ndarray:
@@ -84,7 +107,7 @@ def u_b(s: WaveplateSetting) -> np.ndarray:
     Maps |n(theta,phi)> to |0> and its orthogonal to |1> up to the phases
     fixed by the Jones matrices.
     """
-    return _waveplate(s.phi, -1.0) @ _waveplate(s.theta, 1j)
+    return _u_b(s.theta, s.phi)
 
 
 def cnot_bm() -> np.ndarray:

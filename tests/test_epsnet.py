@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entact.qcore import chi_q
+from entact.qcore import BellKind, DensityMatrix, chi_q, werner_mix
 from entact.protocol import BlochVector, WaveplateSetting, bloch_vector, premeasurement
 from entact.measures import negativity_offdiag, negativity_theory
 from entact.epsnet import (
@@ -238,6 +238,23 @@ class TestSphereScan:
         # the pi/180 grid contains the exact zero-negativity settings
         min_low, _, _ = sphere_scan(chi_q(0.0), net, grid_step=math.pi / 180)
         assert min_low <= 0
+
+    def test_argmin_is_stable_among_near_ties(self, net):
+        # werner:0.9 at q = 0.4 has several grid points within 1e-12 of min_low;
+        # two constructions of that state, 5.6e-17 apart, must print one argmin
+        v, q = 0.9, 0.4
+        direct = DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
+        mixed = DensityMatrix(q * werner_mix(BellKind.PSI_PLUS, v).mat + 0.5 * (1 - q) * (
+            werner_mix(BellKind.PHI_PLUS, v).mat + werner_mix(BellKind.PSI_MINUS, v).mat), (2, 2))
+        assert 0 < np.abs(direct.mat - mixed.mat).max() < 1e-16
+        argmins = []
+        for chi in (direct, mixed):
+            min_low, argmin, rows = sphere_scan(chi, net)
+            tied = [(th, ph) for th, ph, _, _, low in rows if low <= min_low + 1e-12]
+            assert len(tied) > 1
+            assert (argmin.theta, argmin.phi) == min(tied)
+            argmins.append(argmin)
+        assert argmins[0] == argmins[1]
 
     def test_rows_are_consistent(self, net):
         _, _, rows = sphere_scan(chi_q(0.6), net, grid_step=math.pi / 90)

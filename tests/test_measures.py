@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from entact.qcore import (
     BellKind,
@@ -13,10 +15,11 @@ from entact.qcore import (
     quantum_classical,
     werner_mix,
 )
-from entact.protocol import WaveplateSetting, bloch_vector, premeasurement
+from entact.protocol import BlochVector, WaveplateSetting, bloch_vector, premeasurement
 from entact.measures import (
     MeasureResult,
     Method,
+    _dephased_distance,
     correlation_matrix,
     discord_bell_diagonal,
     discord_numeric,
@@ -26,6 +29,7 @@ from entact.measures import (
     negativity_offdiag,
     negativity_theory,
 )
+from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -127,12 +131,78 @@ class TestCorrelationsAndDiscord:
         assert res.value == pytest.approx(q, abs=1e-3)
 
 
+def random_state(re_im, rank):
+    """Two-qubit density matrix A A^dag / trace from the first `rank` columns of
+    the complex (4, 4) matrix in a real (2, 4, 4) array."""
+    a = (re_im[0] + 1j * re_im[1])[:, :rank]
+    m = a @ a.conj().T
+    assume(np.trace(m).real > 1e-3)
+    return m / np.trace(m).real
+
+
+def hermitian(re_im):
+    a = re_im[0] + 1j * re_im[1]
+    return (a + a.conj().T) / 2
+
+
+def projectors(n):
+    """(P_n, P_perp) in closed form, (I +- n.sigma)/2."""
+    n_sigma = sum(c * p for c, p in zip(n, PAULI_VEC))
+    return (np.eye(2) + n_sigma) / 2, (np.eye(2) - n_sigma) / 2
+
+
+def b_classical(m0, m1, n):
+    """M0 x P_n + M1 x P_perp."""
+    p_n, p_perp = projectors(n)
+    return np.kron(m0, p_n) + np.kron(m1, p_perp)
+
+
+def trace_norm(h):
+    return float(np.abs(np.linalg.eigvalsh(h)).sum())
+
+
+class TestDephasingLemma:
+    """The closest B-classical state along n is the dephased D_n(chi), so the
+    discord search needs no inner optimisation over B-classical states."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)), st.integers(1, 4),
+           unit_vectors, arrays(float, (4, 2, 2), elements=st.floats(-1.0, 1.0)))
+    def test_no_b_classical_state_is_closer(self, re_im, rank, v, blocks):
+        chi = random_state(re_im, rank)
+        n = v / np.linalg.norm(v)
+        d = float(_dephased_distance(chi, n[None])[0])
+        # the dephased blocks Tr_B[chi (I x P)] for P = P_n, P_perp
+        dephased = [np.einsum("abcd,db->ac", chi.reshape(2, 2, 2, 2), p) for p in projectors(n)]
+        assert trace_norm(chi - b_classical(*dephased, n)) == pytest.approx(d, abs=1e-12)
+        assert d == pytest.approx(negativity_offdiag(DensityMatrix(chi, (2, 2)),
+                                                     BlochVector(*n)), abs=1e-12)
+        # a random B-classical state (PSD blocks of total trace 1)
+        m0, m1 = (b @ b.conj().T for b in (blocks[0] + 1j * blocks[1], blocks[2] + 1j * blocks[3]))
+        total = np.trace(m0 + m1).real
+        if total > 1e-9:
+            assert trace_norm(chi - b_classical(m0 / total, m1 / total, n)) >= d - 1e-12
+        # small Hermitian perturbations of the dephased blocks
+        for eps in (1e-2, 1e-5):
+            h0, h1 = hermitian(blocks[:2]), hermitian(blocks[2:])
+            near = b_classical(dephased[0] + eps * h0, dephased[1] + eps * h1, n)
+            assert trace_norm(chi - near) >= d - 1e-12
+
+
 class TestNegativityOfQuantumness:
     @pytest.mark.parametrize("q", [0.0, 0.2, 0.6, 1.0])
     def test_equals_discord_for_chi_q(self, q):
         res = negativity_of_quantumness(chi_q(q))
         assert res.value == pytest.approx(q, abs=1e-6)
         assert res.settings_used is not None
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
+    def test_equals_discord_on_random_states(self, re_im):
+        # the paper's identity beyond chi_q; both searches must find the global minimum
+        chi = full_rank_state(re_im)
+        assert negativity_of_quantumness(chi).value == pytest.approx(
+            discord_numeric(chi).value, abs=1e-6)
 
     def test_reports_a_minimizing_setting(self):
         res = negativity_of_quantumness(chi_q(0.1))

@@ -12,11 +12,13 @@ from entact.protocol import (
     BlochVector,
     WaveplateSetting,
     _premeasure,
+    _u_b,
     basis_kets,
     bloch_vector,
     cnot_bm,
     coupling_unitary,
     premeasurement,
+    setting_of,
     u_b,
 )
 from entact.measures import negativity, negativity_offdiag
@@ -87,7 +89,43 @@ class TestBlochVector:
         assert np.abs(bloch_vector(WaveplateSetting(0.3, 0.11 + math.pi / 4)).as_array() + n).max() < 1e-12
 
 
+unit_vectors = arrays(float, (3,), elements=st.floats(-1.0, 1.0)).filter(
+    lambda v: np.linalg.norm(v) > 1e-3)
+
+
+class TestSettingOf:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(unit_vectors)
+    def test_inverts_bloch_vector(self, v):
+        n = BlochVector.from_array(v)
+        assert np.abs(bloch_vector(setting_of(n)).as_array() - n.as_array()).max() < 1e-12
+
+    def test_poles(self):
+        for v in ([0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [0, -1, 0], [1e-5, 0.875, 1e-5]):
+            n = BlochVector.from_array(v)
+            assert np.abs(bloch_vector(setting_of(n)).as_array() - n.as_array()).max() < 1e-15
+
+
+def jones_reference(s):
+    """The waveplate pair as explicit 2x2 matrix products, one setting at a time."""
+    def waveplate(angle, retardance):
+        c, si = math.cos(-angle), math.sin(-angle)
+        r = np.array([[c, -si], [si, c]], dtype=complex)
+        return r @ np.diag([1.0 + 0j, retardance]) @ r.conj().T
+    return waveplate(s.phi, -1.0) @ waveplate(s.theta, 1j)
+
+
 class TestUnitaries:
+    def test_u_b_array_matches_matrix_products(self):
+        rng = np.random.default_rng(3)
+        th, ph = rng.uniform(-7.0, 7.0, (2, 500))
+        stack = _u_b(th, ph)
+        assert stack.shape == (500, 2, 2)
+        for a, b, u in zip(th, ph, stack):
+            s = WaveplateSetting(a, b)
+            assert np.abs(u - jones_reference(s)).max() < 1e-15
+            assert np.array_equal(u, u_b(s))
+
     def test_u_b_is_unitary(self):
         for s in grid_settings():
             u = u_b(s)

@@ -181,6 +181,12 @@ class TestErrorBars:
         assert 0.97 < mean <= 1.0
         assert std < 0.01
 
+    def test_discord_statistics(self):
+        # reconstructions are never exactly Bell-diagonal, so every rep runs discord_numeric
+        mean, std = mc_errorbar(chi_q(0.4), 1e4, reps=50, seed=1, functional="discord")
+        assert mean == pytest.approx(0.4, abs=0.02)
+        assert std < 0.02
+
     def test_unknown_functional(self, rho3):
         with pytest.raises(ValueError):
             mc_errorbar(rho3, 1e4, reps=50, seed=1, functional="entropy")
