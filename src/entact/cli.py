@@ -168,19 +168,16 @@ def parse_angle(text: str) -> float:
     return angle
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _write_csv(path: Path, header: str, rows, cfg: ExperimentConfig):
+    """Write tuple `rows` whose columns keep one type: floats as %.12g, others as str."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tag = cfg.hash()
     with open(path, "w") as fh:
         fh.write(SCHEMA_LINE + "\n")
         fh.write(header + ",cfg_hash,seed\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row)
-                     + f",{tag},{cfg.seed}\n")
+        if rows:
+            line = ",".join("%.12g" if isinstance(x, float) else "%s" for x in rows[0])
+            line += f",{cfg.hash()},{cfg.seed}\n"
+            fh.writelines(line % row for row in rows)
 
 
 def cmd_activate(cfg: ExperimentConfig) -> int:

@@ -15,11 +15,20 @@ from typing import List
 import numpy as np
 
 from .qcore import DensityMatrix
-from .protocol import WaveplateSetting, _premeasure, _u_b, bloch_vector, premeasurement
+from .protocol import (
+    _CNOT_IMAGE,
+    WaveplateSetting,
+    _rotate_b,
+    _u_b,
+    bloch_vector,
+    premeasurement,
+)
 from .measures import _fibonacci_directions, negativity
 
-# targets per stacked eigvalsh in `lower_bounds`
-_TARGET_BATCH = 32
+# targets per batch of `low2` in `lower_bounds`: the (targets x records) 4x4
+# differences of a whole 1-degree grid (4,186 x 28) would take 30 MB at once;
+# 128 targets take 0.9 MB, and larger batches run no faster
+_TARGET_BATCH = 128
 
 
 @dataclass(frozen=True)
@@ -93,10 +102,20 @@ def _basis_chords(points: np.ndarray, bases: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.minimum(dots, 1.0))))
 
 
-def _pt_trace_norms(ops: np.ndarray) -> np.ndarray:
-    """||X^Gamma||_1, transpose on the last qubit, for a Hermitian stack (..., 8, 8)."""
-    pt = ops.reshape(ops.shape[:-2] + (4, 2, 4, 2)).swapaxes(-1, -3).reshape(ops.shape)
-    return np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1)
+def _cnot_pt_norms(d: np.ndarray) -> np.ndarray:
+    """||X^Gamma||_1, transpose on M, for X a Hermitian stack d (..., 4, 4) in the
+    (a, b) index placed on |a b b>, by the block identity and the two closed
+    forms given in `lower_bounds`."""
+    diag = d.diagonal(axis1=-2, axis2=-1).real
+    # the A-blocks d_00 and d_11 side by side: entries (a b, a' b) with b = 0, 1
+    h00, h11 = diag[..., :2], diag[..., 2:]
+    h01 = d[..., [0, 1], [2, 3]]
+    blocks = np.maximum(np.abs(h00 + h11),
+                        np.sqrt((h00 - h11) ** 2 + 4.0 * (h01.real ** 2 + h01.imag ** 2)))
+    m = d[..., 0::2, 1::2]  # d_01: rows (a, b = 0), columns (a', b' = 1)
+    frob = (m.real ** 2 + m.imag ** 2).sum(axis=(-2, -1))
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return blocks.sum(axis=-1) + 2.0 * np.sqrt(frob + 2.0 * np.abs(det))
 
 
 def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
@@ -134,21 +153,31 @@ def lower_bounds(records: List[NetRecord], settings: List[WaveplateSetting],
     on M, builds each target state rho(n) from `chi`, so it holds only for the
     state that was measured.  A negative bound means "not certified", not "zero".
     Returns the arrays (low1, low2) over `settings`.
+
+    low2 takes no eigensolver.  Every premeasurement state is the B-rotated chi
+    on the basis states |a b b>, so D = rho(n) - rho_j is a Hermitian 4x4 block
+    in the index (a, b).  Transposing M splits D^Gamma into the A-blocks D_00,
+    D_11 and the pair [[0, D_01], [D_01^dag, 0]], whose eigenvalues are +-s1,
+    +-s2, the singular values of D_01.  So, exactly,
+        ||D^Gamma||_1 = ||D_00||_1 + ||D_11||_1 + 2 (s1 + s2)(D_01),
+    and both terms have closed forms without cancellation:
+        ||h||_1 = max(|h00 + h11|, sqrt((h00 - h11)^2 + 4 |h01|^2)), h Hermitian 2x2,
+        s1 + s2 = sqrt(||m||_F^2 + 2 |det m|),                       m any 2x2.
+    The bound is the one an 8x8 eigvalsh of each partial transpose gives.
     """
     if not records:
         raise ValueError("lower_bounds needs at least one record")
     rec_n = np.array([r.negativity_measured for r in records])
     rec_b = np.array([bloch_vector(r.setting).as_array() for r in records])
-    rec_s = np.array([r.state.mat for r in records])
+    rec_d = np.array([r.state.mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE] for r in records])
     n_t = np.array([bloch_vector(s).as_array() for s in settings]).reshape(-1, 3)
     low1 = (rec_n - _basis_chords(n_t, rec_b)).max(axis=1)
     angles = np.array([(s.theta, s.phi) for s in settings]).reshape(-1, 2)
     u = _u_b(angles[:, 0], angles[:, 1])
     low2 = np.empty(len(u))
-    # targets go in batches: the differences for a whole 1-degree grid would take ~120 MB
     for i in range(0, len(u), _TARGET_BATCH):
-        targets = _premeasure(chi.mat, u[i:i + _TARGET_BATCH])
-        low2[i:i + _TARGET_BATCH] = (rec_n - _pt_trace_norms(targets[:, None] - rec_s)).max(axis=1)
+        targets = _rotate_b(chi.mat, u[i:i + _TARGET_BATCH])
+        low2[i:i + _TARGET_BATCH] = (rec_n - _cnot_pt_norms(targets[:, None] - rec_d)).max(axis=1)
     return low1, low2
 
 

@@ -3,9 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from entact.cli import ExperimentConfig, ConfigError, main, parse_angle
+from entact.cli import SCHEMA_LINE, ExperimentConfig, ConfigError, _write_csv, main, parse_angle
 from entact.qcore import DensityMatrix
 
 
@@ -94,6 +95,20 @@ class TestCommands:
         cfg.write_text(json.dumps({"exposure": "lots"}))
         assert main(["witness", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_csv_bytes_match_per_field_rendering(self, tmp_path):
+        # one format line per file renders each field as f"{x:.12g}" (floats,
+        # np.float64 included) or str(x)
+        rows = [(0.1, -0.0, math.nan, math.inf, np.float64(1 / 3), "ok"),
+                (1e-300, 2.5, -math.inf, 1e20, np.float64(-0.0), "optimizer-failed:x")]
+        cfg = ExperimentConfig(seed=7)
+        _write_csv(tmp_path / "t.csv", "a,b,c,d,e,status", rows, cfg)
+        expected = "".join(
+            ",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
+            + f",{cfg.hash()},7\n" for row in rows)
+        assert (tmp_path / "t.csv").read_bytes() == (
+            f"{SCHEMA_LINE}\na,b,c,d,e,status,cfg_hash,seed\n{expected}").encode()
+        assert expected.splitlines()[0].startswith("0.1,-0,nan,inf,0.333333333333,ok,")
 
     def test_witness_csv(self, tmp_path):
         assert main(["witness", "--out", str(tmp_path)]) == 0

@@ -7,13 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entact.qcore import BellKind, DensityMatrix, chi_q, werner_mix
-from entact.protocol import BlochVector, WaveplateSetting, bloch_vector, premeasurement
+from entact.qcore import BellKind, DensityMatrix, chi_q, partial_transpose, werner_mix
+from entact.protocol import (
+    _CNOT_IMAGE,
+    BlochVector,
+    WaveplateSetting,
+    bloch_vector,
+    premeasurement,
+)
 from entact.measures import negativity_offdiag, negativity_theory
 from entact.epsnet import (
     NetRecord,
     NetSpec,
     _basis_chords,
+    _cnot_pt_norms,
     cap_radius,
     dedup_bloch,
     default_net,
@@ -162,6 +169,15 @@ class TestBound1:
             lower_bounds([], [WaveplateSetting(0, 0)], chi_q(0.2))
 
 
+def seeded_full_rank_state(seed):
+    """`full_rank_state` of a seeded normal draw whose A A^dag has rank 1 to 4, so the
+    B marginals range from nearly pure to nearly mixed."""
+    rng = np.random.default_rng(seed)
+    re_im = rng.normal(size=(2, 4, 4))
+    re_im[:, :, rng.integers(1, 5):] = 0.0
+    return full_rank_state(re_im)
+
+
 class TestBound2:
     """low2 = max_j (N_j - ||(rho(n) - rho_j)^Gamma||_1), with rho(n) built from chi."""
 
@@ -178,6 +194,46 @@ class TestBound2:
         # records always carry the premeasurement state that low2 compares against
         with pytest.raises(TypeError):
             NetRecord(net.settings()[0], 0.5)
+
+    def test_block_identity_matches_embedded_trace_norm(self):
+        # ||D^Gamma||_1 of the 4x4 block D placed on |a b b>, against the 8x8
+        # partial transpose and eigvalsh, on Hermitian D that are not PSD, the
+        # zero matrix, rank-1 D and differences of two pure states
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+        ds = [d for d in a + a.conj().swapaxes(-1, -2) if np.linalg.eigvalsh(d).min() < 0]
+        assert len(ds) >= 190
+        v = rng.normal(size=(20, 4)) + 1j * rng.normal(size=(20, 4))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        ds += [np.zeros((4, 4), dtype=complex)]
+        ds += [c * np.outer(x, x.conj()) for c, x in zip(rng.normal(size=10), v)]
+        ds += [np.outer(x, x.conj()) - np.outer(y, y.conj()) for x, y in zip(v[:10], v[10:])]
+        for d in ds:
+            x = np.zeros((8, 8), dtype=complex)
+            x[_CNOT_IMAGE[:, None], _CNOT_IMAGE] = d
+            brute = np.abs(np.linalg.eigvalsh(partial_transpose(x, 2, (2, 2, 2)))).sum()
+            assert abs(_cnot_pt_norms(d) - brute) <= 1e-12
+        assert _cnot_pt_norms(np.array(ds)).shape == (len(ds),)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.one_of(
+               st.integers(0, 2**32 - 1).map(seeded_full_rank_state),
+               st.floats(0.0, 1.0).map(chi_q),
+               st.builds(lambda q, v: DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4,
+                                                    (2, 2)),
+                         st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
+           st.lists(st.builds(WaveplateSetting, st.floats(-10.0, 10.0),
+                              st.floats(-10.0, 10.0)), min_size=4, max_size=16))
+    def test_low2_matches_eigensolver_reference(self, chi, targets):
+        # the closed-form low2 against the 8x8 route it replaces, built here from
+        # `premeasurement` and `partial_transpose` alone
+        records = net_records(chi, default_net())
+        _, low2 = lower_bounds(records, targets, chi)
+        for s, b in zip(targets, low2):
+            target = premeasurement(chi, s).mat
+            ref = max(r.negativity_measured - np.abs(np.linalg.eigvalsh(
+                partial_transpose(target - r.state.mat, 2, (2, 2, 2)))).sum() for r in records)
+            assert abs(b - ref) <= 1e-12
 
 
 class TestCombinedBound:
