@@ -31,6 +31,7 @@ from .measures import (
     correlation_matrix,
     discord_bell_diagonal,
     discord_numeric,
+    negativities,
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,
@@ -48,15 +49,21 @@ from .epsnet import (
     verify_covering,
     verify_packing,
 )
-from .witnesses import WitnessOperator, expect, w2, w3
+from .witnesses import WitnessOperator, expect, expectations, w2, w3
 from .tomo import (
+    E_MAX,
+    MC_REPS_MAX,
+    MC_REPS_MIN,
     CountsTable,
+    ErrorBar,
     MeasurementSetting,
+    Tomography,
     mc_errorbar,
     pauli_settings,
     project_psd,
     reconstruct,
     simulate_counts,
+    tomography,
 )
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ from .epsnet import (
     verify_packing,
 )
 from .witnesses import expect, w2, w3
-from .tomo import mc_errorbar, pauli_settings, reconstruct, simulate_counts
+from .tomo import E_MAX, MC_REPS_MAX, MC_REPS_MIN, mc_errorbar, tomography
 
 SCHEMA_LINE = "# schema=1"
 DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -63,14 +63,15 @@ class ExperimentConfig:
             raise ConfigError("q_values must be nonempty")
         if any(not 0 <= q <= 1 for q in self.q_values):
             raise ConfigError("q values must lie in [0, 1]")
-        if not (math.isfinite(self.exposure) and self.exposure > 0):
-            raise ConfigError("exposure must be finite and positive")
+        if not 0 < self.exposure <= E_MAX:  # also rejects NaN
+            raise ConfigError(f"exposure must lie in (0, {E_MAX:g}]")
         if not 0 < self.grid_step <= math.pi / 90 + 1e-12:
             raise ConfigError("grid_step must lie in (0, pi/90]")
         if not 0 <= self.seed < 2**64:  # the Philox key is an unsigned 64-bit integer
             raise ConfigError("seed must be a nonnegative 64-bit integer")
-        if self.mc_reps != 0 and self.mc_reps < 50:
-            raise ConfigError("mc_reps must be 0 (exact values) or at least 50")
+        if self.mc_reps != 0 and not MC_REPS_MIN <= self.mc_reps <= MC_REPS_MAX:
+            raise ConfigError(f"mc_reps must be 0 (exact values) or lie in "
+                              f"[{MC_REPS_MIN}, {MC_REPS_MAX}]")
         self.werner_visibility()  # parses/validates the noise string
 
     def werner_visibility(self):
@@ -182,6 +183,7 @@ def _write_csv(path: Path, header: str, rows, cfg: ExperimentConfig):
 
 def cmd_activate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
+    clipping = []  # tomography diagnostics per (q, setting) under --mc-reps
     for q in cfg.q_values:
         chi = cfg.input_state(q)
         rows = []
@@ -189,15 +191,22 @@ def cmd_activate(cfg: ExperimentConfig) -> int:
             state = premeasurement(chi, s)
             theory = negativity_theory(q, s)
             if cfg.mc_reps > 0:
-                value, err = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed,
-                                         "negativity")
+                bar = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed, "negativity")
+                value, err = bar.mean, bar.std
+                clipping.append({"q": q, "theta": s.theta, "phi": s.phi,
+                                 **_summary("clipped_mass", bar.clipped_mass),
+                                 **_summary("zero_settings", bar.zero_settings)})
             else:
                 value, err = negativity(state, [0, 1]), 0.0
             rows.append((q, s.theta, s.phi, theory, value, err))
         _write_csv(out / f"activate_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_value,n_std", rows, cfg)
-    _write_manifest(out, cfg, "activate")
+    _write_manifest(out, cfg, "activate", {"tomography": clipping} if clipping else None)
     return 0
+
+
+def _summary(name: str, per_rep: np.ndarray) -> dict:
+    return {f"{name}_mean": float(per_rep.mean()), f"{name}_max": per_rep.max().item()}
 
 
 def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
@@ -259,19 +268,22 @@ def cmd_tomo_demo(cfg: ExperimentConfig, q: float, theta: float, phi: float,
     out.mkdir(parents=True, exist_ok=True)
     s = WaveplateSetting(theta, phi)
     truth = premeasurement(cfg.input_state(q), s)
+    results = {}
     if exact:
         from .tomo import pauli_expectations_exact, reconstruct_from_expectations
 
         recon = reconstruct_from_expectations(pauli_expectations_exact(truth), 3)
     else:
-        tables = simulate_counts(truth, pauli_settings(3), cfg.exposure, cfg.seed)
-        recon = reconstruct(tables)
+        run = tomography(truth, cfg.exposure, cfg.seed)
+        recon = DensityMatrix(run.states[0], truth.dims)
+        results = {"clipped_mass": float(run.clipped_mass[0]),
+                   "zero_settings": int(run.zero_settings[0])}
     f = fidelity(recon, truth)
     (out / "tomo_truth.json").write_text(truth.to_json())
     (out / "tomo_reconstructed.json").write_text(recon.to_json())
     print(f"q={q} theta={s.theta:.6f} phi={s.phi:.6f} exposure={cfg.exposure:g} "
           f"fidelity={f:.6f}")
-    _write_manifest(out, cfg, "tomo-demo", {"fidelity": f})
+    _write_manifest(out, cfg, "tomo-demo", {"fidelity": f, **results})
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Pauli-basis measurement schedules, Poissonian count generation with a
 counter-based RNG, linear-inversion reconstruction with PSD projection, and
-Monte-Carlo error bars for derived quantities.
+Monte-Carlo error bars for derived quantities.  One batched pipeline (counts,
+inversion, projection over a stack of reps) serves both the Monte-Carlo loop
+and the single-shot functions.
 """
 
 from __future__ import annotations
@@ -11,11 +13,22 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
 from .qcore import DensityMatrix, PauliString, projector
+
+# numpy's Poisson sampler rejects means above about 9.2e18, and each mean is the
+# exposure times an outcome probability of at most 1
+E_MAX = 1e18
+MC_REPS_MIN = 50
+# mc_errorbar keeps 24 bytes per rep (value, clipped mass, zero-count settings),
+# 2.4 MB at the cap, where one 3-qubit state takes about 20 s
+MC_REPS_MAX = 100_000
+# reps per batched pass of mc_errorbar: a rep holds about 13 kB of counts,
+# frequencies and 8x8 stacks, so a pass stays under 1 MB whatever the rep count
+_BLOCK = 64
 
 _AXIS_EIGENBASES = {
     # columns: +1 and -1 eigenvectors with a fixed phase convention
@@ -95,26 +108,39 @@ def pauli_settings(n_qubits: int) -> Tuple[MeasurementSetting, ...]:
     return settings
 
 
-def _stream(seed: int, rep: int = 0) -> np.random.Generator:
-    """Counter-based (Philox) stream; reps get statistically independent substreams."""
-    bg = np.random.Philox(key=np.uint64(seed))
-    if rep:
-        bg = bg.jumped(rep)
-    return np.random.Generator(bg)
+def _check_exposure(exposure: float):
+    if not 0 < exposure <= E_MAX:  # also rejects NaN
+        raise ValueError(f"exposure must lie in (0, {E_MAX:g}], got {exposure}")
+
+
+def _born(settings: Sequence[MeasurementSetting], mat: np.ndarray) -> np.ndarray:
+    """Outcome probabilities (setting, outcome) of the state `mat`, clipped at 0."""
+    projs = np.array([s.projectors for s in settings])  # (setting, outcome, d, d)
+    return np.clip(np.trace(projs @ mat, axis1=-2, axis2=-1).real, 0.0, None)
+
+
+def _draw(lam: np.ndarray, seed: int, reps: Sequence[int]) -> np.ndarray:
+    """Poisson counts of mean `lam` (setting, outcome), stacked over `reps`.
+
+    Rep r draws from its own substream Philox(seed).jumped(r), so its counts do
+    not depend on which other reps are drawn with it; jumping one base generator
+    is cheaper than building one per rep.  One draw over the (setting, outcome)
+    array consumes the stream in the order of per-setting draws.
+    """
+    base = np.random.Philox(key=np.uint64(seed))
+    counts = np.empty((len(reps),) + lam.shape, dtype=np.int64)
+    for i, rep in enumerate(reps):
+        counts[i] = np.random.Generator(base.jumped(rep)).poisson(lam)
+    return counts
 
 
 def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
                     exposure: float, seed: int, rep: int = 0) -> List[CountsTable]:
     """Independent Poisson(exposure * p_outcome) counts per outcome, per setting."""
-    if exposure <= 0:
-        raise ValueError("exposure must be positive")
+    _check_exposure(exposure)
     if not settings:
         return []
-    projs = np.array([s.projectors for s in settings])  # (setting, outcome, d, d)
-    p = np.clip(np.trace(projs @ rho.mat, axis1=-2, axis2=-1).real, 0.0, None)
-    # one draw over the (setting, outcome) array consumes the stream in the
-    # order of per-setting draws, so the counts do not depend on the batching
-    counts = _stream(seed, rep).poisson(exposure * p)
+    counts = _draw(exposure * _born(settings, rho.mat), seed, (rep,))[0]
     return [CountsTable(s, tuple(int(c) for c in row), exposure)
             for s, row in zip(settings, counts)]
 
@@ -122,9 +148,13 @@ def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
 def project_psd(h, trace_tol: float = 0.2) -> DensityMatrix:
     """Project a Hermitian matrix onto the PSD unit-trace cone.
 
-    Iteratively clips the most negative eigenvalue to zero, spreading its
-    deficit uniformly over the remaining positive eigenvalues, then
-    renormalizes the trace.
+    Repeatedly clips the most negative eigenvalue to zero and spreads its
+    deficit uniformly over the eigenvalues that are still positive only, then
+    renormalizes the trace.  This is close to the one-pass algorithm of Smolin,
+    Gambetta and Smith, PRL 108, 070502 (2012), but not the same algorithm:
+    theirs walks up the sorted spectrum and spreads the accumulated deficit
+    over every eigenvalue not yet zeroed.  On random spectra the two results
+    agree to rounding, which a test checks.
     """
     a = np.asarray(h, dtype=complex)
     if np.abs(a - a.conj().T).max() > 1e-8:
@@ -132,20 +162,37 @@ def project_psd(h, trace_tol: float = 0.2) -> DensityMatrix:
     tr = np.trace(a).real
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"trace {tr} too far from 1 to be a reconstruction")
-    vals, vecs = np.linalg.eigh(a)
-    vals = vals.copy()
-    while vals.min() < 0:
-        if vals.max() <= 0:
-            raise ValueError("spectrum entirely nonpositive; cannot project")
-        i = int(np.argmin(vals))
-        deficit = vals[i]
-        vals[i] = 0.0
-        positive = vals > 0
-        vals[positive] += deficit / positive.sum()
-    vals = np.clip(vals, 0.0, None)
-    vals /= vals.sum()
     n_qubits = round(math.log2(a.shape[0]))
-    return DensityMatrix((vecs * vals) @ vecs.conj().T, (2,) * n_qubits)
+    return DensityMatrix(_project(a[None])[0][0], (2,) * n_qubits)
+
+
+def _project(h: np.ndarray):
+    """`project_psd` on a Hermitian stack (reps, d, d), without its input checks.
+
+    Returns the projected stack and, per rep, the clipped eigenvalue mass: the
+    summed magnitude of the eigenvalues the loop set to zero.  Each round
+    works on the reps that still have a negative eigenvalue and zeroes one
+    eigenvalue of each for good, so there are at most d rounds; every element
+    sees the same arithmetic whatever else is in the stack.
+    """
+    vals, vecs = np.linalg.eigh(h)
+    clipped = np.zeros(len(h))
+    rows = np.flatnonzero(vals.min(axis=1) < 0)
+    while rows.size:
+        v = vals[rows]
+        if (v.max(axis=1) <= 0).any():
+            raise ValueError("spectrum entirely nonpositive; cannot project")
+        lowest = v.argmin(axis=1)
+        deficit = v[np.arange(rows.size), lowest]
+        v[np.arange(rows.size), lowest] = 0.0
+        clipped[rows] -= deficit
+        positive = v > 0
+        np.add(v, (deficit / positive.sum(axis=1))[:, None], out=v, where=positive)
+        vals[rows] = v
+        rows = rows[v.min(axis=1) < 0]
+    vals = np.clip(vals, 0.0, None)
+    vals /= vals.sum(axis=1, keepdims=True)
+    return (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2), clipped
 
 
 def _pauli_strings(n_qubits: int):
@@ -191,54 +238,108 @@ def reconstruct(counts: Sequence[CountsTable]) -> DensityMatrix:
     if not counts:
         raise ValueError("no counts given")
     n_qubits = len(counts[0].setting.axes)
-    _, rows, parities = _pauli_tables(n_qubits)
-    seen = {t.setting.axes for t in counts}
-    if seen != set(rows):
-        raise ValueError(f"not the {n_qubits}-qubit Pauli setting set; missing "
-                         f"{sorted(set(rows) - seen)}, unexpected {sorted(seen - set(rows))}")
-    c = np.array([t.counts for t in counts], dtype=float)
-    totals = c.sum(axis=1)
+    rows = _pauli_tables(n_qubits)[1]
+    seen = [t.setting.axes for t in counts]
+    if sorted(seen) != sorted(rows):
+        raise ValueError(f"not the {n_qubits}-qubit Pauli setting set, one table each; "
+                         f"missing {sorted(set(rows) - set(seen))}, "
+                         f"unexpected {sorted(set(seen) - set(rows))}")
+    c = np.empty((1, len(rows), 2**n_qubits))
+    c[0, [rows[a] for a in seen]] = [t.counts for t in counts]
+    return DensityMatrix(_reconstruct(c, n_qubits)[0][0], (2,) * n_qubits)
+
+
+def _reconstruct(counts: np.ndarray, n_qubits: int):
+    """`reconstruct` on a count stack (reps, setting, outcome) in `pauli_settings`
+    order: one einsum over the parity table inverts every rep, with the settings
+    that recorded nothing masked out.  Returns the states (reps, d, d), the
+    clipped eigenvalue mass and the number of zero-count settings per rep."""
+    basis, _, parities = _pauli_tables(n_qubits)
+    c = counts.astype(float)
+    totals = c.sum(axis=2)
     kept = totals > 0
-    table = parities[[rows[t.setting.axes] for t in counts]][kept]  # (table, string, outcome)
-    sums = np.einsum("tpo,to->p", table, c[kept] / totals[kept, None])
-    hits = table[:, :, 0].sum(axis=0)  # outcome 0 has parity +1 on every measured string
+    freq = np.divide(c, totals[..., None], out=np.zeros_like(c), where=kept[..., None])
+    sums = np.einsum("rto,tpo->rp", freq, parities)
+    hits = kept @ parities[:, :, 0]  # outcome 0 has parity +1 on every measured string
     values = np.divide(sums, hits, out=np.zeros_like(sums), where=hits > 0)
-    values[0] = 1.0  # the identity string
-    return reconstruct_from_expectations(dict(zip(_pauli_strings(n_qubits), values)), n_qubits)
+    values[:, 0] = 1.0  # the identity string
+    states, clipped = _project(np.einsum("rp,pij->rij", values, basis) / 2**n_qubits)
+    return states, clipped, (~kept).sum(axis=1)
+
+
+class Tomography(NamedTuple):
+    """Simulated tomography of one state, one entry per rep."""
+
+    states: np.ndarray  # (reps, d, d) reconstructed density matrices
+    clipped_mass: np.ndarray  # eigenvalue mass the PSD projection set to zero
+    zero_settings: np.ndarray  # settings that recorded no counts
+
+
+def tomography(rho: DensityMatrix, exposure: float, seed: int,
+               reps: Sequence[int] = (0,)) -> Tomography:
+    """Counts, linear inversion and PSD projection of `rho` for each rep index in
+    `reps`, over all 3^n Pauli settings; rep r draws from Philox(seed).jumped(r)."""
+    _check_exposure(exposure)
+    lam = exposure * _born(pauli_settings(rho.n_qubits), rho.mat)
+    return Tomography(*_reconstruct(_draw(lam, seed, reps), rho.n_qubits))
+
+
+class ErrorBar(NamedTuple):
+    """Monte-Carlo mean and spread of a functional, with the tomography
+    diagnostics of every rep."""
+
+    mean: float
+    std: float
+    clipped_mass: np.ndarray
+    zero_settings: np.ndarray
 
 
 def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
-                functional: Union[str, Callable[[DensityMatrix], float]]):
+                functional: Union[str, Callable[[DensityMatrix], float]]) -> ErrorBar:
     """Monte-Carlo spread of a reconstructed quantity: repeat simulate ->
-    reconstruct -> functional and report (mean, std)."""
-    if reps < 50:
-        raise ValueError("reps must be at least 50")
+    reconstruct -> functional and report the mean and std over the reps.
+
+    The reps run in blocks of `_BLOCK` through the batched pipeline of
+    `tomography`, so peak memory does not grow with `reps`; rep r reads the same
+    counts as `simulate_counts(..., rep=r)`.
+    """
+    if not MC_REPS_MIN <= reps <= MC_REPS_MAX:
+        raise ValueError(f"reps must lie in [{MC_REPS_MIN}, {MC_REPS_MAX}]")
+    _check_exposure(exposure)
     func = _resolve_functional(functional, rho.n_qubits)
-    settings = pauli_settings(rho.n_qubits)
-    values = np.empty(reps)
-    for rep in range(reps):
-        tables = simulate_counts(rho, settings, exposure, seed, rep=rep)
-        values[rep] = func(reconstruct(tables))
-    return float(values.mean()), float(values.std(ddof=1))
+    lam = exposure * _born(pauli_settings(rho.n_qubits), rho.mat)
+    values, clipped, zero = np.empty(reps), np.empty(reps), np.empty(reps, dtype=int)
+    for start in range(0, reps, _BLOCK):
+        block = slice(start, min(start + _BLOCK, reps))
+        states, clipped[block], zero[block] = _reconstruct(
+            _draw(lam, seed, range(block.start, block.stop)), rho.n_qubits)
+        values[block] = func(states)
+    return ErrorBar(float(values.mean()), float(values.std(ddof=1)), clipped, zero)
 
 
-def _resolve_functional(functional, n_qubits: int) -> Callable[[DensityMatrix], float]:
+def _resolve_functional(functional, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The functional as a map from a (reps, d, d) stack of reconstructions to
+    its values; negativity and the witness act on the whole stack."""
+    from .measures import (discord_bell_diagonal, discord_numeric, is_bell_diagonal,
+                           negativities)
+    from .witnesses import expectations, w2, w3
+
+    dims = (2,) * n_qubits
     if callable(functional):
-        return functional
-    from .measures import discord_bell_diagonal, discord_numeric, is_bell_diagonal, negativity
-    from .witnesses import expect, w2, w3
-
-    if functional == "negativity":
+        per_state = functional
+    elif functional == "negativity":
         # negativity across the AB|M cut for 3 qubits, A|B for 2
         cut = [0, 1] if n_qubits == 3 else [0]
-        return lambda dm: negativity(dm, cut)
-    if functional == "witness-expect":
+        return lambda mats: negativities(mats, dims, cut)
+    elif functional == "witness-expect":
         w = w3() if n_qubits == 3 else w2()
-        return lambda dm: expect(w, dm)
-    if functional == "discord":
+        return lambda mats: expectations(w, mats)
+    elif functional == "discord":
         if n_qubits != 2:
             raise ValueError("discord functional needs a 2-qubit state")
-        return lambda dm: (
+        per_state = lambda dm: (
             discord_bell_diagonal(dm) if is_bell_diagonal(dm) else discord_numeric(dm).value
         )
-    raise ValueError(f"unknown functional {functional!r}")
+    else:
+        raise ValueError(f"unknown functional {functional!r}")
+    return lambda mats: np.array([per_state(DensityMatrix(m, dims)) for m in mats])

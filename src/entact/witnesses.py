@@ -80,7 +80,16 @@ def expect(w: WitnessOperator, rho: DensityMatrix) -> float:
         raise ValueError(
             f"dimension mismatch: witness {w.matrix.shape} vs state {rho.mat.shape}"
         )
-    full = np.trace(w.matrix @ rho.mat)
-    if abs(full.imag) > 1e-10:
-        raise ValueError(f"expectation has imaginary residue {full.imag}")
-    return float(full.real)
+    return float(expectations(w, rho.mat[None])[0])
+
+
+def expectations(w: WitnessOperator, mats: np.ndarray) -> np.ndarray:
+    """Tr[W rho] for every matrix of a (reps, d, d) stack, through the dense matrix.
+
+    A stacked product and trace, not an einsum: it sums in the order of the
+    single-state product, so `expect` keeps its last bit.
+    """
+    full = np.trace(w.matrix @ mats, axis1=-2, axis2=-1)
+    if np.abs(full.imag).max() > 1e-10:
+        raise ValueError(f"expectation has imaginary residue {np.abs(full.imag).max()}")
+    return full.real

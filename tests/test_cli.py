@@ -84,6 +84,8 @@ class TestCommands:
         ["net-verify", "--resolution", "10"],
         ["net-verify", "--epsilon", "3"],
         ["witness", "--noise", "werner:abc"],
+        ["activate", "--mc-reps", "50", "--exposure", "1e300"],
+        ["activate", "--mc-reps", "100000000000000000000"],
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, argv):
         assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -197,6 +199,32 @@ class TestCommands:
                      "--out", str(tmp_path)]) == 0
         fid = float(capsys.readouterr().out.split("fidelity=")[1])
         assert fid > 0.97
+
+    def test_tomo_demo_manifest_records_clipping(self, tmp_path):
+        results = {}
+        for exposure in ("10000", "1"):
+            out = tmp_path / exposure
+            assert main(["tomo-demo", "--seed", "1", "--exposure", exposure,
+                         "--out", str(out)]) == 0
+            results[exposure] = json.loads((out / "manifest_tomo_demo.json").read_text())["results"]
+        assert results["10000"]["zero_settings"] == 0
+        assert 0 < results["10000"]["clipped_mass"] < 0.05
+        assert results["1"]["zero_settings"] > 0
+        assert results["1"]["clipped_mass"] > 10 * results["10000"]["clipped_mass"]
+
+    def test_activate_manifest_records_clipping(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.2],
+                                   "net": {"thetas": [0.0, 0.5], "phis": [0.0]}}))
+        assert main(["activate", "--config", str(cfg), "--mc-reps", "50", "--exposure", "0.01",
+                     "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest_activate.json").read_text())
+        records = manifest["results"]["tomography"]
+        assert [(r["q"], r["theta"], r["phi"]) for r in records] == [(0.2, 0.0, 0.0),
+                                                                     (0.2, 0.5, 0.0)]
+        for r in records:
+            assert 0 < r["zero_settings_mean"] <= r["zero_settings_max"] <= 27
+            assert 0 <= r["clipped_mass_mean"] <= r["clipped_mass_max"]
 
     def test_discord_match(self, tmp_path):
         cfg = tmp_path / "cfg.json"

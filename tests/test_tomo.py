@@ -5,14 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from entact.qcore import BellKind, PauliString, bell_state, chi_q, fidelity
+from entact.qcore import BellKind, DensityMatrix, PauliString, bell_state, chi_q, fidelity
+from entact.qcore import partial_transpose
 from entact.protocol import WaveplateSetting, premeasurement
-from entact.measures import negativity
+from entact.measures import negativities, negativity
+from entact.witnesses import expect, w3
 from entact.tomo import (
+    E_MAX,
+    MC_REPS_MAX,
     CountsTable,
     MeasurementSetting,
-    _stream,
+    _BLOCK,
+    _born,
+    _draw,
+    _project,
     mc_errorbar,
     pauli_expectations_exact,
     pauli_settings,
@@ -20,12 +29,14 @@ from entact.tomo import (
     reconstruct,
     reconstruct_from_expectations,
     simulate_counts,
+    tomography,
 )
 
 
-def reconstruct_reference(counts, n_qubits):
+def inversion_reference(counts, n_qubits):
     """Per-string loop: each Pauli expectation is the parity-weighted frequency,
-    averaged over the settings with nonzero counts that measure it."""
+    averaged over the settings with nonzero counts that measure it; returns the
+    linear-inversion matrix before any projection."""
     dim = 2**n_qubits
     h = np.eye(dim, dtype=complex) / dim
     for ops in ("".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)):
@@ -36,7 +47,43 @@ def reconstruct_reference(counts, n_qubits):
                   if sum(t.counts) and all(o in ("I", a) for o, a in zip(ops, t.setting.axes))]
         if values:
             h += np.mean(values) * PauliString(ops).matrix() / dim
-    return project_psd(h)
+    return h
+
+
+def project_reference(h):
+    """Scalar clip loop: zero the most negative eigenvalue, spread its deficit over
+    the positive ones, repeat, renormalise; returns (matrix, clipped mass)."""
+    vals, vecs = np.linalg.eigh(h)
+    clipped = 0.0
+    while vals.min() < 0:
+        if vals.max() <= 0:
+            raise ValueError("spectrum entirely nonpositive")
+        i = int(np.argmin(vals))
+        deficit = vals[i]
+        vals[i] = 0.0
+        clipped -= deficit
+        positive = vals > 0
+        vals[positive] += deficit / positive.sum()
+    vals = np.clip(vals, 0.0, None)
+    vals /= vals.sum()
+    return (vecs * vals) @ vecs.conj().T, clipped
+
+
+def reconstruct_reference(counts, n_qubits):
+    return project_reference(inversion_reference(counts, n_qubits))[0]
+
+
+def negativity_reference(mat):
+    """AB|M negativity by brute force: singular values of the M-transposed matrix."""
+    return np.linalg.svd(partial_transpose(mat, 2, (2, 2, 2)), compute_uv=False).sum() - 1.0
+
+
+def random_state(seed: int) -> DensityMatrix:
+    """Full-rank 3-qubit state A A^dag + I/20, normalised."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    m = a @ a.conj().T + np.eye(8) / 20
+    return DensityMatrix(m / np.trace(m).real, (2, 2, 2))
 
 
 @pytest.fixture(scope="module")
@@ -90,7 +137,8 @@ class TestCounts:
     def test_one_draw_equals_per_setting_draws(self, rho3):
         settings = pauli_settings(3)
         for seed, rep in ((1, 0), (1, 7), (123, 3)):
-            rng = _stream(seed, rep)
+            # the substream rule: rep r draws from Philox(seed).jumped(r)
+            rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(rep))
             for table in simulate_counts(rho3, settings, 1e4, seed, rep=rep):
                 p = [np.trace(proj @ rho3.mat).real for proj in table.setting.projectors]
                 assert table.counts == tuple(rng.poisson(1e4 * np.clip(p, 0.0, None)))
@@ -98,6 +146,17 @@ class TestCounts:
     def test_exposure_guard(self, rho3):
         with pytest.raises(ValueError):
             simulate_counts(rho3, pauli_settings(3), 0.0, seed=1)
+
+    @pytest.mark.parametrize("exposure", [-1.0, math.nan, math.inf, 2 * E_MAX])
+    def test_exposure_bounds(self, rho3, exposure):
+        with pytest.raises(ValueError, match="exposure"):
+            simulate_counts(rho3, pauli_settings(3), exposure, seed=1)
+        with pytest.raises(ValueError, match="exposure"):
+            mc_errorbar(rho3, exposure, reps=50, seed=1, functional="negativity")
+
+    def test_largest_exposure_draws(self, rho3):
+        tables = simulate_counts(rho3, pauli_settings(3)[:1], E_MAX, seed=1)
+        assert sum(tables[0].counts) == pytest.approx(E_MAX, rel=1e-6)
 
     def test_counts_table_validation(self):
         s = MeasurementSetting.from_axes("ZZ")
@@ -129,6 +188,46 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_psd(np.eye(4, dtype=complex))
 
+    def test_stacked_clip_rounds_match_scalar_loop(self):
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        spread_twice = np.diag([0.9, 0.3, -0.1, -0.1]).astype(complex)  # two clip rounds
+        # the first spread pushes 0.01 below zero, so a second round clips more
+        # than the initial negative mass
+        pushed_under = np.diag([0.8, 0.01, 0.39, -0.2]).astype(complex)
+        h = np.array([spread_twice, u @ spread_twice @ u.conj().T, pushed_under,
+                      np.diag([0.7, 0.4, -0.1, 0.0]), np.eye(4) / 4])
+        states, clipped = _project(h)
+        for r in range(len(h)):
+            ref, ref_clipped = project_reference(h[r])
+            assert np.array_equal(states[r], ref)
+            assert clipped[r] == ref_clipped
+            assert np.array_equal(project_psd(h[r]).mat, ref)
+        assert np.diag(states[0]).real == pytest.approx([0.8, 0.2, 0.0, 0.0], abs=1e-15)
+        assert clipped[:3] == pytest.approx([0.2, 0.2, 0.2 + 0.2 / 3 - 0.01], abs=1e-15)
+        assert clipped[4] == 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(spectrum=arrays(np.float64, 8, elements=st.floats(-0.3, 0.6)))
+    def test_spectrum_agrees_with_smolin_gambetta_smith(self, spectrum):
+        mu = spectrum + (1.0 - spectrum.sum()) / 8  # unit trace, as a reconstruction has
+        # their one pass: walk up the sorted spectrum, zero while the accumulated
+        # deficit spread over the rest leaves the current eigenvalue negative
+        order = np.argsort(mu)[::-1]
+        deficit, keep = 0.0, 8
+        while mu[order[keep - 1]] + deficit / keep < 0:
+            deficit += mu[order[keep - 1]]
+            keep -= 1
+        sgs = np.zeros(8)
+        sgs[order[:keep]] = mu[order[:keep]] + deficit / keep
+        states, _ = _project(np.diag(mu).astype(complex)[None])
+        assert np.abs(np.diag(states[0]).real - sgs / sgs.sum()).max() <= 1e-12
+
+    def test_stack_with_nonpositive_rep_raises(self):
+        h = np.array([np.diag([0.7, 0.4, -0.1, 0.0]), np.diag([-0.1, -0.2, 0.0, 0.0])])
+        with pytest.raises(ValueError, match="nonpositive"):
+            _project(h.astype(complex))
+
 
 class TestReconstruction:
     def test_exact_expectations_invert_perfectly(self, rho3):
@@ -152,7 +251,7 @@ class TestReconstruction:
         if exposure == 1.0:
             assert any(sum(t.counts) == 0 for t in tables)
         ref = reconstruct_reference(tables, 3)
-        assert np.abs(reconstruct(tables).mat - ref.mat).max() < 1e-12
+        assert np.abs(reconstruct(tables).mat - ref).max() < 1e-12
 
     def test_incomplete_settings_rejected(self, rho3):
         tables = simulate_counts(rho3, pauli_settings(3)[:-1], 1e4, seed=1)
@@ -169,24 +268,77 @@ class TestErrorBars:
         with pytest.raises(ValueError):
             mc_errorbar(rho3, 1e4, reps=5, seed=1, functional="negativity")
 
+    def test_reps_cap(self, rho3):
+        with pytest.raises(ValueError, match="reps"):
+            mc_errorbar(rho3, 1e4, reps=MC_REPS_MAX + 1, seed=1, functional="negativity")
+
     def test_negativity_statistics(self, rho3):
-        mean, std = mc_errorbar(rho3, 1e4, reps=50, seed=1, functional="negativity")
+        mean, std, *_ = mc_errorbar(rho3, 1e4, reps=50, seed=1, functional="negativity")
         truth = negativity(rho3, [0, 1])
         assert std < 1e-2
         assert mean == pytest.approx(truth, abs=5 * std + 1e-3)
 
     def test_callable_functional(self, rho3):
-        mean, std = mc_errorbar(rho3, 1e4, reps=50, seed=1,
+        mean, std, *_ = mc_errorbar(rho3, 1e4, reps=50, seed=1,
                                 functional=lambda dm: fidelity(dm, rho3))
         assert 0.97 < mean <= 1.0
         assert std < 0.01
 
     def test_discord_statistics(self):
         # reconstructions are never exactly Bell-diagonal, so every rep runs discord_numeric
-        mean, std = mc_errorbar(chi_q(0.4), 1e4, reps=50, seed=1, functional="discord")
+        mean, std, *_ = mc_errorbar(chi_q(0.4), 1e4, reps=50, seed=1, functional="discord")
         assert mean == pytest.approx(0.4, abs=0.02)
         assert std < 0.02
 
     def test_unknown_functional(self, rho3):
         with pytest.raises(ValueError):
             mc_errorbar(rho3, 1e4, reps=50, seed=1, functional="entropy")
+
+
+class TestBatchedPipeline:
+    """The batched pipeline against a per-rep loop built from the single-shot API
+    and reference implementations."""
+
+    @settings(max_examples=3, deadline=None, derandomize=True)
+    @example(state_seed=0, exposure=1.0, reps=50, seed=1)
+    @example(state_seed=1, exposure=1e4, reps=51, seed=2**64 - 1)
+    @given(state_seed=st.integers(0, 2**32 - 1), exposure=st.sampled_from([1.0, 1e4]),
+           reps=st.integers(50, 60), seed=st.integers(0, 2**64 - 1))
+    def test_matches_per_rep_reference(self, state_seed, exposure, reps, seed):
+        rho = random_state(state_seed)
+        settings_ = pauli_settings(3)
+        counts = _draw(exposure * _born(settings_, rho.mat), seed, range(reps))
+        run = tomography(rho, exposure, seed, range(reps))
+        values = []
+        for rep in range(reps):
+            tables = simulate_counts(rho, settings_, exposure, seed, rep=rep)
+            assert np.array_equal(counts[rep], [t.counts for t in tables])
+            mat, clipped = project_reference(inversion_reference(tables, 3))
+            assert np.abs(run.states[rep] - mat).max() <= 1e-12
+            assert run.clipped_mass[rep] == pytest.approx(clipped, abs=1e-12)
+            assert run.zero_settings[rep] == sum(not any(t.counts) for t in tables)
+            values.append(negativity_reference(mat))
+        assert np.abs(negativities(run.states, (2, 2, 2), [0, 1]) - values).max() <= 1e-12
+        bar = mc_errorbar(rho, exposure, reps, seed, "negativity")
+        assert bar.mean == pytest.approx(np.mean(values), abs=1e-12)
+        assert bar.std == pytest.approx(np.std(values, ddof=1), abs=1e-12)
+        assert np.array_equal(bar.clipped_mass, run.clipped_mass)
+        assert np.array_equal(bar.zero_settings, run.zero_settings)
+        if exposure == 1.0:
+            assert run.zero_settings.max() > 0
+
+    def test_blocks_match_single_shot_reps(self, rho3):
+        reps = 2 * _BLOCK + 3
+        bar = mc_errorbar(rho3, 1e4, reps, seed=9, functional="negativity")
+        values = [negativity(reconstruct(simulate_counts(rho3, pauli_settings(3), 1e4, 9, rep=r)),
+                             [0, 1]) for r in range(reps)]
+        assert bar.mean == float(np.mean(values))
+        assert bar.std == float(np.std(values, ddof=1))
+
+    @pytest.mark.parametrize("name, per_state", [
+        ("negativity", lambda dm: negativity(dm, [0, 1])),
+        ("witness-expect", lambda dm: expect(w3(), dm)),
+    ])
+    def test_stacked_functionals_equal_per_state(self, rho3, name, per_state):
+        stacked = mc_errorbar(rho3, 1e3, 50, 2, name)
+        assert stacked[:2] == mc_errorbar(rho3, 1e3, 50, 2, per_state)[:2]
