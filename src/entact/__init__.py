@@ -13,7 +13,6 @@ from .qcore import (
     partial_transpose,
     quantum_classical,
     tensor,
-    trace_norm,
     werner_mix,
 )
 from .protocol import (
@@ -27,11 +26,11 @@ from .protocol import (
 )
 from .measures import (
     MeasureResult,
-    Method,
     correlation_matrix,
     discord_bell_diagonal,
     discord_numeric,
     negativities,
+    negativities_offdiag,
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,

@@ -23,12 +23,14 @@ from .protocol import (
     bloch_vector,
     premeasurement,
 )
-from .measures import _fibonacci_directions, negativity
+from .measures import _fibonacci_directions, _sv_sum, negativity
 
 # targets per batch of `low2` in `lower_bounds`: the (targets x records) 4x4
 # differences of a whole 1-degree grid (4,186 x 28) would take 30 MB at once;
 # 128 targets take 0.9 MB, and larger batches run no faster
 _TARGET_BATCH = 128
+# net bases closer than this in every coordinate, up to sign, are one basis
+_DEDUP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,22 +86,31 @@ def cap_radius(epsilon: float) -> float:
     return 0.25 * math.sqrt(epsilon**2 * (4.0 - epsilon**2))
 
 
-def dedup_bloch(net: NetSpec, tol: float = 1e-8) -> np.ndarray:
+def dedup_bloch(net: NetSpec) -> np.ndarray:
     """Unique measurement bases of a net as a (k, 3) array, identifying n with -n."""
     unique: List[np.ndarray] = []
     for s in net.settings():
         v = bloch_vector(s).as_array()
         if not any(
-            np.abs(v - u).max() <= tol or np.abs(v + u).max() <= tol for u in unique
+            np.abs(v - u).max() <= _DEDUP_TOL or np.abs(v + u).max() <= _DEDUP_TOL
+            for u in unique
         ):
             unique.append(v)
     return np.array(unique)
 
 
-def _basis_chords(points: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """Chord distance from each point to each basis, identifying n with -n."""
-    dots = np.abs(points @ bases.T)
-    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - np.minimum(dots, 1.0))))
+def _basis_chords(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Chord distance from each basis to each point, identifying n with -n, as a
+    (bases, points) array: min(|n - m|, |n + m|) = |n - sign(n.m) m|.  Unlike
+    sqrt(2 (1 - |n.m|)) it keeps full precision near coincident bases."""
+    # one contiguous row per point coordinate; in place, so that three
+    # (bases, points) arrays are the peak
+    sign = np.copysign(1.0, bases @ points.T)
+    sq, d = np.zeros_like(sign), np.empty_like(sign)
+    for x, m in zip(np.ascontiguousarray(points.T), bases.T):
+        np.subtract(x, np.multiply(sign, m[:, None], out=d), out=d)
+        sq += np.square(d, out=d)
+    return np.sqrt(sq, out=sq)
 
 
 def _cnot_pt_norms(d: np.ndarray) -> np.ndarray:
@@ -112,10 +123,8 @@ def _cnot_pt_norms(d: np.ndarray) -> np.ndarray:
     h01 = d[..., [0, 1], [2, 3]]
     blocks = np.maximum(np.abs(h00 + h11),
                         np.sqrt((h00 - h11) ** 2 + 4.0 * (h01.real ** 2 + h01.imag ** 2)))
-    m = d[..., 0::2, 1::2]  # d_01: rows (a, b = 0), columns (a', b' = 1)
-    frob = (m.real ** 2 + m.imag ** 2).sum(axis=(-2, -1))
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return blocks.sum(axis=-1) + 2.0 * np.sqrt(frob + 2.0 * np.abs(det))
+    # d_01: rows (a, b = 0), columns (a', b' = 1)
+    return blocks.sum(axis=-1) + 2.0 * _sv_sum(d[..., 0::2, 1::2])
 
 
 def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
@@ -127,7 +136,7 @@ def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
         raise ValueError("resolution must be at least 10^3 sample points")
     bases = dedup_bloch(net)
     lattice = _fibonacci_directions(resolution)
-    worst_gap = float(_basis_chords(lattice, bases).min(axis=1).max())
+    worst_gap = float(_basis_chords(bases, lattice).min(axis=0).max())
     return worst_gap <= epsilon + 1e-9, worst_gap
 
 
@@ -171,7 +180,7 @@ def lower_bounds(records: List[NetRecord], settings: List[WaveplateSetting],
     rec_b = np.array([bloch_vector(r.setting).as_array() for r in records])
     rec_d = np.array([r.state.mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE] for r in records])
     n_t = np.array([bloch_vector(s).as_array() for s in settings]).reshape(-1, 3)
-    low1 = (rec_n - _basis_chords(n_t, rec_b)).max(axis=1)
+    low1 = (rec_n[:, None] - _basis_chords(rec_b, n_t)).max(axis=0)
     angles = np.array([(s.theta, s.phi) for s in settings]).reshape(-1, 2)
     u = _u_b(angles[:, 0], angles[:, 1])
     low2 = np.empty(len(u))

@@ -10,44 +10,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .qcore import DensityMatrix, PAULIS, tensor
-from .protocol import BlochVector, WaveplateSetting, basis_kets, bloch_vector, setting_of
+from .qcore import DensityMatrix, PAULIS
+from .protocol import BlochVector, WaveplateSetting, bloch_vector, setting_of
 
 BELL_DIAGONAL_TOL = 1e-8
-_SIGMAS = np.array([PAULIS[p] for p in "XYZ"])
+_PAULI_BASIS = np.array([PAULIS[p] for p in "IXYZ"])
 # Nelder-Mead runs from this many of the best seed directions: one start missed
 # the global minimum on 7 of 300 random full-rank states, four on none of 1,000
 _STARTS = 4
 
 
-class Method(Enum):
-    BRUTE_FORCE = "BruteForce"
-    OFF_DIAGONAL_BLOCK = "OffDiagonalBlock"
-    CLOSED_FORM = "ClosedForm"
-    NUMERICAL_MIN = "NumericalMin"
-
-
 @dataclass(frozen=True)
 class MeasureResult:
     value: float
-    method: Method
     settings_used: Optional[WaveplateSetting] = None
 
     def __post_init__(self):
         if self.value < -1e-12:
             raise ValueError(f"measure value {self.value} below tolerance")
-
-    def to_json_dict(self) -> dict:
-        d = {"value": self.value, "method": self.method.value}
-        if self.settings_used is not None:
-            d["settings_used"] = self.settings_used.to_json_dict()
-        return d
 
 
 class OptimizerError(RuntimeError):
@@ -84,14 +69,38 @@ def negativities(mats: np.ndarray, dims, cut) -> np.ndarray:
     return np.where(raw > 1e-12, raw, 0.0)
 
 
+def _sv_sum(m: np.ndarray) -> np.ndarray:
+    """s1 + s2, the sum of the singular values of each 2x2 matrix in the stack
+    m (..., 2, 2), as sqrt(||m||_F^2 + 2 |det m|) = sqrt(s1^2 + s2^2 + 2 s1 s2)."""
+    frob = (m.real ** 2 + m.imag ** 2).sum(axis=(-2, -1))
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.sqrt(frob + 2.0 * np.abs(det))
+
+
+def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """N(n) = 2 (s1 + s2)(<n| chi |n_perp>), with the kets on B, for a raw 4x4 `chi`
+    (unvalidated) and each unit direction of the stack `ns` (k, 3).
+
+    N(n) is the premeasurement negativity at basis n, and also ||chi - D_n(chi)||_1
+    for chi dephased on B along n, whose B-off-diagonal part has eigenvalues
+    +-s1, +-s2.  N is even in n, so n is taken with z >= 0, where the kets
+        <n| = (1 + z, u) / c,  |n_perp> = (-u, 1 + z) / c,  u = n_x - i n_y,  c^2 = 2 (1 + z)
+    have no cancellation.
+    """
+    x, y, z = ns.T
+    u = np.copysign(1.0, z) * (x - 1j * y)
+    zp = 1.0 + np.abs(z)
+    # 2 <n|_b |n_perp>_d over (b, d), so that s1 + s2 of the product is N
+    w = np.stack([-u, zp, -u * u / zp, u], axis=-1)
+    m = w @ chi.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
+    return _sv_sum(m.reshape(-1, 2, 2))
+
+
 def negativity_offdiag(chi: DensityMatrix, n: BlochVector) -> float:
     """Premeasurement negativity without building the 3-qubit state: 2 ||<n| chi |n_perp>||_1."""
     if chi.dims != (2, 2):
         raise ValueError("off-diagonal route expects a 2-qubit state with B a qubit")
-    ket_n, ket_p = basis_kets(n)
-    c4 = chi.mat.reshape(2, 2, 2, 2)
-    block = np.einsum("b,abcd,d->ac", ket_n.conj(), c4, ket_p)
-    return 2.0 * float(np.linalg.svd(block, compute_uv=False).sum())
+    return float(negativities_offdiag(chi.mat, n.as_array()[None])[0])
 
 
 def negativity_theory(q: float, s: WaveplateSetting) -> float:
@@ -105,28 +114,26 @@ def negativity_theory(q: float, s: WaveplateSetting) -> float:
     return math.sqrt(max(radicand, 0.0))
 
 
+def _pauli_coefficients(chi: np.ndarray) -> np.ndarray:
+    """4x4 real matrix R_ij = Tr[chi (sigma_i x sigma_j)] of a raw 4x4 `chi`, sigma_0 = I."""
+    return np.einsum("abcd,ica,jdb->ij", chi.reshape(2, 2, 2, 2),
+                     _PAULI_BASIS, _PAULI_BASIS).real
+
+
 def correlation_matrix(chi: DensityMatrix) -> np.ndarray:
     """3x3 real matrix T_ij = Tr[chi (sigma_i x sigma_j)]."""
     if chi.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
-    return np.einsum("abcd,ica,jdb->ij", chi.mat.reshape(2, 2, 2, 2), _SIGMAS, _SIGMAS).real
+    return _pauli_coefficients(chi.mat)[1:, 1:]
 
 
-def is_bell_diagonal(chi: DensityMatrix, tol: float = BELL_DIAGONAL_TOL) -> bool:
-    """True when the only nonzero correlations are the diagonal sigma_i x sigma_i terms
-    and both marginals are maximally mixed."""
+def is_bell_diagonal(chi: DensityMatrix) -> bool:
+    """True when the only nonzero Pauli coefficients are the diagonal sigma_i x sigma_i
+    terms: no off-diagonal correlations and maximally mixed marginals."""
     if chi.dims != (2, 2):
         return False
-    t = correlation_matrix(chi)
-    if np.abs(t - np.diag(np.diag(t))).max() > tol:
-        return False
-    # local Bloch vectors must vanish as well
-    for pauli in "XYZ":
-        if abs(np.trace(chi.mat @ tensor(PAULIS[pauli], np.eye(2))).real) > tol:
-            return False
-        if abs(np.trace(chi.mat @ tensor(np.eye(2), PAULIS[pauli])).real) > tol:
-            return False
-    return True
+    r = _pauli_coefficients(chi.mat)
+    return bool(np.abs(r - np.diag(np.diag(r))).max() <= BELL_DIAGONAL_TOL)
 
 
 def discord_bell_diagonal(chi: DensityMatrix) -> float:
@@ -148,79 +155,70 @@ def _fibonacci_directions(count: int) -> np.ndarray:
     return np.stack([r * np.cos(az), r * np.sin(az), z], axis=1)
 
 
-def _dephased_distance(chi_mat: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """||chi - D_n(chi)||_1 for each direction in the stack `ns` (k, 3), where D_n
-    dephases B in the basis of n . sigma.
-
-    D_n(chi) is the closest state to chi that is classical on B along n: for any
-    such sigma, I x Z_n fixes sigma and flips the sign of X = chi - D_n(chi), so
-    2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n) and ||chi - sigma||_1 >= ||X||_1.
-    """
-    _, v = np.linalg.eigh(np.einsum("ki,ijl->kjl", ns, _SIGMAS))
-    # chi in each n basis, B index first: r[k, x, y, a, c] = <a x_n| chi |c y_n>
-    r = np.einsum("kbx,abcd,kdy->kxyac", v.conj(), chi_mat.reshape(2, 2, 2, 2), v)
-    r[:, 0, 0] = r[:, 1, 1] = 0.0  # X keeps only the B-off-diagonal blocks
-    x = r.swapaxes(2, 3).reshape(-1, 4, 4)
-    return np.abs(np.linalg.eigvalsh(x)).sum(axis=-1)
+def _nelder_mead(objective, starts, options: dict) -> list:
+    """One Nelder-Mead run from each start, in order; returns the scipy results.
+    The optimisers start from their `_STARTS` best seeds, because a single start
+    can miss the global minimum of a general state."""
+    return [minimize(objective, x0, method="Nelder-Mead", options=options) for x0 in starts]
 
 
 def discord_numeric(chi: DensityMatrix) -> MeasureResult:
     """Trace-distance discord of a two-qubit state, measured on B.
 
-    For each direction n the closest B-classical state is the dephased D_n(chi)
-    (see `_dephased_distance`), so only n is searched: the 64-point Fibonacci
-    lattice in one batch, then Nelder-Mead in polar angles from its best few
-    points (one start can miss the global minimum of a general state).
+    For each direction n the closest B-classical state is the dephased D_n(chi):
+    any such sigma is fixed by I x Z_n, which flips the sign of X = chi - D_n(chi),
+    so 2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n) and
+    ||chi - sigma||_1 >= ||X||_1 = N(n) (see `negativities_offdiag`).  So only n is
+    searched: the 64-point Fibonacci lattice in one batch, then Nelder-Mead in
+    polar angles from its best few points.
     """
     if chi.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
     seeds = _fibonacci_directions(64)
-    coarse = _dephased_distance(chi.mat, seeds)
+    coarse = negativities_offdiag(chi.mat, seeds)
 
     def objective(angles):
         th, ph = angles
         n = [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        return float(_dephased_distance(chi.mat, np.array([n]))[0])
+        return float(negativities_offdiag(chi.mat, np.array([n]))[0])
 
-    value = float(coarse.min())
-    for n0 in seeds[np.argsort(coarse, kind="stable")[:_STARTS]]:
-        th0 = math.acos(min(max(n0[2], -1.0), 1.0))
-        ph0 = math.atan2(n0[1], n0[0])
-        res = minimize(objective, [th0, ph0], method="Nelder-Mead",
-                       options=dict(xatol=1e-6, fatol=1e-8, maxiter=200, maxfev=300))
-        value = min(value, float(res.fun))
+    starts = [(math.acos(min(max(z, -1.0), 1.0)), math.atan2(y, x))
+              for x, y, z in seeds[np.argsort(coarse, kind="stable")[:_STARTS]].tolist()]
+    runs = _nelder_mead(objective, starts,
+                        dict(xatol=1e-6, fatol=1e-8, maxiter=200, maxfev=300))
+    value = min([float(coarse.min())] + [float(res.fun) for res in runs])
     if not np.isfinite(value):
         raise OptimizerError("trace-distance minimization did not converge")
-    return MeasureResult(max(value, 0.0), Method.NUMERICAL_MIN)
+    return MeasureResult(max(value, 0.0))
 
 
-def negativity_of_quantumness(chi: DensityMatrix, angular_tol: float = 1e-6) -> MeasureResult:
+def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
     """Minimum premeasurement negativity over all measurement bases on B.
 
     Coarse stage: the bases of the 28-setting net plus 64 Fibonacci directions,
     each as its `setting_of` (the net alone leaves Nelder-Mead in local minima
-    on general states); refinement: Nelder-Mead in (theta, phi) down to
-    `angular_tol` from the best few.  Ties at the coarse stage resolve to the
-    lexicographically smallest setting.
+    on general states), scored in one `negativities_offdiag` call; refinement:
+    Nelder-Mead in the waveplate angles (theta, phi) from the best few.  Ties at
+    the coarse stage resolve to the lexicographically smallest setting.
     """
     from .epsnet import dedup_bloch, default_net  # local import to avoid a module cycle
 
     # distinct bases only: the 28 net settings hold 16, +-y four times
     dirs = np.vstack([dedup_bloch(default_net()), _fibonacci_directions(64)])
     grid = [setting_of(BlochVector(*n)) for n in dirs]
-    vals = [negativity_offdiag(chi, bloch_vector(s)) for s in grid]
-    vmin = min(vals)
+    vals = negativities_offdiag(chi.mat, np.array([bloch_vector(s).as_array() for s in grid]))
+    vmin = float(vals.min())
     # near-ties of the minimum rank first, lexicographically; then by value
-    ranked = sorted(zip(vals, grid),
+    ranked = sorted(zip(vals.tolist(), grid),
                     key=lambda vs: (max(vs[0], vmin + 1e-9), vs[1].theta, vs[1].phi))
 
     def objective(angles):
         return negativity_offdiag(chi, bloch_vector(WaveplateSetting(angles[0], angles[1])))
 
     best, value = ranked[0][1], vmin
-    for _, s0 in ranked[:_STARTS]:
-        res = minimize(objective, [s0.theta, s0.phi], method="Nelder-Mead",
-                       options=dict(xatol=angular_tol * 0.1, fatol=1e-12, maxiter=400))
+    runs = _nelder_mead(objective, [(s.theta, s.phi) for _, s in ranked[:_STARTS]],
+                        dict(xatol=1e-7, fatol=1e-12, maxiter=400))
+    for res in runs:
         if res.fun < value - 1e-9:
             best, value = WaveplateSetting(res.x[0], res.x[1]), float(res.fun)
-    return MeasureResult(max(value, 0.0), Method.NUMERICAL_MIN, settings_used=best)
+    return MeasureResult(max(value, 0.0), settings_used=best)

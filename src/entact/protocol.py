@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, I2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
+from .qcore import DensityMatrix, I2, tensor
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,3 @@ def premeasurement(chi: DensityMatrix, s: WaveplateSetting) -> DensityMatrix:
         raise ValueError(f"chi must be a 2-qubit state, got dims {chi.dims}")
     return DensityMatrix(_premeasure(chi.mat, u_b(s)), (2, 2, 2))
 
-
-def basis_kets(n: BlochVector):
-    """Orthonormal kets (|n>, |n_perp>) along +-n, from the rows of u_b-like analysis.
-
-    Phase-free consumers only; the pair is built analytically from n.
-    """
-    v = n.as_array()
-    h = v[0] * SIGMA_X + v[1] * SIGMA_Y + v[2] * SIGMA_Z
-    vals, vecs = np.linalg.eigh(h)
-    return vecs[:, 1].copy(), vecs[:, 0].copy()

@@ -156,11 +156,6 @@ def hermitian_eigen(h):
     return np.linalg.eigh(a)
 
 
-def trace_norm(o) -> float:
-    """Sum of singular values."""
-    return float(np.linalg.svd(_as_square(o), compute_uv=False).sum())
-
-
 def basis_ket(index: int, dim: int = 2) -> np.ndarray:
     v = np.zeros(dim, dtype=complex)
     v[index] = 1.0

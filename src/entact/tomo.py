@@ -29,6 +29,8 @@ MC_REPS_MAX = 100_000
 # reps per batched pass of mc_errorbar: a rep holds about 13 kB of counts,
 # frequencies and 8x8 stacks, so a pass stays under 1 MB whatever the rep count
 _BLOCK = 64
+# `project_psd` input further than this from trace 1 is no reconstruction
+_RECONSTRUCTION_TRACE_TOL = 0.2
 
 _AXIS_EIGENBASES = {
     # columns: +1 and -1 eigenvectors with a fixed phase convention
@@ -145,7 +147,7 @@ def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
             for s, row in zip(settings, counts)]
 
 
-def project_psd(h, trace_tol: float = 0.2) -> DensityMatrix:
+def project_psd(h) -> DensityMatrix:
     """Project a Hermitian matrix onto the PSD unit-trace cone.
 
     Repeatedly clips the most negative eigenvalue to zero and spreads its
@@ -160,7 +162,7 @@ def project_psd(h, trace_tol: float = 0.2) -> DensityMatrix:
     if np.abs(a - a.conj().T).max() > 1e-8:
         raise ValueError("input must be Hermitian")
     tr = np.trace(a).real
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _RECONSTRUCTION_TRACE_TOL:
         raise ValueError(f"trace {tr} too far from 1 to be a reconstruction")
     n_qubits = round(math.log2(a.shape[0]))
     return DensityMatrix(_project(a[None])[0][0], (2,) * n_qubits)

@@ -148,6 +148,20 @@ class TestBound1:
         r = records02[3]
         assert low_at(records02, r.setting)[0] == pytest.approx(r.negativity_measured, abs=1e-12)
 
+    def test_exact_one_ulp_off_net_points(self, records02):
+        # grid angles can miss a net angle by an ulp (the 1-degree grid's
+        # 30 * pi/180 against the net's 2 * pi/12); the chord of two bases that
+        # far apart is ~1e-16, which sqrt(2 (1 - |n.m|)) would turn into 1.5e-8
+        targets = [WaveplateSetting(np.nextafter(r.setting.theta, dt),
+                                    np.nextafter(r.setting.phi, dp))
+                   for r in records02 for dt in (-np.inf, np.inf) for dp in (-np.inf, np.inf)]
+        targets.append(WaveplateSetting(0.0, 30 * (math.pi / 180)))
+        expect = [r.negativity_measured for r in records02 for _ in range(4)]
+        expect.append(records02[2].negativity_measured)  # the net's (0, pi/6)
+        assert records02[2].setting == WaveplateSetting(0.0, math.pi / 6)
+        low1, _ = lower_bounds(records02, targets, chi_q(0.2))
+        assert np.abs(low1 - expect).max() <= 1e-12
+
     def test_antipodal_worst_case(self):
         s = WaveplateSetting(0.0, 0.0)
         rec = NetRecord(s, 1.0, premeasurement(chi_q(0.2), s))

@@ -1,6 +1,8 @@
 """Negativity routes and discord measures."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,15 +17,14 @@ from entact.qcore import (
     quantum_classical,
     werner_mix,
 )
-from entact.protocol import BlochVector, WaveplateSetting, bloch_vector, premeasurement
+from entact.protocol import WaveplateSetting, bloch_vector, premeasurement
 from entact.measures import (
     MeasureResult,
-    Method,
-    _dephased_distance,
     correlation_matrix,
     discord_bell_diagonal,
     discord_numeric,
     is_bell_diagonal,
+    negativities_offdiag,
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,
@@ -32,6 +33,10 @@ from entact.measures import (
 from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+# the poles, both sides of the kernel's hemisphere seam z = 0, and the equator
+SEAM_DIRECTIONS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, -0.8, -1e-12],
+                   [0.6, -0.8, 1e-12], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
 
 
 class TestNegativity:
@@ -86,6 +91,20 @@ class TestNegativityRoutes:
         with pytest.raises(ValueError):
             negativity_theory(-0.1, WaveplateSetting(0, 0))
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+           st.lists(unit_vectors, min_size=1, max_size=8))
+    def test_offdiag_kernel_matches_dephasing_reference(self, re_im, vs):
+        # N(n) = 1/2 ||chi - Z chi Z||_1 with Z = I x n.sigma, taken here by
+        # eigvalsh; N(-n) = N(n), which the kernel uses to stay in z >= 0
+        chi = full_rank_state(re_im).mat
+        ns = np.array([v / np.linalg.norm(v) for v in vs] + SEAM_DIRECTIONS)
+        got = negativities_offdiag(chi, np.vstack([ns, -ns]))
+        for n, value in zip(ns, got):
+            z = np.kron(np.eye(2), sum(c * p for c, p in zip(n, PAULI_VEC)))
+            assert value == pytest.approx(0.5 * trace_norm(chi - z @ chi @ z), abs=1e-12)
+        assert np.abs(got[:len(ns)] - got[len(ns):]).max() <= 1e-12
+
     def test_offdiag_requires_two_qubits(self):
         rho = premeasurement(chi_q(0.2), WaveplateSetting(0, 0))
         with pytest.raises(ValueError):
@@ -106,6 +125,9 @@ class TestCorrelationsAndDiscord:
         tau0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
         tau1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), (2,))
         assert not is_bell_diagonal(quantum_classical([0.9, 0.1], [tau0, tau1], [0, 0, 1]))
+        # a lone B Bloch component, or a lone off-diagonal correlation, is enough
+        for term in (np.kron(np.eye(2), PAULI_VEC[2]), np.kron(PAULI_VEC[0], PAULI_VEC[1])):
+            assert not is_bell_diagonal(DensityMatrix((np.eye(4) + 0.1 * term) / 4, (2, 2)))
 
     def test_discord_closed_form_on_grid(self):
         for q in Q_GRID:
@@ -122,7 +144,6 @@ class TestCorrelationsAndDiscord:
         tau1 = DensityMatrix(np.diag([0.2, 0.8]).astype(complex), (2,))
         rho = quantum_classical([0.4, 0.6], [tau0, tau1], [1, 0, 0])
         res = discord_numeric(rho)
-        assert res.method is Method.NUMERICAL_MIN
         assert res.value == pytest.approx(0.0, abs=1e-4)
 
     @pytest.mark.parametrize("q", [0.0, 0.4, 1.0])
@@ -171,12 +192,10 @@ class TestDephasingLemma:
     def test_no_b_classical_state_is_closer(self, re_im, rank, v, blocks):
         chi = random_state(re_im, rank)
         n = v / np.linalg.norm(v)
-        d = float(_dephased_distance(chi, n[None])[0])
+        d = float(negativities_offdiag(chi, n[None])[0])
         # the dephased blocks Tr_B[chi (I x P)] for P = P_n, P_perp
         dephased = [np.einsum("abcd,db->ac", chi.reshape(2, 2, 2, 2), p) for p in projectors(n)]
         assert trace_norm(chi - b_classical(*dephased, n)) == pytest.approx(d, abs=1e-12)
-        assert d == pytest.approx(negativity_offdiag(DensityMatrix(chi, (2, 2)),
-                                                     BlochVector(*n)), abs=1e-12)
         # a random B-classical state (PSD blocks of total trace 1)
         m0, m1 = (b @ b.conj().T for b in (blocks[0] + 1j * blocks[1], blocks[2] + 1j * blocks[3]))
         total = np.trace(m0 + m1).real
@@ -214,11 +233,62 @@ class TestNegativityOfQuantumness:
 class TestMeasureResult:
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):
-            MeasureResult(-1e-3, Method.BRUTE_FORCE)
+            MeasureResult(-1e-3)
 
-    def test_json_dict(self):
-        r = MeasureResult(0.25, Method.CLOSED_FORM, WaveplateSetting(0.1, 0.05))
-        d = r.to_json_dict()
-        assert d["value"] == 0.25
-        assert d["method"] == "ClosedForm"
-        assert d["settings_used"]["theta_rad"] == pytest.approx(0.1)
+
+def x_state(p, c14, c23):
+    """Two-qubit X-state: populations p (4,) and real coherences c14 sqrt(p0 p3),
+    c23 sqrt(p1 p2), |c| <= 1, so that it is PSD."""
+    m = np.diag(p).astype(complex)
+    m[0, 3] = m[3, 0] = c14 * math.sqrt(p[0] * p[3])
+    m[1, 2] = m[2, 1] = c23 * math.sqrt(p[1] * p[2])
+    return m
+
+
+def x_state_discord(m):
+    """(numerator, denominator) of the squared discord, measured on B, of the X-state
+    1/4 (I x I + a sigma_z x I + b I x sigma_z + sum_i T_i sigma_i x sigma_i), in the
+    closed form of Ciccarello, Tufarelli and Giovannetti, NJP 16, 013038 (2014)."""
+    p = m.diagonal().real
+    b = p[0] - p[1] + p[2] - p[3]
+    t_x, t_y = 2 * (m[0, 3].real + m[1, 2].real), 2 * (m[1, 2].real - m[0, 3].real)
+    g1, g2 = sorted((t_x, t_y), key=abs, reverse=True)
+    g3 = p[0] - p[1] - p[2] + p[3]
+    hi, lo = max(g3 ** 2, g2 ** 2 + b ** 2), min(g3 ** 2, g1 ** 2)
+    return g1 ** 2 * hi - g2 ** 2 * lo, hi - lo + g1 ** 2 - g2 ** 2
+
+
+class TestXStates:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(arrays(float, (4,), elements=st.floats(0.0, 1.0)),
+           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    def test_both_searches_match_closed_form(self, p, c14, c23):
+        assume(p.sum() > 1e-2)
+        m = x_state(p / p.sum(), c14, c23)
+        num, den = x_state_discord(m)
+        assume(den >= 1e-3)
+        expect = math.sqrt(max(num, 0.0) / den)
+        chi = DensityMatrix(m, (2, 2))
+        assert discord_numeric(chi).value == pytest.approx(expect, abs=1e-6)
+        assert negativity_of_quantumness(chi).value == pytest.approx(expect, abs=1e-6)
+
+
+class TestGuards:
+    def test_traced_names_resolve(self):
+        # the benchmark's traced run wraps these names from outside the package
+        spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        for module, name in tracing.SPANS + (("entact.measures", "minimize"),):
+            assert callable(getattr(importlib.import_module(module), name)), (module, name)
+
+    def test_optimisers_call_no_eigensolver(self, monkeypatch):
+        chi = full_rank_state(np.random.default_rng(5).normal(size=(2, 4, 4)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg eigensolver called inside an optimiser")
+
+        for name in ("eigh", "eigvalsh", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        assert negativity_of_quantumness(chi).value == pytest.approx(
+            discord_numeric(chi).value, abs=1e-6)

@@ -13,7 +13,6 @@ from entact.protocol import (
     WaveplateSetting,
     _premeasure,
     _u_b,
-    basis_kets,
     bloch_vector,
     cnot_bm,
     coupling_unitary,
@@ -190,15 +189,3 @@ class TestPremeasurement:
         with pytest.raises(ValueError):
             premeasurement(bad, WaveplateSetting(0, 0))
 
-
-class TestBasisKets:
-    def test_orthonormal_and_aligned(self):
-        rng = np.random.default_rng(21)
-        for _ in range(25):
-            v = rng.normal(size=3)
-            n = BlochVector.from_array(v)
-            kn, kp = basis_kets(n)
-            assert abs(np.vdot(kn, kn) - 1) < 1e-12
-            assert abs(np.vdot(kn, kp)) < 1e-12
-            bloch = np.array([np.real(kn.conj() @ p @ kn) for p in PAULI_VEC])
-            assert np.abs(bloch - n.as_array()).max() < 1e-10

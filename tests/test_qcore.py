@@ -20,7 +20,6 @@ from entact.qcore import (
     projector,
     quantum_classical,
     tensor,
-    trace_norm,
     werner_mix,
 )
 
@@ -133,16 +132,6 @@ class TestEigenAndNorms:
     def test_hermitian_eigen_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_trace_norm_against_svd(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        assert trace_norm(a) == pytest.approx(np.linalg.svd(a, compute_uv=False).sum(), abs=1e-9)
-
-    def test_trace_norm_routes_agree_on_hermitian(self):
-        rng = np.random.default_rng(13)
-        h = random_hermitian(8, rng)
-        assert trace_norm(h) == pytest.approx(np.abs(np.linalg.eigvalsh(h)).sum(), abs=1e-8)
 
 
 class TestStates:
