@@ -31,6 +31,7 @@ from .measures import (
     discord_numeric,
     negativities,
     negativities_offdiag,
+    negativities_theory,
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,

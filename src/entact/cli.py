@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -23,6 +24,7 @@ from .measures import (
     OptimizerError,
     discord_bell_diagonal,
     discord_numeric,
+    negativities_theory,
     negativity,
     negativity_of_quantumness,
     negativity_theory,
@@ -213,13 +215,14 @@ def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
     out = Path(cfg.output_dir)
     verdicts = {}
     for q in cfg.q_values:
-        min_low, argmin, rows = sphere_scan(cfg.input_state(q), cfg.net, cfg.grid_step)
+        min_low, argmin, (theta, phi, *lows) = sphere_scan(cfg.input_state(q), cfg.net,
+                                                            cfg.grid_step)
         verdicts[q] = min_low
         # n_theory is the closed form of the ideal chi_q(q), also under noise
+        columns = (theta, phi, negativities_theory(q, theta, phi), *lows)
         _write_csv(out / f"certify_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_low1,n_low2,n_low",
-                   [(q, th, ph, negativity_theory(q, WaveplateSetting(th, ph)), *lows)
-                    for th, ph, *lows in rows], cfg)
+                   list(zip(itertools.repeat(q), *(c.tolist() for c in columns))), cfg)
         print(f"q={q}: min_low={min_low:.6f} at (theta={argmin.theta:.6f}, "
               f"phi={argmin.phi:.6f}) -> {'certified' if min_low > 0 else 'not certified'}")
     _write_manifest(out, cfg, "certify", {str(q): v for q, v in verdicts.items()})

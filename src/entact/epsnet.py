@@ -18,6 +18,7 @@ from .qcore import DensityMatrix
 from .protocol import (
     _CNOT_IMAGE,
     WaveplateSetting,
+    _bloch_vectors,
     _rotate_b,
     _u_b,
     bloch_vector,
@@ -25,10 +26,14 @@ from .protocol import (
 )
 from .measures import _fibonacci_directions, _sv_sum, negativity
 
-# targets per batch of `low2` in `lower_bounds`: the (targets x records) 4x4
-# differences of a whole 1-degree grid (4,186 x 28) would take 30 MB at once;
-# 128 targets take 0.9 MB, and larger batches run no faster
+# targets per batch of `low2` in `lower_bounds`: the ten-entry differences of
+# a whole 1-degree grid (4,186 targets x 28 records) take 15 MB at once, and a
+# call then peaks at 24 MB of numpy memory against 3.0 MB in batches of 128
+# targets (0.46 MB of differences each); larger batches run no faster
 _TARGET_BATCH = 128
+# the A-block off-diagonals (0, 2), (1, 3) and the D_01 block (0, 1), (0, 3),
+# (2, 1), (2, 3) of a 4x4 block in the (a, b) index
+_OFF_ROWS, _OFF_COLS = [0, 1, 0, 0, 2, 2], [2, 3, 1, 3, 1, 3]
 # net bases closer than this in every coordinate, up to sign, are one basis
 _DEDUP_TOL = 1e-8
 
@@ -113,18 +118,25 @@ def _basis_chords(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _cnot_pt_norms(d: np.ndarray) -> np.ndarray:
-    """||X^Gamma||_1, transpose on M, for X a Hermitian stack d (..., 4, 4) in the
-    (a, b) index placed on |a b b>, by the block identity and the two closed
+def _block_entries(d: np.ndarray):
+    """The ten entries of each 4x4 block of the stack d (..., 4, 4) that
+    `_cnot_pt_norms` reads, entry axis first: the real diagonal (4, ...), and
+    (6, ...) the A-block off-diagonals d[0, 2], d[1, 3] followed by
+    D_01 = d[0::2, 1::2] row by row."""
+    return (np.moveaxis(d.diagonal(axis1=-2, axis2=-1).real, -1, 0),
+            np.moveaxis(d[..., _OFF_ROWS, _OFF_COLS], -1, 0))
+
+
+def _cnot_pt_norms(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """||X^Gamma||_1, transpose on M, from the `_block_entries` of a Hermitian X in
+    the (a, b) index placed on |a b b>, by the block identity and the two closed
     forms given in `lower_bounds`."""
-    diag = d.diagonal(axis1=-2, axis2=-1).real
     # the A-blocks d_00 and d_11 side by side: entries (a b, a' b) with b = 0, 1
-    h00, h11 = diag[..., :2], diag[..., 2:]
-    h01 = d[..., [0, 1], [2, 3]]
+    h00, h11, h01 = diag[:2], diag[2:], off[:2]
     blocks = np.maximum(np.abs(h00 + h11),
                         np.sqrt((h00 - h11) ** 2 + 4.0 * (h01.real ** 2 + h01.imag ** 2)))
     # d_01: rows (a, b = 0), columns (a', b' = 1)
-    return blocks.sum(axis=-1) + 2.0 * _sv_sum(d[..., 0::2, 1::2])
+    return blocks[0] + blocks[1] + 2.0 * _sv_sum(off[2:].reshape((2, 2) + off.shape[1:]))
 
 
 def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
@@ -153,15 +165,15 @@ def verify_packing(net: NetSpec, epsilon: float):
     return dmin >= epsilon - 1e-9, dmin
 
 
-def lower_bounds(records: List[NetRecord], settings: List[WaveplateSetting],
-                 chi: DensityMatrix):
-    """Two continuity lower bounds on the AB|M negativity at each target setting.
+def lower_bounds(records: List[NetRecord], theta, phi, chi: DensityMatrix):
+    """Two continuity lower bounds on the AB|M negativity at each target setting
+    (theta, phi), given as two 1-D angle arrays of one length.
 
     low1 = max_j (N_j - chord(n, n_j)) is model-free: it reads only the records.
     low2 = max_j (N_j - ||(rho(n) - rho_j)^Gamma||_1), with the partial transpose
     on M, builds each target state rho(n) from `chi`, so it holds only for the
     state that was measured.  A negative bound means "not certified", not "zero".
-    Returns the arrays (low1, low2) over `settings`.
+    Returns the arrays (low1, low2) over the targets.
 
     low2 takes no eigensolver.  Every premeasurement state is the B-rotated chi
     on the basis states |a b b>, so D = rho(n) - rho_j is a Hermitian 4x4 block
@@ -172,44 +184,48 @@ def lower_bounds(records: List[NetRecord], settings: List[WaveplateSetting],
     and both terms have closed forms without cancellation:
         ||h||_1 = max(|h00 + h11|, sqrt((h00 - h11)^2 + 4 |h01|^2)), h Hermitian 2x2,
         s1 + s2 = sqrt(||m||_F^2 + 2 |det m|),                       m any 2x2.
-    The bound is the one an 8x8 eigvalsh of each partial transpose gives.
+    These read ten entries of D, which are differences of the same entries of
+    rho(n) and rho_j, so D itself is never formed.  The bound is the one an 8x8
+    eigvalsh of each partial transpose gives.
     """
     if not records:
         raise ValueError("lower_bounds needs at least one record")
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if theta.ndim != 1 or theta.shape != phi.shape:
+        raise ValueError("theta and phi must be 1-D arrays of one length")
     rec_n = np.array([r.negativity_measured for r in records])
-    rec_b = np.array([bloch_vector(r.setting).as_array() for r in records])
-    rec_d = np.array([r.state.mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE] for r in records])
-    n_t = np.array([bloch_vector(s).as_array() for s in settings]).reshape(-1, 3)
-    low1 = (rec_n[:, None] - _basis_chords(rec_b, n_t)).max(axis=0)
-    angles = np.array([(s.theta, s.phi) for s in settings]).reshape(-1, 2)
-    u = _u_b(angles[:, 0], angles[:, 1])
+    rec_b = _bloch_vectors(*np.array([(r.setting.theta, r.setting.phi) for r in records]).T)
+    rec_e = _block_entries(np.array([r.state.mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE]
+                                     for r in records]))
+    low1 = (rec_n[:, None] - _basis_chords(rec_b, _bloch_vectors(theta, phi))).max(axis=0)
+    u = _u_b(theta, phi)
     low2 = np.empty(len(u))
     for i in range(0, len(u), _TARGET_BATCH):
-        targets = _rotate_b(chi.mat, u[i:i + _TARGET_BATCH])
-        low2[i:i + _TARGET_BATCH] = (rec_n - _cnot_pt_norms(targets[:, None] - rec_d)).max(axis=1)
+        targets = _block_entries(_rotate_b(chi.mat, u[i:i + _TARGET_BATCH]))
+        norms = _cnot_pt_norms(*(t[:, :, None] - r[:, None] for t, r in zip(targets, rec_e)))
+        low2[i:i + _TARGET_BATCH] = (rec_n - norms).max(axis=1)
     return low1, low2
 
 
 def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 180):
     """Both lower bounds, from the net records of `chi`, on a (theta, phi) grid over
-    the full angular range.
+    the full angular range, 0 < grid_step <= pi/90.
 
-    Returns (min_low, argmin_setting, rows) with rows (theta, phi, low1, low2, low),
-    where low = max(low1, low2) is the certified bound at that point, and
+    Returns (min_low, argmin_setting, columns) with columns the 1-D arrays
+    (theta, phi, low1, low2, low), theta-major over the grid, where
+    low = max(low1, low2) is the certified bound at that point, and
     argmin_setting is the lexicographically smallest (theta, phi) whose low is
     within 1e-12 of min_low.
     """
-    if grid_step > math.pi / 90 + 1e-12:
-        raise ValueError("grid_step must be at most pi/90")
+    if not 0.0 < grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
+        raise ValueError(f"grid_step must lie in (0, pi/90], got {grid_step}")
     thetas = np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step)
     phis = np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)
-    settings = [WaveplateSetting(th, ph) for th in thetas.tolist() for ph in phis.tolist()]
-    low1, low2 = lower_bounds(net_records(chi, net), settings, chi)
+    theta, phi = np.repeat(thetas, len(phis)), np.tile(phis, len(thetas))
+    low1, low2 = lower_bounds(net_records(chi, net), theta, phi, chi)
     low = np.maximum(low1, low2)
-    # settings run theta-major in ascending order, so the first near-tie is the
+    # the grid runs theta-major in ascending order, so the first near-tie is the
     # lexicographically smallest; rounding-level changes in chi do not move it
     min_low = float(low.min())
     i = int(np.flatnonzero(low <= min_low + 1e-12)[0])
-    rows = [(s.theta, s.phi, a, b, c)
-            for s, a, b, c in zip(settings, low1.tolist(), low2.tolist(), low.tolist())]
-    return min_low, settings[i], rows
+    return min_low, WaveplateSetting(theta[i], phi[i]), (theta, phi, low1, low2, low)

@@ -8,6 +8,7 @@ Bell-diagonal states and by numerical minimization in general.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -71,10 +72,10 @@ def negativities(mats: np.ndarray, dims, cut) -> np.ndarray:
 
 def _sv_sum(m: np.ndarray) -> np.ndarray:
     """s1 + s2, the sum of the singular values of each 2x2 matrix in the stack
-    m (..., 2, 2), as sqrt(||m||_F^2 + 2 |det m|) = sqrt(s1^2 + s2^2 + 2 s1 s2)."""
-    frob = (m.real ** 2 + m.imag ** 2).sum(axis=(-2, -1))
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    return np.sqrt(frob + 2.0 * np.abs(det))
+    m (2, 2, ...), entry axes first, as sqrt(||m||_F^2 + 2 |det m|) =
+    sqrt(s1^2 + s2^2 + 2 s1 s2)."""
+    frob = (m.real ** 2 + m.imag ** 2).sum(axis=(0, 1))
+    return np.sqrt(frob + 2.0 * np.abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
 
 
 def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -93,7 +94,7 @@ def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
     # 2 <n|_b |n_perp>_d over (b, d), so that s1 + s2 of the product is N
     w = np.stack([-u, zp, -u * u / zp, u], axis=-1)
     m = w @ chi.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
-    return _sv_sum(m.reshape(-1, 2, 2))
+    return _sv_sum(m.T.reshape(2, 2, -1))
 
 
 def negativity_offdiag(chi: DensityMatrix, n: BlochVector) -> float:
@@ -112,6 +113,17 @@ def negativity_theory(q: float, s: WaveplateSetting) -> float:
     radicand = ((q - 1.0) * (3.0 * q - 1.0) * math.cos(4.0 * s.theta - 8.0 * s.phi)
                 + q * (5.0 * q - 4.0) + 1.0) / 2.0
     return math.sqrt(max(radicand, 0.0))
+
+
+def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """`negativity_theory` at every point of the angle arrays `theta`, `phi` (one shape)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    if q >= 1.0 / 3.0:
+        return np.full(np.broadcast(theta, phi).shape, float(q))
+    radicand = ((q - 1.0) * (3.0 * q - 1.0) * np.cos(4.0 * theta - 8.0 * phi)
+                + q * (5.0 * q - 4.0) + 1.0) / 2.0
+    return np.sqrt(np.maximum(radicand, 0.0))
 
 
 def _pauli_coefficients(chi: np.ndarray) -> np.ndarray:
@@ -192,6 +204,20 @@ def discord_numeric(chi: DensityMatrix) -> MeasureResult:
     return MeasureResult(max(value, 0.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _quantumness_seeds():
+    """The coarse-stage settings of `negativity_of_quantumness` and their directions
+    (k, 3), read-only; they do not depend on the state, so they are built once."""
+    from .epsnet import dedup_bloch, default_net  # local import to avoid a module cycle
+
+    # distinct bases only: the 28 net settings hold 16, +-y four times
+    bases = np.vstack([dedup_bloch(default_net()), _fibonacci_directions(64)])
+    grid = tuple(setting_of(BlochVector(*n)) for n in bases)
+    dirs = np.array([bloch_vector(s).as_array() for s in grid])
+    dirs.flags.writeable = False
+    return grid, dirs
+
+
 def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
     """Minimum premeasurement negativity over all measurement bases on B.
 
@@ -201,12 +227,8 @@ def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
     Nelder-Mead in the waveplate angles (theta, phi) from the best few.  Ties at
     the coarse stage resolve to the lexicographically smallest setting.
     """
-    from .epsnet import dedup_bloch, default_net  # local import to avoid a module cycle
-
-    # distinct bases only: the 28 net settings hold 16, +-y four times
-    dirs = np.vstack([dedup_bloch(default_net()), _fibonacci_directions(64)])
-    grid = [setting_of(BlochVector(*n)) for n in dirs]
-    vals = negativities_offdiag(chi.mat, np.array([bloch_vector(s).as_array() for s in grid]))
+    grid, dirs = _quantumness_seeds()
+    vals = negativities_offdiag(chi.mat, dirs)
     vmin = float(vals.min())
     # near-ties of the minimum rank first, lexicographically; then by value
     ranked = sorted(zip(vals.tolist(), grid),

@@ -32,9 +32,6 @@ class WaveplateSetting:
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "phi", float(self.phi))
 
-    def to_json_dict(self) -> dict:
-        return {"theta_rad": self.theta, "phi_rad": self.phi}
-
 
 @dataclass(frozen=True)
 class BlochVector:
@@ -66,6 +63,15 @@ def bloch_vector(s: WaveplateSetting) -> BlochVector:
         -math.sin(a),
         math.cos(a) * math.cos(2.0 * s.theta),
     )
+
+
+def _bloch_vectors(theta, phi) -> np.ndarray:
+    """`bloch_vector` for float or array angles of one shape; returns shape + (3,),
+    unvalidated."""
+    a = 2.0 * (theta - 2.0 * phi)
+    cos_a = np.cos(a)
+    return np.stack([-cos_a * np.sin(2.0 * theta), -np.sin(a), cos_a * np.cos(2.0 * theta)],
+                    axis=-1)
 
 
 def setting_of(n: BlochVector) -> WaveplateSetting:

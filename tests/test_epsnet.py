@@ -1,6 +1,7 @@
 """Net geometry, the lower-bounds kernel, and full-sphere certification scans."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,11 +16,12 @@ from entact.protocol import (
     bloch_vector,
     premeasurement,
 )
-from entact.measures import negativity_offdiag, negativity_theory
+from entact.measures import negativities_theory, negativity_offdiag, negativity_theory
 from entact.epsnet import (
     NetRecord,
     NetSpec,
     _basis_chords,
+    _block_entries,
     _cnot_pt_norms,
     cap_radius,
     dedup_bloch,
@@ -49,7 +51,8 @@ def records02(net):
 
 def low_at(records, target, chi=None):
     """(low1, low2) at one target setting; low2's target state comes from `chi`."""
-    low1, low2 = lower_bounds(records, [target], chi_q(0.2) if chi is None else chi)
+    low1, low2 = lower_bounds(records, [target.theta], [target.phi],
+                              chi_q(0.2) if chi is None else chi)
     return float(low1[0]), float(low2[0])
 
 
@@ -152,14 +155,13 @@ class TestBound1:
         # grid angles can miss a net angle by an ulp (the 1-degree grid's
         # 30 * pi/180 against the net's 2 * pi/12); the chord of two bases that
         # far apart is ~1e-16, which sqrt(2 (1 - |n.m|)) would turn into 1.5e-8
-        targets = [WaveplateSetting(np.nextafter(r.setting.theta, dt),
-                                    np.nextafter(r.setting.phi, dp))
+        targets = [(np.nextafter(r.setting.theta, dt), np.nextafter(r.setting.phi, dp))
                    for r in records02 for dt in (-np.inf, np.inf) for dp in (-np.inf, np.inf)]
-        targets.append(WaveplateSetting(0.0, 30 * (math.pi / 180)))
+        targets.append((0.0, 30 * (math.pi / 180)))
         expect = [r.negativity_measured for r in records02 for _ in range(4)]
         expect.append(records02[2].negativity_measured)  # the net's (0, pi/6)
         assert records02[2].setting == WaveplateSetting(0.0, math.pi / 6)
-        low1, _ = lower_bounds(records02, targets, chi_q(0.2))
+        low1, _ = lower_bounds(records02, *np.array(targets).T, chi_q(0.2))
         assert np.abs(low1 - expect).max() <= 1e-12
 
     def test_antipodal_worst_case(self):
@@ -180,7 +182,7 @@ class TestBound1:
 
     def test_empty_records(self):
         with pytest.raises(ValueError):
-            lower_bounds([], [WaveplateSetting(0, 0)], chi_q(0.2))
+            lower_bounds([], [0.0], [0.0], chi_q(0.2))
 
 
 def seeded_full_rank_state(seed):
@@ -226,8 +228,8 @@ class TestBound2:
             x = np.zeros((8, 8), dtype=complex)
             x[_CNOT_IMAGE[:, None], _CNOT_IMAGE] = d
             brute = np.abs(np.linalg.eigvalsh(partial_transpose(x, 2, (2, 2, 2)))).sum()
-            assert abs(_cnot_pt_norms(d) - brute) <= 1e-12
-        assert _cnot_pt_norms(np.array(ds)).shape == (len(ds),)
+            assert abs(_cnot_pt_norms(*_block_entries(d)) - brute) <= 1e-12
+        assert _cnot_pt_norms(*_block_entries(np.array(ds))).shape == (len(ds),)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.one_of(
@@ -236,15 +238,15 @@ class TestBound2:
                st.builds(lambda q, v: DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4,
                                                     (2, 2)),
                          st.floats(0.0, 1.0), st.floats(0.0, 1.0))),
-           st.lists(st.builds(WaveplateSetting, st.floats(-10.0, 10.0),
-                              st.floats(-10.0, 10.0)), min_size=4, max_size=16))
+           st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                    min_size=4, max_size=16))
     def test_low2_matches_eigensolver_reference(self, chi, targets):
-        # the closed-form low2 against the 8x8 route it replaces, built here from
+        # the ten-entry low2 against the 8x8 route it replaces, built here from
         # `premeasurement` and `partial_transpose` alone
         records = net_records(chi, default_net())
-        _, low2 = lower_bounds(records, targets, chi)
-        for s, b in zip(targets, low2):
-            target = premeasurement(chi, s).mat
+        _, low2 = lower_bounds(records, *np.array(targets).T, chi)
+        for (th, ph), b in zip(targets, low2):
+            target = premeasurement(chi, WaveplateSetting(th, ph)).mat
             ref = max(r.negativity_measured - np.abs(np.linalg.eigvalsh(
                 partial_transpose(target - r.state.mat, 2, (2, 2, 2)))).sum() for r in records)
             assert abs(b - ref) <= 1e-12
@@ -254,21 +256,23 @@ class TestCombinedBound:
     """low = max(low1, low2), the certified bound."""
 
     def test_report_fields(self, records02):
-        targets = [WaveplateSetting(0.2, 0.1), WaveplateSetting(1.0, 0.5), WaveplateSetting(-3.0, 7.0)]
-        low1, low2 = lower_bounds(records02, targets, chi_q(0.2))
+        theta, phi = np.array([0.2, 1.0, -3.0]), np.array([0.1, 0.5, 7.0])
+        low1, low2 = lower_bounds(records02, theta, phi, chi_q(0.2))
         assert low1.shape == low2.shape == (3,)
-        for i, s in enumerate(targets):
+        for i, s in enumerate(map(WaveplateSetting, theta, phi)):
             assert (low1[i], low2[i]) == pytest.approx(low_at(records02, s), abs=1e-15)
-        assert lower_bounds(records02, [], chi_q(0.2))[0].shape == (0,)
+        assert lower_bounds(records02, [], [], chi_q(0.2))[0].shape == (0,)
+        for bad in (([0.1, 0.2], [0.1]), (np.zeros((2, 2)), np.zeros((2, 2)))):
+            with pytest.raises(ValueError):
+                lower_bounds(records02, *bad, chi_q(0.2))
 
     def test_soundness_against_theory(self, records02):
         # the bound never overclaims relative to the exact negativity
         rng = np.random.default_rng(17)
-        targets = [WaveplateSetting(rng.uniform(0, math.pi / 2), rng.uniform(0, math.pi / 4))
-                   for _ in range(40)]
-        low = np.maximum(*lower_bounds(records02, targets, chi_q(0.2)))
-        for s, b in zip(targets, low):
-            assert b <= negativity_theory(0.2, s) + 1e-9
+        theta, phi = rng.uniform(0, math.pi / 2, 40), rng.uniform(0, math.pi / 4, 40)
+        low = np.maximum(*lower_bounds(records02, theta, phi, chi_q(0.2)))
+        for th, ph, b in zip(theta, phi, low):
+            assert b <= negativity_theory(0.2, WaveplateSetting(th, ph)) + 1e-9
 
     def test_soundness_at_classical_point(self, net):
         recs = net_records(chi_q(0.0), net)
@@ -282,27 +286,35 @@ class TestCombinedBound:
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
-           st.lists(st.builds(WaveplateSetting, st.floats(-math.pi, math.pi),
-                              st.floats(-math.pi, math.pi)), min_size=1, max_size=8))
+           st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+                    min_size=1, max_size=8))
     def test_sound_on_random_states(self, re_im, targets):
         # low1 rests on N(n) being 1-Lipschitz in the chord metric, which is
         # checked here beyond chi_q; low2 holds by the triangle inequality
         chi = full_rank_state(re_im)
-        low = np.maximum(*lower_bounds(net_records(chi, default_net()), targets, chi))
-        for s, b in zip(targets, low):
-            assert b <= negativity_offdiag(chi, bloch_vector(s)) + 1e-9
+        low = np.maximum(*lower_bounds(net_records(chi, default_net()),
+                                       *np.array(targets).T, chi))
+        for (th, ph), b in zip(targets, low):
+            assert b <= negativity_offdiag(chi, bloch_vector(WaveplateSetting(th, ph))) + 1e-9
 
 
 class TestSphereScan:
     def test_grid_step_guard(self, net):
-        with pytest.raises(ValueError):
-            sphere_scan(chi_q(0.2), net, grid_step=math.pi / 10)
+        # one ValueError for every step outside (0, pi/90], NaN included
+        for step in (math.pi / 10, 0.0, -0.01, math.nan):
+            with pytest.raises(ValueError, match="grid_step"):
+                sphere_scan(chi_q(0.2), net, grid_step=step)
 
     def test_certifies_q02(self, net):
-        min_low, argmin, rows = sphere_scan(chi_q(0.2), net, grid_step=math.pi / 90)
+        min_low, argmin, columns = sphere_scan(chi_q(0.2), net, grid_step=math.pi / 90)
         assert min_low > 0
         assert isinstance(argmin, WaveplateSetting)
-        assert len(rows) == 46 * 23  # theta 0..pi/2, phi 0..pi/4 at pi/90 steps
+        # theta 0..pi/2, phi 0..pi/4 at pi/90 steps, theta-major
+        assert len(columns) == 5
+        assert all(c.shape == (46 * 23,) for c in columns)
+        theta, phi = columns[:2]
+        assert (theta[:23] == 0.0).all() and (phi[:23] == phi[23:46]).all()
+        assert theta[-1] == pytest.approx(math.pi / 2)
 
     def test_zero_discord_not_certified(self, net):
         # the pi/180 grid contains the exact zero-negativity settings
@@ -319,15 +331,27 @@ class TestSphereScan:
         assert 0 < np.abs(direct.mat - mixed.mat).max() < 1e-16
         argmins = []
         for chi in (direct, mixed):
-            min_low, argmin, rows = sphere_scan(chi, net)
-            tied = [(th, ph) for th, ph, _, _, low in rows if low <= min_low + 1e-12]
-            assert len(tied) > 1
-            assert (argmin.theta, argmin.phi) == min(tied)
+            min_low, argmin, (theta, phi, _, _, low) = sphere_scan(chi, net)
+            tied = low <= min_low + 1e-12
+            assert tied.sum() > 1
+            assert (argmin.theta, argmin.phi) == min(zip(theta[tied], phi[tied]))
             argmins.append(argmin)
         assert argmins[0] == argmins[1]
 
     def test_rows_are_consistent(self, net):
-        _, _, rows = sphere_scan(chi_q(0.6), net, grid_step=math.pi / 90)
-        for th, ph, low1, low2, low in rows[::50]:
-            assert low == max(low1, low2)
-            assert low <= negativity_theory(0.6, WaveplateSetting(th, ph)) + 1e-9
+        _, _, (theta, phi, low1, low2, low) = sphere_scan(chi_q(0.6), net, grid_step=math.pi / 90)
+        assert (low == np.maximum(low1, low2)).all()
+        assert (low <= negativities_theory(0.6, theta, phi) + 1e-9).all()
+
+    def test_scan_builds_no_per_point_objects(self, net, monkeypatch):
+        # the grid runs as arrays: settings and Bloch vectors are built per net
+        # setting (28 here), never per grid point (4,186 at pi/180)
+        built = Counter()
+        for cls in (WaveplateSetting, BlochVector):
+            def counting(self, init=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                init(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        sphere_scan(chi_q(0.2), net, grid_step=math.pi / 180)
+        assert built["WaveplateSetting"] >= len(net.settings())  # the counter sees them
+        assert sum(built.values()) < 100

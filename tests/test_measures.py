@@ -17,7 +17,7 @@ from entact.qcore import (
     quantum_classical,
     werner_mix,
 )
-from entact.protocol import WaveplateSetting, bloch_vector, premeasurement
+from entact.protocol import WaveplateSetting, _bloch_vectors, bloch_vector, premeasurement
 from entact.measures import (
     MeasureResult,
     correlation_matrix,
@@ -25,6 +25,7 @@ from entact.measures import (
     discord_numeric,
     is_bell_diagonal,
     negativities_offdiag,
+    negativities_theory,
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,
@@ -90,6 +91,24 @@ class TestNegativityRoutes:
     def test_theory_range_check(self):
         with pytest.raises(ValueError):
             negativity_theory(-0.1, WaveplateSetting(0, 0))
+        with pytest.raises(ValueError):
+            negativities_theory(1.5, np.zeros(3), np.zeros(3))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.one_of(st.just(0.0), st.floats(0.0, 1 / 3, exclude_max=True), st.floats(1 / 3, 1.0)),
+           st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                    min_size=1, max_size=16))
+    def test_array_kernels_match_scalar(self, q, angles):
+        # the certify sweep's array forms against the one-setting formulas
+        theta, phi = np.array(angles).T
+        dirs, theory = _bloch_vectors(theta, phi), negativities_theory(q, theta, phi)
+        assert dirs.shape == (len(angles), 3) and theory.shape == (len(angles),)
+        for (th, ph), n, value in zip(angles, dirs, theory):
+            s = WaveplateSetting(th, ph)
+            ref = bloch_vector(s).as_array()
+            assert (np.abs(n - ref) <= np.spacing(np.abs(ref))).all()
+            ref = negativity_theory(q, s)
+            assert abs(value - ref) <= np.spacing(ref)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),

@@ -60,10 +60,6 @@ class TestWaveplateSetting:
         assert np.abs(bloch_vector(s).as_array() - n * [1, -1, 1]).max() < 1e-12
         assert abs(n[1]) > 0.1
 
-    def test_json_dict(self):
-        d = WaveplateSetting(0.1, 0.2).to_json_dict()
-        assert d == {"theta_rad": 0.1, "phi_rad": 0.2}
-
 
 class TestBlochVector:
     def test_unit_norm_enforced(self):
