@@ -104,19 +104,9 @@ def negativity_offdiag(chi: DensityMatrix, n: BlochVector) -> float:
     return float(negativities_offdiag(chi.mat, n.as_array()[None])[0])
 
 
-def negativity_theory(q: float, s: WaveplateSetting) -> float:
-    """Closed-form premeasurement negativity for the chi_q family."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
-    if q >= 1.0 / 3.0:
-        return float(q)
-    radicand = ((q - 1.0) * (3.0 * q - 1.0) * math.cos(4.0 * s.theta - 8.0 * s.phi)
-                + q * (5.0 * q - 4.0) + 1.0) / 2.0
-    return math.sqrt(max(radicand, 0.0))
-
-
 def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """`negativity_theory` at every point of the angle arrays `theta`, `phi` (one shape)."""
+    """Closed-form premeasurement negativity of chi_q at every point of the angle
+    arrays `theta`, `phi` (one shape)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     if q >= 1.0 / 3.0:
@@ -124,6 +114,11 @@ def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndar
     radicand = ((q - 1.0) * (3.0 * q - 1.0) * np.cos(4.0 * theta - 8.0 * phi)
                 + q * (5.0 * q - 4.0) + 1.0) / 2.0
     return np.sqrt(np.maximum(radicand, 0.0))
+
+
+def negativity_theory(q: float, s: WaveplateSetting) -> float:
+    """`negativities_theory` at one setting."""
+    return float(negativities_theory(q, s.theta, s.phi))
 
 
 def _pauli_coefficients(chi: np.ndarray) -> np.ndarray:

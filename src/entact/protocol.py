@@ -55,23 +55,22 @@ class BlochVector:
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
 
-def bloch_vector(s: WaveplateSetting) -> BlochVector:
-    """Measurement direction n(theta, phi) selected by the waveplate pair."""
-    a = 2.0 * (s.theta - 2.0 * s.phi)
-    return BlochVector(
-        -math.cos(a) * math.sin(2.0 * s.theta),
-        -math.sin(a),
-        math.cos(a) * math.cos(2.0 * s.theta),
-    )
-
-
 def _bloch_vectors(theta, phi) -> np.ndarray:
-    """`bloch_vector` for float or array angles of one shape; returns shape + (3,),
-    unvalidated."""
+    """Measurement directions n(theta, phi) selected by the waveplate pair, for float
+    or array angles of one shape; returns shape + (3,), unvalidated."""
     a = 2.0 * (theta - 2.0 * phi)
     cos_a = np.cos(a)
-    return np.stack([-cos_a * np.sin(2.0 * theta), -np.sin(a), cos_a * np.cos(2.0 * theta)],
-                    axis=-1)
+    # filled in place: np.stack would cost `bloch_vector` twice as much per call
+    n = np.empty(np.shape(a) + (3,))
+    n[..., 0] = -cos_a * np.sin(2.0 * theta)
+    n[..., 1] = -np.sin(a)
+    n[..., 2] = cos_a * np.cos(2.0 * theta)
+    return n
+
+
+def bloch_vector(s: WaveplateSetting) -> BlochVector:
+    """Measurement direction n(theta, phi) selected by the waveplate pair."""
+    return BlochVector(*_bloch_vectors(s.theta, s.phi).tolist())
 
 
 def setting_of(n: BlochVector) -> WaveplateSetting:

@@ -98,17 +98,30 @@ class TestNegativityRoutes:
     @given(st.one_of(st.just(0.0), st.floats(0.0, 1 / 3, exclude_max=True), st.floats(1 / 3, 1.0)),
            st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
                     min_size=1, max_size=16))
-    def test_array_kernels_match_scalar(self, q, angles):
-        # the certify sweep's array forms against the one-setting formulas
+    def test_array_kernels_match_math_reference(self, q, angles):
+        # the direction and closed-form kernels against the formulas in scalar
+        # `math` calls, within 1 ulp; the one-setting forms are their one-point calls
+        def direction(th, ph):
+            a = 2.0 * (th - 2.0 * ph)
+            return np.array([-math.cos(a) * math.sin(2.0 * th), -math.sin(a),
+                             math.cos(a) * math.cos(2.0 * th)])
+
+        def theory(th, ph):
+            if q >= 1.0 / 3.0:
+                return q
+            return math.sqrt(max(((q - 1.0) * (3.0 * q - 1.0) * math.cos(4.0 * th - 8.0 * ph)
+                                  + q * (5.0 * q - 4.0) + 1.0) / 2.0, 0.0))
+
         theta, phi = np.array(angles).T
-        dirs, theory = _bloch_vectors(theta, phi), negativities_theory(q, theta, phi)
-        assert dirs.shape == (len(angles), 3) and theory.shape == (len(angles),)
-        for (th, ph), n, value in zip(angles, dirs, theory):
-            s = WaveplateSetting(th, ph)
-            ref = bloch_vector(s).as_array()
+        dirs, values = _bloch_vectors(theta, phi), negativities_theory(q, theta, phi)
+        assert dirs.shape == (len(angles), 3) and values.shape == (len(angles),)
+        for (th, ph), n, value in zip(angles, dirs, values):
+            ref = direction(th, ph)
             assert (np.abs(n - ref) <= np.spacing(np.abs(ref))).all()
-            ref = negativity_theory(q, s)
-            assert abs(value - ref) <= np.spacing(ref)
+            assert abs(value - theory(th, ph)) <= np.spacing(theory(th, ph))
+            s = WaveplateSetting(th, ph)
+            assert (bloch_vector(s).as_array() == n).all()
+            assert negativity_theory(q, s) == value
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
