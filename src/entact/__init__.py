@@ -26,6 +26,7 @@ from .protocol import (
 )
 from .measures import (
     MeasureResult,
+    SearchReport,
     correlation_matrix,
     discord_bell_diagonal,
     discord_numeric,

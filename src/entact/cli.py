@@ -233,21 +233,24 @@ def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
 
 def cmd_discord_match(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
-    rows = []
+    rows, searches = [], {}
     for q in cfg.q_values:
         chi = cfg.input_state(q)
         min_net = min(r.negativity_measured for r in net_records(chi, cfg.net))
         d_closed = discord_bell_diagonal(chi)
-        status = "ok"
+        status, d_num, qn = "ok", float("nan"), float("nan")
         try:
-            d_num = discord_numeric(chi).value
-            qn = negativity_of_quantumness(chi).value
+            d_res, qn_res = discord_numeric(chi), negativity_of_quantumness(chi)
         except OptimizerError as e:
-            d_num, qn, status = float("nan"), float("nan"), f"optimizer-failed:{e}"
+            status = f"optimizer-failed:{e}"
+        else:
+            d_num, qn = d_res.value, qn_res.value
+            searches[str(q)] = {"discord_numeric": asdict(d_res.search),
+                                "negativity_of_quantumness": asdict(qn_res.search)}
         rows.append((q, d_closed, d_num, min_net, qn, status))
     _write_csv(out / "discord_match.csv",
                "q,d_closed,d_numeric,min_net_negativity,q_n,status", rows, cfg)
-    _write_manifest(out, cfg, "discord-match")
+    _write_manifest(out, cfg, "discord-match", {"searches": searches})
     return 0
 
 

@@ -19,12 +19,12 @@ from .protocol import (
     _CNOT_IMAGE,
     WaveplateSetting,
     _bloch_vectors,
+    _premeasure,
     _rotate_b,
     _u_b,
     bloch_vector,
-    premeasurement,
 )
-from .measures import _fibonacci_directions, _sv_sum, negativity
+from .measures import _fibonacci_directions, _sv_sum, negativities
 
 # targets per batch of `low2` in `lower_bounds`: the ten-entry differences of
 # a whole 1-degree grid (4,186 targets x 28 records) take 15 MB at once, and a
@@ -76,12 +76,15 @@ def default_net() -> NetSpec:
 
 def net_records(chi: DensityMatrix, net: NetSpec) -> List[NetRecord]:
     """One record per net setting: the premeasurement state of `chi` and its
-    brute-force AB|M negativity."""
-    records = []
-    for s in net.settings():
-        state = premeasurement(chi, s)
-        records.append(NetRecord(s, negativity(state, [0, 1]), state))
-    return records
+    brute-force AB|M negativity, both built for the whole net in one call."""
+    if chi.dims != (2, 2):
+        raise ValueError(f"chi must be a 2-qubit state, got dims {chi.dims}")
+    theta = np.repeat(net.thetas, len(net.phis))
+    phi = np.tile(net.phis, len(net.thetas))
+    states = _premeasure(chi.mat, _u_b(theta, phi))
+    values = negativities(states, (2, 2, 2), [0, 1]).tolist()
+    return [NetRecord(s, v, DensityMatrix(m, (2, 2, 2)))
+            for s, v, m in zip(net.settings(), values, states)]
 
 
 def cap_radius(epsilon: float) -> float:
@@ -136,7 +139,7 @@ def _cnot_pt_norms(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     blocks = np.maximum(np.abs(h00 + h11),
                         np.sqrt((h00 - h11) ** 2 + 4.0 * (h01.real ** 2 + h01.imag ** 2)))
     # d_01: rows (a, b = 0), columns (a', b' = 1)
-    return blocks[0] + blocks[1] + 2.0 * _sv_sum(off[2:].reshape((2, 2) + off.shape[1:]))
+    return blocks[0] + blocks[1] + 2.0 * _sv_sum(*off[2:])
 
 
 def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):

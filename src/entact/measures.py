@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .qcore import DensityMatrix, PAULIS
-from .protocol import BlochVector, WaveplateSetting, bloch_vector, setting_of
+from .protocol import BlochVector, WaveplateSetting, _bloch_vectors, bloch_vector, setting_of
 
 BELL_DIAGONAL_TOL = 1e-8
 _PAULI_BASIS = np.array([PAULIS[p] for p in "IXYZ"])
@@ -27,9 +27,22 @@ _STARTS = 4
 
 
 @dataclass(frozen=True)
+class SearchReport:
+    """How a multi-start Nelder-Mead search went: evaluations over all runs, the
+    most iterations of one run, whether every run converged, and which start gave
+    the value (its rank among the seeds, 0 = best), or "coarse" for the seed stage."""
+
+    nfev: int
+    nit_max: int
+    converged: bool
+    winner: str
+
+
+@dataclass(frozen=True)
 class MeasureResult:
     value: float
     settings_used: Optional[WaveplateSetting] = None
+    search: Optional[SearchReport] = None
 
     def __post_init__(self):
         if self.value < -1e-12:
@@ -64,18 +77,39 @@ def negativities(mats: np.ndarray, dims, cut) -> np.ndarray:
     # the partial transpose stays Hermitian, so the trace norm is a plain
     # absolute eigenvalue sum (better conditioned than the O^dag O route)
     raw = np.abs(np.linalg.eigvalsh(pt.reshape(mats.shape))).sum(axis=-1) - 1.0
-    if raw.min() < -1e-12:
+    if raw.size and raw.min() < -1e-12:
         raise ValueError(f"negativity evaluated to {raw.min()}, below numerical tolerance")
     # symmetric zero band: LAPACK's +4e-16 on separable states is not entanglement
     return np.where(raw > 1e-12, raw, 0.0)
 
 
-def _sv_sum(m: np.ndarray) -> np.ndarray:
-    """s1 + s2, the sum of the singular values of each 2x2 matrix in the stack
-    m (2, 2, ...), entry axes first, as sqrt(||m||_F^2 + 2 |det m|) =
-    sqrt(s1^2 + s2^2 + 2 s1 s2)."""
-    frob = (m.real ** 2 + m.imag ** 2).sum(axis=(0, 1))
-    return np.sqrt(frob + 2.0 * np.abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]))
+def _sv_sum(a, b, c, d):
+    """s1 + s2, the sum of the singular values of [[a, b], [c, d]], as
+    sqrt(||m||_F^2 + 2 |det m|) = sqrt(s1^2 + s2^2 + 2 s1 s2); elementwise, so the
+    entries may be Python complex scalars or numpy arrays of one shape."""
+    frob = ((a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag)
+            + (c.real * c.real + c.imag * c.imag) + (d.real * d.real + d.imag * d.imag))
+    return (frob + 2.0 * abs(a * d - b * c)) ** 0.5
+
+
+def _offdiag_columns(chi: np.ndarray) -> list:
+    """The columns of chi with the B indices moved first, (b, d) x (a, c), as nested
+    Python complex: the coefficients that `_offdiag` contracts with its kets."""
+    return chi.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4).T.tolist()
+
+
+def _offdiag(cols: list, u, zp):
+    """N(n) of `negativities_offdiag` from the `_offdiag_columns` of chi and the ket
+    parameters u = sign(z) (n_x - i n_y), zp = 1 + |z|; elementwise, so u and zp
+    may be Python scalars (one direction) or numpy arrays (a stack)."""
+    # 2 <n|_b |n_perp>_d over (b, d), so that s1 + s2 of the product is N
+    w0, w1, w2, w3 = -u, zp, -u * u / zp, u
+    return _sv_sum(*[w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3 for c0, c1, c2, c3 in cols])
+
+
+def _offdiag_at(cols: list, x: float, y: float, z: float) -> float:
+    """`_offdiag` at one direction (x, y, z), on Python scalars only."""
+    return _offdiag(cols, math.copysign(1.0, z) * complex(x, -y), 1.0 + abs(z))
 
 
 def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -86,22 +120,18 @@ def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
     for chi dephased on B along n, whose B-off-diagonal part has eigenvalues
     +-s1, +-s2.  N is even in n, so n is taken with z >= 0, where the kets
         <n| = (1 + z, u) / c,  |n_perp> = (-u, 1 + z) / c,  u = n_x - i n_y,  c^2 = 2 (1 + z)
-    have no cancellation.
+    have no cancellation.  The formula is `_offdiag`, written once: this is its
+    array call; `_offdiag_at` is its call on one direction in Python scalars.
     """
     x, y, z = ns.T
-    u = np.copysign(1.0, z) * (x - 1j * y)
-    zp = 1.0 + np.abs(z)
-    # 2 <n|_b |n_perp>_d over (b, d), so that s1 + s2 of the product is N
-    w = np.stack([-u, zp, -u * u / zp, u], axis=-1)
-    m = w @ chi.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4)
-    return _sv_sum(m.T.reshape(2, 2, -1))
+    return _offdiag(_offdiag_columns(chi), np.copysign(1.0, z) * (x - 1j * y), 1.0 + np.abs(z))
 
 
 def negativity_offdiag(chi: DensityMatrix, n: BlochVector) -> float:
     """Premeasurement negativity without building the 3-qubit state: 2 ||<n| chi |n_perp>||_1."""
     if chi.dims != (2, 2):
         raise ValueError("off-diagonal route expects a 2-qubit state with B a qubit")
-    return float(negativities_offdiag(chi.mat, n.as_array()[None])[0])
+    return _offdiag_at(_offdiag_columns(chi.mat), n.x, n.y, n.z)
 
 
 def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -169,6 +199,15 @@ def _nelder_mead(objective, starts, options: dict) -> list:
     return [minimize(objective, x0, method="Nelder-Mead", options=options) for x0 in starts]
 
 
+def _report(runs: list, winner: Optional[int]) -> SearchReport:
+    """The `SearchReport` of the runs of `_nelder_mead`; `winner` is the index of the
+    run that gave the value, None for the seed stage."""
+    return SearchReport(nfev=sum(int(res.nfev) for res in runs),
+                        nit_max=max(int(res.nit) for res in runs),
+                        converged=all(bool(res.success) for res in runs),
+                        winner="coarse" if winner is None else f"start {winner}")
+
+
 def discord_numeric(chi: DensityMatrix) -> MeasureResult:
     """Trace-distance discord of a two-qubit state, measured on B.
 
@@ -177,26 +216,29 @@ def discord_numeric(chi: DensityMatrix) -> MeasureResult:
     so 2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n) and
     ||chi - sigma||_1 >= ||X||_1 = N(n) (see `negativities_offdiag`).  So only n is
     searched: the 64-point Fibonacci lattice in one batch, then Nelder-Mead in
-    polar angles from its best few points.
+    polar angles from its best few points, on Python scalars.
     """
     if chi.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
     seeds = _fibonacci_directions(64)
     coarse = negativities_offdiag(chi.mat, seeds)
+    cols = _offdiag_columns(chi.mat)
 
     def objective(angles):
         th, ph = angles
-        n = [math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph), math.cos(th)]
-        return float(negativities_offdiag(chi.mat, np.array([n]))[0])
+        return _offdiag_at(cols, math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
+                           math.cos(th))
 
     starts = [(math.acos(min(max(z, -1.0), 1.0)), math.atan2(y, x))
               for x, y, z in seeds[np.argsort(coarse, kind="stable")[:_STARTS]].tolist()]
     runs = _nelder_mead(objective, starts,
                         dict(xatol=1e-6, fatol=1e-8, maxiter=200, maxfev=300))
-    value = min([float(coarse.min())] + [float(res.fun) for res in runs])
+    values = [float(coarse.min())] + [float(res.fun) for res in runs]
+    value = min(values)
     if not np.isfinite(value):
         raise OptimizerError("trace-distance minimization did not converge")
-    return MeasureResult(max(value, 0.0))
+    best = values.index(value)
+    return MeasureResult(max(value, 0.0), search=_report(runs, best - 1 if best else None))
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,8 +261,9 @@ def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
     Coarse stage: the bases of the 28-setting net plus 64 Fibonacci directions,
     each as its `setting_of` (the net alone leaves Nelder-Mead in local minima
     on general states), scored in one `negativities_offdiag` call; refinement:
-    Nelder-Mead in the waveplate angles (theta, phi) from the best few.  Ties at
-    the coarse stage resolve to the lexicographically smallest setting.
+    Nelder-Mead in the waveplate angles (theta, phi) from the best few, on Python
+    scalars.  Ties at the coarse stage resolve to the lexicographically smallest
+    setting.
     """
     grid, dirs = _quantumness_seeds()
     vals = negativities_offdiag(chi.mat, dirs)
@@ -228,14 +271,15 @@ def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
     # near-ties of the minimum rank first, lexicographically; then by value
     ranked = sorted(zip(vals.tolist(), grid),
                     key=lambda vs: (max(vs[0], vmin + 1e-9), vs[1].theta, vs[1].phi))
+    cols = _offdiag_columns(chi.mat)
 
     def objective(angles):
-        return negativity_offdiag(chi, bloch_vector(WaveplateSetting(angles[0], angles[1])))
+        return _offdiag_at(cols, *_bloch_vectors(angles[0], angles[1]).tolist())
 
-    best, value = ranked[0][1], vmin
+    best, value, winner = ranked[0][1], vmin, None
     runs = _nelder_mead(objective, [(s.theta, s.phi) for _, s in ranked[:_STARTS]],
                         dict(xatol=1e-7, fatol=1e-12, maxiter=400))
-    for res in runs:
+    for i, res in enumerate(runs):
         if res.fun < value - 1e-9:
-            best, value = WaveplateSetting(res.x[0], res.x[1]), float(res.fun)
-    return MeasureResult(max(value, 0.0), settings_used=best)
+            best, value, winner = WaveplateSetting(res.x[0], res.x[1]), float(res.fun), i
+    return MeasureResult(max(value, 0.0), settings_used=best, search=_report(runs, winner))

@@ -237,3 +237,18 @@ class TestCommands:
         assert min_net == pytest.approx(0.2, abs=1e-9)
         assert qn == pytest.approx(0.2, abs=1e-6)
         assert rows[0][5] == "ok"
+
+    def test_discord_match_manifest_records_searches(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.0, 0.6]}))
+        assert main(["discord-match", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        searches = json.loads((tmp_path / "manifest_discord_match.json").read_text())[
+            "results"]["searches"]
+        assert sorted(searches) == ["0.0", "0.6"]
+        for per_q in searches.values():
+            assert sorted(per_q) == ["discord_numeric", "negativity_of_quantumness"]
+            for report in per_q.values():
+                assert sorted(report) == ["converged", "nfev", "nit_max", "winner"]
+                assert report["converged"] is True
+                assert 0 < report["nit_max"] <= report["nfev"]
+                assert report["winner"] in ("coarse", "start 0", "start 1", "start 2", "start 3")

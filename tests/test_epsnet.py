@@ -16,7 +16,12 @@ from entact.protocol import (
     bloch_vector,
     premeasurement,
 )
-from entact.measures import negativities_theory, negativity_offdiag, negativity_theory
+from entact.measures import (
+    negativities_theory,
+    negativity,
+    negativity_offdiag,
+    negativity_theory,
+)
 from entact.epsnet import (
     NetRecord,
     NetSpec,
@@ -85,6 +90,24 @@ class TestNetSpec:
                     negativity_theory(q, r.setting), abs=1e-15)
                 if negativity_theory(q, r.setting) == 0.0:
                     assert r.negativity_measured == 0.0
+
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
+    def test_net_records_match_per_setting_states(self, re_im):
+        # the whole net in one kernel call gives the bits of one call per setting
+        for chi in (full_rank_state(re_im), chi_q(0.0), chi_q(0.2), chi_q(1.0)):
+            net = default_net()
+            records = net_records(chi, net)
+            assert [r.setting for r in records] == net.settings()
+            for r in records:
+                state = premeasurement(chi, r.setting)
+                assert np.array_equal(r.state.mat, state.mat)
+                assert r.negativity_measured == negativity(state, [0, 1])
+                assert type(r.negativity_measured) is float
+
+    def test_net_records_of_an_empty_net(self):
+        assert net_records(chi_q(0.2), NetSpec((), (0.0,))) == []
 
 
 def chord(a, b):

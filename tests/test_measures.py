@@ -17,9 +17,20 @@ from entact.qcore import (
     quantum_classical,
     werner_mix,
 )
-from entact.protocol import WaveplateSetting, _bloch_vectors, bloch_vector, premeasurement
+from entact import measures
+from entact.protocol import (
+    BlochVector,
+    WaveplateSetting,
+    _bloch_vectors,
+    bloch_vector,
+    premeasurement,
+)
 from entact.measures import (
     MeasureResult,
+    _fibonacci_directions,
+    _offdiag_at,
+    _offdiag_columns,
+    _quantumness_seeds,
     correlation_matrix,
     discord_bell_diagonal,
     discord_numeric,
@@ -38,6 +49,8 @@ BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 # the poles, both sides of the kernel's hemisphere seam z = 0, and the equator
 SEAM_DIRECTIONS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, -0.8, -1e-12],
                    [0.6, -0.8, 1e-12], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+# the seam itself: the kernel takes the sign of z, so -0.0 and +0.0 are two cases
+SIGNED_ZERO_DIRECTIONS = [[0.6, -0.8, 0.0], [0.6, -0.8, -0.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, -0.0]]
 
 
 class TestNegativity:
@@ -136,6 +149,26 @@ class TestNegativityRoutes:
             z = np.kron(np.eye(2), sum(c * p for c, p in zip(n, PAULI_VEC)))
             assert value == pytest.approx(0.5 * trace_norm(chi - z @ chi @ z), abs=1e-12)
         assert np.abs(got[:len(ns)] - got[len(ns):]).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+           st.lists(unit_vectors, min_size=1, max_size=8))
+    def test_scalar_call_matches_array_call(self, re_im, vs):
+        # the one N(n) formula on Python scalars (per Nelder-Mead step) against its
+        # array call (the seed stage): they round differently, within 1e-15
+        chi = full_rank_state(re_im)
+        ns = np.array([v / np.linalg.norm(v) for v in vs] + SEAM_DIRECTIONS
+                      + SIGNED_ZERO_DIRECTIONS)
+        ns = np.vstack([ns, -ns])
+        got = negativities_offdiag(chi.mat, ns)
+        cols = _offdiag_columns(chi.mat)
+        for n, value in zip(ns.tolist(), got.tolist()):
+            scalar = _offdiag_at(cols, *n)
+            assert type(scalar) is float
+            assert abs(scalar - value) <= 1e-15
+            # the one-setting route is the scalar call, exactly
+            assert negativity_offdiag(chi, BlochVector(*n)) == scalar
+        assert np.abs(got[:len(ns) // 2] - got[len(ns) // 2:]).max() <= 1e-15
 
     def test_offdiag_requires_two_qubits(self):
         rho = premeasurement(chi_q(0.2), WaveplateSetting(0, 0))
@@ -324,3 +357,71 @@ class TestGuards:
             monkeypatch.setattr(np.linalg, name, forbidden)
         assert negativity_of_quantumness(chi).value == pytest.approx(
             discord_numeric(chi).value, abs=1e-6)
+
+    def test_each_search_scores_its_seeds_once(self, monkeypatch):
+        # the array call runs once, on the seeds, and never inside the optimiser;
+        # the Nelder-Mead steps take the scalar call, not the one-setting route
+        chi = full_rank_state(np.random.default_rng(7).normal(size=(2, 4, 4)))
+        kernel, nelder_mead = measures.negativities_offdiag, measures.minimize
+        calls, inside = [], []
+
+        def counted(chi_mat, ns):
+            assert not inside, "negativities_offdiag called inside the optimiser"
+            calls.append(len(ns))
+            return kernel(chi_mat, ns)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("negativity_offdiag called by a search")
+
+        def guarded(*args, **kwargs):
+            inside.append(True)
+            try:
+                return nelder_mead(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(measures, "negativities_offdiag", counted)
+        monkeypatch.setattr(measures, "negativity_offdiag", forbidden)
+        monkeypatch.setattr(measures, "minimize", guarded)
+        for search, seeds in ((discord_numeric, 64), (negativity_of_quantumness, 80)):
+            calls.clear()
+            assert search(chi).search.nfev > 0
+            assert calls == [seeds]
+
+
+class TestSearchReport:
+    def runs_of(self, monkeypatch, search, chi, **forced):
+        """The search's result and the scipy results of its Nelder-Mead runs, with
+        `forced` overriding the search's options."""
+        runs, nelder_mead = [], measures.minimize
+
+        def recorded(*args, options, **kwargs):
+            runs.append(nelder_mead(*args, options={**options, **forced}, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(measures, "minimize", recorded)
+        return search(chi), runs
+
+    @pytest.mark.parametrize("search", [discord_numeric, negativity_of_quantumness])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_report_summarises_every_run(self, monkeypatch, search, seed):
+        chi = full_rank_state(np.random.default_rng(seed).normal(size=(2, 4, 4)))
+        res, runs = self.runs_of(monkeypatch, search, chi)
+        assert len(runs) == 4
+        assert res.search.nfev == sum(r.nfev for r in runs)
+        assert res.search.nit_max == max(r.nit for r in runs)
+        assert res.search.converged is all(r.success for r in runs)
+        if res.search.winner == "coarse":
+            seeds = (_fibonacci_directions(64) if search is discord_numeric
+                     else _quantumness_seeds()[1])
+            assert res.value == max(float(negativities_offdiag(chi.mat, seeds).min()), 0.0)
+        else:
+            assert res.value == max(float(runs[int(res.search.winner.split()[1])].fun), 0.0)
+
+    @pytest.mark.parametrize("search", [discord_numeric, negativity_of_quantumness])
+    def test_report_flags_runs_cut_by_maxfev(self, monkeypatch, search):
+        chi = full_rank_state(np.random.default_rng(3).normal(size=(2, 4, 4)))
+        assert search(chi).search.converged
+        res, runs = self.runs_of(monkeypatch, search, chi, maxfev=5)
+        assert not res.search.converged
+        assert res.search.nfev == sum(r.nfev for r in runs) <= 4 * 8
