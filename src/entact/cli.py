@@ -71,6 +71,10 @@ class ExperimentConfig:
             raise ConfigError("grid_step must lie in (0, pi/90]")
         if not 0 <= self.seed < 2**64:  # the Philox key is an unsigned 64-bit integer
             raise ConfigError("seed must be a nonnegative 64-bit integer")
+        if not (self.net.thetas and self.net.phis):
+            raise ConfigError("net.thetas and net.phis must be nonempty")
+        if not all(map(math.isfinite, self.net.thetas + self.net.phis)):
+            raise ConfigError("net angles must be finite")
         if self.mc_reps != 0 and not MC_REPS_MIN <= self.mc_reps <= MC_REPS_MAX:
             raise ConfigError(f"mc_reps must be 0 (exact values) or lie in "
                               f"[{MC_REPS_MIN}, {MC_REPS_MAX}]")
@@ -129,18 +133,11 @@ def load_config(args) -> ExperimentConfig:
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad field in config {args.config}: {e!r}") from None
     # flags override file fields
-    for attr, flag in [("noise", "noise"), ("output_dir", "out")]:
-        v = getattr(args, flag.replace("-", "_"), None)
-        if v is not None:
+    for attr, dest in (("noise", "noise"), ("output_dir", "out"), ("seed", "seed"),
+                       ("exposure", "exposure"), ("grid_step", "grid_step"),
+                       ("mc_reps", "mc_reps")):
+        if (v := getattr(args, dest, None)) is not None:
             setattr(cfg, attr, v)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "exposure", None) is not None:
-        cfg.exposure = args.exposure
-    if getattr(args, "grid_step", None) is not None:
-        cfg.grid_step = args.grid_step
-    if getattr(args, "mc_reps", None) is not None:
-        cfg.mc_reps = args.mc_reps
     cfg.validate()
     if not 0 <= getattr(args, "q", 0.0) <= 1:
         raise ConfigError("--q must lie in [0, 1]")
@@ -215,11 +212,12 @@ def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
     out = Path(cfg.output_dir)
     verdicts = {}
     for q in cfg.q_values:
-        min_low, argmin, (theta, phi, *lows) = sphere_scan(cfg.input_state(q), cfg.net,
-                                                            cfg.grid_step)
+        min_low, argmin, (theta, phi, low1, low2) = sphere_scan(cfg.input_state(q), cfg.net,
+                                                                 cfg.grid_step)
         verdicts[q] = min_low
-        # n_theory is the closed form of the ideal chi_q(q), also under noise
-        columns = (theta, phi, negativities_theory(q, theta, phi), *lows)
+        # n_theory is the closed form of the ideal chi_q(q), also under noise;
+        # n_low, the bound at the grid point, is low2, as low2 >= low1 exactly
+        columns = (theta, phi, negativities_theory(q, theta, phi), low1, low2, low2)
         _write_csv(out / f"certify_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_low1,n_low2,n_low",
                    list(zip(itertools.repeat(q), *(c.tolist() for c in columns))), cfg)

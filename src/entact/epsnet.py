@@ -20,20 +20,11 @@ from .protocol import (
     WaveplateSetting,
     _bloch_vectors,
     _premeasure,
-    _rotate_b,
     _u_b,
     bloch_vector,
 )
-from .measures import _fibonacci_directions, _sv_sum, negativities
+from .measures import _fibonacci_directions, negativities
 
-# targets per batch of `low2` in `lower_bounds`: the ten-entry differences of
-# a whole 1-degree grid (4,186 targets x 28 records) take 15 MB at once, and a
-# call then peaks at 24 MB of numpy memory against 3.0 MB in batches of 128
-# targets (0.46 MB of differences each); larger batches run no faster
-_TARGET_BATCH = 128
-# the A-block off-diagonals (0, 2), (1, 3) and the D_01 block (0, 1), (0, 3),
-# (2, 1), (2, 3) of a 4x4 block in the (a, b) index
-_OFF_ROWS, _OFF_COLS = [0, 1, 0, 0, 2, 2], [2, 3, 1, 3, 1, 3]
 # net bases closer than this in every coordinate, up to sign, are one basis
 _DEDUP_TOL = 1e-8
 
@@ -121,27 +112,6 @@ def _basis_chords(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def _block_entries(d: np.ndarray):
-    """The ten entries of each 4x4 block of the stack d (..., 4, 4) that
-    `_cnot_pt_norms` reads, entry axis first: the real diagonal (4, ...), and
-    (6, ...) the A-block off-diagonals d[0, 2], d[1, 3] followed by
-    D_01 = d[0::2, 1::2] row by row."""
-    return (np.moveaxis(d.diagonal(axis1=-2, axis2=-1).real, -1, 0),
-            np.moveaxis(d[..., _OFF_ROWS, _OFF_COLS], -1, 0))
-
-
-def _cnot_pt_norms(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """||X^Gamma||_1, transpose on M, from the `_block_entries` of a Hermitian X in
-    the (a, b) index placed on |a b b>, by the block identity and the two closed
-    forms given in `lower_bounds`."""
-    # the A-blocks d_00 and d_11 side by side: entries (a b, a' b) with b = 0, 1
-    h00, h11, h01 = diag[:2], diag[2:], off[:2]
-    blocks = np.maximum(np.abs(h00 + h11),
-                        np.sqrt((h00 - h11) ** 2 + 4.0 * (h01.real ** 2 + h01.imag ** 2)))
-    # d_01: rows (a, b = 0), columns (a', b' = 1)
-    return blocks[0] + blocks[1] + 2.0 * _sv_sum(*off[2:])
-
-
 def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
     """Check that every point of a Fibonacci lattice lies within chord epsilon of the net.
 
@@ -168,67 +138,72 @@ def verify_packing(net: NetSpec, epsilon: float):
     return dmin >= epsilon - 1e-9, dmin
 
 
-def lower_bounds(records: List[NetRecord], theta, phi, chi: DensityMatrix):
-    """Two continuity lower bounds on the AB|M negativity at each target setting
-    (theta, phi), given as two 1-D angle arrays of one length.
+def lower_bounds(records: List[NetRecord], theta, phi):
+    """Two continuity lower bounds on the AB|M negativity N(n) at each target
+    setting (theta, phi), given as two 1-D angle arrays of one length, read off
+    the records alone.  A negative bound means "not certified", not "zero".
+    Returns (low1, low2, L): two arrays over the targets and the constant L,
 
-    low1 = max_j (N_j - chord(n, n_j)) is model-free: it reads only the records.
-    low2 = max_j (N_j - ||(rho(n) - rho_j)^Gamma||_1), with the partial transpose
-    on M, builds each target state rho(n) from `chi`, so it holds only for the
-    state that was measured.  A negative bound means "not certified", not "zero".
-    Returns the arrays (low1, low2) over the targets.
+        low1 = max_j (N_j - chord(n, n_j)),   low2 = max_j (N_j - L chord(n, n_j)),
 
-    low2 takes no eigensolver.  Every premeasurement state is the B-rotated chi
-    on the basis states |a b b>, so D = rho(n) - rho_j is a Hermitian 4x4 block
-    in the index (a, b).  Transposing M splits D^Gamma into the A-blocks D_00,
-    D_11 and the pair [[0, D_01], [D_01^dag, 0]], whose eigenvalues are +-s1,
-    +-s2, the singular values of D_01.  So, exactly,
-        ||D^Gamma||_1 = ||D_00||_1 + ||D_11||_1 + 2 (s1 + s2)(D_01),
-    and both terms have closed forms without cancellation:
-        ||h||_1 = max(|h00 + h11|, sqrt((h00 - h11)^2 + 4 |h01|^2)), h Hermitian 2x2,
-        s1 + s2 = sqrt(||m||_F^2 + 2 |det m|),                       m any 2x2.
-    These read ten entries of D, which are differences of the same entries of
-    rho(n) and rho_j, so D itself is never formed.  The bound is the one an 8x8
-    eigvalsh of each partial transpose gives.
+    with L = min(1, max_j ||B_j - tr_B(B_j) x I/2||_1), B_j the 4x4 block of
+    record j's state at the C-NOT image, which is chi rotated on B.
+
+    Both rest on N being L-Lipschitz in the chord metric with n and -n
+    identified.  With Z_n = I x n.sigma, N(n) = ||chi - D_n(chi)||_1
+    = 1/2 ||chi - Z_n chi Z_n||_1 (the dephasing lemma of `negativities_offdiag`).
+    Any tau = X_A x I commutes with Z_n, so with Delta = chi - tau
+        N(n) = 1/2 ||Delta - Z_n Delta Z_n||_1,
+        |N(n) - N(m)| <= 1/2 ||Z_n Delta Z_n - Z_m Delta Z_m||_1 <= |n - m| ||Delta||_1,
+    since ||Z_n - Z_m||_inf = |n - m|; Z_-n gives the conjugation of Z_n, so
+    |n - m| may be the chord.  tau = 0 gives ||chi||_1 = 1, and tau =
+    chi_A x I/2 gives ||chi - chi_A x I/2||_1, which no unitary on B changes, so
+    every B_j gives it.  As L <= 1, low2 >= low1 in every entry, exactly.
     """
     if not records:
         raise ValueError("lower_bounds needs at least one record")
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 1 or theta.shape != phi.shape:
         raise ValueError("theta and phi must be 1-D arrays of one length")
-    rec_n = np.array([r.negativity_measured for r in records])
+    rec_n = np.array([r.negativity_measured for r in records])[:, None]
     rec_b = _bloch_vectors(*np.array([(r.setting.theta, r.setting.phi) for r in records]).T)
-    rec_e = _block_entries(np.array([r.state.mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE]
-                                     for r in records]))
-    low1 = (rec_n[:, None] - _basis_chords(rec_b, _bloch_vectors(theta, phi))).max(axis=0)
-    u = _u_b(theta, phi)
-    low2 = np.empty(len(u))
-    for i in range(0, len(u), _TARGET_BATCH):
-        targets = _block_entries(_rotate_b(chi.mat, u[i:i + _TARGET_BATCH]))
-        norms = _cnot_pt_norms(*(t[:, :, None] - r[:, None] for t, r in zip(targets, rec_e)))
-        low2[i:i + _TARGET_BATCH] = (rec_n - norms).max(axis=1)
-    return low1, low2
+    blocks = np.array([r.state.mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE] for r in records])
+    marginal = np.einsum("jabcb->jac", blocks.reshape(-1, 2, 2, 2, 2))
+    centred = blocks - np.einsum("jac,bd->jabcd", marginal, np.eye(2) / 2).reshape(blocks.shape)
+    lip = min(1.0, float(np.abs(np.linalg.eigvalsh(centred)).sum(axis=-1).max()))
+    d = _basis_chords(rec_b, _bloch_vectors(theta, phi))
+    return (rec_n - d).max(axis=0), (rec_n - lip * d).max(axis=0), lip
 
 
 def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 180):
     """Both lower bounds, from the net records of `chi`, on a (theta, phi) grid over
-    the full angular range, 0 < grid_step <= pi/90.
+    the full angular range, 0 < grid_step <= pi/90, and a verdict that holds
+    between the grid points too.
 
     Returns (min_low, argmin_setting, columns) with columns the 1-D arrays
-    (theta, phi, low1, low2, low), theta-major over the grid, where
-    low = max(low1, low2) is the certified bound at that point, and
-    argmin_setting is the lexicographically smallest (theta, phi) whose low is
-    within 1e-12 of min_low.
+    (theta, phi, low1, low2), theta-major over the grid.
+
+    The range theta in [0, pi/2], phi in [0, pi/4] reaches every basis:
+    n = (-cos a sin 2 theta, -sin a, cos a cos 2 theta) with a = 2 (theta - 2 phi),
+    2 theta sweeps half a turn, and at each theta, a sweeps an interval of
+    length pi, where a - pi gives -n.  Each angle pair of the range lies within grid_step/2 of
+    a grid corner in both angles, and |dn/dphi| = 4, |dn/dtheta| <= 2 sqrt 2, so
+    every basis lies within chord r = (2 + sqrt 2) grid_step of a grid point.
+    low2 is L-Lipschitz, so
+        min_low = min(low2) - L r
+    bounds N(n) from below at every basis.  argmin_setting is the
+    lexicographically smallest grid (theta, phi) whose low2 is within 1e-12 of
+    min(low2).
     """
     if not 0.0 < grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
         raise ValueError(f"grid_step must lie in (0, pi/90], got {grid_step}")
     thetas = np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step)
     phis = np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)
     theta, phi = np.repeat(thetas, len(phis)), np.tile(phis, len(thetas))
-    low1, low2 = lower_bounds(net_records(chi, net), theta, phi, chi)
-    low = np.maximum(low1, low2)
+    low1, low2, lip = lower_bounds(net_records(chi, net), theta, phi)
     # the grid runs theta-major in ascending order, so the first near-tie is the
     # lexicographically smallest; rounding-level changes in chi do not move it
-    min_low = float(low.min())
-    i = int(np.flatnonzero(low <= min_low + 1e-12)[0])
-    return min_low, WaveplateSetting(theta[i], phi[i]), (theta, phi, low1, low2, low)
+    grid_min = float(low2.min())
+    i = int(np.flatnonzero(low2 <= grid_min + 1e-12)[0])
+    min_low = grid_min - lip * (2.0 + math.sqrt(2.0)) * grid_step
+    return min_low, WaveplateSetting(theta[i], phi[i]), (theta, phi, low1, low2)

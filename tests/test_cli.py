@@ -6,7 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from entact.cli import SCHEMA_LINE, ExperimentConfig, ConfigError, _write_csv, main, parse_angle
+from entact.cli import (
+    SCHEMA_LINE,
+    ConfigError,
+    ExperimentConfig,
+    _write_csv,
+    build_parser,
+    load_config,
+    main,
+    parse_angle,
+)
 from entact.qcore import DensityMatrix
 
 
@@ -56,6 +65,19 @@ class TestConfig:
         # where the outputs go is not part of the experiment
         assert ExperimentConfig(output_dir="elsewhere").hash() == a.hash()
 
+    def test_flags_override_file_fields(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"noise": "werner:0.5", "output_dir": "a", "seed": 3,
+                                    "exposure": 5.0, "grid_step": 0.01, "mc_reps": 60}))
+        file_only = load_config(build_parser().parse_args(["certify", "--config", str(path)]))
+        assert (file_only.noise, file_only.output_dir, file_only.seed, file_only.exposure,
+                file_only.grid_step, file_only.mc_reps) == ("werner:0.5", "a", 3, 5.0, 0.01, 60)
+        flags = ["--noise", "ideal", "--out", "b", "--seed", "4", "--exposure", "6",
+                 "--grid-step", "0.02", "--mc-reps", "70"]
+        cfg = load_config(build_parser().parse_args(["certify", "--config", str(path)] + flags))
+        assert (cfg.noise, cfg.output_dir, cfg.seed, cfg.exposure, cfg.grid_step,
+                cfg.mc_reps) == ("ideal", "b", 4, 6.0, 0.02, 70)
+
     def test_werner_input_state_is_valid(self):
         cfg = ExperimentConfig(noise="werner:0.9")
         rho = cfg.input_state(0.4)
@@ -91,6 +113,22 @@ class TestCommands:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["certify", "discord-match", "activate"])
+    @pytest.mark.parametrize("net", [
+        '{"thetas": [], "phis": [0.0]}',
+        '{"thetas": [0.0], "phis": []}',
+        '{"thetas": [NaN], "phis": [0.0]}',
+        '{"thetas": [0.0], "phis": [-Infinity]}',
+    ])
+    def test_bad_net_exits_2(self, tmp_path, capsys, command, net):
+        # JSON NaN and Infinity parse, and an empty net yields no records
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"q_values": [0.2], "net": %s}' % net)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_bad_config_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -158,8 +196,16 @@ class TestCommands:
         _, rows = read_csv(tmp_path / "certify_q0.00.csv")
         assert min(float(r[6]) for r in rows) <= 0
 
+    def test_certify_checks_between_grid_points(self, tmp_path, capsys):
+        # no point of this 2-degree grid meets q = 0's zero-negativity set, and
+        # the grid values alone read min 0.0117 > 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.0], "grid_step": 0.0349}))
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "-> not certified" in capsys.readouterr().out
+
     def test_certify_bounds_use_the_noisy_state(self, tmp_path):
-        # low2 targets built from the ideal chi_q(0.2) left a margin of only 0.0057
+        # the records, and L with them, come from the noisy state
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q_values": [0.2], "grid_step": math.pi / 90,
                                    "noise": "werner:0.9"}))
