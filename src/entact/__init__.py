@@ -10,16 +10,12 @@ from .qcore import (
     fidelity,
     hermitian_eigen,
     partial_trace,
-    partial_transpose,
-    quantum_classical,
     tensor,
-    werner_mix,
 )
 from .protocol import (
     BlochVector,
     WaveplateSetting,
     bloch_vector,
-    cnot_bm,
     premeasurement,
     setting_of,
     u_b,

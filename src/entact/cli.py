@@ -43,6 +43,12 @@ from .tomo import E_MAX, MC_REPS_MAX, MC_REPS_MIN, mc_errorbar, tomography
 
 SCHEMA_LINE = "# schema=1"
 DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+# Past either threshold a reconstruction shows the exposure more than the state:
+# a Pauli setting that recorded no counts, or a PSD projection that clipped more
+# eigenvalue mass than this (the tomo-demo state clips 0.016 at exposure 1e4,
+# 0.165 at 100 and 1.77 at 1)
+MAX_ZERO_SETTINGS = 0
+MAX_CLIPPED_MASS = 0.1
 
 
 class ConfigError(ValueError):
@@ -180,9 +186,19 @@ def _write_csv(path: Path, header: str, rows, cfg: ExperimentConfig):
             fh.writelines(line % row for row in rows)
 
 
+def _exposure_warnings(where: str, clipped_mass: float, zero_settings: int) -> list:
+    """A one-item list naming the crossed low-exposure thresholds, or []."""
+    if zero_settings <= MAX_ZERO_SETTINGS and clipped_mass <= MAX_CLIPPED_MASS:
+        return []
+    return [f"{where}: low exposure: {zero_settings} zero-count settings "
+            f"(threshold {MAX_ZERO_SETTINGS}), clipped PSD mass {clipped_mass:.3g} "
+            f"(threshold {MAX_CLIPPED_MASS:g})"]
+
+
 def cmd_activate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.output_dir)
     clipping = []  # tomography diagnostics per (q, setting) under --mc-reps
+    warnings = []
     for q in cfg.q_values:
         chi = cfg.input_state(q)
         rows = []
@@ -195,12 +211,21 @@ def cmd_activate(cfg: ExperimentConfig) -> int:
                 clipping.append({"q": q, "theta": s.theta, "phi": s.phi,
                                  **_summary("clipped_mass", bar.clipped_mass),
                                  **_summary("zero_settings", bar.zero_settings)})
+                warnings += _exposure_warnings(
+                    f"q={q} theta={s.theta:.6f} phi={s.phi:.6f}",
+                    clipping[-1]["clipped_mass_mean"], clipping[-1]["zero_settings_max"])
             else:
                 value, err = negativity(state, [0, 1]), 0.0
             rows.append((q, s.theta, s.phi, theory, value, err))
         _write_csv(out / f"activate_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_value,n_std", rows, cfg)
-    _write_manifest(out, cfg, "activate", {"tomography": clipping} if clipping else None)
+    results = {"tomography": clipping} if clipping else {}
+    if warnings:
+        print(f"warning: {len(warnings)} of {len(clipping)} tomography runs crossed a "
+              f"low-exposure threshold; see results.warnings in manifest_activate.json",
+              file=sys.stderr)
+        results["warnings"] = warnings
+    _write_manifest(out, cfg, "activate", results)
     return 0
 
 
@@ -282,6 +307,10 @@ def cmd_tomo_demo(cfg: ExperimentConfig, q: float, theta: float, phi: float,
         recon = DensityMatrix(run.states[0], truth.dims)
         results = {"clipped_mass": float(run.clipped_mass[0]),
                    "zero_settings": int(run.zero_settings[0])}
+        if warnings := _exposure_warnings(f"tomo-demo exposure={cfg.exposure:g}",
+                                          results["clipped_mass"], results["zero_settings"]):
+            print(f"warning: {warnings[0]}", file=sys.stderr)
+            results["warnings"] = warnings
     f = fidelity(recon, truth)
     (out / "tomo_truth.json").write_text(truth.to_json())
     (out / "tomo_reconstructed.json").write_text(recon.to_json())

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .qcore import DensityMatrix, PAULIS
 from .protocol import BlochVector, WaveplateSetting, _bloch_vectors, bloch_vector, setting_of
@@ -190,6 +189,15 @@ def _fibonacci_directions(count: int) -> np.ndarray:
     az = 2.0 * math.pi * i / golden
     r = np.sqrt(1.0 - z * z)
     return np.stack([r * np.cos(az), r * np.sin(az), z], axis=1)
+
+
+def minimize(fun, x0, **kwargs):
+    """`scipy.optimize.minimize`, imported on the first call: scipy.optimize takes
+    most of a cold `import entact`, and only the two discord searches use it.
+    `_nelder_mead` calls this module global, so it can be patched or traced."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _nelder_mead(objective, starts, options: dict) -> list:

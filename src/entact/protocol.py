@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix, I2, tensor
+from .qcore import DensityMatrix, I2
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,6 @@ class BlochVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z])
-
-    @classmethod
-    def from_array(cls, v) -> "BlochVector":
-        v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
-        return cls(float(v[0]), float(v[1]), float(v[2]))
 
 
 def _bloch_vectors(theta, phi) -> np.ndarray:
@@ -113,19 +107,6 @@ def u_b(s: WaveplateSetting) -> np.ndarray:
     fixed by the Jones matrices.
     """
     return _u_b(s.theta, s.phi)
-
-
-def cnot_bm() -> np.ndarray:
-    """C-NOT with B as control and M as target: |V>_B flips the path qubit."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[1, 1] = 1.0  # |H a> -> |H a>, |H b> -> |H b>
-    m[3, 2] = m[2, 3] = 1.0  # |V a> <-> |V b>
-    return m
-
-
-def coupling_unitary(s: WaveplateSetting) -> np.ndarray:
-    """The full B-M interaction V_BM = CNOT (U_B x I_M)."""
-    return cnot_bm() @ tensor(u_b(s), I2)
 
 
 # The C-NOT sends |a, b, 0>_ABM to |a, b, b>: the premeasurement state is the

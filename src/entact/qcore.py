@@ -88,9 +88,6 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return len(self.dims)
 
-    def purity(self) -> float:
-        return float(np.trace(self.mat @ self.mat).real)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -100,34 +97,10 @@ class DensityMatrix:
             }
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "DensityMatrix":
-        d = json.loads(text)
-        mat = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
-        return cls(mat, tuple(d["dims"]))
-
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product; dimensions multiply."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_transpose(rho, subsystem: int, dims=None) -> np.ndarray:
-    """Transpose applied on a single tensor factor of an operator."""
-    if isinstance(rho, DensityMatrix):
-        dims = rho.dims
-        rho = rho.mat
-    if dims is None:
-        raise ValueError("dims required for raw-matrix input")
-    a = _as_square(rho)
-    dims = tuple(dims)
-    k = len(dims)
-    if not 0 <= subsystem < k:
-        raise ValueError(f"subsystem {subsystem} out of range for dims {dims}")
-    t = a.reshape(dims + dims)
-    perm = list(range(2 * k))
-    perm[subsystem], perm[k + subsystem] = perm[k + subsystem], perm[subsystem]
-    return t.transpose(perm).reshape(a.shape)
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -197,35 +170,6 @@ def chi_q(q: float) -> DensityMatrix:
         q * bell_state(BellKind.PSI_PLUS).mat
         + 0.5 * (1 - q) * (bell_state(BellKind.PHI_PLUS).mat + bell_state(BellKind.PSI_MINUS).mat)
     )
-    return DensityMatrix(m, (2, 2))
-
-
-def werner_mix(kind: BellKind, v: float) -> DensityMatrix:
-    """Bell state mixed with white noise: v |bell><bell| + (1-v) I/4."""
-    if not 0.0 <= v <= 1.0:
-        raise ValueError(f"visibility must be in [0, 1], got {v}")
-    m = v * bell_state(kind).mat + (1 - v) * np.eye(4) / 4
-    return DensityMatrix(m, (2, 2))
-
-
-def quantum_classical(ps, taus, basis) -> DensityMatrix:
-    """Zero-discord state sum_n p_n tau^n_A x |n><n|_B in the basis along +-`basis`."""
-    ps = [float(p) for p in ps]
-    if len(ps) != 2 or len(taus) != 2:
-        raise ValueError("expected two probabilities and two states")
-    if abs(sum(ps) - 1.0) > 1e-10 or any(p < -1e-12 for p in ps):
-        raise ValueError(f"probabilities {ps} do not sum to 1")
-    n = np.asarray(basis, dtype=float)
-    n = n / np.linalg.norm(n)
-    h = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    _, vecs = np.linalg.eigh(h)
-    p_plus, p_minus = projector(vecs[:, 1]), projector(vecs[:, 0])
-    mats = []
-    for tau in taus:
-        t = tau.mat if isinstance(tau, DensityMatrix) else _as_square(tau)
-        DensityMatrix(t, (2,))  # validate
-        mats.append(t)
-    m = ps[0] * tensor(mats[0], p_plus) + ps[1] * tensor(mats[1], p_minus)
     return DensityMatrix(m, (2, 2))
 
 

@@ -1,0 +1,69 @@
+"""Brute-force references and extra state families that only the tests use.
+
+Each one is the textbook construction, kept independent of the package kernels
+it is compared against.
+"""
+
+import json
+
+import numpy as np
+
+from entact.qcore import I2, PAULIS, BellKind, DensityMatrix, bell_state, projector, tensor
+from entact.protocol import BlochVector, WaveplateSetting, u_b
+
+
+def partial_transpose(mat, subsystem: int, dims) -> np.ndarray:
+    """Transpose applied on the single tensor factor `subsystem` of `mat`."""
+    a = np.asarray(mat, dtype=complex)
+    dims = tuple(dims)
+    k = len(dims)
+    perm = list(range(2 * k))
+    perm[subsystem], perm[k + subsystem] = perm[k + subsystem], perm[subsystem]
+    return a.reshape(dims + dims).transpose(perm).reshape(a.shape)
+
+
+def purity(rho: DensityMatrix) -> float:
+    return float(np.trace(rho.mat @ rho.mat).real)
+
+
+def density_from_json(text: str) -> DensityMatrix:
+    """The inverse of `DensityMatrix.to_json`."""
+    d = json.loads(text)
+    mat = np.array(d["re"], dtype=float) + 1j * np.array(d["im"], dtype=float)
+    return DensityMatrix(mat, tuple(d["dims"]))
+
+
+def bloch_from_array(v) -> BlochVector:
+    """The unit `BlochVector` along the nonzero 3-vector `v`."""
+    v = np.asarray(v, dtype=float)
+    return BlochVector(*(v / np.linalg.norm(v)).tolist())
+
+
+def werner_mix(kind: BellKind, v: float) -> DensityMatrix:
+    """Bell state mixed with white noise: v |bell><bell| + (1-v) I/4."""
+    return DensityMatrix(v * bell_state(kind).mat + (1 - v) * np.eye(4) / 4, (2, 2))
+
+
+def quantum_classical(ps, taus, basis) -> DensityMatrix:
+    """Zero-discord state sum_n p_n tau^n_A x |n><n|_B in the basis along +-`basis`."""
+    if abs(sum(ps) - 1.0) > 1e-10 or min(ps) < 0:
+        raise ValueError(f"probabilities {ps} do not sum to 1")
+    n = np.asarray(basis, dtype=float)
+    n = n / np.linalg.norm(n)
+    _, vecs = np.linalg.eigh(n[0] * PAULIS["X"] + n[1] * PAULIS["Y"] + n[2] * PAULIS["Z"])
+    m = (ps[0] * tensor(taus[0].mat, projector(vecs[:, 1]))
+         + ps[1] * tensor(taus[1].mat, projector(vecs[:, 0])))
+    return DensityMatrix(m, (2, 2))
+
+
+def cnot_bm() -> np.ndarray:
+    """C-NOT with B as control and M as target: |V>_B flips the path qubit."""
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 0] = m[1, 1] = 1.0  # |H a> -> |H a>, |H b> -> |H b>
+    m[3, 2] = m[2, 3] = 1.0  # |V a> <-> |V b>
+    return m
+
+
+def coupling_unitary(s: WaveplateSetting) -> np.ndarray:
+    """The full B-M interaction V_BM = CNOT (U_B x I_M)."""
+    return cnot_bm() @ tensor(u_b(s), I2)

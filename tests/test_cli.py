@@ -2,11 +2,18 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import entact
 from entact.cli import (
+    MAX_CLIPPED_MASS,
     SCHEMA_LINE,
     ConfigError,
     ExperimentConfig,
@@ -17,6 +24,7 @@ from entact.cli import (
     parse_angle,
 )
 from entact.qcore import DensityMatrix
+from reference import density_from_json
 
 
 def read_csv(path):
@@ -235,8 +243,8 @@ class TestCommands:
         assert main(["tomo-demo", "--exact", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "fidelity=1.000000" in out
-        truth = DensityMatrix.from_json((tmp_path / "tomo_truth.json").read_text())
-        recon = DensityMatrix.from_json(
+        truth = density_from_json((tmp_path / "tomo_truth.json").read_text())
+        recon = density_from_json(
             (tmp_path / "tomo_reconstructed.json").read_text())
         assert truth.dims == recon.dims == (2, 2, 2)
 
@@ -246,19 +254,28 @@ class TestCommands:
         fid = float(capsys.readouterr().out.split("fidelity=")[1])
         assert fid > 0.97
 
-    def test_tomo_demo_manifest_records_clipping(self, tmp_path):
-        results = {}
-        for exposure in ("10000", "1"):
+    def test_tomo_demo_manifest_records_clipping(self, tmp_path, capsys):
+        results, stderr = {}, {}
+        for exposure in ("10000", "100", "1"):
             out = tmp_path / exposure
             assert main(["tomo-demo", "--seed", "1", "--exposure", exposure,
                          "--out", str(out)]) == 0
+            stderr[exposure] = capsys.readouterr().err
             results[exposure] = json.loads((out / "manifest_tomo_demo.json").read_text())["results"]
         assert results["10000"]["zero_settings"] == 0
         assert 0 < results["10000"]["clipped_mass"] < 0.05
         assert results["1"]["zero_settings"] > 0
         assert results["1"]["clipped_mass"] > 10 * results["10000"]["clipped_mass"]
+        # exposure 1 crosses both low-exposure thresholds, 100 the clipped mass
+        # alone, the default neither
+        assert stderr["10000"] == "" and "warnings" not in results["10000"]
+        [warning] = results["100"]["warnings"]
+        assert "0 zero-count settings" in warning and "clipped PSD mass 0.165" in warning
+        [warning] = results["1"]["warnings"]
+        assert "10 zero-count settings" in warning and "clipped PSD mass 1.77" in warning
+        assert stderr["1"] == f"warning: {warning}\n"
 
-    def test_activate_manifest_records_clipping(self, tmp_path):
+    def test_activate_manifest_records_clipping(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q_values": [0.2],
                                    "net": {"thetas": [0.0, 0.5], "phis": [0.0]}}))
@@ -271,6 +288,23 @@ class TestCommands:
         for r in records:
             assert 0 < r["zero_settings_mean"] <= r["zero_settings_max"] <= 27
             assert 0 <= r["clipped_mass_mean"] <= r["clipped_mass_max"]
+        assert [w.split(": ")[0] for w in manifest["results"]["warnings"]] == [
+            "q=0.2 theta=0.000000 phi=0.000000", "q=0.2 theta=0.500000 phi=0.000000"]
+        assert capsys.readouterr().err == (
+            "warning: 2 of 2 tomography runs crossed a low-exposure threshold; "
+            "see results.warnings in manifest_activate.json\n")
+
+    def test_activate_default_exposure_is_silent(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.2],
+                                   "net": {"thetas": [0.0, 0.5], "phis": [0.0]}}))
+        assert main(["activate", "--config", str(cfg), "--mc-reps", "50",
+                     "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        results = json.loads((tmp_path / "manifest_activate.json").read_text())["results"]
+        assert "warnings" not in results
+        for r in results["tomography"]:
+            assert r["zero_settings_max"] == 0 and r["clipped_mass_mean"] < MAX_CLIPPED_MASS
 
     def test_discord_match(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -298,3 +332,41 @@ class TestCommands:
                 assert report["converged"] is True
                 assert 0 < report["nit_max"] <= report["nfev"]
                 assert report["winner"] in ("coarse", "start 0", "start 1", "start 2", "start 3")
+
+
+def run_cold(script: str, *args) -> subprocess.CompletedProcess:
+    """`script` in a fresh interpreter that imports this checkout's entact."""
+    src = str(Path(entact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script), *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestColdStart:
+    """scipy.optimize is imported on the first Nelder-Mead call, not with entact."""
+
+    def test_only_the_optimiser_imports_scipy(self, tmp_path):
+        proc = run_cold("""
+            import sys
+            import entact, entact.cli
+            assert "scipy" not in sys.modules, "import entact"
+            for command in ("activate", "witness", "net-verify", "tomo-demo", "certify"):
+                assert entact.cli.main([command, "--out", sys.argv[1]]) == 0, command
+                assert "scipy" not in sys.modules, command
+            assert entact.cli.main(["discord-match", "--out", sys.argv[1]]) == 0
+            assert "scipy.optimize" in sys.modules
+            """, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "discord_match.csv").exists()
+
+    def test_discord_functional_from_a_cold_start(self):
+        proc = run_cold("""
+            import math, sys
+            from entact.qcore import chi_q
+            from entact.tomo import mc_errorbar
+            bar = mc_errorbar(chi_q(0.2), 1e4, 50, 1, "discord")
+            assert "scipy.optimize" in sys.modules
+            assert math.isclose(bar.mean, 0.2, abs_tol=0.02), bar.mean
+            """)
+        assert proc.returncode == 0, proc.stderr

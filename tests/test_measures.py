@@ -14,8 +14,6 @@ from entact.qcore import (
     DensityMatrix,
     bell_state,
     chi_q,
-    quantum_classical,
-    werner_mix,
 )
 from entact import measures
 from entact.protocol import (
@@ -42,6 +40,7 @@ from entact.measures import (
     negativity_offdiag,
     negativity_theory,
 )
+from reference import quantum_classical, werner_mix
 from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)

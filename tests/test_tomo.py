@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entact.qcore import BellKind, DensityMatrix, PauliString, bell_state, chi_q, fidelity
-from entact.qcore import partial_transpose
 from entact.protocol import WaveplateSetting, premeasurement
 from entact.measures import negativities, negativity
 from entact.witnesses import expect, w3
@@ -22,6 +21,7 @@ from entact.tomo import (
     _born,
     _draw,
     _project,
+    _projector_stack,
     mc_errorbar,
     pauli_expectations_exact,
     pauli_settings,
@@ -31,6 +31,7 @@ from entact.tomo import (
     simulate_counts,
     tomography,
 )
+from reference import partial_transpose
 
 
 def inversion_reference(counts, n_qubits):
@@ -104,6 +105,11 @@ class TestSettings:
         assert [s.axes for s in settings] == ["".join(a) for a in itertools.product("XYZ", repeat=3)]
         with pytest.raises(ValueError):
             settings[0].projectors[0][0, 0] = 0.0
+        stack = _projector_stack(3)
+        assert _projector_stack(3) is stack
+        assert np.array_equal(stack, [s.projectors for s in settings])
+        with pytest.raises(ValueError):
+            stack[0, 0, 0, 0] = 0.0
 
     def test_projectors_resolve_identity(self):
         s = MeasurementSetting.from_axes("XZY")
@@ -307,7 +313,7 @@ class TestBatchedPipeline:
     def test_matches_per_rep_reference(self, state_seed, exposure, reps, seed):
         rho = random_state(state_seed)
         settings_ = pauli_settings(3)
-        counts = _draw(exposure * _born(settings_, rho.mat), seed, range(reps))
+        counts = _draw(exposure * _born(_projector_stack(3), rho.mat), seed, range(reps))
         run = tomography(rho, exposure, seed, range(reps))
         values = []
         for rep in range(reps):
