@@ -14,8 +14,11 @@ from .qcore import (
 )
 from .protocol import (
     BlochVector,
+    NetSpec,
     WaveplateSetting,
     bloch_vector,
+    dedup_bloch,
+    default_net,
     premeasurement,
     setting_of,
     u_b,
@@ -35,11 +38,8 @@ from .measures import (
     negativity_theory,
 )
 from .epsnet import (
-    NetRecord,
-    NetSpec,
+    NetRecords,
     cap_radius,
-    dedup_bloch,
-    default_net,
     lower_bounds,
     net_records,
     sphere_scan,

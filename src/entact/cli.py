@@ -19,20 +19,19 @@ from pathlib import Path
 import numpy as np
 
 from .qcore import DensityMatrix, chi_q, fidelity
-from .protocol import WaveplateSetting, premeasurement
+from .protocol import NetSpec, WaveplateSetting, default_net, premeasurement
 from .measures import (
     OptimizerError,
     discord_bell_diagonal,
     discord_numeric,
     negativities_theory,
     negativity,
-    negativity_of_quantumness,
     negativity_theory,
 )
 from .epsnet import (
-    NetSpec,
+    MAX_RESOLUTION,
+    MIN_GRID_STEP,
     cap_radius,
-    default_net,
     net_records,
     sphere_scan,
     verify_covering,
@@ -73,8 +72,8 @@ class ExperimentConfig:
             raise ConfigError("q values must lie in [0, 1]")
         if not 0 < self.exposure <= E_MAX:  # also rejects NaN
             raise ConfigError(f"exposure must lie in (0, {E_MAX:g}]")
-        if not 0 < self.grid_step <= math.pi / 90 + 1e-12:
-            raise ConfigError("grid_step must lie in (0, pi/90]")
+        if not MIN_GRID_STEP <= self.grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
+            raise ConfigError("grid_step must lie in [pi/720, pi/90]")
         if not 0 <= self.seed < 2**64:  # the Philox key is an unsigned 64-bit integer
             raise ConfigError("seed must be a nonnegative 64-bit integer")
         if not (self.net.thetas and self.net.phis):
@@ -149,8 +148,8 @@ def load_config(args) -> ExperimentConfig:
         raise ConfigError("--q must lie in [0, 1]")
     if not 0 <= getattr(args, "epsilon", 0.0) <= 2:
         raise ConfigError("--epsilon must lie in [0, 2]")
-    if getattr(args, "resolution", 1000) < 1000:
-        raise ConfigError("--resolution must be at least 1000")
+    if not 1000 <= getattr(args, "resolution", 1000) <= MAX_RESOLUTION:
+        raise ConfigError(f"--resolution must lie in [1000, {MAX_RESOLUTION}]")
     return cfg
 
 
@@ -259,18 +258,19 @@ def cmd_discord_match(cfg: ExperimentConfig) -> int:
     rows, searches = [], {}
     for q in cfg.q_values:
         chi = cfg.input_state(q)
-        min_net = min(r.negativity_measured for r in net_records(chi, cfg.net))
+        min_net = float(net_records(chi, cfg.net).n.min())
         d_closed = discord_bell_diagonal(chi)
-        status, d_num, qn = "ok", float("nan"), float("nan")
+        status, value = "ok", float("nan")
         try:
-            d_res, qn_res = discord_numeric(chi), negativity_of_quantumness(chi)
+            # measured on B, the discord is min_n N(n), so its one search
+            # (`negativity_of_quantumness`) gives both d_numeric and q_n
+            res = discord_numeric(chi)
         except OptimizerError as e:
             status = f"optimizer-failed:{e}"
         else:
-            d_num, qn = d_res.value, qn_res.value
-            searches[str(q)] = {"discord_numeric": asdict(d_res.search),
-                                "negativity_of_quantumness": asdict(qn_res.search)}
-        rows.append((q, d_closed, d_num, min_net, qn, status))
+            value = res.value
+            searches[str(q)] = asdict(res.search)
+        rows.append((q, d_closed, value, min_net, value, status))
     _write_csv(out / "discord_match.csv",
                "q,d_closed,d_numeric,min_net_negativity,q_n,status", rows, cfg)
     _write_manifest(out, cfg, "discord-match", {"searches": searches})

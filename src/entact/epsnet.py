@@ -1,81 +1,61 @@
 """Finite-sample certification of entanglement over the whole Bloch sphere.
 
-A 28-setting waveplate net, spherical-cap covering/packing checks under the
-chord metric, the net records of an input state, one kernel for the two
-continuity lower bounds on the premeasurement negativity, and the full-sphere
-positivity scan built on it.
+Spherical-cap covering/packing checks of a waveplate net (`protocol.NetSpec`)
+under the chord metric, the net records of an input state as arrays, one kernel
+for the two continuity lower bounds on the premeasurement negativity, and the
+full-sphere positivity scan built on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List
+from typing import NamedTuple
 
 import numpy as np
 
 from .qcore import DensityMatrix
 from .protocol import (
     _CNOT_IMAGE,
+    NetSpec,
     WaveplateSetting,
     _bloch_vectors,
     _premeasure,
     _u_b,
-    bloch_vector,
+    dedup_bloch,
 )
 from .measures import _fibonacci_directions, negativities
 
-# net bases closer than this in every coordinate, up to sign, are one basis
-_DEDUP_TOL = 1e-8
+# Largest `verify_covering` resolution: its chord kernel holds three (bases,
+# points) float arrays, 77 MB at the 16 distinct bases of the default net; a
+# net-verify run at it peaks near 120 MB resident
+MAX_RESOLUTION = 200_000
+# Finest `sphere_scan` grid step, 0.25 degree: 361 x 181 = 65,341 grid points,
+# whose three (records, points) chord arrays take 44 MB at the 28-setting default
+# net; a certify run at it peaks near 110 MB resident
+MIN_GRID_STEP = math.pi / 720
 
 
-@dataclass(frozen=True)
-class NetSpec:
-    """Waveplate angle grid; the Cartesian product defines the settings."""
+class NetRecords(NamedTuple):
+    """The records of a state on a net, as arrays over its k settings: the waveplate
+    angles, the brute-force AB|M negativity of each premeasurement state, and each
+    state's 4x4 block at the C-NOT image, which is chi rotated on B."""
 
-    thetas: tuple
-    phis: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
-
-    def settings(self) -> List[WaveplateSetting]:
-        return [WaveplateSetting(t, p) for t in self.thetas for p in self.phis]
+    theta: np.ndarray
+    phi: np.ndarray
+    n: np.ndarray
+    blocks: np.ndarray
 
 
-@dataclass(frozen=True)
-class NetRecord:
-    """One net setting with its AB|M negativity and the premeasurement state it came from."""
-
-    setting: WaveplateSetting
-    negativity_measured: float
-    state: DensityMatrix
-
-    def __post_init__(self):
-        if self.negativity_measured < 0:
-            raise ValueError("measured negativity must be nonnegative")
-
-
-def default_net() -> NetSpec:
-    """The 7 x 4 = 28 settings theta_j = j pi/12 (j = 0..6), phi_k = k pi/12 (k = 0..3)."""
-    return NetSpec(
-        thetas=tuple(j * math.pi / 12 for j in range(7)),
-        phis=tuple(k * math.pi / 12 for k in range(4)),
-    )
-
-
-def net_records(chi: DensityMatrix, net: NetSpec) -> List[NetRecord]:
-    """One record per net setting: the premeasurement state of `chi` and its
-    brute-force AB|M negativity, both built for the whole net in one call."""
+def net_records(chi: DensityMatrix, net: NetSpec) -> NetRecords:
+    """The records of `chi` on every setting of `net`, theta-major like
+    `net.settings()`, from one stacked premeasurement and one stacked `eigvalsh`."""
     if chi.dims != (2, 2):
         raise ValueError(f"chi must be a 2-qubit state, got dims {chi.dims}")
     theta = np.repeat(net.thetas, len(net.phis))
     phi = np.tile(net.phis, len(net.thetas))
     states = _premeasure(chi.mat, _u_b(theta, phi))
-    values = negativities(states, (2, 2, 2), [0, 1]).tolist()
-    return [NetRecord(s, v, DensityMatrix(m, (2, 2, 2)))
-            for s, v, m in zip(net.settings(), values, states)]
+    return NetRecords(theta, phi, negativities(states, (2, 2, 2), [0, 1]),
+                      states[:, _CNOT_IMAGE[:, None], _CNOT_IMAGE])
 
 
 def cap_radius(epsilon: float) -> float:
@@ -83,19 +63,6 @@ def cap_radius(epsilon: float) -> float:
     if not 0.0 <= epsilon <= 2.0:
         raise ValueError(f"epsilon must be in [0, 2], got {epsilon}")
     return 0.25 * math.sqrt(epsilon**2 * (4.0 - epsilon**2))
-
-
-def dedup_bloch(net: NetSpec) -> np.ndarray:
-    """Unique measurement bases of a net as a (k, 3) array, identifying n with -n."""
-    unique: List[np.ndarray] = []
-    for s in net.settings():
-        v = bloch_vector(s).as_array()
-        if not any(
-            np.abs(v - u).max() <= _DEDUP_TOL or np.abs(v + u).max() <= _DEDUP_TOL
-            for u in unique
-        ):
-            unique.append(v)
-    return np.array(unique)
 
 
 def _basis_chords(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -117,8 +84,8 @@ def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
 
     Returns (covered, worst_gap).
     """
-    if resolution < 1000:
-        raise ValueError("resolution must be at least 10^3 sample points")
+    if not 1000 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must lie in [1000, {MAX_RESOLUTION}] sample points")
     bases = dedup_bloch(net)
     lattice = _fibonacci_directions(resolution)
     worst_gap = float(_basis_chords(bases, lattice).min(axis=0).max())
@@ -138,7 +105,7 @@ def verify_packing(net: NetSpec, epsilon: float):
     return dmin >= epsilon - 1e-9, dmin
 
 
-def lower_bounds(records: List[NetRecord], theta, phi):
+def lower_bounds(records: NetRecords, theta, phi):
     """Two continuity lower bounds on the AB|M negativity N(n) at each target
     setting (theta, phi), given as two 1-D angle arrays of one length, read off
     the records alone.  A negative bound means "not certified", not "zero".
@@ -160,14 +127,15 @@ def lower_bounds(records: List[NetRecord], theta, phi):
     chi_A x I/2 gives ||chi - chi_A x I/2||_1, which no unitary on B changes, so
     every B_j gives it.  As L <= 1, low2 >= low1 in every entry, exactly.
     """
-    if not records:
+    if not len(records.n):
         raise ValueError("lower_bounds needs at least one record")
+    if not (records.n >= 0).all():  # also rejects NaN
+        raise ValueError("record negativities must be nonnegative")
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 1 or theta.shape != phi.shape:
         raise ValueError("theta and phi must be 1-D arrays of one length")
-    rec_n = np.array([r.negativity_measured for r in records])[:, None]
-    rec_b = _bloch_vectors(*np.array([(r.setting.theta, r.setting.phi) for r in records]).T)
-    blocks = np.array([r.state.mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE] for r in records])
+    rec_n, blocks = records.n[:, None], records.blocks
+    rec_b = _bloch_vectors(records.theta, records.phi)
     marginal = np.einsum("jabcb->jac", blocks.reshape(-1, 2, 2, 2, 2))
     centred = blocks - np.einsum("jac,bd->jabcd", marginal, np.eye(2) / 2).reshape(blocks.shape)
     lip = min(1.0, float(np.abs(np.linalg.eigvalsh(centred)).sum(axis=-1).max()))
@@ -177,7 +145,7 @@ def lower_bounds(records: List[NetRecord], theta, phi):
 
 def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 180):
     """Both lower bounds, from the net records of `chi`, on a (theta, phi) grid over
-    the full angular range, 0 < grid_step <= pi/90, and a verdict that holds
+    the full angular range, MIN_GRID_STEP <= grid_step <= pi/90, and a verdict that holds
     between the grid points too.
 
     Returns (min_low, argmin_setting, columns) with columns the 1-D arrays
@@ -195,8 +163,8 @@ def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 1
     lexicographically smallest grid (theta, phi) whose low2 is within 1e-12 of
     min(low2).
     """
-    if not 0.0 < grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
-        raise ValueError(f"grid_step must lie in (0, pi/90], got {grid_step}")
+    if not MIN_GRID_STEP <= grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
+        raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
     thetas = np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step)
     phis = np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)
     theta, phi = np.repeat(thetas, len(phis)), np.tile(phis, len(thetas))

@@ -3,7 +3,8 @@
 Negativity comes in three routes (brute-force partial transpose, the
 off-diagonal-block shortcut for premeasurement states, and the closed form in
 the waveplate angles), plus the trace-distance discord in closed form for
-Bell-diagonal states and by numerical minimization in general.
+Bell-diagonal states, and in general by one search for min_n N(n), which is both
+the negativity of quantumness and the discord.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .qcore import DensityMatrix, PAULIS
-from .protocol import BlochVector, WaveplateSetting, _bloch_vectors, bloch_vector, setting_of
+from .protocol import (BlochVector, WaveplateSetting, bloch_vector, dedup_bloch, default_net,
+                       setting_of)
 
 BELL_DIAGONAL_TOL = 1e-8
 _PAULI_BASIS = np.array([PAULIS[p] for p in "IXYZ"])
@@ -193,101 +195,76 @@ def _fibonacci_directions(count: int) -> np.ndarray:
 
 def minimize(fun, x0, **kwargs):
     """`scipy.optimize.minimize`, imported on the first call: scipy.optimize takes
-    most of a cold `import entact`, and only the two discord searches use it.
-    `_nelder_mead` calls this module global, so it can be patched or traced."""
+    most of a cold `import entact`, and only the discord search uses it.  The
+    search calls this module global, so it can be patched or traced."""
     from scipy.optimize import minimize as scipy_minimize
 
     return scipy_minimize(fun, x0, **kwargs)
 
 
-def _nelder_mead(objective, starts, options: dict) -> list:
-    """One Nelder-Mead run from each start, in order; returns the scipy results.
-    The optimisers start from their `_STARTS` best seeds, because a single start
-    can miss the global minimum of a general state."""
-    return [minimize(objective, x0, method="Nelder-Mead", options=options) for x0 in starts]
+@functools.lru_cache(maxsize=None)
+def _seeds():
+    """The seed settings of `negativity_of_quantumness` as (theta, phi) pairs and the
+    directions (k, 3) they select, read-only; they do not depend on the state, so
+    they are built once.  The 16 distinct bases of the default net hold the
+    minimisers of chi_q; the 64 Fibonacci directions keep Nelder-Mead out of the
+    local minima of general states."""
+    bases = np.vstack([dedup_bloch(default_net()), _fibonacci_directions(64)])
+    settings = [setting_of(BlochVector(*n)) for n in bases.tolist()]
+    dirs = np.array([bloch_vector(s).as_array() for s in settings])
+    dirs.flags.writeable = False
+    return tuple((s.theta, s.phi) for s in settings), dirs
 
 
-def _report(runs: list, winner: Optional[int]) -> SearchReport:
-    """The `SearchReport` of the runs of `_nelder_mead`; `winner` is the index of the
-    run that gave the value, None for the seed stage."""
-    return SearchReport(nfev=sum(int(res.nfev) for res in runs),
-                        nit_max=max(int(res.nit) for res in runs),
-                        converged=all(bool(res.success) for res in runs),
-                        winner="coarse" if winner is None else f"start {winner}")
+def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
+    """Minimum premeasurement negativity min_n N(n) over all measurement bases on B,
+    and a setting that attains it.
+
+    Seed stage: the `_seeds` settings, scored in one `negativities_offdiag` call;
+    near-ties of the minimum rank lexicographically by (theta, phi).  Refinement:
+    Nelder-Mead in the waveplate angles from the best `_STARTS`, each step on
+    Python scalars, with the direction n(theta, phi) of `protocol.bloch_vector`
+    taken by `math`.  The value is the seed minimum unless a run beats it by 1e-9.
+    """
+    if chi.dims != (2, 2):
+        raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
+    grid, dirs = _seeds()
+    vals = negativities_offdiag(chi.mat, dirs)
+    vmin = float(vals.min())
+    ranked = sorted(zip(vals.tolist(), grid), key=lambda vs: (max(vs[0], vmin + 1e-9), vs[1]))
+    cols = _offdiag_columns(chi.mat)
+
+    def objective(angles):
+        theta, phi = angles.tolist()
+        a = 2.0 * (theta - 2.0 * phi)
+        cos_a = math.cos(a)
+        return _offdiag_at(cols, -cos_a * math.sin(2.0 * theta), -math.sin(a),
+                           cos_a * math.cos(2.0 * theta))
+
+    runs = [minimize(objective, s, method="Nelder-Mead",
+                     options=dict(xatol=1e-7, fatol=1e-12, maxiter=400))
+            for _, s in ranked[:_STARTS]]
+    best, value, winner = ranked[0][1], vmin, None
+    for i, res in enumerate(runs):
+        if res.fun < value - 1e-9:
+            best, value, winner = tuple(res.x), float(res.fun), i
+    if not math.isfinite(value):
+        raise OptimizerError("the negativity search did not converge")
+    report = SearchReport(nfev=sum(int(res.nfev) for res in runs),
+                          nit_max=max(int(res.nit) for res in runs),
+                          converged=all(bool(res.success) for res in runs),
+                          winner="coarse" if winner is None else f"start {winner}")
+    return MeasureResult(max(value, 0.0), settings_used=WaveplateSetting(*best), search=report)
 
 
 def discord_numeric(chi: DensityMatrix) -> MeasureResult:
-    """Trace-distance discord of a two-qubit state, measured on B.
+    """Trace-distance discord of a two-qubit state, measured on B: the search of
+    `negativity_of_quantumness`, whose value it is.
 
     For each direction n the closest B-classical state is the dephased D_n(chi):
     any such sigma is fixed by I x Z_n, which flips the sign of X = chi - D_n(chi),
     so 2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n) and
-    ||chi - sigma||_1 >= ||X||_1 = N(n) (see `negativities_offdiag`).  So only n is
-    searched: the 64-point Fibonacci lattice in one batch, then Nelder-Mead in
-    polar angles from its best few points, on Python scalars.
+    ||chi - sigma||_1 >= ||X||_1 = N(n) (see `negativities_offdiag`).  So the
+    discord is min_n N(n), the least premeasurement negativity.
     """
-    if chi.dims != (2, 2):
-        raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
-    seeds = _fibonacci_directions(64)
-    coarse = negativities_offdiag(chi.mat, seeds)
-    cols = _offdiag_columns(chi.mat)
-
-    def objective(angles):
-        th, ph = angles
-        return _offdiag_at(cols, math.sin(th) * math.cos(ph), math.sin(th) * math.sin(ph),
-                           math.cos(th))
-
-    starts = [(math.acos(min(max(z, -1.0), 1.0)), math.atan2(y, x))
-              for x, y, z in seeds[np.argsort(coarse, kind="stable")[:_STARTS]].tolist()]
-    runs = _nelder_mead(objective, starts,
-                        dict(xatol=1e-6, fatol=1e-8, maxiter=200, maxfev=300))
-    values = [float(coarse.min())] + [float(res.fun) for res in runs]
-    value = min(values)
-    if not np.isfinite(value):
-        raise OptimizerError("trace-distance minimization did not converge")
-    best = values.index(value)
-    return MeasureResult(max(value, 0.0), search=_report(runs, best - 1 if best else None))
-
-
-@functools.lru_cache(maxsize=None)
-def _quantumness_seeds():
-    """The coarse-stage settings of `negativity_of_quantumness` and their directions
-    (k, 3), read-only; they do not depend on the state, so they are built once."""
-    from .epsnet import dedup_bloch, default_net  # local import to avoid a module cycle
-
-    # distinct bases only: the 28 net settings hold 16, +-y four times
-    bases = np.vstack([dedup_bloch(default_net()), _fibonacci_directions(64)])
-    grid = tuple(setting_of(BlochVector(*n)) for n in bases)
-    dirs = np.array([bloch_vector(s).as_array() for s in grid])
-    dirs.flags.writeable = False
-    return grid, dirs
-
-
-def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
-    """Minimum premeasurement negativity over all measurement bases on B.
-
-    Coarse stage: the bases of the 28-setting net plus 64 Fibonacci directions,
-    each as its `setting_of` (the net alone leaves Nelder-Mead in local minima
-    on general states), scored in one `negativities_offdiag` call; refinement:
-    Nelder-Mead in the waveplate angles (theta, phi) from the best few, on Python
-    scalars.  Ties at the coarse stage resolve to the lexicographically smallest
-    setting.
-    """
-    grid, dirs = _quantumness_seeds()
-    vals = negativities_offdiag(chi.mat, dirs)
-    vmin = float(vals.min())
-    # near-ties of the minimum rank first, lexicographically; then by value
-    ranked = sorted(zip(vals.tolist(), grid),
-                    key=lambda vs: (max(vs[0], vmin + 1e-9), vs[1].theta, vs[1].phi))
-    cols = _offdiag_columns(chi.mat)
-
-    def objective(angles):
-        return _offdiag_at(cols, *_bloch_vectors(angles[0], angles[1]).tolist())
-
-    best, value, winner = ranked[0][1], vmin, None
-    runs = _nelder_mead(objective, [(s.theta, s.phi) for _, s in ranked[:_STARTS]],
-                        dict(xatol=1e-7, fatol=1e-12, maxiter=400))
-    for i, res in enumerate(runs):
-        if res.fun < value - 1e-9:
-            best, value, winner = WaveplateSetting(res.x[0], res.x[1]), float(res.fun), i
-    return MeasureResult(max(value, 0.0), settings_used=best, search=_report(runs, winner))
+    return negativity_of_quantumness(chi)

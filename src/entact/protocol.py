@@ -1,4 +1,5 @@
-"""Measurement-activation circuit: basis-selecting unitary, B-M C-NOT, premeasurement state.
+"""Measurement-activation circuit: basis-selecting unitary, B-M C-NOT, premeasurement
+state, and the waveplate-angle nets whose settings the circuit is run at.
 
 The basis unitary is built from quarter- and half-waveplate Jones matrices at
 angles (theta, phi).  The relative phases matter for tripartite witness
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
@@ -78,6 +80,46 @@ def setting_of(n: BlochVector) -> WaveplateSetting:
     a = math.atan2(-n.y, math.hypot(n.x, n.z))
     theta = 0.5 * math.atan2(-n.x, n.z)
     return WaveplateSetting(theta, (theta - a / 2.0) / 2.0)
+
+
+# net bases closer than this in every coordinate, up to sign, are one basis
+_DEDUP_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class NetSpec:
+    """Waveplate angle grid; the Cartesian product defines the settings."""
+
+    thetas: tuple
+    phis: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
+        object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
+
+    def settings(self) -> List[WaveplateSetting]:
+        return [WaveplateSetting(t, p) for t in self.thetas for p in self.phis]
+
+
+def default_net() -> NetSpec:
+    """The 7 x 4 = 28 settings theta_j = j pi/12 (j = 0..6), phi_k = k pi/12 (k = 0..3)."""
+    return NetSpec(
+        thetas=tuple(j * math.pi / 12 for j in range(7)),
+        phis=tuple(k * math.pi / 12 for k in range(4)),
+    )
+
+
+def dedup_bloch(net: NetSpec) -> np.ndarray:
+    """Unique measurement bases of a net as a (k, 3) array, identifying n with -n."""
+    unique: List[np.ndarray] = []
+    for s in net.settings():
+        v = bloch_vector(s).as_array()
+        if not any(
+            np.abs(v - u).max() <= _DEDUP_TOL or np.abs(v + u).max() <= _DEDUP_TOL
+            for u in unique
+        ):
+            unique.append(v)
+    return np.array(unique)
 
 
 def _rot(a) -> np.ndarray:

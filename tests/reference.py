@@ -4,6 +4,7 @@ Each one is the textbook construction, kept independent of the package kernels
 it is compared against.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -67,3 +68,19 @@ def cnot_bm() -> np.ndarray:
 def coupling_unitary(s: WaveplateSetting) -> np.ndarray:
     """The full B-M interaction V_BM = CNOT (U_B x I_M)."""
     return cnot_bm() @ tensor(u_b(s), I2)
+
+
+@functools.lru_cache(maxsize=4)
+def _premeasurement_unitaries(settings: tuple) -> np.ndarray:
+    """I_A x V_BM at each setting, as a (k, 8, 8) stack."""
+    return np.array([np.kron(I2, coupling_unitary(s)) for s in settings])
+
+
+def premeasurement_negativities(chi, settings) -> np.ndarray:
+    """AB|M negativity of the premeasurement state of the 4x4 `chi` at each of the
+    `settings`, by brute force: I_A x V_BM applied to chi x |0><0|_M, the partial
+    transpose on M, and the absolute eigenvalue sum."""
+    v = _premeasurement_unitaries(tuple(settings))
+    states = v @ np.kron(chi, projector([1.0, 0.0])) @ v.conj().swapaxes(-1, -2)
+    pt = np.array([partial_transpose(m, 2, (2, 2, 2)) for m in states])
+    return np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1) - 1.0

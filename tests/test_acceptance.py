@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from entact.qcore import chi_q, fidelity
-from entact.protocol import WaveplateSetting, bloch_vector, premeasurement
+from entact.protocol import WaveplateSetting, bloch_vector, default_net, premeasurement
 from entact.measures import (
     discord_bell_diagonal,
     discord_numeric,
@@ -20,7 +20,7 @@ from entact.measures import (
     negativity_offdiag,
     negativity_theory,
 )
-from entact.epsnet import cap_radius, default_net, sphere_scan, verify_covering, verify_packing
+from entact.epsnet import cap_radius, sphere_scan, verify_covering, verify_packing
 from entact.witnesses import expect, w2, w3
 from entact.tomo import pauli_settings, reconstruct, simulate_counts
 from entact.cli import ExperimentConfig

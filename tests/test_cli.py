@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import entact
+from entact import cli, measures
+from entact.epsnet import MAX_RESOLUTION, MIN_GRID_STEP
 from entact.cli import (
     MAX_CLIPPED_MASS,
     SCHEMA_LINE,
@@ -121,6 +123,37 @@ class TestCommands:
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["net-verify", "--resolution", str(MAX_RESOLUTION + 1)],
+        ["net-verify", "--resolution", str(10**15)],
+        ["certify", "--grid-step", repr(MIN_GRID_STEP * (1 - 1e-9))],
+        ["certify", "--grid-step", "1e-12"],
+        ["certify", "--grid-step", "5e-324"],
+    ])
+    def test_oversized_work_exits_2_before_allocating(self, tmp_path, capsys, monkeypatch,
+                                                      argv):
+        # past the limits the arrays would take gigabytes or more, so the config
+        # check must stop the run before the kernels are entered
+        def entered(*args, **kwargs):
+            raise AssertionError("kernel entered past the config limit")
+
+        monkeypatch.setattr(cli, "verify_covering", entered)
+        monkeypatch.setattr(cli, "sphere_scan", entered)
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not list(tmp_path.iterdir())
+
+    def test_limits_themselves_are_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"grid_step": MIN_GRID_STEP}))
+        for argv in (["net-verify", "--resolution", str(MAX_RESOLUTION)],
+                     ["certify", "--grid-step", repr(MIN_GRID_STEP)],
+                     ["certify", "--config", str(cfg)]):
+            load_config(build_parser().parse_args(argv))
+        cfg.write_text(json.dumps({"grid_step": MIN_GRID_STEP / 2}))
+        with pytest.raises(ConfigError, match="grid_step"):
+            load_config(build_parser().parse_args(["certify", "--config", str(cfg)]))
 
     @pytest.mark.parametrize("command", ["certify", "discord-match", "activate"])
     @pytest.mark.parametrize("net", [
@@ -325,13 +358,37 @@ class TestCommands:
         searches = json.loads((tmp_path / "manifest_discord_match.json").read_text())[
             "results"]["searches"]
         assert sorted(searches) == ["0.0", "0.6"]
-        for per_q in searches.values():
-            assert sorted(per_q) == ["discord_numeric", "negativity_of_quantumness"]
-            for report in per_q.values():
-                assert sorted(report) == ["converged", "nfev", "nit_max", "winner"]
-                assert report["converged"] is True
-                assert 0 < report["nit_max"] <= report["nfev"]
-                assert report["winner"] in ("coarse", "start 0", "start 1", "start 2", "start 3")
+        # one search per q gives both d_numeric and q_n, so one report
+        for report in searches.values():
+            assert sorted(report) == ["converged", "nfev", "nit_max", "winner"]
+            assert report["converged"] is True
+            assert 0 < report["nit_max"] <= report["nfev"]
+            assert report["winner"] in ("coarse", "start 0", "start 1", "start 2", "start 3")
+
+    def test_discord_match_runs_one_search_per_q(self, tmp_path, monkeypatch):
+        # per q: one seed-scoring call of the array kernel and four Nelder-Mead runs
+        kernel, nelder_mead = measures.negativities_offdiag, measures.minimize
+        seed_calls, runs = [], []
+
+        def counted(chi, ns):
+            seed_calls.append(len(ns))
+            return kernel(chi, ns)
+
+        def recorded(*args, **kwargs):
+            runs.append(args[1])
+            return nelder_mead(*args, **kwargs)
+
+        monkeypatch.setattr(measures, "negativities_offdiag", counted)
+        monkeypatch.setattr(measures, "minimize", recorded)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.1, 0.7]}))
+        assert main(["discord-match", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert seed_calls == [80, 80]
+        assert len(runs) == 8
+        _, rows = read_csv(tmp_path / "discord_match.csv")
+        for q, row in zip((0.1, 0.7), rows):
+            assert row[2] == row[4]  # d_numeric is q_n
+            assert float(row[2]) == pytest.approx(q, abs=1e-6)
 
 
 def run_cold(script: str, *args) -> subprocess.CompletedProcess:

@@ -10,10 +10,14 @@ from hypothesis.extra.numpy import arrays
 
 from entact.qcore import BellKind, DensityMatrix, chi_q
 from entact.protocol import (
+    _CNOT_IMAGE,
     BlochVector,
+    NetSpec,
     WaveplateSetting,
     _bloch_vectors,
     bloch_vector,
+    dedup_bloch,
+    default_net,
     premeasurement,
 )
 from entact.measures import (
@@ -25,12 +29,11 @@ from entact.measures import (
     negativity_theory,
 )
 from entact.epsnet import (
-    NetRecord,
-    NetSpec,
+    MAX_RESOLUTION,
+    MIN_GRID_STEP,
+    NetRecords,
     _basis_chords,
     cap_radius,
-    dedup_bloch,
-    default_net,
     lower_bounds,
     net_records,
     sphere_scan,
@@ -55,6 +58,18 @@ def records02(net):
     return net_records(chi_q(0.2), net)
 
 
+def setting(records, j):
+    """The waveplate setting of record j."""
+    return WaveplateSetting(records.theta[j], records.phi[j])
+
+
+def one_record(s, value, chi):
+    """Records of one setting `s`, with negativity `value` and the block of chi's
+    premeasurement state there."""
+    block = premeasurement(chi, s).mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE]
+    return NetRecords(np.array([s.theta]), np.array([s.phi]), np.array([value]), block[None])
+
+
 def low_at(records, target):
     """(low1, low2) at one target setting."""
     low1, low2, _ = lower_bounds(records, [target.theta], [target.phi])
@@ -75,21 +90,24 @@ class TestNetSpec:
         assert bases.shape == (16, 3)
         assert np.abs(np.linalg.norm(bases, axis=1) - 1).max() < 1e-12
 
-    def test_records_reject_negative_negativity(self, net):
-        s = net.settings()[5]
-        with pytest.raises(ValueError):
-            NetRecord(s, -0.1, premeasurement(chi_q(0.2), s))
+    def test_records_reject_negative_negativity(self, records02):
+        # the bounds check the records they are given: N < 0 (or NaN) is not a record
+        for bad in (-0.1, math.nan):
+            n = records02.n.copy()
+            n[5] = bad
+            with pytest.raises(ValueError, match="nonnegative"):
+                lower_bounds(records02._replace(n=n), [0.0], [0.0])
 
     def test_net_records_match_closed_form(self, net):
         # brute-force record values agree with the chi_q closed form, with exact
         # zeros at q = 0 (a spurious +4e-16 there would certify a classical state)
         for q in (0.0, 0.2, 0.6):
-            for r in net_records(chi_q(q), net):
-                assert r.state.dims == (2, 2, 2)
-                assert r.negativity_measured == pytest.approx(
-                    negativity_theory(q, r.setting), abs=1e-15)
-                if negativity_theory(q, r.setting) == 0.0:
-                    assert r.negativity_measured == 0.0
+            records = net_records(chi_q(q), net)
+            assert records.blocks.shape == (28, 4, 4)
+            for s, value in zip(net.settings(), records.n.tolist()):
+                assert value == pytest.approx(negativity_theory(q, s), abs=1e-15)
+                if negativity_theory(q, s) == 0.0:
+                    assert value == 0.0
 
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -99,15 +117,20 @@ class TestNetSpec:
         for chi in (full_rank_state(re_im), chi_q(0.0), chi_q(0.2), chi_q(1.0)):
             net = default_net()
             records = net_records(chi, net)
-            assert [r.setting for r in records] == net.settings()
-            for r in records:
-                state = premeasurement(chi, r.setting)
-                assert np.array_equal(r.state.mat, state.mat)
-                assert r.negativity_measured == negativity(state, [0, 1])
-                assert type(r.negativity_measured) is float
+            assert [setting(records, j) for j in range(len(records.n))] == net.settings()
+            for s, value, block in zip(net.settings(), records.n.tolist(), records.blocks):
+                # the block is the whole state: it is zero off the C-NOT image
+                state = premeasurement(chi, s)
+                assert value == negativity(state, [0, 1])
+                outside = state.mat.copy()
+                assert np.array_equal(block, outside[_CNOT_IMAGE[:, None], _CNOT_IMAGE])
+                outside[_CNOT_IMAGE[:, None], _CNOT_IMAGE] = 0.0
+                assert not outside.any()
 
     def test_net_records_of_an_empty_net(self):
-        assert net_records(chi_q(0.2), NetSpec((), (0.0,))) == []
+        records = net_records(chi_q(0.2), NetSpec((), (0.0,)))
+        assert records.theta.shape == records.phi.shape == records.n.shape == (0,)
+        assert records.blocks.shape == (0, 4, 4)
 
 
 def chord(a, b):
@@ -163,39 +186,40 @@ class TestCoveringPacking:
         assert packed and dmin == math.inf
 
     def test_resolution_floor(self, net):
-        with pytest.raises(ValueError):
-            verify_covering(net, 0.5, resolution=10)
+        # the range is checked before anything is allocated
+        for resolution in (10, MAX_RESOLUTION + 1, 10**15):
+            with pytest.raises(ValueError, match="resolution"):
+                verify_covering(net, 0.5, resolution=resolution)
 
 
 class TestBound1:
     """low1 = max_j (N_j - chord(n, n_j)), the model-free bound."""
 
     def test_exact_at_net_point(self, records02):
-        r = records02[3]
-        assert low_at(records02, r.setting)[0] == pytest.approx(r.negativity_measured, abs=1e-12)
+        assert low_at(records02, setting(records02, 3))[0] == pytest.approx(
+            records02.n[3], abs=1e-12)
 
     def test_exact_one_ulp_off_net_points(self, records02):
         # grid angles can miss a net angle by an ulp (the 1-degree grid's
         # 30 * pi/180 against the net's 2 * pi/12); the chord of two bases that
         # far apart is ~1e-16, which sqrt(2 (1 - |n.m|)) would turn into 1.5e-8
-        targets = [(np.nextafter(r.setting.theta, dt), np.nextafter(r.setting.phi, dp))
-                   for r in records02 for dt in (-np.inf, np.inf) for dp in (-np.inf, np.inf)]
+        targets = [(np.nextafter(th, dt), np.nextafter(ph, dp))
+                   for th, ph in zip(records02.theta, records02.phi)
+                   for dt in (-np.inf, np.inf) for dp in (-np.inf, np.inf)]
         targets.append((0.0, 30 * (math.pi / 180)))
-        expect = [r.negativity_measured for r in records02 for _ in range(4)]
-        expect.append(records02[2].negativity_measured)  # the net's (0, pi/6)
-        assert records02[2].setting == WaveplateSetting(0.0, math.pi / 6)
+        expect = np.append(np.repeat(records02.n, 4), records02.n[2])  # the net's (0, pi/6)
+        assert setting(records02, 2) == WaveplateSetting(0.0, math.pi / 6)
         low1, _, _ = lower_bounds(records02, *np.array(targets).T)
         assert np.abs(low1 - expect).max() <= 1e-12
 
     def test_antipodal_worst_case(self):
-        s = WaveplateSetting(0.0, 0.0)
-        rec = NetRecord(s, 1.0, premeasurement(chi_q(0.2), s))
+        rec = one_record(WaveplateSetting(0.0, 0.0), 1.0, chi_q(0.2))
         # identifying n with -n, nothing is more than sqrt(2) away; (pi/8, pi/16)
         # measures along (-1, 0, 1)/sqrt(2), at chord sqrt(2 - sqrt(2)) from z,
         # and (pi/4, 0) along -y, at chord sqrt(2)
-        assert low_at([rec], WaveplateSetting(math.pi / 4, 0.0))[0] == pytest.approx(
+        assert low_at(rec, WaveplateSetting(math.pi / 4, 0.0))[0] == pytest.approx(
             1.0 - math.sqrt(2.0), abs=1e-12)
-        assert low_at([rec], WaveplateSetting(math.pi / 8, math.pi / 16))[0] == pytest.approx(
+        assert low_at(rec, WaveplateSetting(math.pi / 8, math.pi / 16))[0] == pytest.approx(
             1.0 - math.sqrt(2.0 - math.sqrt(2.0)), abs=1e-12)
 
     def test_minus_y_target_at_q02(self, records02):
@@ -204,8 +228,9 @@ class TestBound1:
         assert low_at(records02, WaveplateSetting(math.pi / 4, 0.0))[0] >= 0.05
 
     def test_empty_records(self):
-        with pytest.raises(ValueError):
-            lower_bounds([], [0.0], [0.0])
+        empty = net_records(chi_q(0.2), NetSpec((), (0.0,)))
+        with pytest.raises(ValueError, match="at least one record"):
+            lower_bounds(empty, [0.0], [0.0])
 
 
 def seeded_full_rank_state(seed):
@@ -236,18 +261,18 @@ class TestBound2:
     """low2 = max_j (N_j - L chord(n, n_j)), with L = min(1, ||chi - chi_A x I/2||_1)."""
 
     def test_exact_at_net_state(self, records02):
-        r = records02[7]
-        assert low_at(records02, r.setting)[1] == pytest.approx(r.negativity_measured, abs=1e-10)
+        assert low_at(records02, setting(records02, 7))[1] == pytest.approx(
+            records02.n[7], abs=1e-10)
 
     def test_never_exceeds_true_negativity(self):
         records = net_records(chi_q(0.4), default_net())
         target = WaveplateSetting(math.pi / 8, math.pi / 24)
         assert low_at(records, target)[1] <= 0.4 + 1e-10
 
-    def test_requires_states(self, net):
-        # records always carry the premeasurement state that L is read from
+    def test_requires_states(self, records02):
+        # records always carry the premeasurement blocks that L is read from
         with pytest.raises(TypeError):
-            NetRecord(net.settings()[0], 0.5)
+            NetRecords(records02.theta, records02.phi, records02.n)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.integers(0, 2**32 - 1).map(seeded_state))
@@ -305,7 +330,7 @@ class TestCombinedBound:
     def test_monotone_under_record_removal(self, records02):
         s = WaveplateSetting(0.33, 0.21)
         full = np.array(low_at(records02, s))
-        subset = np.array(low_at(records02[::3], s))
+        subset = np.array(low_at(NetRecords(*(a[::3] for a in records02)), s))
         assert (subset <= full + 1e-12).all()
 
     @settings(max_examples=50, deadline=None, derandomize=True)
@@ -324,8 +349,8 @@ class TestCombinedBound:
 
 class TestSphereScan:
     def test_grid_step_guard(self, net):
-        # one ValueError for every step outside (0, pi/90], NaN included
-        for step in (math.pi / 10, 0.0, -0.01, math.nan):
+        # one ValueError for every step outside [pi/720, pi/90], NaN included
+        for step in (math.pi / 10, 0.0, -0.01, math.nan, MIN_GRID_STEP * (1 - 1e-9)):
             with pytest.raises(ValueError, match="grid_step"):
                 sphere_scan(chi_q(0.2), net, grid_step=step)
 
@@ -389,8 +414,9 @@ class TestSphereScan:
         assert (low2 <= negativities_theory(0.6, theta, phi) + 1e-9).all()
 
     def test_scan_builds_no_per_point_objects(self, net, monkeypatch):
-        # the grid runs as arrays: settings and Bloch vectors are built per net
-        # setting (28 here), never per grid point (4,186 at pi/180)
+        # the records and the grid run as arrays: no setting or Bloch vector is
+        # built per net setting (28 here) or per grid point (4,186 at pi/180);
+        # the one object is the argmin setting
         built = Counter()
         for cls in (WaveplateSetting, BlochVector):
             def counting(self, init=cls.__post_init__, name=cls.__name__):
@@ -398,5 +424,4 @@ class TestSphereScan:
                 init(self)
             monkeypatch.setattr(cls, "__post_init__", counting)
         sphere_scan(chi_q(0.2), net, grid_step=math.pi / 180)
-        assert built["WaveplateSetting"] >= len(net.settings())  # the counter sees them
-        assert sum(built.values()) < 100
+        assert built == Counter({"WaveplateSetting": 1})

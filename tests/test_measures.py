@@ -22,13 +22,14 @@ from entact.protocol import (
     _bloch_vectors,
     bloch_vector,
     premeasurement,
+    setting_of,
 )
 from entact.measures import (
     MeasureResult,
     _fibonacci_directions,
     _offdiag_at,
     _offdiag_columns,
-    _quantumness_seeds,
+    _seeds,
     correlation_matrix,
     discord_bell_diagonal,
     discord_numeric,
@@ -40,7 +41,7 @@ from entact.measures import (
     negativity_offdiag,
     negativity_theory,
 )
-from reference import quantum_classical, werner_mix
+from reference import premeasurement_negativities, quantum_classical, werner_mix
 from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -50,6 +51,13 @@ SEAM_DIRECTIONS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, -0.8, -1e-12],
                    [0.6, -0.8, 1e-12], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
 # the seam itself: the kernel takes the sign of z, so -0.0 and +0.0 are two cases
 SIGNED_ZERO_DIRECTIONS = [[0.6, -0.8, 0.0], [0.6, -0.8, -0.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, -0.0]]
+# the bases of a 2,000-point Fibonacci lattice, as waveplate settings
+LATTICE = tuple(setting_of(BlochVector(*n)) for n in _fibonacci_directions(2000).tolist())
+
+
+def brute_force_at(chi, s):
+    """The reference premeasurement negativity of `chi` at one setting."""
+    return float(premeasurement_negativities(chi.mat, (s,))[0])
 
 
 class TestNegativity:
@@ -281,11 +289,14 @@ class TestNegativityOfQuantumness:
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
-    def test_equals_discord_on_random_states(self, re_im):
-        # the paper's identity beyond chi_q; both searches must find the global minimum
+    def test_reaches_the_brute_force_minimum_on_random_states(self, re_im):
+        # against a reference that shares no N(n) code with the search: the value is
+        # no more than the least brute-force negativity over the lattice, and it is
+        # the brute-force negativity at the returned setting
         chi = full_rank_state(re_im)
-        assert negativity_of_quantumness(chi).value == pytest.approx(
-            discord_numeric(chi).value, abs=1e-6)
+        res = negativity_of_quantumness(chi)
+        assert res.value <= premeasurement_negativities(chi.mat, LATTICE).min() + 1e-9
+        assert res.value == pytest.approx(brute_force_at(chi, res.settings_used), abs=1e-9)
 
     def test_reports_a_minimizing_setting(self):
         res = negativity_of_quantumness(chi_q(0.1))
@@ -354,12 +365,14 @@ class TestGuards:
 
         for name in ("eigh", "eigvalsh", "svd"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        assert negativity_of_quantumness(chi).value == pytest.approx(
-            discord_numeric(chi).value, abs=1e-6)
+        res = negativity_of_quantumness(chi)
+        monkeypatch.undo()
+        assert res.value == pytest.approx(brute_force_at(chi, res.settings_used), abs=1e-9)
 
     def test_each_search_scores_its_seeds_once(self, monkeypatch):
-        # the array call runs once, on the seeds, and never inside the optimiser;
-        # the Nelder-Mead steps take the scalar call, not the one-setting route
+        # the array call runs once, on the 80 seeds, and never inside the optimiser;
+        # the Nelder-Mead steps take the scalar call, not the one-setting route;
+        # discord_numeric is the same search
         chi = full_rank_state(np.random.default_rng(7).normal(size=(2, 4, 4)))
         kernel, nelder_mead = measures.negativities_offdiag, measures.minimize
         calls, inside = [], []
@@ -382,10 +395,10 @@ class TestGuards:
         monkeypatch.setattr(measures, "negativities_offdiag", counted)
         monkeypatch.setattr(measures, "negativity_offdiag", forbidden)
         monkeypatch.setattr(measures, "minimize", guarded)
-        for search, seeds in ((discord_numeric, 64), (negativity_of_quantumness, 80)):
+        for search in (discord_numeric, negativity_of_quantumness):
             calls.clear()
             assert search(chi).search.nfev > 0
-            assert calls == [seeds]
+            assert calls == [80]
 
 
 class TestSearchReport:
@@ -411,9 +424,7 @@ class TestSearchReport:
         assert res.search.nit_max == max(r.nit for r in runs)
         assert res.search.converged is all(r.success for r in runs)
         if res.search.winner == "coarse":
-            seeds = (_fibonacci_directions(64) if search is discord_numeric
-                     else _quantumness_seeds()[1])
-            assert res.value == max(float(negativities_offdiag(chi.mat, seeds).min()), 0.0)
+            assert res.value == max(float(negativities_offdiag(chi.mat, _seeds()[1]).min()), 0.0)
         else:
             assert res.value == max(float(runs[int(res.search.winner.split()[1])].fun), 0.0)
 
