@@ -9,8 +9,6 @@ from .qcore import (
     chi_q,
     fidelity,
     hermitian_eigen,
-    partial_trace,
-    tensor,
 )
 from .protocol import (
     BlochVector,
@@ -35,7 +33,6 @@ from .measures import (
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,
-    negativity_theory,
 )
 from .epsnet import (
     NetRecords,
@@ -51,12 +48,9 @@ from .tomo import (
     E_MAX,
     MC_REPS_MAX,
     MC_REPS_MIN,
-    CountsTable,
     ErrorBar,
-    MeasurementSetting,
     Tomography,
     mc_errorbar,
-    pauli_settings,
     project_psd,
     reconstruct,
     simulate_counts,

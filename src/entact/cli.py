@@ -25,8 +25,6 @@ from .measures import (
     discord_bell_diagonal,
     discord_numeric,
     negativities_theory,
-    negativity,
-    negativity_theory,
 )
 from .epsnet import (
     MAX_RESOLUTION,
@@ -200,22 +198,24 @@ def cmd_activate(cfg: ExperimentConfig) -> int:
     warnings = []
     for q in cfg.q_values:
         chi = cfg.input_state(q)
+        # exact values come straight from the records; only tomography needs a state
+        rec = net_records(chi, cfg.net)
         rows = []
-        for s in cfg.net.settings():
-            state = premeasurement(chi, s)
-            theory = negativity_theory(q, s)
+        for theta, phi, theory, value in zip(rec.theta.tolist(), rec.phi.tolist(),
+                                             negativities_theory(q, rec.theta, rec.phi).tolist(),
+                                             rec.n.tolist()):
+            err = 0.0
             if cfg.mc_reps > 0:
+                state = premeasurement(chi, WaveplateSetting(theta, phi))
                 bar = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed, "negativity")
                 value, err = bar.mean, bar.std
-                clipping.append({"q": q, "theta": s.theta, "phi": s.phi,
+                clipping.append({"q": q, "theta": theta, "phi": phi,
                                  **_summary("clipped_mass", bar.clipped_mass),
                                  **_summary("zero_settings", bar.zero_settings)})
                 warnings += _exposure_warnings(
-                    f"q={q} theta={s.theta:.6f} phi={s.phi:.6f}",
+                    f"q={q} theta={theta:.6f} phi={phi:.6f}",
                     clipping[-1]["clipped_mass_mean"], clipping[-1]["zero_settings_max"])
-            else:
-                value, err = negativity(state, [0, 1]), 0.0
-            rows.append((q, s.theta, s.phi, theory, value, err))
+            rows.append((q, theta, phi, theory, value, err))
         _write_csv(out / f"activate_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_value,n_std", rows, cfg)
     results = {"tomography": clipping} if clipping else {}

@@ -147,11 +147,6 @@ def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndar
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
-def negativity_theory(q: float, s: WaveplateSetting) -> float:
-    """`negativities_theory` at one setting."""
-    return float(negativities_theory(q, s.theta, s.phi))
-
-
 def _pauli_coefficients(chi: np.ndarray) -> np.ndarray:
     """4x4 real matrix R_ij = Tr[chi (sigma_i x sigma_j)] of a raw 4x4 `chi`, sigma_0 = I."""
     return np.einsum("abcd,ica,jdb->ij", chi.reshape(2, 2, 2, 2),

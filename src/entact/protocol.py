@@ -110,16 +110,19 @@ def default_net() -> NetSpec:
 
 
 def dedup_bloch(net: NetSpec) -> np.ndarray:
-    """Unique measurement bases of a net as a (k, 3) array, identifying n with -n."""
-    unique: List[np.ndarray] = []
-    for s in net.settings():
-        v = bloch_vector(s).as_array()
-        if not any(
-            np.abs(v - u).max() <= _DEDUP_TOL or np.abs(v + u).max() <= _DEDUP_TOL
-            for u in unique
-        ):
-            unique.append(v)
-    return np.array(unique)
+    """Unique measurement bases of a net as a (k, 3) array, identifying n with -n:
+    the directions of `net.settings()` in order, each kept unless a kept one lies
+    within `_DEDUP_TOL` of it or of its negative in every coordinate."""
+    theta, phi = np.repeat(net.thetas, len(net.phis)), np.tile(net.phis, len(net.thetas))
+    dirs = _bloch_vectors(theta, phi)
+    unique, k = np.empty_like(dirs), 0
+    for v in dirs:
+        kept = unique[:k]
+        if not ((np.abs(kept - v).max(axis=1) <= _DEDUP_TOL).any()
+                or (np.abs(kept + v).max(axis=1) <= _DEDUP_TOL).any()):
+            unique[k] = v
+            k += 1
+    return unique[:k].copy()
 
 
 def _rot(a) -> np.ndarray:

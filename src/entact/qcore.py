@@ -98,29 +98,6 @@ class DensityMatrix:
         )
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Reduced state on the kept subsystems; preserves trace."""
-    keep = sorted(set(int(i) for i in keep))
-    k = len(rho.dims)
-    if not keep:
-        raise ValueError("keep set must be nonempty")
-    if any(i < 0 or i >= k for i in keep):
-        raise ValueError(f"keep indices {keep} out of range for dims {rho.dims}")
-    t = rho.mat.reshape(rho.dims + rho.dims)
-    k_cur = k
-    # descending order keeps the remaining axis indices stable
-    for i in sorted((i for i in range(k) if i not in keep), reverse=True):
-        t = np.trace(t, axis1=i, axis2=i + k_cur)
-        k_cur -= 1
-    d = math.prod(rho.dims[i] for i in keep)
-    return DensityMatrix(t.reshape(d, d), tuple(rho.dims[i] for i in keep))
-
-
 def hermitian_eigen(h):
     """Eigenvalues (ascending) and column eigenvectors of a Hermitian matrix, via LAPACK."""
     a = _as_square(h)

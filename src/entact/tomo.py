@@ -1,10 +1,12 @@
 """Simulated quantum state tomography.
 
-Pauli-basis measurement schedules, Poissonian count generation with a
-counter-based RNG, linear-inversion reconstruction with PSD projection, and
-Monte-Carlo error bars for derived quantities.  One batched pipeline (counts,
-inversion, projection over a stack of reps) serves both the Monte-Carlo loop
-and the single-shot functions.
+Poissonian counts of every Pauli setting with a counter-based RNG,
+linear-inversion reconstruction with PSD projection, and Monte-Carlo error bars
+for derived quantities.  Counts are int arrays (setting, outcome): the 3^n
+settings in `itertools.product("XYZ", repeat=n)` order, the 2^n outcomes as bit
+strings with qubit 0 most significant, bit 1 the -1 eigenvalue.  One batched
+pipeline (counts, inversion, projection over a stack of reps) serves both the
+Monte-Carlo loop and the single-shot functions.
 """
 
 from __future__ import annotations
@@ -12,8 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Sequence, Tuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -40,36 +41,6 @@ _AXIS_EIGENBASES = {
 }
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One Pauli axis per qubit plus the 2^n rank-1 outcome projectors."""
-
-    axes: str  # e.g. "XYZ"
-    projectors: tuple
-
-    @classmethod
-    def from_axes(cls, axes: str) -> "MeasurementSetting":
-        single = []
-        for a in axes:
-            basis = _AXIS_EIGENBASES[a]
-            single.append((projector(basis[:, 0]), projector(basis[:, 1])))
-        projs = []
-        for outcome in itertools.product((0, 1), repeat=len(axes)):
-            p = np.array([[1.0 + 0j]])
-            for qubit, bit in enumerate(outcome):
-                p = np.kron(p, single[qubit][bit])
-            projs.append(p)
-        return cls(axes=axes, projectors=tuple(projs))
-
-    def outcome_parities(self, ops: str) -> np.ndarray:
-        """Eigenvalue (+-1) of the Pauli string `ops` on each outcome; identity
-        positions contribute +1."""
-        signs = _parities(self.axes, ops)
-        if not signs[0]:
-            raise ValueError(f"{ops} not measurable with axes {self.axes}")
-        return signs
-
-
 def _parities(axes: str, ops: str) -> np.ndarray:
     """Eigenvalue (+-1) of the Pauli string `ops` on each outcome of the setting
     `axes`; all zeros when that setting does not measure `ops`."""
@@ -81,35 +52,6 @@ def _parities(axes: str, ops: str) -> np.ndarray:
     return signs
 
 
-@dataclass(frozen=True)
-class CountsTable:
-    setting: MeasurementSetting
-    counts: tuple
-    exposure: float
-
-    def __post_init__(self):
-        if len(self.counts) != len(self.setting.projectors):
-            raise ValueError("counts length must equal number of outcomes")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-
-
-@functools.cache
-def pauli_settings(n_qubits: int) -> Tuple[MeasurementSetting, ...]:
-    """All 3^n axis combinations for n in {2, 3}, built once per process; the
-    projector arrays are read-only."""
-    if n_qubits not in (2, 3):
-        raise ValueError(f"unsupported qubit count {n_qubits}")
-    settings = tuple(
-        MeasurementSetting.from_axes("".join(axes))
-        for axes in itertools.product("XYZ", repeat=n_qubits)
-    )
-    for s in settings:
-        for p in s.projectors:
-            p.flags.writeable = False
-    return settings
-
-
 def _check_exposure(exposure: float):
     if not 0 < exposure <= E_MAX:  # also rejects NaN
         raise ValueError(f"exposure must lie in (0, {E_MAX:g}], got {exposure}")
@@ -117,10 +59,22 @@ def _check_exposure(exposure: float):
 
 @functools.cache
 def _projector_stack(n_qubits: int) -> np.ndarray:
-    """The projectors of `pauli_settings` as one read-only (setting, outcome, d, d)
-    array.  Built once: restacking 221 kB per 3-qubit call left malloc to return
-    it to the OS and fault it back in on every Monte-Carlo state."""
-    projs = np.array([s.projectors for s in pauli_settings(n_qubits)])
+    """The rank-1 outcome projectors of every Pauli setting, for n in {2, 3}, as one
+    read-only (setting, outcome, d, d) array in the count layout; each is the kron
+    of one single-qubit eigenprojector per qubit.  Built once: restacking 221 kB
+    per 3-qubit call left malloc to return it to the OS and fault it back in on
+    every Monte-Carlo state."""
+    if n_qubits not in (2, 3):
+        raise ValueError(f"unsupported qubit count {n_qubits}")
+    # (axis, outcome, 2, 2): the +1 and -1 eigenprojectors of X, Y and Z
+    single = np.array([[projector(b[:, k]) for k in (0, 1)] for b in _AXIS_EIGENBASES.values()])
+    projs = np.ones((1, 1, 1, 1), dtype=complex)
+    for _ in range(n_qubits):
+        # the kron of each stacked projector with each single-qubit one; the new
+        # qubit is least significant in the setting, outcome and matrix indices
+        s, o, d = projs.shape[:3]
+        projs = (projs[:, None, :, None, :, None, :, None]
+                 * single[None, :, None, :, None, :, None, :]).reshape(3 * s, 2 * o, 2 * d, 2 * d)
     projs.flags.writeable = False
     return projs
 
@@ -146,16 +100,11 @@ def _draw(lam: np.ndarray, seed: int, reps: Sequence[int]) -> np.ndarray:
     return counts
 
 
-def simulate_counts(rho: DensityMatrix, settings: Sequence[MeasurementSetting],
-                    exposure: float, seed: int, rep: int = 0) -> List[CountsTable]:
-    """Independent Poisson(exposure * p_outcome) counts per outcome, per setting."""
+def simulate_counts(rho: DensityMatrix, exposure: float, seed: int, rep: int = 0) -> np.ndarray:
+    """Independent Poisson(exposure * p_outcome) counts of every outcome of every
+    Pauli setting, as a (3^n, 2^n) int array; rep r draws from Philox(seed).jumped(r)."""
     _check_exposure(exposure)
-    if not settings:
-        return []
-    projs = np.array([s.projectors for s in settings])
-    counts = _draw(exposure * _born(projs, rho.mat), seed, (rep,))[0]
-    return [CountsTable(s, tuple(int(c) for c in row), exposure)
-            for s, row in zip(settings, counts)]
+    return _draw(exposure * _born(_projector_stack(rho.n_qubits), rho.mat), seed, (rep,))[0]
 
 
 def project_psd(h) -> DensityMatrix:
@@ -214,15 +163,15 @@ def _pauli_strings(n_qubits: int):
 
 @functools.cache
 def _pauli_tables(n_qubits: int):
-    """Read-only tables in `_pauli_strings` order: the Pauli-basis stack (4^n, d, d),
-    the row of each setting's axes string, and the parity table (3^n, 4^n, 2^n)
-    from `_parities`."""
+    """Read-only tables in `_pauli_strings` order: the Pauli-basis stack (4^n, d, d)
+    and the parity table (3^n, 4^n, 2^n) from `_parities`, settings in the count
+    layout."""
     strings = _pauli_strings(n_qubits)
     axes = ["".join(a) for a in itertools.product("XYZ", repeat=n_qubits)]
     basis = np.array([PauliString(ops).matrix() for ops in strings])
     parities = np.array([[_parities(a, ops) for ops in strings] for a in axes])
     basis.flags.writeable = parities.flags.writeable = False
-    return basis, {a: i for i, a in enumerate(axes)}, parities
+    return basis, parities
 
 
 def pauli_expectations_exact(rho: DensityMatrix) -> dict:
@@ -241,33 +190,31 @@ def reconstruct_from_expectations(expectations: dict, n_qubits: int) -> DensityM
     return project_psd(np.einsum("p,pij->ij", values, _pauli_tables(n_qubits)[0]) / 2**n_qubits)
 
 
-def reconstruct(counts: Sequence[CountsTable]) -> DensityMatrix:
-    """Linear inversion from a complete Pauli-setting count set, then PSD projection.
+def reconstruct(counts) -> DensityMatrix:
+    """Linear inversion from the counts of every Pauli setting, a (3^n, 2^n) int
+    array for n in {2, 3} as `simulate_counts` returns, then PSD projection.
 
     Each Pauli-string expectation is the parity-weighted frequency, averaged
     over every setting with nonzero counts that measures it; a string that no
     such setting measures is taken as 0.
     """
-    if not counts:
-        raise ValueError("no counts given")
-    n_qubits = len(counts[0].setting.axes)
-    rows = _pauli_tables(n_qubits)[1]
-    seen = [t.setting.axes for t in counts]
-    if sorted(seen) != sorted(rows):
-        raise ValueError(f"not the {n_qubits}-qubit Pauli setting set, one table each; "
-                         f"missing {sorted(set(rows) - set(seen))}, "
-                         f"unexpected {sorted(set(seen) - set(rows))}")
-    c = np.empty((1, len(rows), 2**n_qubits))
-    c[0, [rows[a] for a in seen]] = [t.counts for t in counts]
-    return DensityMatrix(_reconstruct(c, n_qubits)[0][0], (2,) * n_qubits)
+    c = np.asarray(counts)
+    n_qubits = {(9, 4): 2, (27, 8): 3}.get(c.shape)
+    if n_qubits is None:
+        raise ValueError(f"counts must have shape (9, 4) or (27, 8), got {c.shape}")
+    if c.dtype.kind not in "iu":
+        raise ValueError(f"counts must be integers, got dtype {c.dtype}")
+    if (c < 0).any():
+        raise ValueError("counts must be nonnegative")
+    return DensityMatrix(_reconstruct(c[None], n_qubits)[0][0], (2,) * n_qubits)
 
 
 def _reconstruct(counts: np.ndarray, n_qubits: int):
-    """`reconstruct` on a count stack (reps, setting, outcome) in `pauli_settings`
-    order: one einsum over the parity table inverts every rep, with the settings
+    """`reconstruct` on a count stack (reps, setting, outcome), without its input
+    checks: one einsum over the parity table inverts every rep, with the settings
     that recorded nothing masked out.  Returns the states (reps, d, d), the
     clipped eigenvalue mass and the number of zero-count settings per rep."""
-    basis, _, parities = _pauli_tables(n_qubits)
+    basis, parities = _pauli_tables(n_qubits)
     c = counts.astype(float)
     totals = c.sum(axis=2)
     kept = totals > 0

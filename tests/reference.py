@@ -6,11 +6,12 @@ it is compared against.
 
 import functools
 import json
+import math
 
 import numpy as np
 
-from entact.qcore import I2, PAULIS, BellKind, DensityMatrix, bell_state, projector, tensor
-from entact.protocol import BlochVector, WaveplateSetting, u_b
+from entact.qcore import I2, PAULIS, BellKind, DensityMatrix, bell_state, projector
+from entact.protocol import BlochVector, NetSpec, WaveplateSetting, bloch_vector, u_b
 
 
 def partial_transpose(mat, subsystem: int, dims) -> np.ndarray:
@@ -21,6 +22,28 @@ def partial_transpose(mat, subsystem: int, dims) -> np.ndarray:
     perm = list(range(2 * k))
     perm[subsystem], perm[k + subsystem] = perm[k + subsystem], perm[subsystem]
     return a.reshape(dims + dims).transpose(perm).reshape(a.shape)
+
+
+def partial_trace(mat, dims, keep) -> np.ndarray:
+    """Reduced matrix of `mat` on the subsystems `keep`, in their original order."""
+    dims = tuple(dims)
+    t = np.asarray(mat).reshape(dims + dims)
+    # descending order keeps the remaining axis indices stable
+    for i in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        t = np.trace(t, axis1=i, axis2=i + t.ndim // 2)
+    d = math.prod(dims[i] for i in keep)
+    return t.reshape(d, d)
+
+
+def dedup_bloch(net: NetSpec) -> np.ndarray:
+    """Distinct bases of a net, identifying n with -n: one setting at a time, each
+    direction compared with every kept one."""
+    unique = []
+    for s in net.settings():
+        v = bloch_vector(s).as_array()
+        if not any(np.abs(v - u).max() <= 1e-8 or np.abs(v + u).max() <= 1e-8 for u in unique):
+            unique.append(v)
+    return np.array(unique)
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -52,8 +75,8 @@ def quantum_classical(ps, taus, basis) -> DensityMatrix:
     n = np.asarray(basis, dtype=float)
     n = n / np.linalg.norm(n)
     _, vecs = np.linalg.eigh(n[0] * PAULIS["X"] + n[1] * PAULIS["Y"] + n[2] * PAULIS["Z"])
-    m = (ps[0] * tensor(taus[0].mat, projector(vecs[:, 1]))
-         + ps[1] * tensor(taus[1].mat, projector(vecs[:, 0])))
+    m = (ps[0] * np.kron(taus[0].mat, projector(vecs[:, 1]))
+         + ps[1] * np.kron(taus[1].mat, projector(vecs[:, 0])))
     return DensityMatrix(m, (2, 2))
 
 
@@ -67,7 +90,7 @@ def cnot_bm() -> np.ndarray:
 
 def coupling_unitary(s: WaveplateSetting) -> np.ndarray:
     """The full B-M interaction V_BM = CNOT (U_B x I_M)."""
-    return cnot_bm() @ tensor(u_b(s), I2)
+    return cnot_bm() @ np.kron(u_b(s), I2)
 
 
 @functools.lru_cache(maxsize=4)

@@ -15,14 +15,14 @@ from entact.protocol import WaveplateSetting, bloch_vector, default_net, premeas
 from entact.measures import (
     discord_bell_diagonal,
     discord_numeric,
+    negativities_theory,
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,
-    negativity_theory,
 )
 from entact.epsnet import cap_radius, sphere_scan, verify_covering, verify_packing
 from entact.witnesses import expect, w2, w3
-from entact.tomo import pauli_settings, reconstruct, simulate_counts
+from entact.tomo import reconstruct, simulate_counts
 from entact.cli import ExperimentConfig
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -42,7 +42,7 @@ def test_01_closed_form_oracle_agreement():
         chi = chi_q(float(q))
         for s in net.settings():
             brute = negativity(premeasurement(chi, s), [0, 1])
-            worst = max(worst, abs(brute - negativity_theory(float(q), s)))
+            worst = max(worst, abs(brute - float(negativities_theory(float(q), s.theta, s.phi))))
     assert worst <= 1e-9, f"worst closed-form deviation {worst:.3e}"
     report(1, "closed-form oracle agreement", t0, 10.0)
 
@@ -110,10 +110,9 @@ def test_06_witness_line():
 def test_07_tomography_statistics():
     t0 = time.monotonic()
     truth = premeasurement(chi_q(0.2), WaveplateSetting(math.pi / 12, math.pi / 6))
-    settings = pauli_settings(3)
     negs, fids = [], []
     for rep in range(100):
-        recon = reconstruct(simulate_counts(truth, settings, 1e4, seed=1, rep=rep))
+        recon = reconstruct(simulate_counts(truth, 1e4, seed=1, rep=rep))
         negs.append(negativity(recon, [0, 1]))
         fids.append(fidelity(recon, truth))
     neg_std = float(np.std(negs, ddof=1))

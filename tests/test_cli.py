@@ -25,6 +25,8 @@ from entact.cli import (
     main,
     parse_angle,
 )
+from entact.measures import negativities_theory, negativity
+from entact.protocol import premeasurement
 from entact.qcore import DensityMatrix
 from reference import density_from_json
 
@@ -214,6 +216,44 @@ class TestCommands:
         manifest = json.loads((tmp_path / "manifest_activate.json").read_text())
         assert manifest["command"] == "activate"
         assert manifest["config"]["q_values"] == [0.3]
+
+    @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
+    def test_activate_reads_the_net_records(self, tmp_path, monkeypatch, noise):
+        # exact mode takes its values from one batched `net_records` call per q:
+        # it builds no 3-qubit state, and each row still carries the brute-force
+        # negativity of its premeasurement state bit for bit
+        written, three_qubit = {}, []
+        write_csv, post_init = cli._write_csv, DensityMatrix.__post_init__
+
+        def recorded(path, header, rows, cfg):
+            written[path.name] = rows
+            write_csv(path, header, rows, cfg)
+
+        def counted(dm):
+            post_init(dm)
+            if dm.dims == (2, 2, 2):
+                three_qubit.append(dm)
+
+        def forbidden(*args):
+            raise AssertionError("exact activate called a per-setting kernel")
+
+        monkeypatch.setattr(cli, "_write_csv", recorded)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        monkeypatch.setattr(cli, "premeasurement", forbidden)
+        monkeypatch.setattr(measures, "negativity", forbidden)
+        assert main(["activate", "--noise", noise, "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        assert three_qubit == []
+        cfg = ExperimentConfig(noise=noise)
+        settings = cfg.net.settings()
+        for q in cfg.q_values:
+            chi, rows = cfg.input_state(q), written[f"activate_q{q:.2f}.csv"]
+            assert [row[:3] for row in rows] == [(q, s.theta, s.phi) for s in settings]
+            for (_, theta, phi, theory, value, err), s in zip(rows, settings):
+                assert value == negativity(premeasurement(chi, s), [0, 1])
+                # the closed form of the ideal chi_q, also under noise
+                assert theory == float(negativities_theory(q, theta, phi))
+                assert err == 0.0
 
     def test_certify_strict_passes_for_positive_q(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -26,7 +26,6 @@ from entact.measures import (
     negativities_theory,
     negativity,
     negativity_offdiag,
-    negativity_theory,
 )
 from entact.epsnet import (
     MAX_RESOLUTION,
@@ -40,6 +39,7 @@ from entact.epsnet import (
     verify_covering,
     verify_packing,
 )
+import reference
 from reference import bloch_from_array, werner_mix
 from test_protocol import full_rank_state
 
@@ -90,6 +90,18 @@ class TestNetSpec:
         assert bases.shape == (16, 3)
         assert np.abs(np.linalg.norm(bases, axis=1) - 1).max() < 1e-12
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6),
+           st.lists(st.floats(0.0, math.pi / 4), min_size=1, max_size=4))
+    def test_dedup_matches_one_at_a_time_reference(self, thetas, phis):
+        # a repeated theta and theta + pi give n again, and phi + pi/4 gives -n:
+        # each added setting repeats a basis of the original grid
+        net = NetSpec(thetas + [thetas[0], thetas[-1] + math.pi],
+                      phis + [phis[0] + math.pi / 4])
+        bases = dedup_bloch(net)
+        assert np.array_equal(bases, reference.dedup_bloch(net))
+        assert len(bases) <= len(thetas) * len(phis)
+
     def test_records_reject_negative_negativity(self, records02):
         # the bounds check the records they are given: N < 0 (or NaN) is not a record
         for bad in (-0.1, math.nan):
@@ -104,9 +116,10 @@ class TestNetSpec:
         for q in (0.0, 0.2, 0.6):
             records = net_records(chi_q(q), net)
             assert records.blocks.shape == (28, 4, 4)
-            for s, value in zip(net.settings(), records.n.tolist()):
-                assert value == pytest.approx(negativity_theory(q, s), abs=1e-15)
-                if negativity_theory(q, s) == 0.0:
+            theory = negativities_theory(q, records.theta, records.phi)
+            for value, closed in zip(records.n.tolist(), theory.tolist()):
+                assert value == pytest.approx(closed, abs=1e-15)
+                if closed == 0.0:
                     assert value == 0.0
 
 
@@ -320,8 +333,7 @@ class TestCombinedBound:
         rng = np.random.default_rng(17)
         theta, phi = rng.uniform(0, math.pi / 2, 40), rng.uniform(0, math.pi / 4, 40)
         _, low, _ = lower_bounds(records02, theta, phi)
-        for th, ph, b in zip(theta, phi, low):
-            assert b <= negativity_theory(0.2, WaveplateSetting(th, ph)) + 1e-9
+        assert (low <= negativities_theory(0.2, theta, phi) + 1e-9).all()
 
     def test_soundness_at_classical_point(self, net):
         recs = net_records(chi_q(0.0), net)

@@ -39,7 +39,6 @@ from entact.measures import (
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,
-    negativity_theory,
 )
 from reference import premeasurement_negativities, quantum_classical, werner_mix
 from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
@@ -97,20 +96,20 @@ class TestNegativityRoutes:
             s = WaveplateSetting(theta, phi)
             brute = negativity(premeasurement(chi, s), [0, 1])
             offdiag = negativity_offdiag(chi, bloch_vector(s))
-            closed = negativity_theory(q, s)
+            closed = float(negativities_theory(q, theta, phi))
             assert brute == pytest.approx(closed, abs=1e-9)
             assert offdiag == pytest.approx(closed, abs=1e-9)
 
     def test_theory_branches(self):
         # constant q for q >= 1/3, angle-dependent below
-        s_min = WaveplateSetting(math.pi / 4, 0.0)
-        assert negativity_theory(0.5, s_min) == pytest.approx(0.5)
-        assert negativity_theory(0.2, s_min) == pytest.approx(0.2, abs=1e-12)
-        assert negativity_theory(0.2, WaveplateSetting(0, 0)) > 0.2
+        at_min = (math.pi / 4, 0.0)
+        assert negativities_theory(0.5, *at_min) == pytest.approx(0.5)
+        assert negativities_theory(0.2, *at_min) == pytest.approx(0.2, abs=1e-12)
+        assert negativities_theory(0.2, 0.0, 0.0) > 0.2
 
     def test_theory_range_check(self):
         with pytest.raises(ValueError):
-            negativity_theory(-0.1, WaveplateSetting(0, 0))
+            negativities_theory(-0.1, 0.0, 0.0)
         with pytest.raises(ValueError):
             negativities_theory(1.5, np.zeros(3), np.zeros(3))
 
@@ -141,7 +140,7 @@ class TestNegativityRoutes:
             assert abs(value - theory(th, ph)) <= np.spacing(theory(th, ph))
             s = WaveplateSetting(th, ph)
             assert (bloch_vector(s).as_array() == n).all()
-            assert negativity_theory(q, s) == value
+            assert float(negativities_theory(q, th, ph)) == value
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),

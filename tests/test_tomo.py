@@ -1,5 +1,6 @@
 """Simulated tomography: counts, reconstruction, error bars."""
 
+import functools
 import itertools
 import math
 
@@ -8,23 +9,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entact.qcore import BellKind, DensityMatrix, PauliString, bell_state, chi_q, fidelity
+from entact.qcore import (BellKind, DensityMatrix, PauliString, bell_state, chi_q, fidelity,
+                          projector)
 from entact.protocol import WaveplateSetting, premeasurement
 from entact.measures import negativities, negativity
 from entact.witnesses import expect, w3
 from entact.tomo import (
     E_MAX,
     MC_REPS_MAX,
-    CountsTable,
-    MeasurementSetting,
     _BLOCK,
     _born,
     _draw,
+    _parities,
     _project,
     _projector_stack,
     mc_errorbar,
     pauli_expectations_exact,
-    pauli_settings,
     project_psd,
     reconstruct,
     reconstruct_from_expectations,
@@ -33,21 +33,60 @@ from entact.tomo import (
 )
 from reference import partial_transpose
 
+# the count layout: one row per setting, one column per outcome bit string
+EIGENBASES = {"X": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
+              "Y": np.array([[1, 1], [1j, -1j]]) / math.sqrt(2),
+              "Z": np.eye(2)}
+
+
+def setting_axes(n_qubits):
+    return ["".join(a) for a in itertools.product("XYZ", repeat=n_qubits)]
+
+
+def outcome_bits(n_qubits):
+    return list(itertools.product((0, 1), repeat=n_qubits))
+
+
+def setting_projectors(axes):
+    """The outcome projectors of one setting: kron of each qubit's eigenprojector,
+    column 0 (+1) for bit 0 and column 1 (-1) for bit 1."""
+    projs = []
+    for bits in outcome_bits(len(axes)):
+        p = np.ones((1, 1))
+        for a, b in zip(axes, bits):
+            p = np.kron(p, projector(EIGENBASES[a][:, b]))
+        projs.append(p)
+    return projs
+
+
+@functools.cache
+def pauli_string_table(n_qubits):
+    """Per non-identity Pauli string: its matrix, the parity of each outcome ((-1)
+    to the number of 1 bits on the qubits where the string is not I), and the rows
+    of the settings that measure it."""
+    table = []
+    for ops in ("".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)):
+        if ops == "I" * n_qubits:
+            continue
+        parity = np.array([(-1) ** sum(b for o, b in zip(ops, bits) if o != "I")
+                           for bits in outcome_bits(n_qubits)])
+        rows = [i for i, axes in enumerate(setting_axes(n_qubits))
+                if all(o in ("I", a) for o, a in zip(ops, axes))]
+        table.append((PauliString(ops).matrix(), parity, rows))
+    return table
+
 
 def inversion_reference(counts, n_qubits):
     """Per-string loop: each Pauli expectation is the parity-weighted frequency,
     averaged over the settings with nonzero counts that measure it; returns the
     linear-inversion matrix before any projection."""
     dim = 2**n_qubits
+    totals = counts.sum(axis=1)
     h = np.eye(dim, dtype=complex) / dim
-    for ops in ("".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)):
-        if ops == "I" * n_qubits:
-            continue
-        values = [t.setting.outcome_parities(ops) @ (np.array(t.counts) / sum(t.counts))
-                  for t in counts
-                  if sum(t.counts) and all(o in ("I", a) for o, a in zip(ops, t.setting.axes))]
+    for matrix, parity, rows in pauli_string_table(n_qubits):
+        values = [parity @ (counts[i] / totals[i]) for i in rows if totals[i]]
         if values:
-            h += np.mean(values) * PauliString(ops).matrix() / dim
+            h += np.mean(values) * matrix / dim
     return h
 
 
@@ -93,83 +132,87 @@ def rho3():
 
 
 class TestSettings:
-    def test_setting_counts(self):
-        assert len(pauli_settings(2)) == 9
-        assert len(pauli_settings(3)) == 27
-        with pytest.raises(ValueError):
-            pauli_settings(4)
+    def test_setting_counts(self, rho3):
+        assert _projector_stack(2).shape == (9, 4, 4, 4)
+        assert _projector_stack(3).shape == (27, 8, 8, 8)
+        assert simulate_counts(chi_q(0.3), 1e4, seed=1).shape == (9, 4)
+        assert simulate_counts(rho3, 1e4, seed=1).shape == (27, 8)
+        for n_qubits in (1, 4):
+            with pytest.raises(ValueError, match="qubit count"):
+                _projector_stack(n_qubits)
 
     def test_settings_built_once(self):
-        settings = pauli_settings(3)
-        assert pauli_settings(3) is settings
-        assert [s.axes for s in settings] == ["".join(a) for a in itertools.product("XYZ", repeat=3)]
-        with pytest.raises(ValueError):
-            settings[0].projectors[0][0, 0] = 0.0
-        stack = _projector_stack(3)
-        assert _projector_stack(3) is stack
-        assert np.array_equal(stack, [s.projectors for s in settings])
-        with pytest.raises(ValueError):
-            stack[0, 0, 0, 0] = 0.0
+        for n_qubits in (2, 3):
+            stack = _projector_stack(n_qubits)
+            assert _projector_stack(n_qubits) is stack
+            # the kron of the per-qubit eigenprojectors, row by row in the count layout
+            assert np.array_equal(stack, [setting_projectors(a) for a in setting_axes(n_qubits)])
+            with pytest.raises(ValueError):
+                stack[0, 0, 0, 0] = 0.0
 
     def test_projectors_resolve_identity(self):
-        s = MeasurementSetting.from_axes("XZY")
-        total = sum(s.projectors)
+        total = _projector_stack(3).sum(axis=1)
         assert np.abs(total - np.eye(8)).max() < 1e-12
 
     def test_outcome_parities(self):
-        s = MeasurementSetting.from_axes("ZZ")
-        assert np.allclose(s.outcome_parities("ZZ"), [1, -1, -1, 1])
-        assert np.allclose(s.outcome_parities("IZ"), [1, -1, 1, -1])
-        with pytest.raises(ValueError):
-            s.outcome_parities("XZ")
+        assert np.array_equal(_parities("ZZ", "ZZ"), [1, -1, -1, 1])
+        assert np.array_equal(_parities("ZZ", "IZ"), [1, -1, 1, -1])
+        assert np.array_equal(_parities("ZZ", "XZ"), [0, 0, 0, 0])
 
 
 class TestCounts:
     def test_reproducible_with_seed(self, rho3):
-        a = simulate_counts(rho3, pauli_settings(3), 1e4, seed=5)
-        b = simulate_counts(rho3, pauli_settings(3), 1e4, seed=5)
-        assert all(x.counts == y.counts for x, y in zip(a, b))
+        a = simulate_counts(rho3, 1e4, seed=5)
+        assert a.dtype == np.int64
+        assert np.array_equal(a, simulate_counts(rho3, 1e4, seed=5))
 
     def test_substreams_differ(self, rho3):
-        a = simulate_counts(rho3, pauli_settings(3), 1e4, seed=5, rep=0)
-        b = simulate_counts(rho3, pauli_settings(3), 1e4, seed=5, rep=1)
-        assert any(x.counts != y.counts for x, y in zip(a, b))
+        a = simulate_counts(rho3, 1e4, seed=5, rep=0)
+        assert not np.array_equal(a, simulate_counts(rho3, 1e4, seed=5, rep=1))
 
     def test_totals_scale_with_exposure(self, rho3):
-        tables = simulate_counts(rho3, pauli_settings(3)[:3], 1e5, seed=2)
-        for t in tables:
-            assert sum(t.counts) == pytest.approx(1e5, rel=0.05)
+        totals = simulate_counts(rho3, 1e5, seed=2).sum(axis=1)
+        assert totals == pytest.approx(np.full(27, 1e5), rel=0.05)
 
     def test_one_draw_equals_per_setting_draws(self, rho3):
-        settings = pauli_settings(3)
         for seed, rep in ((1, 0), (1, 7), (123, 3)):
             # the substream rule: rep r draws from Philox(seed).jumped(r)
             rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)).jumped(rep))
-            for table in simulate_counts(rho3, settings, 1e4, seed, rep=rep):
-                p = [np.trace(proj @ rho3.mat).real for proj in table.setting.projectors]
-                assert table.counts == tuple(rng.poisson(1e4 * np.clip(p, 0.0, None)))
+            counts = simulate_counts(rho3, 1e4, seed, rep=rep)
+            for axes, row in zip(setting_axes(3), counts):
+                p = [np.trace(proj @ rho3.mat).real for proj in setting_projectors(axes)]
+                assert np.array_equal(row, rng.poisson(1e4 * np.clip(p, 0.0, None)))
 
     def test_exposure_guard(self, rho3):
         with pytest.raises(ValueError):
-            simulate_counts(rho3, pauli_settings(3), 0.0, seed=1)
+            simulate_counts(rho3, 0.0, seed=1)
 
     @pytest.mark.parametrize("exposure", [-1.0, math.nan, math.inf, 2 * E_MAX])
     def test_exposure_bounds(self, rho3, exposure):
         with pytest.raises(ValueError, match="exposure"):
-            simulate_counts(rho3, pauli_settings(3), exposure, seed=1)
+            simulate_counts(rho3, exposure, seed=1)
         with pytest.raises(ValueError, match="exposure"):
             mc_errorbar(rho3, exposure, reps=50, seed=1, functional="negativity")
 
     def test_largest_exposure_draws(self, rho3):
-        tables = simulate_counts(rho3, pauli_settings(3)[:1], E_MAX, seed=1)
-        assert sum(tables[0].counts) == pytest.approx(E_MAX, rel=1e-6)
+        totals = simulate_counts(rho3, E_MAX, seed=1).sum(axis=1)
+        assert totals == pytest.approx(np.full(27, E_MAX), rel=1e-6)
 
-    def test_counts_table_validation(self):
-        s = MeasurementSetting.from_axes("ZZ")
-        with pytest.raises(ValueError):
-            CountsTable(s, (1, 2, 3), 100.0)
-        with pytest.raises(ValueError):
-            CountsTable(s, (1, -2, 3, 4), 100.0)
+    def test_counts_table_validation(self, rho3):
+        counts = simulate_counts(rho3, 1e4, seed=1)
+        for bad in (counts[:, :-1], counts.T, counts[None], counts.ravel(),
+                    np.zeros((27, 4), int)):
+            with pytest.raises(ValueError, match="shape"):
+                reconstruct(bad)
+        for bad in (counts.astype(float), counts > 0):
+            with pytest.raises(ValueError, match="integers"):
+                reconstruct(bad)
+        negative = counts.copy()
+        negative[3, 2] = -1
+        with pytest.raises(ValueError, match="nonnegative"):
+            reconstruct(negative)
+        # unsigned and narrower integers read as the same counts
+        assert np.array_equal(reconstruct(counts.astype(np.uint16)).mat, reconstruct(counts).mat)
 
 
 class TestProjection:
@@ -247,26 +290,27 @@ class TestReconstruction:
 
     def test_counts_reconstruction_converges(self):
         rho = bell_state(BellKind.PSI_PLUS)
-        tables = simulate_counts(rho, pauli_settings(2), 1e6, seed=3)
-        recon = reconstruct(tables)
+        recon = reconstruct(simulate_counts(rho, 1e6, seed=3))
+        assert recon.dims == (2, 2)
         assert fidelity(recon, rho) > 0.999
 
     @pytest.mark.parametrize("exposure", [1e4, 1.0])
     def test_matches_per_string_reference(self, rho3, exposure):
-        tables = simulate_counts(rho3, pauli_settings(3), exposure, seed=4)
+        counts = simulate_counts(rho3, exposure, seed=4)
         if exposure == 1.0:
-            assert any(sum(t.counts) == 0 for t in tables)
-        ref = reconstruct_reference(tables, 3)
-        assert np.abs(reconstruct(tables).mat - ref).max() < 1e-12
+            assert (counts.sum(axis=1) == 0).any()
+        ref = reconstruct_reference(counts, 3)
+        assert np.abs(reconstruct(counts).mat - ref).max() < 1e-12
 
     def test_incomplete_settings_rejected(self, rho3):
-        tables = simulate_counts(rho3, pauli_settings(3)[:-1], 1e4, seed=1)
-        with pytest.raises(ValueError):
-            reconstruct(tables)
+        counts = simulate_counts(rho3, 1e4, seed=1)
+        with pytest.raises(ValueError, match="shape"):
+            reconstruct(counts[:-1])
 
     def test_empty_input(self):
-        with pytest.raises(ValueError):
-            reconstruct([])
+        for empty in ([], np.zeros((0, 8), int)):
+            with pytest.raises(ValueError, match="shape"):
+                reconstruct(empty)
 
 
 class TestErrorBars:
@@ -312,17 +356,17 @@ class TestBatchedPipeline:
            reps=st.integers(50, 60), seed=st.integers(0, 2**64 - 1))
     def test_matches_per_rep_reference(self, state_seed, exposure, reps, seed):
         rho = random_state(state_seed)
-        settings_ = pauli_settings(3)
         counts = _draw(exposure * _born(_projector_stack(3), rho.mat), seed, range(reps))
         run = tomography(rho, exposure, seed, range(reps))
         values = []
         for rep in range(reps):
-            tables = simulate_counts(rho, settings_, exposure, seed, rep=rep)
-            assert np.array_equal(counts[rep], [t.counts for t in tables])
-            mat, clipped = project_reference(inversion_reference(tables, 3))
+            single = simulate_counts(rho, exposure, seed, rep=rep)
+            assert np.array_equal(counts[rep], single)
+            assert np.array_equal(reconstruct(single).mat, run.states[rep])
+            mat, clipped = project_reference(inversion_reference(single, 3))
             assert np.abs(run.states[rep] - mat).max() <= 1e-12
             assert run.clipped_mass[rep] == pytest.approx(clipped, abs=1e-12)
-            assert run.zero_settings[rep] == sum(not any(t.counts) for t in tables)
+            assert run.zero_settings[rep] == (single.sum(axis=1) == 0).sum()
             values.append(negativity_reference(mat))
         assert np.abs(negativities(run.states, (2, 2, 2), [0, 1]) - values).max() <= 1e-12
         bar = mc_errorbar(rho, exposure, reps, seed, "negativity")
@@ -336,8 +380,8 @@ class TestBatchedPipeline:
     def test_blocks_match_single_shot_reps(self, rho3):
         reps = 2 * _BLOCK + 3
         bar = mc_errorbar(rho3, 1e4, reps, seed=9, functional="negativity")
-        values = [negativity(reconstruct(simulate_counts(rho3, pauli_settings(3), 1e4, 9, rep=r)),
-                             [0, 1]) for r in range(reps)]
+        values = [negativity(reconstruct(simulate_counts(rho3, 1e4, 9, rep=r)), [0, 1])
+                  for r in range(reps)]
         assert bar.mean == float(np.mean(values))
         assert bar.std == float(np.std(values, ddof=1))
 
