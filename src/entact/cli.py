@@ -68,6 +68,9 @@ class ExperimentConfig:
             raise ConfigError("q_values must be nonempty")
         if any(not 0 <= q <= 1 for q in self.q_values):
             raise ConfigError("q values must lie in [0, 1]")
+        if len({f"{q:.2f}" for q in self.q_values}) < len(self.q_values):
+            raise ConfigError("q values must differ in their first two decimals, "
+                              "which name the per-q CSV files")
         if not 0 < self.exposure <= E_MAX:  # also rejects NaN
             raise ConfigError(f"exposure must lie in (0, {E_MAX:g}]")
         if not MIN_GRID_STEP <= self.grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
@@ -171,16 +174,28 @@ def parse_angle(text: str) -> float:
     return angle
 
 
-def _write_csv(path: Path, header: str, rows, cfg: ExperimentConfig):
-    """Write tuple `rows` whose columns keep one type: floats as %.12g, others as str."""
+def _write_csv(path: Path, header: str, columns, cfg_hash: str, seed: int):
+    """Write one CSV field per entry of `columns`, each a sequence over the rows or a
+    scalar that every row repeats: floats as %.12g, other values as str.  A column
+    object given twice is formatted once."""
+    n = max((len(c) for c in columns if np.ndim(c)), default=0)
+    fields = {key: _format_column(c, n) for key, c in {id(c): c for c in columns}.items()}
+    rows = zip(*(fields[id(c)] for c in columns), itertools.repeat(f"{cfg_hash},{seed}\n"))
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(SCHEMA_LINE + "\n")
-        fh.write(header + ",cfg_hash,seed\n")
-        if rows:
-            line = ",".join("%.12g" if isinstance(x, float) else "%s" for x in rows[0])
-            line += f",{cfg.hash()},{cfg.seed}\n"
-            fh.writelines(line % row for row in rows)
+    path.write_text(f"{SCHEMA_LINE}\n{header},cfg_hash,seed\n" + "".join(map(",".join, rows)))
+
+
+def _format_column(column, n: int) -> list:
+    """The n fields of one `_write_csv` column, formatting each distinct float once."""
+    if not np.ndim(column):
+        return [f"{column:.12g}" if isinstance(column, float) else str(column)] * n
+    values = np.asarray(column)
+    if values.dtype != np.float64:
+        return [str(x) for x in column]
+    # the bit view keeps -0.0 apart from 0.0
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(["%.12g" % x for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[index].tolist()
 
 
 def _exposure_warnings(where: str, clipped_mass: float, zero_settings: int) -> list:
@@ -193,38 +208,37 @@ def _exposure_warnings(where: str, clipped_mass: float, zero_settings: int) -> l
 
 
 def cmd_activate(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.output_dir)
+    out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     clipping = []  # tomography diagnostics per (q, setting) under --mc-reps
     warnings = []
     for q in cfg.q_values:
         chi = cfg.input_state(q)
         # exact values come straight from the records; only tomography needs a state
         rec = net_records(chi, cfg.net)
-        rows = []
-        for theta, phi, theory, value in zip(rec.theta.tolist(), rec.phi.tolist(),
-                                             negativities_theory(q, rec.theta, rec.phi).tolist(),
-                                             rec.n.tolist()):
-            err = 0.0
-            if cfg.mc_reps > 0:
+        value, err = rec.n, 0.0
+        if cfg.mc_reps > 0:
+            value, err = [], []
+            for theta, phi in zip(rec.theta.tolist(), rec.phi.tolist()):
                 state = premeasurement(chi, WaveplateSetting(theta, phi))
                 bar = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed, "negativity")
-                value, err = bar.mean, bar.std
+                value.append(bar.mean)
+                err.append(bar.std)
                 clipping.append({"q": q, "theta": theta, "phi": phi,
                                  **_summary("clipped_mass", bar.clipped_mass),
                                  **_summary("zero_settings", bar.zero_settings)})
                 warnings += _exposure_warnings(
                     f"q={q} theta={theta:.6f} phi={phi:.6f}",
                     clipping[-1]["clipped_mass_mean"], clipping[-1]["zero_settings_max"])
-            rows.append((q, theta, phi, theory, value, err))
-        _write_csv(out / f"activate_q{q:.2f}.csv",
-                   "q,theta_rad,phi_rad,n_theory,n_value,n_std", rows, cfg)
+        _write_csv(out / f"activate_q{q:.2f}.csv", "q,theta_rad,phi_rad,n_theory,n_value,n_std",
+                   (q, rec.theta, rec.phi, negativities_theory(q, rec.theta, rec.phi), value, err),
+                   cfg_hash, cfg.seed)
     results = {"tomography": clipping} if clipping else {}
     if warnings:
         print(f"warning: {len(warnings)} of {len(clipping)} tomography runs crossed a "
               f"low-exposure threshold; see results.warnings in manifest_activate.json",
               file=sys.stderr)
         results["warnings"] = warnings
-    _write_manifest(out, cfg, "activate", results)
+    _write_manifest(out, cfg, "activate", cfg_hash, results)
     return 0
 
 
@@ -233,28 +247,27 @@ def _summary(name: str, per_rep: np.ndarray) -> dict:
 
 
 def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
-    out = Path(cfg.output_dir)
+    out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     verdicts = {}
-    for q in cfg.q_values:
-        min_low, argmin, (theta, phi, low1, low2) = sphere_scan(cfg.input_state(q), cfg.net,
-                                                                 cfg.grid_step)
+    scans = sphere_scan([cfg.input_state(q) for q in cfg.q_values], cfg.net, cfg.grid_step)
+    for q, (min_low, argmin, (theta, phi, low1, low2)) in zip(cfg.q_values, scans):
         verdicts[q] = min_low
         # n_theory is the closed form of the ideal chi_q(q), also under noise;
         # n_low, the bound at the grid point, is low2, as low2 >= low1 exactly
-        columns = (theta, phi, negativities_theory(q, theta, phi), low1, low2, low2)
         _write_csv(out / f"certify_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_low1,n_low2,n_low",
-                   list(zip(itertools.repeat(q), *(c.tolist() for c in columns))), cfg)
+                   (q, theta, phi, negativities_theory(q, theta, phi), low1, low2, low2),
+                   cfg_hash, cfg.seed)
         print(f"q={q}: min_low={min_low:.6f} at (theta={argmin.theta:.6f}, "
               f"phi={argmin.phi:.6f}) -> {'certified' if min_low > 0 else 'not certified'}")
-    _write_manifest(out, cfg, "certify", {str(q): v for q, v in verdicts.items()})
+    _write_manifest(out, cfg, "certify", cfg_hash, {str(q): v for q, v in verdicts.items()})
     if strict and any(v <= 0 for q, v in verdicts.items() if q > 0):
         return 3
     return 0
 
 
 def cmd_discord_match(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.output_dir)
+    out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     rows, searches = [], {}
     for q in cfg.q_values:
         chi = cfg.input_state(q)
@@ -271,14 +284,14 @@ def cmd_discord_match(cfg: ExperimentConfig) -> int:
             value = res.value
             searches[str(q)] = asdict(res.search)
         rows.append((q, d_closed, value, min_net, value, status))
-    _write_csv(out / "discord_match.csv",
-               "q,d_closed,d_numeric,min_net_negativity,q_n,status", rows, cfg)
-    _write_manifest(out, cfg, "discord-match", {"searches": searches})
+    _write_csv(out / "discord_match.csv", "q,d_closed,d_numeric,min_net_negativity,q_n,status",
+               tuple(zip(*rows)), cfg_hash, cfg.seed)
+    _write_manifest(out, cfg, "discord-match", cfg_hash, {"searches": searches})
     return 0
 
 
 def cmd_witness(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.output_dir)
+    out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     rows = []
     worst_setting = WaveplateSetting(math.pi / 4, 0.0)
     bipartite, tripartite = w2(), w3()
@@ -286,8 +299,9 @@ def cmd_witness(cfg: ExperimentConfig) -> int:
         chi = cfg.input_state(q)
         rho = premeasurement(chi, worst_setting)
         rows.append((q, expect(bipartite, chi), expect(tripartite, rho), 0.5 - q))
-    _write_csv(out / "witness.csv", "q,w2_expect,w3_expect,theory", rows, cfg)
-    _write_manifest(out, cfg, "witness")
+    _write_csv(out / "witness.csv", "q,w2_expect,w3_expect,theory", tuple(zip(*rows)),
+               cfg_hash, cfg.seed)
+    _write_manifest(out, cfg, "witness", cfg_hash)
     return 0
 
 
@@ -316,7 +330,7 @@ def cmd_tomo_demo(cfg: ExperimentConfig, q: float, theta: float, phi: float,
     (out / "tomo_reconstructed.json").write_text(recon.to_json())
     print(f"q={q} theta={s.theta:.6f} phi={s.phi:.6f} exposure={cfg.exposure:g} "
           f"fidelity={f:.6f}")
-    _write_manifest(out, cfg, "tomo-demo", {"fidelity": f, **results})
+    _write_manifest(out, cfg, "tomo-demo", cfg.hash(), {"fidelity": f, **results})
     return 0
 
 
@@ -334,9 +348,9 @@ def cmd_net_verify(cfg: ExperimentConfig, epsilon: float = 0.5,
     return 0
 
 
-def _write_manifest(out: Path, cfg: ExperimentConfig, command: str, extra=None):
+def _write_manifest(out: Path, cfg: ExperimentConfig, command: str, cfg_hash: str, extra=None):
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {"command": command, "config": asdict(cfg), "cfg_hash": cfg.hash()}
+    manifest = {"command": command, "config": asdict(cfg), "cfg_hash": cfg_hash}
     if extra:
         manifest["results"] = extra
     (out / f"manifest_{command.replace('-', '_')}.json").write_text(

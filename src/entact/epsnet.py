@@ -31,7 +31,7 @@ from .measures import _fibonacci_directions, negativities
 MAX_RESOLUTION = 200_000
 # Finest `sphere_scan` grid step, 0.25 degree: 361 x 181 = 65,341 grid points,
 # whose three (records, points) chord arrays take 44 MB at the 28-setting default
-# net; a certify run at it peaks near 110 MB resident
+# net; a certify run at it peaks near 95 MB resident
 MIN_GRID_STEP = math.pi / 720
 
 
@@ -48,11 +48,10 @@ class NetRecords(NamedTuple):
 
 def net_records(chi: DensityMatrix, net: NetSpec) -> NetRecords:
     """The records of `chi` on every setting of `net`, theta-major like
-    `net.settings()`, from one stacked premeasurement and one stacked `eigvalsh`."""
+    `net.angles()`, from one stacked premeasurement and one stacked `eigvalsh`."""
     if chi.dims != (2, 2):
         raise ValueError(f"chi must be a 2-qubit state, got dims {chi.dims}")
-    theta = np.repeat(net.thetas, len(net.phis))
-    phi = np.tile(net.phis, len(net.thetas))
+    theta, phi = net.angles()
     states = _premeasure(chi.mat, _u_b(theta, phi))
     return NetRecords(theta, phi, negativities(states, (2, 2, 2), [0, 1]),
                       states[:, _CNOT_IMAGE[:, None], _CNOT_IMAGE])
@@ -127,29 +126,34 @@ def lower_bounds(records: NetRecords, theta, phi):
     chi_A x I/2 gives ||chi - chi_A x I/2||_1, which no unitary on B changes, so
     every B_j gives it.  As L <= 1, low2 >= low1 in every entry, exactly.
     """
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if theta.ndim != 1 or theta.shape != phi.shape:
+        raise ValueError("theta and phi must be 1-D arrays of one length")
+    return _bounds(records, _basis_chords(_bloch_vectors(records.theta, records.phi),
+                                          _bloch_vectors(theta, phi)))
+
+
+def _bounds(records: NetRecords, chords: np.ndarray):
+    """`lower_bounds` from the (records, targets) chord array of the record bases."""
     if not len(records.n):
         raise ValueError("lower_bounds needs at least one record")
     if not (records.n >= 0).all():  # also rejects NaN
         raise ValueError("record negativities must be nonnegative")
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    if theta.ndim != 1 or theta.shape != phi.shape:
-        raise ValueError("theta and phi must be 1-D arrays of one length")
     rec_n, blocks = records.n[:, None], records.blocks
-    rec_b = _bloch_vectors(records.theta, records.phi)
     marginal = np.einsum("jabcb->jac", blocks.reshape(-1, 2, 2, 2, 2))
     centred = blocks - np.einsum("jac,bd->jabcd", marginal, np.eye(2) / 2).reshape(blocks.shape)
     lip = min(1.0, float(np.abs(np.linalg.eigvalsh(centred)).sum(axis=-1).max()))
-    d = _basis_chords(rec_b, _bloch_vectors(theta, phi))
-    return (rec_n - d).max(axis=0), (rec_n - lip * d).max(axis=0), lip
+    return (rec_n - chords).max(axis=0), (rec_n - lip * chords).max(axis=0), lip
 
 
-def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 180):
-    """Both lower bounds, from the net records of `chi`, on a (theta, phi) grid over
-    the full angular range, MIN_GRID_STEP <= grid_step <= pi/90, and a verdict that holds
-    between the grid points too.
+def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
+    """Both lower bounds, from the net records of each state in `states`, on one
+    (theta, phi) grid over the full angular range, MIN_GRID_STEP <= grid_step <= pi/90,
+    and a verdict that holds between the grid points too.
 
-    Returns (min_low, argmin_setting, columns) with columns the 1-D arrays
-    (theta, phi, low1, low2), theta-major over the grid.
+    Returns one (min_low, argmin_setting, columns) per state, with columns the 1-D
+    arrays (theta, phi, low1, low2), theta-major over the grid.  The chords to the
+    grid depend on the net alone, so one chord array serves every state.
 
     The range theta in [0, pi/2], phi in [0, pi/4] reaches every basis:
     n = (-cos a sin 2 theta, -sin a, cos a cos 2 theta) with a = 2 (theta - 2 phi),
@@ -165,13 +169,16 @@ def sphere_scan(chi: DensityMatrix, net: NetSpec, grid_step: float = math.pi / 1
     """
     if not MIN_GRID_STEP <= grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
         raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
-    thetas = np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step)
-    phis = np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)
-    theta, phi = np.repeat(thetas, len(phis)), np.tile(phis, len(thetas))
-    low1, low2, lip = lower_bounds(net_records(chi, net), theta, phi)
-    # the grid runs theta-major in ascending order, so the first near-tie is the
-    # lexicographically smallest; rounding-level changes in chi do not move it
-    grid_min = float(low2.min())
-    i = int(np.flatnonzero(low2 <= grid_min + 1e-12)[0])
-    min_low = grid_min - lip * (2.0 + math.sqrt(2.0)) * grid_step
-    return min_low, WaveplateSetting(theta[i], phi[i]), (theta, phi, low1, low2)
+    theta, phi = NetSpec(np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step),
+                         np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)).angles()
+    chords = _basis_chords(_bloch_vectors(*net.angles()), _bloch_vectors(theta, phi))
+    scans = []
+    for chi in states:
+        low1, low2, lip = _bounds(net_records(chi, net), chords)
+        # the grid runs theta-major in ascending order, so the first near-tie is the
+        # lexicographically smallest; rounding-level changes in chi do not move it
+        grid_min = float(low2.min())
+        i = int(np.flatnonzero(low2 <= grid_min + 1e-12)[0])
+        min_low = grid_min - lip * (2.0 + math.sqrt(2.0)) * grid_step
+        scans.append((min_low, WaveplateSetting(theta[i], phi[i]), (theta, phi, low1, low2)))
+    return scans

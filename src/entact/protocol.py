@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -97,8 +96,9 @@ class NetSpec:
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
         object.__setattr__(self, "phis", tuple(float(p) for p in self.phis))
 
-    def settings(self) -> List[WaveplateSetting]:
-        return [WaveplateSetting(t, p) for t in self.thetas for p in self.phis]
+    def angles(self):
+        """The (theta, phi) arrays of every setting, theta-major."""
+        return np.repeat(self.thetas, len(self.phis)), np.tile(self.phis, len(self.thetas))
 
 
 def default_net() -> NetSpec:
@@ -111,10 +111,9 @@ def default_net() -> NetSpec:
 
 def dedup_bloch(net: NetSpec) -> np.ndarray:
     """Unique measurement bases of a net as a (k, 3) array, identifying n with -n:
-    the directions of `net.settings()` in order, each kept unless a kept one lies
-    within `_DEDUP_TOL` of it or of its negative in every coordinate."""
-    theta, phi = np.repeat(net.thetas, len(net.phis)), np.tile(net.phis, len(net.thetas))
-    dirs = _bloch_vectors(theta, phi)
+    the directions of the settings in `net.angles()` order, each kept unless a kept
+    one lies within `_DEDUP_TOL` of it or of its negative in every coordinate."""
+    dirs = _bloch_vectors(*net.angles())
     unique, k = np.empty_like(dirs), 0
     for v in dirs:
         kept = unique[:k]

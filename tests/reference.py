@@ -35,11 +35,16 @@ def partial_trace(mat, dims, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
+def net_settings(net: NetSpec) -> list:
+    """The settings of a net, theta-major: one `WaveplateSetting` per angle pair."""
+    return [WaveplateSetting(t, p) for t in net.thetas for p in net.phis]
+
+
 def dedup_bloch(net: NetSpec) -> np.ndarray:
     """Distinct bases of a net, identifying n with -n: one setting at a time, each
     direction compared with every kept one."""
     unique = []
-    for s in net.settings():
+    for s in net_settings(net):
         v = bloch_vector(s).as_array()
         if not any(np.abs(v - u).max() <= 1e-8 or np.abs(v + u).max() <= 1e-8 for u in unique):
             unique.append(v)

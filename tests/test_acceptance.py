@@ -24,6 +24,7 @@ from entact.epsnet import cap_radius, sphere_scan, verify_covering, verify_packi
 from entact.witnesses import expect, w2, w3
 from entact.tomo import reconstruct, simulate_counts
 from entact.cli import ExperimentConfig
+from reference import net_settings
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -40,7 +41,7 @@ def test_01_closed_form_oracle_agreement():
     worst = 0.0
     for q in np.arange(0.0, 1.0 + 1e-12, 0.05):
         chi = chi_q(float(q))
-        for s in net.settings():
+        for s in net_settings(net):
             brute = negativity(premeasurement(chi, s), [0, 1])
             worst = max(worst, abs(brute - float(negativities_theory(float(q), s.theta, s.phi))))
     assert worst <= 1e-9, f"worst closed-form deviation {worst:.3e}"
@@ -52,7 +53,7 @@ def test_02_activation_identity():
     net = default_net()
     for q in Q_GRID:
         chi = chi_q(q)
-        vals = [negativity_offdiag(chi, bloch_vector(s)) for s in net.settings()]
+        vals = [negativity_offdiag(chi, bloch_vector(s)) for s in net_settings(net)]
         assert min(vals) == pytest.approx(q, abs=1e-9), f"min-net negativity at q={q}"
     report(2, "activation identity min N = q", t0, 5.0)
 
@@ -71,10 +72,10 @@ def test_04_certification_positivity():
     t0 = time.monotonic()
     net = default_net()
     step = math.pi / 180
-    for q in Q_GRID[1:]:
-        min_low, argmin, _ = sphere_scan(chi_q(q), net, grid_step=step)
+    scans = sphere_scan([chi_q(q) for q in Q_GRID], net, grid_step=step)
+    for q, (min_low, argmin, _) in zip(Q_GRID[1:], scans[1:]):
         assert min_low > 0, f"q={q} not certified (min_low={min_low:.4f} at {argmin})"
-    min_low0, _, _ = sphere_scan(chi_q(0.0), net, grid_step=step)
+    min_low0, _, _ = scans[0]
     assert min_low0 <= 0, "classical point must not certify"
     report(4, "certification positivity over the sphere", t0, 60.0)
 
@@ -128,6 +129,6 @@ def test_08_noisy_preparation_envelope():
     net = default_net()
     for q in Q_GRID:
         chi = cfg.input_state(q)
-        min_net = min(negativity_offdiag(chi, bloch_vector(s)) for s in net.settings())
+        min_net = min(negativity_offdiag(chi, bloch_vector(s)) for s in net_settings(net))
         assert abs(min_net - q) <= 0.12, f"q={q}: noisy minimum {min_net:.4f}"
     report(8, "noisy-preparation envelope", t0, 30.0)

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import entact
-from entact import cli, measures
+from entact import cli, epsnet, measures
 from entact.epsnet import MAX_RESOLUTION, MIN_GRID_STEP
 from entact.cli import (
     MAX_CLIPPED_MASS,
@@ -28,7 +29,7 @@ from entact.cli import (
 from entact.measures import negativities_theory, negativity
 from entact.protocol import premeasurement
 from entact.qcore import DensityMatrix
-from reference import density_from_json
+from reference import density_from_json, net_settings
 
 
 def read_csv(path):
@@ -37,6 +38,30 @@ def read_csv(path):
     header = lines[1].split(",")
     rows = [line.split(",") for line in lines[2:]]
     return header, rows
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -2.5e-310)
+
+
+@st.composite
+def csv_columns(draw):
+    """Writer input: a scalar, float columns drawn from a few values (so that rows
+    repeat them) as arrays and lists, one array given twice, and a string column."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.floats(allow_subnormal=True) | st.sampled_from(SPECIAL_FLOATS),
+                         min_size=1, max_size=4))
+
+    def column():
+        return draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+    twice = np.array(column())
+    text = draw(st.lists(st.text("abz:-_ ", max_size=6), min_size=n, max_size=n))
+    return [draw(st.floats()), np.array(column()), column(), twice, text, twice]
+
+
+_TWICE = np.array([1 / 3, 1 / 3, -1e-310, 2.5])
+SPECIAL_COLUMNS = [0.5, [0.0, -0.0, 0.0, math.nan], np.array([math.inf, -math.inf, 5e-324, -0.0]),
+                   _TWICE, ["ok", "x", "ok", ""], _TWICE]
 
 
 class TestParseAngle:
@@ -179,19 +204,29 @@ class TestCommands:
         assert main(["witness", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
-    def test_csv_bytes_match_per_field_rendering(self, tmp_path):
-        # one format line per file renders each field as f"{x:.12g}" (floats,
-        # np.float64 included) or str(x)
-        rows = [(0.1, -0.0, math.nan, math.inf, np.float64(1 / 3), "ok"),
-                (1e-300, 2.5, -math.inf, 1e20, np.float64(-0.0), "optimizer-failed:x")]
-        cfg = ExperimentConfig(seed=7)
-        _write_csv(tmp_path / "t.csv", "a,b,c,d,e,status", rows, cfg)
+    @settings(max_examples=80, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_columns())
+    @example(SPECIAL_COLUMNS)
+    def test_csv_bytes_match_per_field_rendering(self, tmp_path, columns):
+        # the column writer gives the bytes of rendering each field alone as
+        # f"{x:.12g}" (floats, np.float64 included) or str(x), a scalar on every row
+        n = len(columns[1])
+        rows = zip(*(c if np.ndim(c) else [c] * n for c in columns))
         expected = "".join(
             ",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
-            + f",{cfg.hash()},7\n" for row in rows)
+            + ",0123456789ab,7\n" for row in rows)
+        header = ",".join("abcdef")
+        _write_csv(tmp_path / "t.csv", header, columns, "0123456789ab", 7)
         assert (tmp_path / "t.csv").read_bytes() == (
-            f"{SCHEMA_LINE}\na,b,c,d,e,status,cfg_hash,seed\n{expected}").encode()
-        assert expected.splitlines()[0].startswith("0.1,-0,nan,inf,0.333333333333,ok,")
+            f"{SCHEMA_LINE}\n{header},cfg_hash,seed\n{expected}").encode()
+
+    def test_csv_renders_signed_zeros_and_specials(self, tmp_path):
+        column = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1 / 3, 0.0])
+        _write_csv(tmp_path / "t.csv", "x", (column,), "h", 1)
+        assert (tmp_path / "t.csv").read_text().splitlines()[2:] == [
+            f"{x},h,1" for x in ("0", "-0", "nan", "inf", "-inf", "4.94065645841e-324",
+                                 "0.333333333333", "0")]
 
     def test_witness_csv(self, tmp_path):
         assert main(["witness", "--out", str(tmp_path)]) == 0
@@ -225,9 +260,9 @@ class TestCommands:
         written, three_qubit = {}, []
         write_csv, post_init = cli._write_csv, DensityMatrix.__post_init__
 
-        def recorded(path, header, rows, cfg):
-            written[path.name] = rows
-            write_csv(path, header, rows, cfg)
+        def recorded(path, header, columns, cfg_hash, seed):
+            written[path.name] = columns
+            write_csv(path, header, columns, cfg_hash, seed)
 
         def counted(dm):
             post_init(dm)
@@ -245,15 +280,61 @@ class TestCommands:
         monkeypatch.undo()
         assert three_qubit == []
         cfg = ExperimentConfig(noise=noise)
-        settings = cfg.net.settings()
+        ordered = net_settings(cfg.net)
         for q in cfg.q_values:
-            chi, rows = cfg.input_state(q), written[f"activate_q{q:.2f}.csv"]
-            assert [row[:3] for row in rows] == [(q, s.theta, s.phi) for s in settings]
-            for (_, theta, phi, theory, value, err), s in zip(rows, settings):
-                assert value == negativity(premeasurement(chi, s), [0, 1])
+            chi = cfg.input_state(q)
+            q_col, theta, phi, theory, value, err = written[f"activate_q{q:.2f}.csv"]
+            assert (q_col, err) == (q, 0.0)
+            assert list(zip(theta.tolist(), phi.tolist())) == [(s.theta, s.phi) for s in ordered]
+            for th, ph, t, v, s in zip(theta.tolist(), phi.tolist(), theory.tolist(),
+                                       value.tolist(), ordered):
+                assert v == negativity(premeasurement(chi, s), [0, 1])
                 # the closed form of the ideal chi_q, also under noise
-                assert theory == float(negativities_theory(q, theta, phi))
-                assert err == 0.0
+                assert t == float(negativities_theory(q, th, ph))
+
+    @pytest.mark.parametrize("command", ["activate", "certify"])
+    def test_colliding_q_labels_exit_2(self, tmp_path, capsys, command):
+        # 0.201 and 0.204 would both write *_q0.20.csv, the second over the first
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.201, 0.204]}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+        with pytest.raises(ConfigError, match="two decimals"):
+            ExperimentConfig(q_values=(0.4, 0.4)).validate()
+        ExperimentConfig(q_values=(0.2, 0.21)).validate()
+
+    @pytest.mark.parametrize("command", ["activate", "certify", "witness", "tomo-demo"])
+    def test_config_hash_computed_once_per_command(self, tmp_path, monkeypatch, command):
+        calls, config_hash = [], ExperimentConfig.hash
+
+        def counted(cfg):
+            calls.append(cfg)
+            return config_hash(cfg)
+
+        monkeypatch.setattr(ExperimentConfig, "hash", counted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.2, 0.6], "grid_step": math.pi / 90}))
+        exact = ["--exact"] if command == "tomo-demo" else []
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)] + exact) == 0
+        assert len(calls) == 1
+        manifest = json.loads(next(tmp_path.glob("manifest_*.json")).read_text())
+        assert manifest["cfg_hash"] == config_hash(calls[0])
+
+    def test_certify_builds_the_chords_once(self, tmp_path, monkeypatch):
+        # the chords from the net's bases to the grid depend on neither q nor the
+        # state, so a default call (six q) builds them once
+        shapes, chords = [], epsnet._basis_chords
+
+        def counted(bases, points):
+            shapes.append((len(bases), len(points)))
+            return chords(bases, points)
+
+        monkeypatch.setattr(epsnet, "_basis_chords", counted)
+        assert main(["certify", "--out", str(tmp_path)]) == 0
+        assert shapes == [(28, 91 * 46)]
+        assert len(list(tmp_path.glob("certify_q*.csv"))) == 6
 
     def test_certify_strict_passes_for_positive_q(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

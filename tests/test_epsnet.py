@@ -80,9 +80,16 @@ class TestNetSpec:
     def test_default_net_shape(self, net):
         assert len(net.thetas) == 7
         assert len(net.phis) == 4
-        assert len(net.settings()) == 28
+        assert len(reference.net_settings(net)) == 28
         assert net.thetas[1] == pytest.approx(math.pi / 12)
         assert net.phis[-1] == pytest.approx(math.pi / 4)
+
+    def test_angles_are_theta_major(self):
+        net = NetSpec((0.1, 0.2, 0.3), (0.0, 0.5))
+        theta, phi = net.angles()
+        assert list(zip(theta.tolist(), phi.tolist())) == [
+            (s.theta, s.phi) for s in reference.net_settings(net)]
+        assert theta.dtype == phi.dtype == np.float64
 
     def test_dedup_count(self, net):
         # 28 settings collapse to 16 distinct bases under +-n identification
@@ -130,8 +137,9 @@ class TestNetSpec:
         for chi in (full_rank_state(re_im), chi_q(0.0), chi_q(0.2), chi_q(1.0)):
             net = default_net()
             records = net_records(chi, net)
-            assert [setting(records, j) for j in range(len(records.n))] == net.settings()
-            for s, value, block in zip(net.settings(), records.n.tolist(), records.blocks):
+            ordered = reference.net_settings(net)
+            assert [setting(records, j) for j in range(len(records.n))] == ordered
+            for s, value, block in zip(ordered, records.n.tolist(), records.blocks):
                 # the block is the whole state: it is zero off the C-NOT image
                 state = premeasurement(chi, s)
                 assert value == negativity(state, [0, 1])
@@ -364,10 +372,10 @@ class TestSphereScan:
         # one ValueError for every step outside [pi/720, pi/90], NaN included
         for step in (math.pi / 10, 0.0, -0.01, math.nan, MIN_GRID_STEP * (1 - 1e-9)):
             with pytest.raises(ValueError, match="grid_step"):
-                sphere_scan(chi_q(0.2), net, grid_step=step)
+                sphere_scan([chi_q(0.2)], net, grid_step=step)
 
     def test_certifies_q02(self, net):
-        min_low, argmin, columns = sphere_scan(chi_q(0.2), net, grid_step=math.pi / 90)
+        [(min_low, argmin, columns)] = sphere_scan([chi_q(0.2)], net, grid_step=math.pi / 90)
         assert min_low > 0
         assert isinstance(argmin, WaveplateSetting)
         # theta 0..pi/2, phi 0..pi/4 at pi/90 steps, theta-major
@@ -381,13 +389,13 @@ class TestSphereScan:
         # the pi/180 grid contains the exact zero-negativity settings; the
         # others miss them, and min_low at 0.0349 read +0.0117 without the margin
         for step in (math.pi / 180, 0.0349, math.pi / 90, 0.0123):
-            min_low, _, _ = sphere_scan(chi_q(0.0), net, grid_step=step)
+            [(min_low, _, _)] = sphere_scan([chi_q(0.0)], net, grid_step=step)
             assert min_low <= 0
 
     def test_verdict_subtracts_the_grid_margin(self, net):
         chi = chi_q(0.2)
         for step in (math.pi / 180, 0.0349):
-            min_low, _, (theta, phi, _, low2) = sphere_scan(chi, net, grid_step=step)
+            [(min_low, _, (theta, phi, _, low2))] = sphere_scan([chi], net, grid_step=step)
             _, _, lip = lower_bounds(net_records(chi, net), [0.0], [0.0])
             assert min_low == low2.min() - lip * (2.0 + math.sqrt(2.0)) * step
 
@@ -396,7 +404,7 @@ class TestSphereScan:
         # every basis lies within chord (2 + sqrt 2) step of a grid point; the
         # worst gap a 20,000-point lattice finds is near 2 step.  The chord is
         # sqrt(2 (1 - |n.m|)) here, whose rounding is far below these gaps
-        _, _, (theta, phi, _, _) = sphere_scan(chi_q(0.2), net, grid_step=step)
+        [(_, _, (theta, phi, _, _))] = sphere_scan([chi_q(0.2)], net, grid_step=step)
         grid = _bloch_vectors(theta, phi).T
         nearest = min(float(np.abs(chunk @ grid).max(axis=1).min())
                       for chunk in np.array_split(_fibonacci_directions(20_000), 40))
@@ -412,8 +420,7 @@ class TestSphereScan:
             werner_mix(BellKind.PHI_PLUS, v).mat + werner_mix(BellKind.PSI_MINUS, v).mat), (2, 2))
         assert 0 < np.abs(direct.mat - mixed.mat).max() < 1e-16
         argmins = []
-        for chi in (direct, mixed):
-            _, argmin, (theta, phi, _, low) = sphere_scan(chi, net)
+        for _, argmin, (theta, phi, _, low) in sphere_scan([direct, mixed], net):
             tied = low <= low.min() + 1e-12
             assert tied.sum() > 1
             assert (argmin.theta, argmin.phi) == min(zip(theta[tied], phi[tied]))
@@ -421,9 +428,30 @@ class TestSphereScan:
         assert argmins[0] == argmins[1]
 
     def test_rows_are_consistent(self, net):
-        _, _, (theta, phi, low1, low2) = sphere_scan(chi_q(0.6), net, grid_step=math.pi / 90)
+        [(_, _, (theta, phi, low1, low2))] = sphere_scan([chi_q(0.6)], net,
+                                                        grid_step=math.pi / 90)
         assert (low1 <= low2).all()
         assert (low2 <= negativities_theory(0.6, theta, phi) + 1e-9).all()
+
+    @pytest.mark.parametrize("step", [math.pi / 90, 0.0349])
+    def test_shared_chords_match_a_scan_per_state(self, net, step):
+        # one chord array serves every state of a call: each result holds the bits
+        # of that state's scan alone, with its chords built by `lower_bounds`
+        v, q = 0.9, 0.2
+        werner = DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
+        states = [chi_q(0.0), chi_q(0.2), chi_q(1.0), werner]
+        thetas = np.arange(0.0, math.pi / 2 + step / 2, step)
+        phis = np.arange(0.0, math.pi / 4 + step / 2, step)
+        theta, phi = np.repeat(thetas, len(phis)), np.tile(phis, len(thetas))
+        scans = sphere_scan(states, net, grid_step=step)
+        assert len(scans) == len(states)
+        for chi, (min_low, argmin, columns) in zip(states, scans):
+            low1, low2, lip = lower_bounds(net_records(chi, net), theta, phi)
+            for got, want in zip(columns, (theta, phi, low1, low2)):
+                assert got.tobytes() == want.tobytes()
+            i = int(np.flatnonzero(low2 <= low2.min() + 1e-12)[0])
+            assert argmin == WaveplateSetting(theta[i], phi[i])
+            assert min_low == float(low2.min()) - lip * (2.0 + math.sqrt(2.0)) * step
 
     def test_scan_builds_no_per_point_objects(self, net, monkeypatch):
         # the records and the grid run as arrays: no setting or Bloch vector is
@@ -435,5 +463,5 @@ class TestSphereScan:
                 built[name] += 1
                 init(self)
             monkeypatch.setattr(cls, "__post_init__", counting)
-        sphere_scan(chi_q(0.2), net, grid_step=math.pi / 180)
+        sphere_scan([chi_q(0.2)], net, grid_step=math.pi / 180)
         assert built == Counter({"WaveplateSetting": 1})
