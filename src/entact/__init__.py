@@ -4,7 +4,6 @@ correlation measures, finite-net certification, and simulated tomography."""
 from .qcore import (
     BellKind,
     DensityMatrix,
-    PauliString,
     bell_state,
     chi_q,
     fidelity,
@@ -43,7 +42,7 @@ from .epsnet import (
     verify_covering,
     verify_packing,
 )
-from .witnesses import WitnessOperator, expect, expectations, w2, w3
+from .witnesses import expect, expectations, w2, w3
 from .tomo import (
     E_MAX,
     MC_REPS_MAX,

@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,8 @@ from .epsnet import (
     verify_packing,
 )
 from .witnesses import expect, w2, w3
-from .tomo import E_MAX, MC_REPS_MAX, MC_REPS_MIN, mc_errorbar, tomography
+from .tomo import (E_MAX, MC_REPS_MAX, MC_REPS_MIN, mc_errorbar, pauli_expectations_exact,
+                   reconstruct_from_expectations, tomography)
 
 SCHEMA_LINE = "# schema=1"
 DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -122,6 +123,10 @@ def load_config(args) -> ExperimentConfig:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}")
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {args.config} must be a JSON object")
+        if unknown := sorted(set(raw) - {f.name for f in fields(ExperimentConfig)}):
+            raise ConfigError(f"unknown field(s) in config {args.config}: {', '.join(unknown)}")
         try:
             if "q_values" in raw:
                 cfg.q_values = tuple(float(q) for q in raw["q_values"])
@@ -133,7 +138,10 @@ def load_config(args) -> ExperimentConfig:
                     setattr(cfg, key, float(raw[key]))
             for key in ("seed", "mc_reps"):
                 if key in raw:
-                    setattr(cfg, key, int(raw[key]))
+                    # int() would read 1.7 and true as 1
+                    if type(raw[key]) is not int:
+                        raise ValueError(f"{key} must be an integer, got {raw[key]!r}")
+                    setattr(cfg, key, raw[key])
             if "net" in raw:
                 cfg.net = NetSpec(tuple(raw["net"]["thetas"]), tuple(raw["net"]["phis"]))
         except (KeyError, TypeError, ValueError) as e:
@@ -313,8 +321,6 @@ def cmd_tomo_demo(cfg: ExperimentConfig, q: float, theta: float, phi: float,
     truth = premeasurement(cfg.input_state(q), s)
     results = {}
     if exact:
-        from .tomo import pauli_expectations_exact, reconstruct_from_expectations
-
         recon = reconstruct_from_expectations(pauli_expectations_exact(truth), 3)
     else:
         run = tomography(truth, cfg.exposure, cfg.seed)

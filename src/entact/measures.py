@@ -16,12 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .qcore import DensityMatrix, PAULIS
+from .qcore import DensityMatrix, pauli_basis
 from .protocol import (BlochVector, WaveplateSetting, bloch_vector, dedup_bloch, default_net,
                        setting_of)
 
 BELL_DIAGONAL_TOL = 1e-8
-_PAULI_BASIS = np.array([PAULIS[p] for p in "IXYZ"])
 # Nelder-Mead runs from this many of the best seed directions: one start missed
 # the global minimum on 7 of 300 random full-rank states, four on none of 1,000
 _STARTS = 4
@@ -149,8 +148,7 @@ def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndar
 
 def _pauli_coefficients(chi: np.ndarray) -> np.ndarray:
     """4x4 real matrix R_ij = Tr[chi (sigma_i x sigma_j)] of a raw 4x4 `chi`, sigma_0 = I."""
-    return np.einsum("abcd,ica,jdb->ij", chi.reshape(2, 2, 2, 2),
-                     _PAULI_BASIS, _PAULI_BASIS).real
+    return np.einsum("pij,ji->p", pauli_basis(2), chi).real.reshape(4, 4)
 
 
 def correlation_matrix(chi: DensityMatrix) -> np.ndarray:

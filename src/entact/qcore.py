@@ -9,6 +9,7 @@ path |a> = |0>, |b> = |1>.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -32,24 +33,6 @@ class BellKind(Enum):
     PSI_PLUS = "PsiPlus"
     PHI_MINUS = "PhiMinus"
     PHI_PLUS = "PhiPlus"
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-qubit Paulis with a real coefficient."""
-
-    ops: str  # e.g. "XYZ", one of I/X/Y/Z per qubit
-    coefficient: float = 1.0
-
-    def __post_init__(self):
-        if not self.ops or any(c not in PAULIS for c in self.ops):
-            raise ValueError(f"invalid Pauli string {self.ops!r}")
-
-    def matrix(self) -> np.ndarray:
-        m = np.array([[1.0 + 0j]])
-        for c in self.ops:
-            m = np.kron(m, PAULIS[c])
-        return self.coefficient * m
 
 
 def _as_square(m) -> np.ndarray:
@@ -117,6 +100,24 @@ def projector(v) -> np.ndarray:
     return np.outer(v, v.conj())
 
 
+def _kron_power(single: np.ndarray, n: int) -> np.ndarray:
+    """The n-fold Kronecker power of a per-qubit table along every axis at once:
+    shape (s_1, ..., s_k) becomes (s_1^n, ..., s_k^n), and each entry is the product
+    of one per-qubit entry per qubit, qubit 0 most significant in every index (the
+    `itertools.product` order)."""
+    single = np.asarray(single)
+    return functools.reduce(np.kron, [single] * n, np.ones((1,) * single.ndim, single.dtype))
+
+
+@functools.cache
+def pauli_basis(n: int) -> np.ndarray:
+    """The 4^n n-qubit Pauli strings as one read-only (4^n, 2^n, 2^n) stack, in
+    `itertools.product("IXYZ", repeat=n)` order."""
+    basis = _kron_power(np.array([PAULIS[p] for p in "IXYZ"]), n)
+    basis.flags.writeable = False
+    return basis
+
+
 _BELL_KETS = None
 
 
@@ -143,10 +144,9 @@ def chi_q(q: float) -> DensityMatrix:
     """Symmetric Bell-diagonal family: q |Psi+><Psi+| + (1-q)/2 (|Phi+><Phi+| + |Psi-><Psi-|)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    m = (
-        q * bell_state(BellKind.PSI_PLUS).mat
-        + 0.5 * (1 - q) * (bell_state(BellKind.PHI_PLUS).mat + bell_state(BellKind.PSI_MINUS).mat)
-    )
+    bell = lambda kind: projector(bell_ket(kind))
+    m = (q * bell(BellKind.PSI_PLUS)
+         + 0.5 * (1 - q) * (bell(BellKind.PHI_PLUS) + bell(BellKind.PSI_MINUS)))
     return DensityMatrix(m, (2, 2))
 
 

@@ -12,13 +12,12 @@ Monte-Carlo loop and the single-shot functions.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .qcore import DensityMatrix, PauliString, projector
+from .qcore import DensityMatrix, _kron_power, pauli_basis, projector
 
 # numpy's Poisson sampler rejects means above about 9.2e18, and each mean is the
 # exposure times an outcome probability of at most 1
@@ -41,17 +40,6 @@ _AXIS_EIGENBASES = {
 }
 
 
-def _parities(axes: str, ops: str) -> np.ndarray:
-    """Eigenvalue (+-1) of the Pauli string `ops` on each outcome of the setting
-    `axes`; all zeros when that setting does not measure `ops`."""
-    if any(o not in ("I", a) for o, a in zip(ops, axes)):
-        return np.zeros(2 ** len(axes))
-    signs = np.ones(1)
-    for op in ops:
-        signs = np.outer(signs, [1.0, 1.0] if op == "I" else [1.0, -1.0]).ravel()
-    return signs
-
-
 def _check_exposure(exposure: float):
     if not 0 < exposure <= E_MAX:  # also rejects NaN
         raise ValueError(f"exposure must lie in (0, {E_MAX:g}], got {exposure}")
@@ -68,13 +56,7 @@ def _projector_stack(n_qubits: int) -> np.ndarray:
         raise ValueError(f"unsupported qubit count {n_qubits}")
     # (axis, outcome, 2, 2): the +1 and -1 eigenprojectors of X, Y and Z
     single = np.array([[projector(b[:, k]) for k in (0, 1)] for b in _AXIS_EIGENBASES.values()])
-    projs = np.ones((1, 1, 1, 1), dtype=complex)
-    for _ in range(n_qubits):
-        # the kron of each stacked projector with each single-qubit one; the new
-        # qubit is least significant in the setting, outcome and matrix indices
-        s, o, d = projs.shape[:3]
-        projs = (projs[:, None, :, None, :, None, :, None]
-                 * single[None, :, None, :, None, :, None, :]).reshape(3 * s, 2 * o, 2 * d, 2 * d)
+    projs = _kron_power(single, n_qubits)
     projs.flags.writeable = False
     return projs
 
@@ -157,37 +139,32 @@ def _project(h: np.ndarray):
     return (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2), clipped
 
 
-def _pauli_strings(n_qubits: int):
-    return ["".join(p) for p in itertools.product("IXYZ", repeat=n_qubits)]
-
-
 @functools.cache
-def _pauli_tables(n_qubits: int):
-    """Read-only tables in `_pauli_strings` order: the Pauli-basis stack (4^n, d, d)
-    and the parity table (3^n, 4^n, 2^n) from `_parities`, settings in the count
-    layout."""
-    strings = _pauli_strings(n_qubits)
-    axes = ["".join(a) for a in itertools.product("XYZ", repeat=n_qubits)]
-    basis = np.array([PauliString(ops).matrix() for ops in strings])
-    parities = np.array([[_parities(a, ops) for ops in strings] for a in axes])
-    basis.flags.writeable = parities.flags.writeable = False
-    return basis, parities
+def _parity_table(n_qubits: int) -> np.ndarray:
+    """Read-only (3^n, 4^n, 2^n) table: the eigenvalue (+-1) of each Pauli string,
+    in `pauli_basis` order, on each outcome of each setting in the count layout,
+    and 0 where that setting does not measure the string."""
+    # per qubit (axis, op, outcome): I reads +1, the measured axis +-1, the others 0
+    single = np.array([[[1, 1] if op == "I" else [1, -1] if op == axis else [0, 0]
+                        for op in "IXYZ"] for axis in "XYZ"])
+    parities = _kron_power(single, n_qubits).astype(float)  # integers keep every 0 unsigned
+    parities.flags.writeable = False
+    return parities
 
 
-def pauli_expectations_exact(rho: DensityMatrix) -> dict:
-    """Analytic (infinite-exposure) Pauli expectations, for the inversion identity."""
-    basis = _pauli_tables(rho.n_qubits)[0]
-    values = np.einsum("pij,ji->p", basis, rho.mat).real
-    return dict(zip(_pauli_strings(rho.n_qubits), values.tolist()))
+def pauli_expectations_exact(rho: DensityMatrix) -> np.ndarray:
+    """Analytic (infinite-exposure) Pauli expectations, a (4^n,) array in
+    `pauli_basis` order, for the inversion identity."""
+    return np.einsum("pij,ji->p", pauli_basis(rho.n_qubits), rho.mat).real
 
 
-def reconstruct_from_expectations(expectations: dict, n_qubits: int) -> DensityMatrix:
-    strings = _pauli_strings(n_qubits)
-    unknown = set(expectations) - set(strings)
-    if unknown:
-        raise ValueError(f"not {n_qubits}-qubit Pauli strings: {sorted(unknown)}")
-    values = np.array([expectations.get(ops, 0.0) for ops in strings])
-    return project_psd(np.einsum("p,pij->ij", values, _pauli_tables(n_qubits)[0]) / 2**n_qubits)
+def reconstruct_from_expectations(expectations, n_qubits: int) -> DensityMatrix:
+    """Linear inversion and PSD projection from the (4^n,) Pauli expectations in
+    `pauli_basis` order."""
+    values = np.asarray(expectations, dtype=float)
+    if values.shape != (4**n_qubits,):
+        raise ValueError(f"expected {4**n_qubits} Pauli expectations, got shape {values.shape}")
+    return project_psd(np.einsum("p,pij->ij", values, pauli_basis(n_qubits)) / 2**n_qubits)
 
 
 def reconstruct(counts) -> DensityMatrix:
@@ -214,7 +191,7 @@ def _reconstruct(counts: np.ndarray, n_qubits: int):
     checks: one einsum over the parity table inverts every rep, with the settings
     that recorded nothing masked out.  Returns the states (reps, d, d), the
     clipped eigenvalue mass and the number of zero-count settings per rep."""
-    basis, parities = _pauli_tables(n_qubits)
+    parities = _parity_table(n_qubits)
     c = counts.astype(float)
     totals = c.sum(axis=2)
     kept = totals > 0
@@ -223,7 +200,8 @@ def _reconstruct(counts: np.ndarray, n_qubits: int):
     hits = kept @ parities[:, :, 0]  # outcome 0 has parity +1 on every measured string
     values = np.divide(sums, hits, out=np.zeros_like(sums), where=hits > 0)
     values[:, 0] = 1.0  # the identity string
-    states, clipped = _project(np.einsum("rp,pij->rij", values, basis) / 2**n_qubits)
+    states, clipped = _project(np.einsum("rp,pij->rij", values, pauli_basis(n_qubits))
+                               / 2**n_qubits)
     return states, clipped, (~kept).sum(axis=1)
 
 

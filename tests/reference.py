@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from entact.qcore import I2, PAULIS, BellKind, DensityMatrix, bell_state, projector
+from entact.qcore import I2, PAULIS, BellKind, DensityMatrix, basis_ket, bell_state, projector
 from entact.protocol import BlochVector, NetSpec, WaveplateSetting, bloch_vector, u_b
 
 
@@ -49,6 +49,17 @@ def dedup_bloch(net: NetSpec) -> np.ndarray:
         if not any(np.abs(v - u).max() <= 1e-8 or np.abs(v + u).max() <= 1e-8 for u in unique):
             unique.append(v)
     return np.array(unique)
+
+
+def pauli_string_matrix(ops: str) -> np.ndarray:
+    """The kron of one Pauli per letter of `ops`, qubit 0 first."""
+    return functools.reduce(np.kron, [PAULIS[c] for c in ops])
+
+
+def ghz_rotated_ket() -> np.ndarray:
+    """The locally rotated GHZ state produced at the (pi/4, 0) setting from |Psi+>."""
+    k = lambda *bits: basis_ket(int("".join(map(str, bits)), 2), 8)
+    return 0.5 * (-k(0, 0, 0) - 1j * k(0, 1, 1) + 1j * k(1, 0, 0) + k(1, 1, 1))
 
 
 def purity(rho: DensityMatrix) -> float:

@@ -200,9 +200,14 @@ class TestCommands:
 
     def test_bad_config_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"exposure": "lots"}))
-        assert main(["witness", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        out = tmp_path / "out"
+        for bad in ({"exposure": "lots"}, [1, 2], "abc", None, {"qvalues": [0.2]},
+                    {"seed": 1.7}, {"seed": True}, {"seed": 2.0}, {"seed": "1"},
+                    {"mc_reps": 50.5}, {"mc_reps": False}):
+            cfg.write_text(json.dumps(bad))
+            assert main(["witness", "--config", str(cfg), "--out", str(out)]) == 2, bad
+            assert capsys.readouterr().err.startswith("config error:"), bad
+            assert not out.exists(), bad
 
     @settings(max_examples=80, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -15,7 +15,7 @@ from entact.qcore import (
     bell_state,
     chi_q,
 )
-from entact import measures
+from entact import cli, measures
 from entact.protocol import (
     BlochVector,
     WaveplateSetting,
@@ -45,6 +45,14 @@ from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_bench_tracing():
+    """bench/tracing.py, loaded by path: the benchmark is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 # the poles, both sides of the kernel's hemisphere seam z = 0, and the equator
 SEAM_DIRECTIONS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, -0.8, -1e-12],
                    [0.6, -0.8, 1e-12], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
@@ -350,11 +358,23 @@ class TestXStates:
 class TestGuards:
     def test_traced_names_resolve(self):
         # the benchmark's traced run wraps these names from outside the package
-        spec = importlib.util.spec_from_file_location("bench_tracing", BENCH_TRACING)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = load_bench_tracing()
         for module, name in tracing.SPANS + (("entact.measures", "minimize"),):
             assert callable(getattr(importlib.import_module(module), name)), (module, name)
+        module, cls = tracing.DENSITY_MATRIX.split(".")
+        assert callable(getattr(importlib.import_module(f"entact.{module}"), cls).__post_init__)
+
+    def test_traced_witness_run_records_its_spans(self, tmp_path):
+        # the witness operators are built once per process, yet each call of w3
+        # still goes through the name that the traced run wraps
+        tracer = load_bench_tracing().Tracer()
+        tracer.install()
+        try:
+            assert cli.main(["witness", "--out", str(tmp_path)]) == 0
+        finally:
+            tracer.uninstall()
+        calls = {name: rec[0] for name, rec in tracer.by_name().items()}
+        assert (calls["cli.main"], calls["witnesses.w3"], calls["witnesses.expect"]) == (1, 1, 12)
 
     def test_optimisers_call_no_eigensolver(self, monkeypatch):
         chi = full_rank_state(np.random.default_rng(5).normal(size=(2, 4, 4)))

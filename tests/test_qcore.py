@@ -1,5 +1,6 @@
 """Core linear algebra and canonical states."""
 
+import itertools
 import json
 import math
 
@@ -9,16 +10,17 @@ import pytest
 from entact.qcore import (
     BellKind,
     DensityMatrix,
-    PauliString,
     bell_ket,
     bell_state,
     chi_q,
     fidelity,
     hermitian_eigen,
+    pauli_basis,
     projector,
 )
-from reference import (density_from_json, partial_trace, partial_transpose, purity,
-                       quantum_classical, werner_mix)
+from entact.witnesses import _sum_terms
+from reference import (density_from_json, partial_trace, partial_transpose,
+                       pauli_string_matrix, purity, quantum_classical, werner_mix)
 
 
 def random_hermitian(n, rng):
@@ -34,18 +36,25 @@ def random_density(n, rng):
 
 class TestPauliString:
     def test_single_qubit_matrices(self):
-        assert np.allclose(PauliString("X").matrix(), [[0, 1], [1, 0]])
-        assert np.allclose(PauliString("Z").matrix(), [[1, 0], [0, -1]])
+        assert np.array_equal(pauli_basis(1), [np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                                               [[1, 0], [0, -1]]])
 
     def test_tensor_order_and_coefficient(self):
-        zx = PauliString("ZX", -0.5).matrix()
-        assert np.allclose(zx, -0.5 * np.kron([[1, 0], [0, -1]], [[0, 1], [1, 0]]))
+        # qubit 0 is the most significant digit: "ZX" is string 4 * 3 + 1
+        zx = pauli_basis(2)[13]
+        assert np.array_equal(zx, np.kron([[1, 0], [0, -1]], [[0, 1], [1, 0]]))
+        assert np.array_equal(_sum_terms((("ZX", -0.5),)), -0.5 * zx)
 
-    def test_rejects_bad_labels(self):
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_per_string_kron(self, n):
+        strings = ["".join(p) for p in itertools.product("IXYZ", repeat=n)]
+        assert np.array_equal(pauli_basis(n), [pauli_string_matrix(ops) for ops in strings])
+
+    def test_built_once_read_only(self):
+        basis = pauli_basis(2)
+        assert pauli_basis(2) is basis
         with pytest.raises(ValueError):
-            PauliString("XQ")
-        with pytest.raises(ValueError):
-            PauliString("")
+            basis[0, 0, 0] = 0.0
 
 
 class TestDensityMatrix:
@@ -130,6 +139,22 @@ class TestStates:
             vals = np.sort(np.linalg.eigvalsh(chi_q(q).mat))
             expect = np.sort([q, (1 - q) / 2, (1 - q) / 2, 0.0])
             assert np.abs(vals - expect).max() < 1e-12
+
+    def test_chi_q_validates_once(self, monkeypatch):
+        calls, post_init = [], DensityMatrix.__post_init__
+
+        def counted(dm):
+            calls.append(dm)
+            post_init(dm)
+
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        for q in (0.0, 0.3, 1.0):
+            mix = (q * bell_state(BellKind.PSI_PLUS).mat
+                   + 0.5 * (1 - q) * (bell_state(BellKind.PHI_PLUS).mat
+                                      + bell_state(BellKind.PSI_MINUS).mat))
+            calls.clear()
+            assert chi_q(q).mat.tobytes() == mix.tobytes()
+            assert len(calls) == 1
 
     def test_chi_q_range_check(self):
         with pytest.raises(ValueError):

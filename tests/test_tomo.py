@@ -9,8 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entact.qcore import (BellKind, DensityMatrix, PauliString, bell_state, chi_q, fidelity,
-                          projector)
+from entact.qcore import BellKind, DensityMatrix, bell_state, chi_q, fidelity, projector
 from entact.protocol import WaveplateSetting, premeasurement
 from entact.measures import negativities, negativity
 from entact.witnesses import expect, w3
@@ -20,7 +19,7 @@ from entact.tomo import (
     _BLOCK,
     _born,
     _draw,
-    _parities,
+    _parity_table,
     _project,
     _projector_stack,
     mc_errorbar,
@@ -31,7 +30,7 @@ from entact.tomo import (
     simulate_counts,
     tomography,
 )
-from reference import partial_transpose
+from reference import partial_transpose, pauli_string_matrix
 
 # the count layout: one row per setting, one column per outcome bit string
 EIGENBASES = {"X": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
@@ -72,7 +71,7 @@ def pauli_string_table(n_qubits):
                            for bits in outcome_bits(n_qubits)])
         rows = [i for i, axes in enumerate(setting_axes(n_qubits))
                 if all(o in ("I", a) for o, a in zip(ops, axes))]
-        table.append((PauliString(ops).matrix(), parity, rows))
+        table.append((pauli_string_matrix(ops), parity, rows))
     return table
 
 
@@ -155,9 +154,25 @@ class TestSettings:
         assert np.abs(total - np.eye(8)).max() < 1e-12
 
     def test_outcome_parities(self):
-        assert np.array_equal(_parities("ZZ", "ZZ"), [1, -1, -1, 1])
-        assert np.array_equal(_parities("ZZ", "IZ"), [1, -1, 1, -1])
-        assert np.array_equal(_parities("ZZ", "XZ"), [0, 0, 0, 0])
+        # setting ZZ is row 8; the strings ZZ, IZ and XZ are columns 15, 3 and 7
+        table = _parity_table(2)
+        assert np.array_equal(table[8, 15], [1, -1, -1, 1])
+        assert np.array_equal(table[8, 3], [1, -1, 1, -1])
+        assert np.array_equal(table[8, 7], [0, 0, 0, 0])
+
+    def test_parity_table_matches_per_string_reference(self):
+        for n_qubits in (2, 3):
+            table = _parity_table(n_qubits)
+            assert _parity_table(n_qubits) is table and not table.flags.writeable
+            assert table.shape == (3**n_qubits, 4**n_qubits, 2**n_qubits)
+            # the identity string reads +1 everywhere; every other string reads
+            # its outcome parities on the settings that measure it and 0 elsewhere
+            assert (table[:, 0] == 1).all()
+            expected = np.zeros_like(table)
+            for p, (_, parity, rows) in enumerate(pauli_string_table(n_qubits), start=1):
+                expected[rows, p] = parity
+            expected[:, 0] = 1
+            assert table.tobytes() == expected.tobytes()  # no -0.0 either
 
 
 class TestCounts:
@@ -280,8 +295,19 @@ class TestProjection:
 
 class TestReconstruction:
     def test_exact_expectations_invert_perfectly(self, rho3):
-        recon = reconstruct_from_expectations(pauli_expectations_exact(rho3), 3)
+        values = pauli_expectations_exact(rho3)
+        assert values.shape == (64,)
+        assert values[0] == pytest.approx(1.0, abs=1e-12)
+        for p, (matrix, _, _) in enumerate(pauli_string_table(3), start=1):
+            assert values[p] == pytest.approx(np.trace(matrix @ rho3.mat).real, abs=1e-12)
+        recon = reconstruct_from_expectations(values, 3)
         assert fidelity(recon, rho3) == pytest.approx(1.0, abs=1e-10)
+
+    def test_expectations_length_checked(self, rho3):
+        values = pauli_expectations_exact(rho3)
+        for bad, n_qubits in ((values, 2), (values[:-1], 3), (values[None], 3)):
+            with pytest.raises(ValueError, match="Pauli expectations"):
+                reconstruct_from_expectations(bad, n_qubits)
 
     def test_two_qubit_roundtrip(self):
         chi = chi_q(0.35)

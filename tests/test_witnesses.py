@@ -5,38 +5,46 @@ import math
 import numpy as np
 import pytest
 
-from entact.qcore import BellKind, DensityMatrix, PauliString, bell_state, chi_q, projector
+from entact.qcore import BellKind, DensityMatrix, bell_state, chi_q, projector
 from entact.protocol import WaveplateSetting, premeasurement
-from entact.witnesses import WitnessOperator, expect, w2, w3
+from entact.witnesses import W2_TERMS, W3_TERMS, expect, w2, w3
+from reference import ghz_rotated_ket, pauli_string_matrix
+
+
+def sum_of_terms(terms):
+    return sum(c * pauli_string_matrix(ops) for ops, c in terms)
 
 
 class TestConstruction:
     def test_w2_matrix_form(self):
-        # (II - XX - YY + ZZ)/4 equals I/2 - |Psi+><Psi+|
-        expected = np.eye(4) / 2 - bell_state(BellKind.PSI_PLUS).mat
-        assert np.abs(w2().matrix - expected).max() < 1e-12
+        # (II - XX - YY + ZZ)/4 equals I/2 - |Psi+><Psi+|, exactly; |Psi+> is
+        # written as (|01> + |10>)/sqrt(2) without rounding 1/sqrt(2)
+        expected = np.eye(4) / 2 - projector([0, 1, 1, 0]) / 2
+        assert np.array_equal(sum_of_terms(W2_TERMS), expected)
+        assert np.array_equal(w2(), expected)
+        assert np.abs(w2() - (np.eye(4) / 2 - bell_state(BellKind.PSI_PLUS).mat)).max() < 1e-15
+
+    def test_w3_matrix_form(self):
+        # the eight terms equal I/2 - |GHZ~><GHZ~|, exactly
+        expected = np.eye(8) / 2 - projector(ghz_rotated_ket())
+        assert np.array_equal(sum_of_terms(W3_TERMS), expected)
+        assert np.array_equal(w3(), expected)
 
     def test_w3_is_half_identity_minus_projector(self):
-        m = w3().matrix
         # I/2 - P for a rank-1 projector P: spectrum {-1/2, 1/2 x7}
-        vals = np.sort(np.linalg.eigvalsh(m))
+        vals = np.sort(np.linalg.eigvalsh(w3()))
         assert vals[0] == pytest.approx(-0.5, abs=1e-12)
         assert np.abs(vals[1:] - 0.5).max() < 1e-12
 
     def test_pauli_terms_rebuild(self):
-        for w in (w2(), w3()):
-            rebuilt = sum(t.matrix() for t in w.pauli_terms)
-            assert np.abs(rebuilt - w.matrix).max() < 1e-10
+        for w, terms in ((w2(), W2_TERMS), (w3(), W3_TERMS)):
+            assert w.tobytes() == sum_of_terms(terms).tobytes()
 
-    def test_invalid_decomposition_rejected(self):
-        with pytest.raises(ValueError):
-            WitnessOperator(np.eye(4) / 2, (PauliString("II", 0.1),), "W2")
-
-    def test_non_hermitian_rejected(self):
-        bad = np.eye(4, dtype=complex)
-        bad[0, 1] = 1j
-        with pytest.raises(ValueError):
-            WitnessOperator(bad, (PauliString("II", 0.25),), "W2")
+    def test_built_once_read_only(self):
+        for w in (w2, w3):
+            assert w() is w()
+            with pytest.raises(ValueError):
+                w()[0, 0] = 0.0
 
 
 class TestExpectations:
