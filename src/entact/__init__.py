@@ -2,15 +2,12 @@
 correlation measures, finite-net certification, and simulated tomography."""
 
 from .qcore import (
-    BellKind,
     DensityMatrix,
-    bell_state,
     chi_q,
     fidelity,
     hermitian_eigen,
 )
 from .protocol import (
-    BlochVector,
     NetSpec,
     WaveplateSetting,
     bloch_vector,

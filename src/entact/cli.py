@@ -116,42 +116,46 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def _read_as(name: str, value, default):
+    """A config-file `value` read as the type of the field's `default`: a number
+    (an integer for int defaults; never a boolean), a string, a list of numbers
+    for a tuple, or a {"thetas", "phis"} object for a net."""
+    if isinstance(default, NetSpec):
+        if not isinstance(value, dict) or set(value) != {"thetas", "phis"}:
+            raise ConfigError(f"{name} must be an object with exactly the keys thetas and phis")
+        return NetSpec(*(_read_as(f"{name}.{key}", value[key], getattr(default, key))
+                         for key in ("thetas", "phis")))
+    if isinstance(default, tuple):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be a list, got {value!r}")
+        return tuple(_read_as(f"{name}[{i}]", v, default[0]) for i, v in enumerate(value))
+    # type() is exact: bool is a subclass of int, and int() would read 1.7 as 1
+    if type(value) is not type(default) and not (type(default) is float and type(value) is int):
+        kind = {float: "a number", int: "an integer", str: "a string"}[type(default)]
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+    return type(default)(value)
+
+
 def load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if args.config:
         try:
             raw = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # also bad UTF-8 and over-long integers
             raise ConfigError(f"cannot read config {args.config}: {e}")
         if not isinstance(raw, dict):
             raise ConfigError(f"config {args.config} must be a JSON object")
         if unknown := sorted(set(raw) - {f.name for f in fields(ExperimentConfig)}):
             raise ConfigError(f"unknown field(s) in config {args.config}: {', '.join(unknown)}")
         try:
-            if "q_values" in raw:
-                cfg.q_values = tuple(float(q) for q in raw["q_values"])
-            for key in ("noise", "output_dir"):
-                if key in raw:
-                    setattr(cfg, key, str(raw[key]))
-            for key in ("exposure", "grid_step"):
-                if key in raw:
-                    setattr(cfg, key, float(raw[key]))
-            for key in ("seed", "mc_reps"):
-                if key in raw:
-                    # int() would read 1.7 and true as 1
-                    if type(raw[key]) is not int:
-                        raise ValueError(f"{key} must be an integer, got {raw[key]!r}")
-                    setattr(cfg, key, raw[key])
-            if "net" in raw:
-                cfg.net = NetSpec(tuple(raw["net"]["thetas"]), tuple(raw["net"]["phis"]))
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigError(f"bad field in config {args.config}: {e!r}") from None
+            for key, value in raw.items():
+                setattr(cfg, key, _read_as(key, value, getattr(cfg, key)))
+        except (ConfigError, OverflowError) as e:  # an integer too large for a float
+            raise ConfigError(f"bad field in config {args.config}: {e}") from None
     # flags override file fields
-    for attr, dest in (("noise", "noise"), ("output_dir", "out"), ("seed", "seed"),
-                       ("exposure", "exposure"), ("grid_step", "grid_step"),
-                       ("mc_reps", "mc_reps")):
-        if (v := getattr(args, dest, None)) is not None:
-            setattr(cfg, attr, v)
+    for f in fields(ExperimentConfig):
+        if (v := getattr(args, f.name, None)) is not None:
+            setattr(cfg, f.name, v)
     cfg.validate()
     if not 0 <= getattr(args, "q", 0.0) <= 1:
         raise ConfigError("--q must lie in [0, 1]")
@@ -374,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--noise", help="ideal | werner:<v>")
         sp.add_argument("--exposure", type=float)
         sp.add_argument("--grid-step", dest="grid_step", type=float)
-        sp.add_argument("--out", help="output directory")
+        sp.add_argument("--out", dest="output_dir", help="output directory")
         sp.add_argument("--mc-reps", dest="mc_reps", type=int)
 
     for name in ("activate", "certify", "discord-match", "witness"):

@@ -18,10 +18,10 @@ from .protocol import (
     _CNOT_IMAGE,
     NetSpec,
     WaveplateSetting,
-    _bloch_vectors,
     _premeasure,
-    _u_b,
+    bloch_vector,
     dedup_bloch,
+    u_b,
 )
 from .measures import _fibonacci_directions, negativities
 
@@ -52,7 +52,7 @@ def net_records(chi: DensityMatrix, net: NetSpec) -> NetRecords:
     if chi.dims != (2, 2):
         raise ValueError(f"chi must be a 2-qubit state, got dims {chi.dims}")
     theta, phi = net.angles()
-    states = _premeasure(chi.mat, _u_b(theta, phi))
+    states = _premeasure(chi.mat, u_b(theta, phi))
     return NetRecords(theta, phi, negativities(states, (2, 2, 2), [0, 1]),
                       states[:, _CNOT_IMAGE[:, None], _CNOT_IMAGE])
 
@@ -129,8 +129,8 @@ def lower_bounds(records: NetRecords, theta, phi):
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 1 or theta.shape != phi.shape:
         raise ValueError("theta and phi must be 1-D arrays of one length")
-    return _bounds(records, _basis_chords(_bloch_vectors(records.theta, records.phi),
-                                          _bloch_vectors(theta, phi)))
+    return _bounds(records, _basis_chords(bloch_vector(records.theta, records.phi),
+                                          bloch_vector(theta, phi)))
 
 
 def _bounds(records: NetRecords, chords: np.ndarray):
@@ -171,7 +171,7 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
         raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
     theta, phi = NetSpec(np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step),
                          np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)).angles()
-    chords = _basis_chords(_bloch_vectors(*net.angles()), _bloch_vectors(theta, phi))
+    chords = _basis_chords(bloch_vector(*net.angles()), bloch_vector(theta, phi))
     scans = []
     for chi in states:
         low1, low2, lip = _bounds(net_records(chi, net), chords)

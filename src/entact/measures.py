@@ -17,8 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .qcore import DensityMatrix, pauli_basis
-from .protocol import (BlochVector, WaveplateSetting, bloch_vector, dedup_bloch, default_net,
-                       setting_of)
+from .protocol import WaveplateSetting, bloch_vector, dedup_bloch, default_net, setting_of
 
 BELL_DIAGONAL_TOL = 1e-8
 # Nelder-Mead runs from this many of the best seed directions: one start missed
@@ -43,10 +42,6 @@ class MeasureResult:
     value: float
     settings_used: Optional[WaveplateSetting] = None
     search: Optional[SearchReport] = None
-
-    def __post_init__(self):
-        if self.value < -1e-12:
-            raise ValueError(f"measure value {self.value} below tolerance")
 
 
 class OptimizerError(RuntimeError):
@@ -127,11 +122,15 @@ def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
     return _offdiag(_offdiag_columns(chi), np.copysign(1.0, z) * (x - 1j * y), 1.0 + np.abs(z))
 
 
-def negativity_offdiag(chi: DensityMatrix, n: BlochVector) -> float:
-    """Premeasurement negativity without building the 3-qubit state: 2 ||<n| chi |n_perp>||_1."""
+def negativity_offdiag(chi: DensityMatrix, n) -> float:
+    """Premeasurement negativity without building the 3-qubit state: 2 ||<n| chi |n_perp>||_1,
+    for a unit direction n given as a 3-sequence."""
     if chi.dims != (2, 2):
         raise ValueError("off-diagonal route expects a 2-qubit state with B a qubit")
-    return _offdiag_at(_offdiag_columns(chi.mat), n.x, n.y, n.z)
+    x, y, z = map(float, n)
+    if abs(x * x + y * y + z * z - 1.0) > 1e-10:
+        raise ValueError("the direction n must have unit norm")
+    return _offdiag_at(_offdiag_columns(chi.mat), x, y, z)
 
 
 def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -203,10 +202,10 @@ def _seeds():
     minimisers of chi_q; the 64 Fibonacci directions keep Nelder-Mead out of the
     local minima of general states."""
     bases = np.vstack([dedup_bloch(default_net()), _fibonacci_directions(64)])
-    settings = [setting_of(BlochVector(*n)) for n in bases.tolist()]
-    dirs = np.array([bloch_vector(s).as_array() for s in settings])
+    theta, phi = setting_of(bases)
+    dirs = bloch_vector(theta, phi)
     dirs.flags.writeable = False
-    return tuple((s.theta, s.phi) for s in settings), dirs
+    return tuple(zip(theta.tolist(), phi.tolist())), dirs
 
 
 def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:

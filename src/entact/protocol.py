@@ -34,28 +34,12 @@ class WaveplateSetting:
         object.__setattr__(self, "phi", float(self.phi))
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Unit 3-vector giving the measurement-basis direction on B's Bloch sphere."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if abs(self.x**2 + self.y**2 + self.z**2 - 1.0) > 1e-10:
-            raise ValueError("Bloch vector must have unit norm")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-def _bloch_vectors(theta, phi) -> np.ndarray:
+def bloch_vector(theta, phi) -> np.ndarray:
     """Measurement directions n(theta, phi) selected by the waveplate pair, for float
-    or array angles of one shape; returns shape + (3,), unvalidated."""
+    or array angles of one shape; returns shape + (3,) unit vectors."""
     a = 2.0 * (theta - 2.0 * phi)
     cos_a = np.cos(a)
-    # filled in place: np.stack would cost `bloch_vector` twice as much per call
+    # filled in place: np.stack costs twice as much on a single direction
     n = np.empty(np.shape(a) + (3,))
     n[..., 0] = -cos_a * np.sin(2.0 * theta)
     n[..., 1] = -np.sin(a)
@@ -63,22 +47,19 @@ def _bloch_vectors(theta, phi) -> np.ndarray:
     return n
 
 
-def bloch_vector(s: WaveplateSetting) -> BlochVector:
-    """Measurement direction n(theta, phi) selected by the waveplate pair."""
-    return BlochVector(*_bloch_vectors(s.theta, s.phi).tolist())
-
-
-def setting_of(n: BlochVector) -> WaveplateSetting:
-    """A waveplate setting selecting direction n: the inverse of `bloch_vector`.
+def setting_of(n):
+    """Waveplate angles (theta, phi) selecting each direction of the (..., 3) array
+    `n`: the inverse of `bloch_vector`, as two arrays of shape n.shape[:-1].
 
     With a = 2 (theta - 2 phi), n_y = -sin a and (n_x, n_z) = cos a (-sin 2 theta,
-    cos 2 theta), cos a >= 0.  a is taken by atan2, which stays exact near
-    n = +-y where asin(n_y) loses half the digits; at n = +-y any theta works
+    cos 2 theta), cos a >= 0.  a is taken by arctan2, which stays exact near
+    n = +-y where arcsin(n_y) loses half the digits; at n = +-y any theta works
     and theta = 0 is returned.
     """
-    a = math.atan2(-n.y, math.hypot(n.x, n.z))
-    theta = 0.5 * math.atan2(-n.x, n.z)
-    return WaveplateSetting(theta, (theta - a / 2.0) / 2.0)
+    x, y, z = np.moveaxis(np.asarray(n, dtype=float), -1, 0)
+    a = np.arctan2(-y, np.hypot(x, z))
+    theta = 0.5 * np.arctan2(-x, z)
+    return theta, (theta - a / 2.0) / 2.0
 
 
 # net bases closer than this in every coordinate, up to sign, are one basis
@@ -113,7 +94,7 @@ def dedup_bloch(net: NetSpec) -> np.ndarray:
     """Unique measurement bases of a net as a (k, 3) array, identifying n with -n:
     the directions of the settings in `net.angles()` order, each kept unless a kept
     one lies within `_DEDUP_TOL` of it or of its negative in every coordinate."""
-    dirs = _bloch_vectors(*net.angles())
+    dirs = bloch_vector(*net.angles())
     unique, k = np.empty_like(dirs), 0
     for v in dirs:
         kept = unique[:k]
@@ -139,18 +120,14 @@ def _waveplate(angle, retardance: complex) -> np.ndarray:
     return r @ (np.array([[1.0], [retardance]]) * r.conj().swapaxes(-1, -2))
 
 
-def _u_b(theta, phi) -> np.ndarray:
-    """`u_b` for float or array angles of one shape; returns shape + (2, 2)."""
-    return _waveplate(phi, -1.0) @ _waveplate(theta, 1j)
-
-
-def u_b(s: WaveplateSetting) -> np.ndarray:
-    """2x2 unitary of the waveplate pair: half-wave at phi after quarter-wave at theta.
+def u_b(theta, phi) -> np.ndarray:
+    """2x2 unitaries of the waveplate pair, half-wave at phi after quarter-wave at
+    theta, for float or array angles of one shape; returns shape + (2, 2).
 
     Maps |n(theta,phi)> to |0> and its orthogonal to |1> up to the phases
     fixed by the Jones matrices.
     """
-    return _u_b(s.theta, s.phi)
+    return _waveplate(phi, -1.0) @ _waveplate(theta, 1j)
 
 
 # The C-NOT sends |a, b, 0>_ABM to |a, b, b>: the premeasurement state is the
@@ -177,5 +154,5 @@ def premeasurement(chi: DensityMatrix, s: WaveplateSetting) -> DensityMatrix:
     """Three-qubit state (I_A x V_BM)(chi x |0><0|_M)(I_A x V_BM)^dag."""
     if chi.dims != (2, 2):
         raise ValueError(f"chi must be a 2-qubit state, got dims {chi.dims}")
-    return DensityMatrix(_premeasure(chi.mat, u_b(s)), (2, 2, 2))
+    return DensityMatrix(_premeasure(chi.mat, u_b(s.theta, s.phi)), (2, 2, 2))
 

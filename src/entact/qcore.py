@@ -13,7 +13,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,13 +25,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": I2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
-
-
-class BellKind(Enum):
-    PSI_MINUS = "PsiMinus"
-    PSI_PLUS = "PsiPlus"
-    PHI_MINUS = "PhiMinus"
-    PHI_PLUS = "PhiPlus"
 
 
 def _as_square(m) -> np.ndarray:
@@ -89,12 +81,6 @@ def hermitian_eigen(h):
     return np.linalg.eigh(a)
 
 
-def basis_ket(index: int, dim: int = 2) -> np.ndarray:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
-
 def projector(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     return np.outer(v, v.conj())
@@ -118,36 +104,17 @@ def pauli_basis(n: int) -> np.ndarray:
     return basis
 
 
-_BELL_KETS = None
-
-
-def bell_ket(kind: BellKind) -> np.ndarray:
-    global _BELL_KETS
-    if _BELL_KETS is None:
-        s2 = 1 / math.sqrt(2)
-        k00, k01, k10, k11 = (basis_ket(i, 4) for i in range(4))
-        _BELL_KETS = {
-            BellKind.PSI_MINUS: s2 * (k01 - k10),
-            BellKind.PSI_PLUS: s2 * (k01 + k10),
-            BellKind.PHI_MINUS: s2 * (k00 - k11),
-            BellKind.PHI_PLUS: s2 * (k00 + k11),
-        }
-    return _BELL_KETS[kind]
-
-
-def bell_state(kind: BellKind) -> DensityMatrix:
-    """Pure two-qubit Bell state |Psi+->, |Phi+-> with |H>=|0>, |V>=|1>."""
-    return DensityMatrix(projector(bell_ket(kind)), (2, 2))
+# the three Bell projectors that chi_q mixes, with |H> = |0>, |V> = |1>
+_PSI_PLUS = projector(np.array([0, 1, 1, 0]) / math.sqrt(2))
+_PHI_PLUS = projector(np.array([1, 0, 0, 1]) / math.sqrt(2))
+_PSI_MINUS = projector(np.array([0, 1, -1, 0]) / math.sqrt(2))
 
 
 def chi_q(q: float) -> DensityMatrix:
     """Symmetric Bell-diagonal family: q |Psi+><Psi+| + (1-q)/2 (|Phi+><Phi+| + |Psi-><Psi-|)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
-    bell = lambda kind: projector(bell_ket(kind))
-    m = (q * bell(BellKind.PSI_PLUS)
-         + 0.5 * (1 - q) * (bell(BellKind.PHI_PLUS) + bell(BellKind.PSI_MINUS)))
-    return DensityMatrix(m, (2, 2))
+    return DensityMatrix(q * _PSI_PLUS + 0.5 * (1 - q) * (_PHI_PLUS + _PSI_MINUS), (2, 2))
 
 
 def _psd_sqrt(h) -> np.ndarray:

@@ -258,8 +258,7 @@ def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
 def _resolve_functional(functional, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:
     """The functional as a map from a (reps, d, d) stack of reconstructions to
     its values; negativity and the witness act on the whole stack."""
-    from .measures import (discord_bell_diagonal, discord_numeric, is_bell_diagonal,
-                           negativities)
+    from .measures import discord_numeric, negativities
     from .witnesses import expectations, w2, w3
 
     dims = (2,) * n_qubits
@@ -275,9 +274,7 @@ def _resolve_functional(functional, n_qubits: int) -> Callable[[np.ndarray], np.
     elif functional == "discord":
         if n_qubits != 2:
             raise ValueError("discord functional needs a 2-qubit state")
-        per_state = lambda dm: (
-            discord_bell_diagonal(dm) if is_bell_diagonal(dm) else discord_numeric(dm).value
-        )
+        per_state = lambda dm: discord_numeric(dm).value
     else:
         raise ValueError(f"unknown functional {functional!r}")
     return lambda mats: np.array([per_state(DensityMatrix(m, dims)) for m in mats])

@@ -10,8 +10,22 @@ import math
 
 import numpy as np
 
-from entact.qcore import I2, PAULIS, BellKind, DensityMatrix, basis_ket, bell_state, projector
-from entact.protocol import BlochVector, NetSpec, WaveplateSetting, bloch_vector, u_b
+from entact.qcore import I2, PAULIS, DensityMatrix, projector
+from entact.protocol import NetSpec, WaveplateSetting, bloch_vector, u_b
+
+_KET = np.eye(4, dtype=complex)  # |00>, |01>, |10>, |11> with |H> = |0>, |V> = |1>
+BELL_KETS = {
+    "psi-": (_KET[1] - _KET[2]) / math.sqrt(2),
+    "psi+": (_KET[1] + _KET[2]) / math.sqrt(2),
+    "phi-": (_KET[0] - _KET[3]) / math.sqrt(2),
+    "phi+": (_KET[0] + _KET[3]) / math.sqrt(2),
+}
+
+
+def bell_state(kind: str) -> DensityMatrix:
+    """The pure Bell state |psi+->, |phi+-> named by a key of `BELL_KETS`."""
+    ket = BELL_KETS[kind]
+    return DensityMatrix(np.outer(ket, ket.conj()), (2, 2))
 
 
 def partial_transpose(mat, subsystem: int, dims) -> np.ndarray:
@@ -45,7 +59,7 @@ def dedup_bloch(net: NetSpec) -> np.ndarray:
     direction compared with every kept one."""
     unique = []
     for s in net_settings(net):
-        v = bloch_vector(s).as_array()
+        v = bloch_vector(s.theta, s.phi)
         if not any(np.abs(v - u).max() <= 1e-8 or np.abs(v + u).max() <= 1e-8 for u in unique):
             unique.append(v)
     return np.array(unique)
@@ -58,7 +72,7 @@ def pauli_string_matrix(ops: str) -> np.ndarray:
 
 def ghz_rotated_ket() -> np.ndarray:
     """The locally rotated GHZ state produced at the (pi/4, 0) setting from |Psi+>."""
-    k = lambda *bits: basis_ket(int("".join(map(str, bits)), 2), 8)
+    k = lambda *bits: np.eye(8, dtype=complex)[int("".join(map(str, bits)), 2)]
     return 0.5 * (-k(0, 0, 0) - 1j * k(0, 1, 1) + 1j * k(1, 0, 0) + k(1, 1, 1))
 
 
@@ -73,13 +87,13 @@ def density_from_json(text: str) -> DensityMatrix:
     return DensityMatrix(mat, tuple(d["dims"]))
 
 
-def bloch_from_array(v) -> BlochVector:
-    """The unit `BlochVector` along the nonzero 3-vector `v`."""
+def unit_vector(v) -> np.ndarray:
+    """The unit vector along the nonzero 3-vector `v`."""
     v = np.asarray(v, dtype=float)
-    return BlochVector(*(v / np.linalg.norm(v)).tolist())
+    return v / np.linalg.norm(v)
 
 
-def werner_mix(kind: BellKind, v: float) -> DensityMatrix:
+def werner_mix(kind: str, v: float) -> DensityMatrix:
     """Bell state mixed with white noise: v |bell><bell| + (1-v) I/4."""
     return DensityMatrix(v * bell_state(kind).mat + (1 - v) * np.eye(4) / 4, (2, 2))
 
@@ -106,7 +120,7 @@ def cnot_bm() -> np.ndarray:
 
 def coupling_unitary(s: WaveplateSetting) -> np.ndarray:
     """The full B-M interaction V_BM = CNOT (U_B x I_M)."""
-    return cnot_bm() @ np.kron(u_b(s), I2)
+    return cnot_bm() @ np.kron(u_b(s.theta, s.phi), I2)
 
 
 @functools.lru_cache(maxsize=4)

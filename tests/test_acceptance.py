@@ -53,7 +53,7 @@ def test_02_activation_identity():
     net = default_net()
     for q in Q_GRID:
         chi = chi_q(q)
-        vals = [negativity_offdiag(chi, bloch_vector(s)) for s in net_settings(net)]
+        vals = [negativity_offdiag(chi, bloch_vector(s.theta, s.phi)) for s in net_settings(net)]
         assert min(vals) == pytest.approx(q, abs=1e-9), f"min-net negativity at q={q}"
     report(2, "activation identity min N = q", t0, 5.0)
 
@@ -129,6 +129,7 @@ def test_08_noisy_preparation_envelope():
     net = default_net()
     for q in Q_GRID:
         chi = cfg.input_state(q)
-        min_net = min(negativity_offdiag(chi, bloch_vector(s)) for s in net_settings(net))
+        min_net = min(negativity_offdiag(chi, bloch_vector(s.theta, s.phi))
+                      for s in net_settings(net))
         assert abs(min_net - q) <= 0.12, f"q={q}: noisy minimum {min_net:.4f}"
     report(8, "noisy-preparation envelope", t0, 30.0)

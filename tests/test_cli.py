@@ -125,8 +125,9 @@ class TestConfig:
 class TestCommands:
     def test_bad_config_file_exits_2(self, tmp_path):
         bad = tmp_path / "cfg.json"
-        bad.write_text("{not json")
-        assert main(["witness", "--config", str(bad)]) == 2
+        for text in (b"{not json", b"\xff\xfe{", b'{"seed": 1' + b"0" * 5000 + b"}"):
+            bad.write_bytes(text)
+            assert main(["witness", "--config", str(bad)]) == 2, text[:12]
 
     def test_bad_noise_flag_exits_2(self, tmp_path):
         assert main(["witness", "--noise", "pink", "--out", str(tmp_path)]) == 2
@@ -203,7 +204,14 @@ class TestCommands:
         out = tmp_path / "out"
         for bad in ({"exposure": "lots"}, [1, 2], "abc", None, {"qvalues": [0.2]},
                     {"seed": 1.7}, {"seed": True}, {"seed": 2.0}, {"seed": "1"},
-                    {"mc_reps": 50.5}, {"mc_reps": False}):
+                    {"mc_reps": 50.5}, {"mc_reps": False},
+                    # booleans are not numbers, and no value is coerced to a list or string
+                    {"exposure": True, "q_values": "1"}, {"q_values": [True]},
+                    {"grid_step": False}, {"q_values": 0.2}, {"noise": 0.9},
+                    {"output_dir": 7}, {"net": {"thetas": 0.0, "phis": [0.0]}},
+                    {"net": {"thetas": [0.0], "phis": [0.0], "phi": [1.0]}},
+                    {"net": {"thetas": [0.0]}}, {"net": [[0.0], [0.0]]},
+                    {"exposure": 10**400}):
             cfg.write_text(json.dumps(bad))
             assert main(["witness", "--config", str(cfg), "--out", str(out)]) == 2, bad
             assert capsys.readouterr().err.startswith("config error:"), bad

@@ -1,20 +1,17 @@
 """Net geometry, the lower-bounds kernel, and full-sphere certification scans."""
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entact.qcore import BellKind, DensityMatrix, chi_q
+from entact.qcore import DensityMatrix, chi_q
 from entact.protocol import (
     _CNOT_IMAGE,
-    BlochVector,
     NetSpec,
     WaveplateSetting,
-    _bloch_vectors,
     bloch_vector,
     dedup_bloch,
     default_net,
@@ -40,7 +37,7 @@ from entact.epsnet import (
     verify_packing,
 )
 import reference
-from reference import bloch_from_array, werner_mix
+from reference import unit_vector, werner_mix
 from test_protocol import full_rank_state
 
 # exact covering radius of the default net: the worst point sits on the
@@ -170,7 +167,7 @@ class TestChordMetric:
     def test_triangle_inequality(self):
         rng = np.random.default_rng(8)
         for _ in range(1000):
-            a, b, c = (bloch_from_array(rng.normal(size=3)).as_array() for _ in range(3))
+            a, b, c = (unit_vector(rng.normal(size=3)) for _ in range(3))
             assert chord(a, c) <= chord(a, b) + chord(b, c) + 1e-12
 
     def test_cap_radius_values(self):
@@ -245,7 +242,7 @@ class TestBound1:
 
     def test_minus_y_target_at_q02(self, records02):
         # (pi/4, 0) measures along -y, the least-entangling basis of chi_q
-        assert np.allclose(bloch_vector(WaveplateSetting(math.pi / 4, 0)).as_array(), [0, -1, 0])
+        assert np.allclose(bloch_vector(math.pi / 4, 0), [0, -1, 0])
         assert low_at(records02, WaveplateSetting(math.pi / 4, 0.0))[0] >= 0.05
 
     def test_empty_records(self):
@@ -364,7 +361,7 @@ class TestCombinedBound:
         low1, low2, _ = lower_bounds(net_records(chi, default_net()), *np.array(targets).T)
         assert (low2 >= low1).all()
         for (th, ph), b in zip(targets, low2):
-            assert b <= negativity_offdiag(chi, bloch_vector(WaveplateSetting(th, ph))) + 1e-9
+            assert b <= negativity_offdiag(chi, bloch_vector(th, ph)) + 1e-9
 
 
 class TestSphereScan:
@@ -405,7 +402,7 @@ class TestSphereScan:
         # worst gap a 20,000-point lattice finds is near 2 step.  The chord is
         # sqrt(2 (1 - |n.m|)) here, whose rounding is far below these gaps
         [(_, _, (theta, phi, _, _))] = sphere_scan([chi_q(0.2)], net, grid_step=step)
-        grid = _bloch_vectors(theta, phi).T
+        grid = bloch_vector(theta, phi).T
         nearest = min(float(np.abs(chunk @ grid).max(axis=1).min())
                       for chunk in np.array_split(_fibonacci_directions(20_000), 40))
         gap = math.sqrt(2.0 * (1.0 - nearest))
@@ -416,8 +413,8 @@ class TestSphereScan:
         # two constructions of that state, 5.6e-17 apart, must print one argmin
         v, q = 0.9, 0.4
         direct = DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
-        mixed = DensityMatrix(q * werner_mix(BellKind.PSI_PLUS, v).mat + 0.5 * (1 - q) * (
-            werner_mix(BellKind.PHI_PLUS, v).mat + werner_mix(BellKind.PSI_MINUS, v).mat), (2, 2))
+        mixed = DensityMatrix(q * werner_mix("psi+", v).mat + 0.5 * (1 - q) * (
+            werner_mix("phi+", v).mat + werner_mix("psi-", v).mat), (2, 2))
         assert 0 < np.abs(direct.mat - mixed.mat).max() < 1e-16
         argmins = []
         for _, argmin, (theta, phi, _, low) in sphere_scan([direct, mixed], net):
@@ -454,14 +451,16 @@ class TestSphereScan:
             assert min_low == float(low2.min()) - lip * (2.0 + math.sqrt(2.0)) * step
 
     def test_scan_builds_no_per_point_objects(self, net, monkeypatch):
-        # the records and the grid run as arrays: no setting or Bloch vector is
-        # built per net setting (28 here) or per grid point (4,186 at pi/180);
-        # the one object is the argmin setting
-        built = Counter()
-        for cls in (WaveplateSetting, BlochVector):
-            def counting(self, init=cls.__post_init__, name=cls.__name__):
-                built[name] += 1
-                init(self)
-            monkeypatch.setattr(cls, "__post_init__", counting)
+        # the records and the grid run as arrays: no setting is built per net
+        # setting (28 here) or per grid point (4,186 at pi/180); the one object
+        # is the argmin setting
+        built = []
+        init = WaveplateSetting.__post_init__
+
+        def counting(self):
+            built.append(self)
+            init(self)
+
+        monkeypatch.setattr(WaveplateSetting, "__post_init__", counting)
         sphere_scan([chi_q(0.2)], net, grid_step=math.pi / 180)
-        assert built == Counter({"WaveplateSetting": 1})
+        assert len(built) == 1

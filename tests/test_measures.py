@@ -9,23 +9,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entact.qcore import (
-    BellKind,
-    DensityMatrix,
-    bell_state,
-    chi_q,
-)
+from entact.qcore import DensityMatrix, chi_q
 from entact import cli, measures
-from entact.protocol import (
-    BlochVector,
-    WaveplateSetting,
-    _bloch_vectors,
-    bloch_vector,
-    premeasurement,
-    setting_of,
-)
+from entact.protocol import WaveplateSetting, bloch_vector, premeasurement, setting_of
 from entact.measures import (
-    MeasureResult,
     _fibonacci_directions,
     _offdiag_at,
     _offdiag_columns,
@@ -40,7 +27,7 @@ from entact.measures import (
     negativity_of_quantumness,
     negativity_offdiag,
 )
-from reference import premeasurement_negativities, quantum_classical, werner_mix
+from reference import bell_state, premeasurement_negativities, quantum_classical, werner_mix
 from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -59,7 +46,7 @@ SEAM_DIRECTIONS = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.6, -0.8, -1e-12],
 # the seam itself: the kernel takes the sign of z, so -0.0 and +0.0 are two cases
 SIGNED_ZERO_DIRECTIONS = [[0.6, -0.8, 0.0], [0.6, -0.8, -0.0], [-1.0, 0.0, 0.0], [-1.0, 0.0, -0.0]]
 # the bases of a 2,000-point Fibonacci lattice, as waveplate settings
-LATTICE = tuple(setting_of(BlochVector(*n)) for n in _fibonacci_directions(2000).tolist())
+LATTICE = tuple(map(WaveplateSetting, *setting_of(_fibonacci_directions(2000))))
 
 
 def brute_force_at(chi, s):
@@ -69,7 +56,7 @@ def brute_force_at(chi, s):
 
 class TestNegativity:
     def test_bell_state_is_maximal(self):
-        assert negativity(bell_state(BellKind.PHI_PLUS), [0]) == pytest.approx(1.0, abs=1e-12)
+        assert negativity(bell_state("phi+"), [0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_separable_state_is_zero(self):
         tau = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))
@@ -103,7 +90,7 @@ class TestNegativityRoutes:
                            (0.37, 0.12)]:
             s = WaveplateSetting(theta, phi)
             brute = negativity(premeasurement(chi, s), [0, 1])
-            offdiag = negativity_offdiag(chi, bloch_vector(s))
+            offdiag = negativity_offdiag(chi, bloch_vector(theta, phi))
             closed = float(negativities_theory(q, theta, phi))
             assert brute == pytest.approx(closed, abs=1e-9)
             assert offdiag == pytest.approx(closed, abs=1e-9)
@@ -140,14 +127,13 @@ class TestNegativityRoutes:
                                   + q * (5.0 * q - 4.0) + 1.0) / 2.0, 0.0))
 
         theta, phi = np.array(angles).T
-        dirs, values = _bloch_vectors(theta, phi), negativities_theory(q, theta, phi)
+        dirs, values = bloch_vector(theta, phi), negativities_theory(q, theta, phi)
         assert dirs.shape == (len(angles), 3) and values.shape == (len(angles),)
         for (th, ph), n, value in zip(angles, dirs, values):
             ref = direction(th, ph)
             assert (np.abs(n - ref) <= np.spacing(np.abs(ref))).all()
             assert abs(value - theory(th, ph)) <= np.spacing(theory(th, ph))
-            s = WaveplateSetting(th, ph)
-            assert (bloch_vector(s).as_array() == n).all()
+            assert (bloch_vector(th, ph) == n).all()
             assert float(negativities_theory(q, th, ph)) == value
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -181,13 +167,20 @@ class TestNegativityRoutes:
             assert type(scalar) is float
             assert abs(scalar - value) <= 1e-15
             # the one-setting route is the scalar call, exactly
-            assert negativity_offdiag(chi, BlochVector(*n)) == scalar
+            assert negativity_offdiag(chi, n) == scalar
         assert np.abs(got[:len(ns) // 2] - got[len(ns) // 2:]).max() <= 1e-15
 
     def test_offdiag_requires_two_qubits(self):
         rho = premeasurement(chi_q(0.2), WaveplateSetting(0, 0))
         with pytest.raises(ValueError):
-            negativity_offdiag(rho, bloch_vector(WaveplateSetting(0, 0)))
+            negativity_offdiag(rho, bloch_vector(0, 0))
+
+    def test_offdiag_rejects_non_unit_direction(self):
+        # the norm is checked to 1e-10; a direction is exactly three components
+        assert negativity_offdiag(chi_q(0.2), [0.0, 0.0, 1.0 + 4e-11]) >= 0
+        for n in ([1.0, 1.0, 0.0], [0.0, 0.0, 1.0 + 2e-10], [0.0, 0.0], [0.0, 0.0, 1.0, 0.0]):
+            with pytest.raises(ValueError):
+                negativity_offdiag(chi_q(0.2), n)
 
 
 class TestCorrelationsAndDiscord:
@@ -200,7 +193,7 @@ class TestCorrelationsAndDiscord:
 
     def test_is_bell_diagonal(self):
         assert is_bell_diagonal(chi_q(0.4))
-        assert is_bell_diagonal(werner_mix(BellKind.PHI_MINUS, 0.7))
+        assert is_bell_diagonal(werner_mix("phi-", 0.7))
         tau0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
         tau1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), (2,))
         assert not is_bell_diagonal(quantum_classical([0.9, 0.1], [tau0, tau1], [0, 0, 1]))
@@ -308,14 +301,8 @@ class TestNegativityOfQuantumness:
     def test_reports_a_minimizing_setting(self):
         res = negativity_of_quantumness(chi_q(0.1))
         chi = chi_q(0.1)
-        at_min = negativity_offdiag(chi, bloch_vector(res.settings_used))
+        at_min = negativity_offdiag(chi, bloch_vector(res.settings_used.theta, res.settings_used.phi))
         assert at_min == pytest.approx(res.value, abs=1e-9)
-
-
-class TestMeasureResult:
-    def test_rejects_negative_values(self):
-        with pytest.raises(ValueError):
-            MeasureResult(-1e-3)
 
 
 def x_state(p, c14, c23):

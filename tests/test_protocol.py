@@ -9,17 +9,15 @@ from hypothesis.extra.numpy import arrays
 
 from entact.qcore import DensityMatrix, I2, chi_q, projector
 from entact.protocol import (
-    BlochVector,
     WaveplateSetting,
     _premeasure,
-    _u_b,
     bloch_vector,
     premeasurement,
     setting_of,
     u_b,
 )
 from entact.measures import negativity, negativity_offdiag
-from reference import bloch_from_array, cnot_bm, coupling_unitary, partial_trace
+from reference import cnot_bm, coupling_unitary, partial_trace, unit_vector
 
 PAULI_VEC = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -55,32 +53,25 @@ class TestWaveplateSetting:
         s = WaveplateSetting(0.3 + math.pi / 2, -0.1)
         assert (s.theta, s.phi) == (0.3 + math.pi / 2, -0.1)
         # theta + pi/2 is a different basis: it flips n_y and keeps n_x, n_z
-        n = bloch_vector(WaveplateSetting(0.3, -0.1)).as_array()
-        assert np.abs(bloch_vector(s).as_array() - n * [1, -1, 1]).max() < 1e-12
+        n = bloch_vector(0.3, -0.1)
+        assert np.abs(bloch_vector(s.theta, s.phi) - n * [1, -1, 1]).max() < 1e-12
         assert abs(n[1]) > 0.1
 
 
 class TestBlochVector:
-    def test_unit_norm_enforced(self):
-        with pytest.raises(ValueError):
-            BlochVector(1.0, 1.0, 0.0)
-
     def test_from_array_normalizes(self):
-        v = bloch_from_array([0.0, 0.0, 3.0])
-        assert v.z == pytest.approx(1.0)
+        assert unit_vector([0.0, 0.0, 3.0])[2] == pytest.approx(1.0)
 
     def test_formula_values(self):
         # theta = phi = 0 measures along +z; the (pi/4, 0) setting along -y
-        assert np.allclose(bloch_vector(WaveplateSetting(0, 0)).as_array(), [0, 0, 1])
-        assert np.allclose(
-            bloch_vector(WaveplateSetting(math.pi / 4, 0)).as_array(), [0, -1, 0],
-            atol=1e-15)
+        assert np.allclose(bloch_vector(0, 0), [0, 0, 1])
+        assert np.allclose(bloch_vector(math.pi / 4, 0), [0, -1, 0], atol=1e-15)
 
     def test_periodicity_of_direction(self):
         # theta has period pi; phi + pi/4 gives -n, the same basis
-        n = bloch_vector(WaveplateSetting(0.3, 0.11)).as_array()
-        assert np.abs(bloch_vector(WaveplateSetting(0.3 + math.pi, 0.11)).as_array() - n).max() < 1e-12
-        assert np.abs(bloch_vector(WaveplateSetting(0.3, 0.11 + math.pi / 4)).as_array() + n).max() < 1e-12
+        n = bloch_vector(0.3, 0.11)
+        assert np.abs(bloch_vector(0.3 + math.pi, 0.11) - n).max() < 1e-12
+        assert np.abs(bloch_vector(0.3, 0.11 + math.pi / 4) + n).max() < 1e-12
 
 
 unit_vectors = arrays(float, (3,), elements=st.floats(-1.0, 1.0)).filter(
@@ -91,13 +82,19 @@ class TestSettingOf:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(unit_vectors)
     def test_inverts_bloch_vector(self, v):
-        n = bloch_from_array(v)
-        assert np.abs(bloch_vector(setting_of(n)).as_array() - n.as_array()).max() < 1e-12
+        n = unit_vector(v)
+        assert np.abs(bloch_vector(*setting_of(n)) - n).max() < 1e-12
 
     def test_poles(self):
         for v in ([0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [0, -1, 0], [1e-5, 0.875, 1e-5]):
-            n = bloch_from_array(v)
-            assert np.abs(bloch_vector(setting_of(n)).as_array() - n.as_array()).max() < 1e-15
+            n = unit_vector(v)
+            assert np.abs(bloch_vector(*setting_of(n)) - n).max() < 1e-15
+
+    def test_inverts_a_stack_of_directions(self):
+        ns = np.array([unit_vector(v) for v in np.random.default_rng(4).normal(size=(12, 3))])
+        theta, phi = setting_of(ns.reshape(3, 4, 3))
+        assert theta.shape == phi.shape == (3, 4)
+        assert np.abs(bloch_vector(theta, phi).reshape(12, 3) - ns).max() < 1e-12
 
 
 def jones_reference(s):
@@ -113,23 +110,22 @@ class TestUnitaries:
     def test_u_b_array_matches_matrix_products(self):
         rng = np.random.default_rng(3)
         th, ph = rng.uniform(-7.0, 7.0, (2, 500))
-        stack = _u_b(th, ph)
+        stack = u_b(th, ph)
         assert stack.shape == (500, 2, 2)
         for a, b, u in zip(th, ph, stack):
-            s = WaveplateSetting(a, b)
-            assert np.abs(u - jones_reference(s)).max() < 1e-15
-            assert np.array_equal(u, u_b(s))
+            assert np.abs(u - jones_reference(WaveplateSetting(a, b))).max() < 1e-15
+            assert np.array_equal(u, u_b(a, b))
 
     def test_u_b_is_unitary(self):
         for s in grid_settings():
-            u = u_b(s)
+            u = u_b(s.theta, s.phi)
             assert np.abs(u @ u.conj().T - I2).max() < 1e-12
 
     def test_u_b_rotates_basis_to_poles(self):
         # u_b |n> ~ |0> and u_b |n_perp> ~ |1>
         for s in grid_settings():
-            n = bloch_vector(s).as_array()
-            u = u_b(s)
+            n = bloch_vector(s.theta, s.phi)
+            u = u_b(s.theta, s.phi)
             psi0 = u.conj().T @ np.array([1, 0], dtype=complex)
             back = np.array([np.real(psi0.conj() @ p @ psi0) for p in PAULI_VEC])
             assert np.abs(back - n).max() < 1e-10
@@ -143,7 +139,7 @@ class TestUnitaries:
 
     def test_coupling_unitary_composition(self):
         s = WaveplateSetting(0.2, 0.05)
-        assert np.allclose(coupling_unitary(s), cnot_bm() @ np.kron(u_b(s), I2))
+        assert np.allclose(coupling_unitary(s), cnot_bm() @ np.kron(u_b(0.2, 0.05), I2))
 
 
 class TestPremeasurement:
@@ -171,13 +167,13 @@ class TestPremeasurement:
            st.lists(in_range_settings, min_size=1, max_size=3))
     def test_kernel_matches_kron_formula(self, re_im, targets):
         chi = full_rank_state(re_im)
-        stack = _premeasure(chi.mat, np.array([u_b(s) for s in targets]))
+        stack = _premeasure(chi.mat, np.array([u_b(s.theta, s.phi) for s in targets]))
         rho0 = np.kron(chi.mat, projector([1, 0]))
         for s, rho in zip(targets, stack):
             w = np.kron(I2, coupling_unitary(s))
             assert np.abs(rho - w @ rho0 @ w.conj().T).max() < 1e-12
             assert negativity(premeasurement(chi, s), [0, 1]) == pytest.approx(
-                negativity_offdiag(chi, bloch_vector(s)), abs=1e-9)
+                negativity_offdiag(chi, bloch_vector(s.theta, s.phi)), abs=1e-9)
 
     def test_rejects_wrong_input_dims(self):
         bad = DensityMatrix(np.eye(2, dtype=complex) / 2, (2,))

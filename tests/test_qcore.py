@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 from entact.qcore import (
-    BellKind,
     DensityMatrix,
-    bell_ket,
-    bell_state,
     chi_q,
     fidelity,
     hermitian_eigen,
@@ -19,8 +16,9 @@ from entact.qcore import (
     projector,
 )
 from entact.witnesses import _sum_terms
-from reference import (density_from_json, partial_trace, partial_transpose,
-                       pauli_string_matrix, purity, quantum_classical, werner_mix)
+from reference import (BELL_KETS, bell_state, density_from_json, partial_trace,
+                       partial_transpose, pauli_string_matrix, purity, quantum_classical,
+                       werner_mix)
 
 
 def random_hermitian(n, rng):
@@ -83,7 +81,7 @@ class TestDensityMatrix:
         assert set(d) == {"dims", "re", "im"}
 
     def test_purity_bounds(self):
-        assert purity(bell_state(BellKind.PHI_PLUS)) == pytest.approx(1.0)
+        assert purity(bell_state("phi+")) == pytest.approx(1.0)
         assert purity(chi_q(1 / 3)) < 1.0
 
 
@@ -101,7 +99,7 @@ class TestPartialOps:
         assert np.allclose(pt, np.kron(a, b.T))
 
     def test_partial_trace_of_bell_is_maximally_mixed(self):
-        for kind in BellKind:
+        for kind in BELL_KETS:
             red = partial_trace(bell_state(kind).mat, (2, 2), [0])
             assert np.abs(red - np.eye(2) / 2).max() < 1e-12
 
@@ -129,7 +127,7 @@ class TestEigenAndNorms:
 
 class TestStates:
     def test_bell_kets_orthonormal(self):
-        kets = [bell_ket(k) for k in BellKind]
+        kets = list(BELL_KETS.values())
         g = np.array([[np.vdot(a, b) for b in kets] for a in kets])
         assert np.abs(g - np.eye(4)).max() < 1e-12
 
@@ -149,9 +147,9 @@ class TestStates:
 
         monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
         for q in (0.0, 0.3, 1.0):
-            mix = (q * bell_state(BellKind.PSI_PLUS).mat
-                   + 0.5 * (1 - q) * (bell_state(BellKind.PHI_PLUS).mat
-                                      + bell_state(BellKind.PSI_MINUS).mat))
+            mix = (q * bell_state("psi+").mat
+                   + 0.5 * (1 - q) * (bell_state("phi+").mat
+                                      + bell_state("psi-").mat))
             calls.clear()
             assert chi_q(q).mat.tobytes() == mix.tobytes()
             assert len(calls) == 1
@@ -161,13 +159,13 @@ class TestStates:
             chi_q(1.2)
 
     def test_werner_endpoints(self):
-        assert np.allclose(werner_mix(BellKind.PSI_PLUS, 1.0).mat,
-                           bell_state(BellKind.PSI_PLUS).mat)
-        assert np.allclose(werner_mix(BellKind.PSI_PLUS, 0.0).mat, np.eye(4) / 4)
+        assert np.allclose(werner_mix("psi+", 1.0).mat,
+                           bell_state("psi+").mat)
+        assert np.allclose(werner_mix("psi+", 0.0).mat, np.eye(4) / 4)
 
     def test_werner_purity(self):
         v = 0.9564
-        assert purity(werner_mix(BellKind.PHI_PLUS, v)) == pytest.approx(
+        assert purity(werner_mix("phi+", v)) == pytest.approx(
             (3 * v**2 + 1) / 4, abs=1e-12)
 
     def test_quantum_classical_structure(self):
@@ -191,15 +189,15 @@ class TestFidelity:
         assert fidelity(chi_q(0.4), chi_q(0.4)) == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_pure_states(self):
-        a = bell_state(BellKind.PHI_PLUS)
-        b = bell_state(BellKind.PSI_MINUS)
+        a = bell_state("phi+")
+        b = bell_state("psi-")
         assert fidelity(a, b) == pytest.approx(0.0, abs=1e-10)
 
     def test_pure_vs_mixed_overlap(self):
         # F(|psi><psi|, rho) = <psi|rho|psi>
-        psi = bell_ket(BellKind.PSI_PLUS)
+        psi = BELL_KETS["psi+"]
         rho = chi_q(0.35)
-        assert fidelity(bell_state(BellKind.PSI_PLUS), rho) == pytest.approx(
+        assert fidelity(bell_state("psi+"), rho) == pytest.approx(
             float(np.real(psi.conj() @ rho.mat @ psi)), abs=1e-10)
 
     def test_symmetry(self):

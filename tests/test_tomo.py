@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entact.qcore import BellKind, DensityMatrix, bell_state, chi_q, fidelity, projector
+from entact.qcore import DensityMatrix, chi_q, fidelity, projector
 from entact.protocol import WaveplateSetting, premeasurement
 from entact.measures import negativities, negativity
 from entact.witnesses import expect, w3
@@ -30,7 +30,7 @@ from entact.tomo import (
     simulate_counts,
     tomography,
 )
-from reference import partial_transpose, pauli_string_matrix
+from reference import bell_state, partial_transpose, pauli_string_matrix
 
 # the count layout: one row per setting, one column per outcome bit string
 EIGENBASES = {"X": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
@@ -315,7 +315,7 @@ class TestReconstruction:
         assert np.abs(recon.mat - chi.mat).max() < 1e-10
 
     def test_counts_reconstruction_converges(self):
-        rho = bell_state(BellKind.PSI_PLUS)
+        rho = bell_state("psi+")
         recon = reconstruct(simulate_counts(rho, 1e6, seed=3))
         assert recon.dims == (2, 2)
         assert fidelity(recon, rho) > 0.999
@@ -361,7 +361,7 @@ class TestErrorBars:
         assert std < 0.01
 
     def test_discord_statistics(self):
-        # reconstructions are never exactly Bell-diagonal, so every rep runs discord_numeric
+        # every rep runs the one discord search, discord_numeric
         mean, std, *_ = mc_errorbar(chi_q(0.4), 1e4, reps=50, seed=1, functional="discord")
         assert mean == pytest.approx(0.4, abs=0.02)
         assert std < 0.02

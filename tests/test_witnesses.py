@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from entact.qcore import BellKind, DensityMatrix, bell_state, chi_q, projector
+from entact.qcore import DensityMatrix, chi_q, projector
 from entact.protocol import WaveplateSetting, premeasurement
 from entact.witnesses import W2_TERMS, W3_TERMS, expect, w2, w3
-from reference import ghz_rotated_ket, pauli_string_matrix
+from reference import bell_state, ghz_rotated_ket, pauli_string_matrix
 
 
 def sum_of_terms(terms):
@@ -22,7 +22,7 @@ class TestConstruction:
         expected = np.eye(4) / 2 - projector([0, 1, 1, 0]) / 2
         assert np.array_equal(sum_of_terms(W2_TERMS), expected)
         assert np.array_equal(w2(), expected)
-        assert np.abs(w2() - (np.eye(4) / 2 - bell_state(BellKind.PSI_PLUS).mat)).max() < 1e-15
+        assert np.abs(w2() - (np.eye(4) / 2 - bell_state("psi+").mat)).max() < 1e-15
 
     def test_w3_matrix_form(self):
         # the eight terms equal I/2 - |GHZ~><GHZ~|, exactly
