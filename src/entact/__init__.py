@@ -20,9 +20,8 @@ from .protocol import (
 from .measures import (
     MeasureResult,
     SearchReport,
-    correlation_matrix,
-    discord_bell_diagonal,
     discord_numeric,
+    discord_x_state,
     negativities,
     negativities_offdiag,
     negativities_theory,

@@ -1,8 +1,8 @@
 """Command-line driver: sweep orchestration and plot-ready dataset emission.
 
 Commands: activate, certify, discord-match, witness, tomo-demo, net-verify.
-Exit codes: 0 success, 2 config error, 3 certification failed in --strict
-mode, 4 numeric failure.
+Exit codes: 0 success, 1 I/O failure, 2 config error, 3 certification failed
+in --strict mode.
 """
 
 from __future__ import annotations
@@ -21,9 +21,8 @@ import numpy as np
 from .qcore import DensityMatrix, chi_q, fidelity
 from .protocol import NetSpec, WaveplateSetting, default_net, premeasurement
 from .measures import (
-    OptimizerError,
-    discord_bell_diagonal,
     discord_numeric,
+    discord_x_state,
     negativities_theory,
 )
 from .epsnet import (
@@ -31,6 +30,7 @@ from .epsnet import (
     MIN_GRID_STEP,
     cap_radius,
     net_records,
+    scan_grid,
     sphere_scan,
     verify_covering,
     verify_packing,
@@ -163,6 +163,15 @@ def load_config(args) -> ExperimentConfig:
         raise ConfigError("--epsilon must lie in [0, 2]")
     if not 1000 <= getattr(args, "resolution", 1000) <= MAX_RESOLUTION:
         raise ConfigError(f"--resolution must lie in [1000, {MAX_RESOLUTION}]")
+    if args.command in ("certify", "net-verify"):
+        # their chord arrays hold settings x points floats: no more than the
+        # default net's at the finest grid step or the highest resolution
+        points, most = ((len(scan_grid(cfg.grid_step)[0]), len(scan_grid(MIN_GRID_STEP)[0]))
+                        if args.command == "certify" else (args.resolution, MAX_RESOLUTION))
+        settings, default = (len(n.thetas) * len(n.phis) for n in (cfg.net, default_net()))
+        if settings * points > default * most:
+            raise ConfigError(f"net settings x points is {settings} x {points}, above the "
+                              f"default net's {default} x {most}")
     return cfg
 
 
@@ -284,20 +293,14 @@ def cmd_discord_match(cfg: ExperimentConfig) -> int:
     for q in cfg.q_values:
         chi = cfg.input_state(q)
         min_net = float(net_records(chi, cfg.net).n.min())
-        d_closed = discord_bell_diagonal(chi)
-        status, value = "ok", float("nan")
-        try:
-            # measured on B, the discord is min_n N(n), so its one search
-            # (`negativity_of_quantumness`) gives both d_numeric and q_n
-            res = discord_numeric(chi)
-        except OptimizerError as e:
-            status = f"optimizer-failed:{e}"
-        else:
-            value = res.value
-            searches[str(q)] = asdict(res.search)
-        rows.append((q, d_closed, value, min_net, value, status))
+        # measured on B, the discord is min_n N(n), so its one search
+        # (`negativity_of_quantumness`) gives both d_numeric and q_n
+        res = discord_numeric(chi)
+        searches[str(q)] = asdict(res.search)
+        rows.append((q, discord_x_state(chi), res.value, min_net, res.value))
+    # the search always ends on a finite value, so every row's status is ok
     _write_csv(out / "discord_match.csv", "q,d_closed,d_numeric,min_net_negativity,q_n,status",
-               tuple(zip(*rows)), cfg_hash, cfg.seed)
+               tuple(zip(*rows)) + ("ok",), cfg_hash, cfg.seed)
     _write_manifest(out, cfg, "discord-match", cfg_hash, {"searches": searches})
     return 0
 
@@ -424,9 +427,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except OptimizerError as e:
-        print(f"numeric failure: {e}", file=sys.stderr)
-        return 4
     except OSError as e:
         print(f"I/O failure: {e}", file=sys.stderr)
         return 1

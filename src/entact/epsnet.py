@@ -143,7 +143,15 @@ def _bounds(records: NetRecords, chords: np.ndarray):
     marginal = np.einsum("jabcb->jac", blocks.reshape(-1, 2, 2, 2, 2))
     centred = blocks - np.einsum("jac,bd->jabcd", marginal, np.eye(2) / 2).reshape(blocks.shape)
     lip = min(1.0, float(np.abs(np.linalg.eigvalsh(centred)).sum(axis=-1).max()))
-    return (rec_n - chords).max(axis=0), (rec_n - lip * chords).max(axis=0), lip
+    low1 = (rec_n - chords).max(axis=0)
+    # at L = 1 the two bounds are one array, bit for bit
+    return low1, low1 if lip == 1.0 else (rec_n - lip * chords).max(axis=0), lip
+
+
+def scan_grid(grid_step: float):
+    """The (theta, phi) arrays of the `sphere_scan` grid, theta-major."""
+    return NetSpec(np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step),
+                   np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)).angles()
 
 
 def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
@@ -169,8 +177,7 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     """
     if not MIN_GRID_STEP <= grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
         raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
-    theta, phi = NetSpec(np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step),
-                         np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)).angles()
+    theta, phi = scan_grid(grid_step)
     chords = _basis_chords(bloch_vector(*net.angles()), bloch_vector(theta, phi))
     scans = []
     for chi in states:

@@ -2,9 +2,9 @@
 
 Negativity comes in three routes (brute-force partial transpose, the
 off-diagonal-block shortcut for premeasurement states, and the closed form in
-the waveplate angles), plus the trace-distance discord in closed form for
-Bell-diagonal states, and in general by one search for min_n N(n), which is both
-the negativity of quantumness and the discord.
+the waveplate angles), plus the trace-distance discord in closed form for X
+states, and in general by one search for min_n N(n), which is both the negativity
+of quantumness and the discord.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .qcore import DensityMatrix, pauli_basis
+from .qcore import DensityMatrix
 from .protocol import WaveplateSetting, bloch_vector, dedup_bloch, default_net, setting_of
 
-BELL_DIAGONAL_TOL = 1e-8
+X_STATE_TOL = 1e-8
+_OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
 # Nelder-Mead runs from this many of the best seed directions: one start missed
 # the global minimum on 7 of 300 random full-rank states, four on none of 1,000
 _STARTS = 4
@@ -42,10 +43,6 @@ class MeasureResult:
     value: float
     settings_used: Optional[WaveplateSetting] = None
     search: Optional[SearchReport] = None
-
-
-class OptimizerError(RuntimeError):
-    """Raised when a numerical minimization fails to converge."""
 
 
 def negativity(rho: DensityMatrix, cut) -> float:
@@ -145,34 +142,28 @@ def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndar
     return np.sqrt(np.maximum(radicand, 0.0))
 
 
-def _pauli_coefficients(chi: np.ndarray) -> np.ndarray:
-    """4x4 real matrix R_ij = Tr[chi (sigma_i x sigma_j)] of a raw 4x4 `chi`, sigma_0 = I."""
-    return np.einsum("pij,ji->p", pauli_basis(2), chi).real.reshape(4, 4)
-
-
-def correlation_matrix(chi: DensityMatrix) -> np.ndarray:
-    """3x3 real matrix T_ij = Tr[chi (sigma_i x sigma_j)]."""
+def discord_x_state(chi: DensityMatrix) -> float:
+    """Trace-distance discord, measured on B, of an X state (zero off the diagonal
+    and anti-diagonal, up to X_STATE_TOL; nan for any other state), in the closed
+    form of Ciccarello, Tufarelli and Giovannetti, NJP 16, 013038 (2014).  A local
+    phase makes both coherences real, so g1 = 2 (|chi_03| + |chi_12|) >= g2 = |T_y|:
+        D^2 = (g1^2 hi - g2^2 lo) / (hi - lo + g1^2 - g2^2),
+        hi = max(g3^2, g2^2 + b^2),  lo = min(g3^2, g1^2),  g3 = T_z,  b = <I x Z>.
+    That ratio is 0/0 where all |T_i| agree (Werner states); as the mean of g1^2
+    and lo weighted by hi - lo and g1^2 - g2^2 (both >= 0) it stays accurate.
+    """
     if chi.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
-    return _pauli_coefficients(chi.mat)[1:, 1:]
-
-
-def is_bell_diagonal(chi: DensityMatrix) -> bool:
-    """True when the only nonzero Pauli coefficients are the diagonal sigma_i x sigma_i
-    terms: no off-diagonal correlations and maximally mixed marginals."""
-    if chi.dims != (2, 2):
-        return False
-    r = _pauli_coefficients(chi.mat)
-    return bool(np.abs(r - np.diag(np.diag(r))).max() <= BELL_DIAGONAL_TOL)
-
-
-def discord_bell_diagonal(chi: DensityMatrix) -> float:
-    """Trace-distance discord of a Bell-diagonal state: the middle singular value
-    of its correlation matrix."""
-    if not is_bell_diagonal(chi):
-        raise ValueError("state is not Bell-diagonal; use discord_numeric instead")
-    s = np.sort(np.abs(np.linalg.svd(correlation_matrix(chi), compute_uv=False)))
-    return float(s[1])
+    m = chi.mat
+    if np.abs(m[_OFF_X]).max() > X_STATE_TOL:
+        return math.nan
+    p0, p1, p2, p3 = m.diagonal().real.tolist()
+    c03, c12 = np.abs(m[[0, 1], [3, 2]]).tolist()
+    g1_sq, g2_sq = 4.0 * (c03 + c12) ** 2, 4.0 * (c12 - c03) ** 2
+    g3_sq, b_sq = (p0 - p1 - p2 + p3) ** 2, (p0 - p1 + p2 - p3) ** 2
+    hi, lo = max(g3_sq, g2_sq + b_sq), min(g3_sq, g1_sq)
+    h, g = hi - lo, g1_sq - g2_sq
+    return math.sqrt((g1_sq * h + lo * g) / (h + g) if h + g > 0.0 else g1_sq)
 
 
 def _fibonacci_directions(count: int) -> np.ndarray:
@@ -240,8 +231,6 @@ def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
     for i, res in enumerate(runs):
         if res.fun < value - 1e-9:
             best, value, winner = tuple(res.x), float(res.fun), i
-    if not math.isfinite(value):
-        raise OptimizerError("the negativity search did not converge")
     report = SearchReport(nfev=sum(int(res.nfev) for res in runs),
                           nit_max=max(int(res.nit) for res in runs),
                           converged=all(bool(res.success) for res in runs),

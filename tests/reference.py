@@ -70,6 +70,13 @@ def pauli_string_matrix(ops: str) -> np.ndarray:
     return functools.reduce(np.kron, [PAULIS[c] for c in ops])
 
 
+def bell_diagonal_discord(chi) -> float:
+    """Trace-distance discord of a Bell-diagonal 4x4 `chi`: the middle singular value
+    of its correlation matrix T_ij = Tr[chi (sigma_i x sigma_j)]."""
+    t = [[np.trace(chi @ pauli_string_matrix(i + j)).real for j in "XYZ"] for i in "XYZ"]
+    return float(np.linalg.svd(t, compute_uv=False)[1])
+
+
 def ghz_rotated_ket() -> np.ndarray:
     """The locally rotated GHZ state produced at the (pi/4, 0) setting from |Psi+>."""
     k = lambda *bits: np.eye(8, dtype=complex)[int("".join(map(str, bits)), 2)]

@@ -13,8 +13,8 @@ import pytest
 from entact.qcore import chi_q, fidelity
 from entact.protocol import WaveplateSetting, bloch_vector, default_net, premeasurement
 from entact.measures import (
-    discord_bell_diagonal,
     discord_numeric,
+    discord_x_state,
     negativities_theory,
     negativity,
     negativity_of_quantumness,
@@ -62,7 +62,7 @@ def test_03_discord_triple_agreement():
     t0 = time.monotonic()
     for q in Q_GRID:
         chi = chi_q(q)
-        assert discord_bell_diagonal(chi) == pytest.approx(q, abs=1e-10)
+        assert discord_x_state(chi) == pytest.approx(q, abs=1e-10)
         assert discord_numeric(chi).value == pytest.approx(q, abs=1e-3)
         assert negativity_of_quantumness(chi).value == pytest.approx(q, abs=1e-6)
     report(3, "discord triple agreement", t0, 120.0)

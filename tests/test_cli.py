@@ -216,9 +216,20 @@ class TestCommands:
             assert main(["witness", "--config", str(cfg), "--out", str(out)]) == 2, bad
             assert capsys.readouterr().err.startswith("config error:"), bad
             assert not out.exists(), bad
+        # certify and net-verify hold settings x points chords: no more than the
+        # default 28-setting net at the finest grid step or the highest resolution
+        angles = [0.05 * i for i in range(29)]
+        wide = {"net": {"thetas": angles[:24], "phis": angles[:24]}}
+        one_more = {"net": {"thetas": angles, "phis": [0.0]}}
+        for argv, bad in ((["certify"], wide), (["net-verify"], wide),
+                          (["certify", "--grid-step", repr(MIN_GRID_STEP)], one_more),
+                          (["net-verify", "--resolution", str(MAX_RESOLUTION)], one_more)):
+            cfg.write_text(json.dumps(bad))
+            assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, argv
+            assert capsys.readouterr().err.startswith("config error:"), argv
+            assert not out.exists(), argv
 
-    @settings(max_examples=80, deadline=None, derandomize=True,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(csv_columns())
     @example(SPECIAL_COLUMNS)
     def test_csv_bytes_match_per_field_rendering(self, tmp_path, columns):

@@ -94,7 +94,7 @@ class TestNetSpec:
         assert bases.shape == (16, 3)
         assert np.abs(np.linalg.norm(bases, axis=1) - 1).max() < 1e-12
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=6),
            st.lists(st.floats(0.0, math.pi / 4), min_size=1, max_size=4))
     def test_dedup_matches_one_at_a_time_reference(self, thetas, phis):
@@ -127,7 +127,7 @@ class TestNetSpec:
                     assert value == 0.0
 
 
-    @settings(max_examples=20, deadline=None, derandomize=True)
+    @settings(max_examples=20)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
     def test_net_records_match_per_setting_states(self, re_im):
         # the whole net in one kernel call gives the bits of one call per setting
@@ -292,7 +292,7 @@ class TestBound2:
         with pytest.raises(TypeError):
             NetRecords(records02.theta, records02.phi, records02.n)
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1).map(seeded_state))
     def test_lipschitz_constant_from_the_records(self, chi):
         # every record's block gives ||chi - chi_A x I/2||_1, whatever B rotation
@@ -306,7 +306,7 @@ class TestBound2:
             assert lower_bounds(net_records(chi_q(q), default_net()), [0.0], [0.0])[2] == \
                 pytest.approx(lip, abs=1e-12)
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(st.integers(0, 2**32 - 1).map(seeded_state), st.integers(0, 2**32 - 1),
            st.floats(1e-6, 2.0))
     def test_negativity_is_lipschitz_in_the_chord(self, chi, seed, scale):
@@ -350,7 +350,7 @@ class TestCombinedBound:
         subset = np.array(low_at(NetRecords(*(a[::3] for a in records02)), s))
         assert (subset <= full + 1e-12).all()
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
            st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
                     min_size=1, max_size=8))

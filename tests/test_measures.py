@@ -1,5 +1,6 @@
 """Negativity routes and discord measures."""
 
+import cmath
 import importlib.util
 import math
 from pathlib import Path
@@ -17,17 +18,16 @@ from entact.measures import (
     _offdiag_at,
     _offdiag_columns,
     _seeds,
-    correlation_matrix,
-    discord_bell_diagonal,
     discord_numeric,
-    is_bell_diagonal,
+    discord_x_state,
     negativities_offdiag,
     negativities_theory,
     negativity,
     negativity_of_quantumness,
     negativity_offdiag,
 )
-from reference import bell_state, premeasurement_negativities, quantum_classical, werner_mix
+from reference import (BELL_KETS, bell_diagonal_discord, bell_state, premeasurement_negativities,
+                       quantum_classical)
 from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -108,7 +108,7 @@ class TestNegativityRoutes:
         with pytest.raises(ValueError):
             negativities_theory(1.5, np.zeros(3), np.zeros(3))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(st.one_of(st.just(0.0), st.floats(0.0, 1 / 3, exclude_max=True), st.floats(1 / 3, 1.0)),
            st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
                     min_size=1, max_size=16))
@@ -136,7 +136,7 @@ class TestNegativityRoutes:
             assert (bloch_vector(th, ph) == n).all()
             assert float(negativities_theory(q, th, ph)) == value
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
            st.lists(unit_vectors, min_size=1, max_size=8))
     def test_offdiag_kernel_matches_dephasing_reference(self, re_im, vs):
@@ -150,7 +150,7 @@ class TestNegativityRoutes:
             assert value == pytest.approx(0.5 * trace_norm(chi - z @ chi @ z), abs=1e-12)
         assert np.abs(got[:len(ns)] - got[len(ns):]).max() <= 1e-12
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
            st.lists(unit_vectors, min_size=1, max_size=8))
     def test_scalar_call_matches_array_call(self, re_im, vs):
@@ -184,32 +184,9 @@ class TestNegativityRoutes:
 
 
 class TestCorrelationsAndDiscord:
-    def test_correlation_matrix_of_chi_q(self):
-        # singular values are {q, |2q - 1|, q}
-        for q in (0.0, 0.3, 0.8):
-            sv = np.sort(np.linalg.svd(correlation_matrix(chi_q(q)), compute_uv=False))
-            expect = np.sort([q, abs(2 * q - 1), q])
-            assert np.abs(sv - expect).max() < 1e-12
-
-    def test_is_bell_diagonal(self):
-        assert is_bell_diagonal(chi_q(0.4))
-        assert is_bell_diagonal(werner_mix("phi-", 0.7))
-        tau0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
-        tau1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), (2,))
-        assert not is_bell_diagonal(quantum_classical([0.9, 0.1], [tau0, tau1], [0, 0, 1]))
-        # a lone B Bloch component, or a lone off-diagonal correlation, is enough
-        for term in (np.kron(np.eye(2), PAULI_VEC[2]), np.kron(PAULI_VEC[0], PAULI_VEC[1])):
-            assert not is_bell_diagonal(DensityMatrix((np.eye(4) + 0.1 * term) / 4, (2, 2)))
-
     def test_discord_closed_form_on_grid(self):
         for q in Q_GRID:
-            assert discord_bell_diagonal(chi_q(q)) == pytest.approx(q, abs=1e-10)
-
-    def test_discord_closed_form_rejects_general_states(self):
-        tau0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
-        tau1 = DensityMatrix(np.diag([0.0, 1.0]).astype(complex), (2,))
-        with pytest.raises(ValueError):
-            discord_bell_diagonal(quantum_classical([0.9, 0.1], [tau0, tau1], [0, 0, 1]))
+            assert discord_x_state(chi_q(q)) == pytest.approx(q, abs=1e-10)
 
     def test_discord_numeric_on_zero_discord_state(self):
         tau0 = DensityMatrix(np.diag([1.0, 0.0]).astype(complex), (2,))
@@ -258,7 +235,7 @@ class TestDephasingLemma:
     """The closest B-classical state along n is the dephased D_n(chi), so the
     discord search needs no inner optimisation over B-classical states."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
+    @settings(max_examples=60)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)), st.integers(1, 4),
            unit_vectors, arrays(float, (4, 2, 2), elements=st.floats(-1.0, 1.0)))
     def test_no_b_classical_state_is_closer(self, re_im, rank, v, blocks):
@@ -287,7 +264,7 @@ class TestNegativityOfQuantumness:
         assert res.value == pytest.approx(q, abs=1e-6)
         assert res.settings_used is not None
 
-    @settings(max_examples=40, deadline=None, derandomize=True)
+    @settings(max_examples=40)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
     def test_reaches_the_brute_force_minimum_on_random_states(self, re_im):
         # against a reference that shares no N(n) code with the search: the value is
@@ -306,40 +283,65 @@ class TestNegativityOfQuantumness:
 
 
 def x_state(p, c14, c23):
-    """Two-qubit X-state: populations p (4,) and real coherences c14 sqrt(p0 p3),
-    c23 sqrt(p1 p2), |c| <= 1, so that it is PSD."""
+    """Two-qubit X-state: populations p (4,) and coherences c14 sqrt(p0 p3),
+    c23 sqrt(p1 p2), complex with |c| <= 1, so that it is PSD."""
     m = np.diag(p).astype(complex)
-    m[0, 3] = m[3, 0] = c14 * math.sqrt(p[0] * p[3])
-    m[1, 2] = m[2, 1] = c23 * math.sqrt(p[1] * p[2])
+    m[0, 3] = c14 * math.sqrt(p[0] * p[3])
+    m[1, 2] = c23 * math.sqrt(p[1] * p[2])
+    m[3, 0], m[2, 1] = m[0, 3].conjugate(), m[1, 2].conjugate()
     return m
 
 
-def x_state_discord(m):
-    """(numerator, denominator) of the squared discord, measured on B, of the X-state
-    1/4 (I x I + a sigma_z x I + b I x sigma_z + sum_i T_i sigma_i x sigma_i), in the
-    closed form of Ciccarello, Tufarelli and Giovannetti, NJP 16, 013038 (2014)."""
-    p = m.diagonal().real
-    b = p[0] - p[1] + p[2] - p[3]
-    t_x, t_y = 2 * (m[0, 3].real + m[1, 2].real), 2 * (m[1, 2].real - m[0, 3].real)
-    g1, g2 = sorted((t_x, t_y), key=abs, reverse=True)
-    g3 = p[0] - p[1] - p[2] + p[3]
-    hi, lo = max(g3 ** 2, g2 ** 2 + b ** 2), min(g3 ** 2, g1 ** 2)
-    return g1 ** 2 * hi - g2 ** 2 * lo, hi - lo + g1 ** 2 - g2 ** 2
+populations = arrays(float, (4,), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+coherences = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
 
 
 class TestXStates:
-    @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(arrays(float, (4,), elements=st.floats(0.0, 1.0)),
-           st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+    """`discord_x_state`, the closed form of Ciccarello, Tufarelli and Giovannetti,
+    NJP 16, 013038 (2014), against the search and a textbook reference."""
+
+    @settings(max_examples=40)
+    @given(populations, coherences, coherences)
     def test_both_searches_match_closed_form(self, p, c14, c23):
         assume(p.sum() > 1e-2)
-        m = x_state(p / p.sum(), c14, c23)
-        num, den = x_state_discord(m)
-        assume(den >= 1e-3)
-        expect = math.sqrt(max(num, 0.0) / den)
-        chi = DensityMatrix(m, (2, 2))
-        assert discord_numeric(chi).value == pytest.approx(expect, abs=1e-6)
-        assert negativity_of_quantumness(chi).value == pytest.approx(expect, abs=1e-6)
+        chi = DensityMatrix(x_state(p / p.sum(), c14, c23), (2, 2))
+        closed = discord_x_state(chi)
+        assert discord_numeric(chi).value == pytest.approx(closed, abs=1e-6)
+        assert negativity_of_quantumness(chi).value == pytest.approx(closed, abs=1e-6)
+
+    @pytest.mark.parametrize("q", [1 / 3, 1.0])
+    @pytest.mark.parametrize("v", [1.0, 0.9, 0.5, 1e-3])
+    def test_degenerate_states(self, q, v):
+        # all three |T_i| agree, where the closed form as a ratio is 0/0; D = v q
+        chi = DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
+        closed = discord_x_state(chi)
+        assert closed == pytest.approx(v * q, abs=1e-12)
+        assert negativity_of_quantumness(chi).value == pytest.approx(closed, abs=1e-6)
+
+    @settings(max_examples=60)
+    @given(populations)
+    def test_bell_diagonal_states_give_middle_singular_value(self, w):
+        assume(w.sum() > 1e-3)
+        chi = sum(x * np.outer(k, k.conj()) for x, k in zip(w / w.sum(), BELL_KETS.values()))
+        assert discord_x_state(DensityMatrix(chi, (2, 2))) == pytest.approx(
+            bell_diagonal_discord(chi), abs=1e-12)
+
+    @settings(max_examples=60)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
+    def test_other_states_give_nan(self, re_im):
+        # nan exactly when an entry off the diagonal and anti-diagonal is above the
+        # tolerance
+        chi = full_rank_state(re_im)
+        off_x = chi.mat[[0, 0, 1, 1, 2, 2, 3, 3], [1, 2, 0, 3, 0, 3, 1, 2]]
+        assert math.isnan(discord_x_state(chi)) == (np.abs(off_x).max() > measures.X_STATE_TOL)
+
+    def test_random_full_rank_state_gives_nan(self):
+        chi = full_rank_state(np.random.default_rng(5).normal(size=(2, 4, 4)))
+        assert math.isnan(discord_x_state(chi))
+
+    def test_needs_two_qubits(self):
+        with pytest.raises(ValueError):
+            discord_x_state(premeasurement(chi_q(0.2), WaveplateSetting(0, 0)))
 
 
 class TestGuards:

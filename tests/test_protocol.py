@@ -79,7 +79,7 @@ unit_vectors = arrays(float, (3,), elements=st.floats(-1.0, 1.0)).filter(
 
 
 class TestSettingOf:
-    @settings(max_examples=200, deadline=None, derandomize=True)
+    @settings(max_examples=200)
     @given(unit_vectors)
     def test_inverts_bloch_vector(self, v):
         n = unit_vector(v)
@@ -162,7 +162,7 @@ class TestPremeasurement:
         chi_a = partial_trace(chi.mat, (2, 2), [0])
         assert np.abs(red_a - chi_a).max() < 1e-12
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
+    @settings(max_examples=50)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
            st.lists(in_range_settings, min_size=1, max_size=3))
     def test_kernel_matches_kron_formula(self, re_im, targets):

@@ -271,7 +271,7 @@ class TestProjection:
         assert clipped[:3] == pytest.approx([0.2, 0.2, 0.2 + 0.2 / 3 - 0.01], abs=1e-15)
         assert clipped[4] == 0.0
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(spectrum=arrays(np.float64, 8, elements=st.floats(-0.3, 0.6)))
     def test_spectrum_agrees_with_smolin_gambetta_smith(self, spectrum):
         mu = spectrum + (1.0 - spectrum.sum()) / 8  # unit trace, as a reconstruction has
@@ -375,7 +375,7 @@ class TestBatchedPipeline:
     """The batched pipeline against a per-rep loop built from the single-shot API
     and reference implementations."""
 
-    @settings(max_examples=3, deadline=None, derandomize=True)
+    @settings(max_examples=3)
     @example(state_seed=0, exposure=1.0, reps=50, seed=1)
     @example(state_seed=1, exposure=1e4, reps=51, seed=2**64 - 1)
     @given(state_seed=st.integers(0, 2**32 - 1), exposure=st.sampled_from([1.0, 1e4]),
