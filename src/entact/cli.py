@@ -47,6 +47,9 @@ DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 # 0.165 at 100 and 1.77 at 1)
 MAX_ZERO_SETTINGS = 0
 MAX_CLIPPED_MASS = 0.1
+# activate and discord-match hold every net record (about 1.8 kB a setting): at
+# this many settings they peak near 61 and 99 MiB resident
+MAX_NET_SETTINGS = 10_000
 
 
 class ConfigError(ValueError):
@@ -163,12 +166,15 @@ def load_config(args) -> ExperimentConfig:
         raise ConfigError("--epsilon must lie in [0, 2]")
     if not 1000 <= getattr(args, "resolution", 1000) <= MAX_RESOLUTION:
         raise ConfigError(f"--resolution must lie in [1000, {MAX_RESOLUTION}]")
+    settings, default = (len(n.thetas) * len(n.phis) for n in (cfg.net, default_net()))
+    if args.command in ("activate", "discord-match") and settings > MAX_NET_SETTINGS:
+        raise ConfigError(f"net has {settings} settings, above the {MAX_NET_SETTINGS} "
+                          f"that {args.command} takes")
     if args.command in ("certify", "net-verify"):
         # their chord arrays hold settings x points floats: no more than the
         # default net's at the finest grid step or the highest resolution
         points, most = ((len(scan_grid(cfg.grid_step)[0]), len(scan_grid(MIN_GRID_STEP)[0]))
                         if args.command == "certify" else (args.resolution, MAX_RESOLUTION))
-        settings, default = (len(n.thetas) * len(n.phis) for n in (cfg.net, default_net()))
         if settings * points > default * most:
             raise ConfigError(f"net settings x points is {settings} x {points}, above the "
                               f"default net's {default} x {most}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -45,6 +46,15 @@ def _check_exposure(exposure: float):
         raise ValueError(f"exposure must lie in (0, {E_MAX:g}], got {exposure}")
 
 
+def _check_index(name: str, value, bits: int) -> int:
+    """`value` as an int, if it is an integer in [0, 2**bits); else ValueError.
+    Seeds are the 64-bit Philox key; rep indices count the 2**128 substreams that
+    `Philox.jumped` reaches before its counter wraps."""
+    if not isinstance(value, numbers.Integral) or not 0 <= value < 2**bits:
+        raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+    return int(value)
+
+
 @functools.cache
 def _projector_stack(n_qubits: int) -> np.ndarray:
     """The rank-1 outcome projectors of every Pauli setting, for n in {2, 3}, as one
@@ -71,14 +81,22 @@ def _draw(lam: np.ndarray, seed: int, reps: Sequence[int]) -> np.ndarray:
     """Poisson counts of mean `lam` (setting, outcome), stacked over `reps`.
 
     Rep r draws from its own substream Philox(seed).jumped(r), so its counts do
-    not depend on which other reps are drawn with it; jumping one base generator
-    is cheaper than building one per rep.  One draw over the (setting, outcome)
-    array consumes the stream in the order of per-setting draws.
+    not depend on which other reps are drawn with it.  Philox is counter-based, so
+    one generator is reset to that substream's state before each rep: the key,
+    counter [0, 0, r mod 2**64, r >> 64] and an empty buffer.  `jumped` would
+    build a BitGenerator, and seed a throwaway SeedSequence from the OS, per rep.
+    One draw over the (setting, outcome) array consumes the stream in the order
+    of per-setting draws.
     """
-    base = np.random.Philox(key=np.uint64(seed))
+    bitgen = np.random.Philox(key=np.uint64(seed))
+    rng = np.random.Generator(bitgen)
+    state = bitgen.state  # counter 0, empty buffer
+    counter = state["state"]["counter"]
     counts = np.empty((len(reps),) + lam.shape, dtype=np.int64)
     for i, rep in enumerate(reps):
-        counts[i] = np.random.Generator(base.jumped(rep)).poisson(lam)
+        counter[3], counter[2] = divmod(rep, 2**64)
+        bitgen.state = state
+        counts[i] = rng.poisson(lam)
     return counts
 
 
@@ -86,6 +104,7 @@ def simulate_counts(rho: DensityMatrix, exposure: float, seed: int, rep: int = 0
     """Independent Poisson(exposure * p_outcome) counts of every outcome of every
     Pauli setting, as a (3^n, 2^n) int array; rep r draws from Philox(seed).jumped(r)."""
     _check_exposure(exposure)
+    seed, rep = _check_index("seed", seed, 64), _check_index("rep", rep, 128)
     return _draw(exposure * _born(_projector_stack(rho.n_qubits), rho.mat), seed, (rep,))[0]
 
 
@@ -152,6 +171,36 @@ def _parity_table(n_qubits: int) -> np.ndarray:
     return parities
 
 
+@functools.cache
+def _inversion_matrices(n_qubits: int):
+    """Read-only real matrices of the two contractions of the linear inversion:
+    the parity table as a (3^n 2^n, 4^n) matrix from the flattened frequencies of
+    a rep to its parity sums, and the real and imaginary parts of
+    `pauli_basis(n) / 2^n` as (4^n, 4^n) matrices from its Pauli expectations to
+    its flattened state.  Two real products beat one complex one by far."""
+    parity = _parity_table(n_qubits).transpose(0, 2, 1).reshape(-1, 4**n_qubits)
+    basis = pauli_basis(n_qubits).reshape(4**n_qubits, -1) / 2**n_qubits
+    matrices = parity, basis.real.copy(), basis.imag.copy()
+    for m in matrices:
+        m.flags.writeable = False
+    return matrices
+
+
+def _rowwise(rows: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """`rows @ matrix` as a stack of one-row products, so that BLAS runs the same
+    kernel on every row: a plain 2-D product takes another path for one row (gemv)
+    than for many (gemm), and a rep would change in the last bit with its block."""
+    return (rows[:, None] @ matrix)[:, 0]
+
+
+def _pauli_sum(values: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The stack (reps, d, d) of sum_p values[r, p] P_p / 2^n over `pauli_basis(n)`."""
+    _, real, imag = _inversion_matrices(n_qubits)
+    h = np.empty((len(values), 4**n_qubits), dtype=complex)
+    h.real, h.imag = _rowwise(values, real), _rowwise(values, imag)
+    return h.reshape(-1, 2**n_qubits, 2**n_qubits)
+
+
 def pauli_expectations_exact(rho: DensityMatrix) -> np.ndarray:
     """Analytic (infinite-exposure) Pauli expectations, a (4^n,) array in
     `pauli_basis` order, for the inversion identity."""
@@ -164,7 +213,7 @@ def reconstruct_from_expectations(expectations, n_qubits: int) -> DensityMatrix:
     values = np.asarray(expectations, dtype=float)
     if values.shape != (4**n_qubits,):
         raise ValueError(f"expected {4**n_qubits} Pauli expectations, got shape {values.shape}")
-    return project_psd(np.einsum("p,pij->ij", values, pauli_basis(n_qubits)) / 2**n_qubits)
+    return project_psd(_pauli_sum(values[None], n_qubits)[0])
 
 
 def reconstruct(counts) -> DensityMatrix:
@@ -188,20 +237,19 @@ def reconstruct(counts) -> DensityMatrix:
 
 def _reconstruct(counts: np.ndarray, n_qubits: int):
     """`reconstruct` on a count stack (reps, setting, outcome), without its input
-    checks: one einsum over the parity table inverts every rep, with the settings
-    that recorded nothing masked out.  Returns the states (reps, d, d), the
-    clipped eigenvalue mass and the number of zero-count settings per rep."""
-    parities = _parity_table(n_qubits)
+    checks: one product with the parity matrix inverts every rep, with the
+    settings that recorded nothing masked out.  Returns the states (reps, d, d),
+    the clipped eigenvalue mass and the number of zero-count settings per rep."""
     c = counts.astype(float)
     totals = c.sum(axis=2)
     kept = totals > 0
     freq = np.divide(c, totals[..., None], out=np.zeros_like(c), where=kept[..., None])
-    sums = np.einsum("rto,tpo->rp", freq, parities)
-    hits = kept @ parities[:, :, 0]  # outcome 0 has parity +1 on every measured string
+    sums = _rowwise(freq.reshape(len(c), -1), _inversion_matrices(n_qubits)[0])
+    # outcome 0 has parity +1 on every measured string
+    hits = kept @ _parity_table(n_qubits)[:, :, 0]
     values = np.divide(sums, hits, out=np.zeros_like(sums), where=hits > 0)
     values[:, 0] = 1.0  # the identity string
-    states, clipped = _project(np.einsum("rp,pij->rij", values, pauli_basis(n_qubits))
-                               / 2**n_qubits)
+    states, clipped = _project(_pauli_sum(values, n_qubits))
     return states, clipped, (~kept).sum(axis=1)
 
 
@@ -218,6 +266,8 @@ def tomography(rho: DensityMatrix, exposure: float, seed: int,
     """Counts, linear inversion and PSD projection of `rho` for each rep index in
     `reps`, over all 3^n Pauli settings; rep r draws from Philox(seed).jumped(r)."""
     _check_exposure(exposure)
+    seed = _check_index("seed", seed, 64)
+    reps = [_check_index("rep", r, 128) for r in reps]
     lam = exposure * _born(_projector_stack(rho.n_qubits), rho.mat)
     return Tomography(*_reconstruct(_draw(lam, seed, reps), rho.n_qubits))
 
@@ -241,9 +291,10 @@ def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
     `tomography`, so peak memory does not grow with `reps`; rep r reads the same
     counts as `simulate_counts(..., rep=r)`.
     """
-    if not MC_REPS_MIN <= reps <= MC_REPS_MAX:
-        raise ValueError(f"reps must lie in [{MC_REPS_MIN}, {MC_REPS_MAX}]")
+    if not isinstance(reps, numbers.Integral) or not MC_REPS_MIN <= reps <= MC_REPS_MAX:
+        raise ValueError(f"reps must be an integer in [{MC_REPS_MIN}, {MC_REPS_MAX}]")
     _check_exposure(exposure)
+    seed = _check_index("seed", seed, 64)
     func = _resolve_functional(functional, rho.n_qubits)
     lam = exposure * _born(_projector_stack(rho.n_qubits), rho.mat)
     values, clipped, zero = np.empty(reps), np.empty(reps), np.empty(reps, dtype=int)

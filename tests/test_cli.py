@@ -17,6 +17,7 @@ from entact import cli, epsnet, measures
 from entact.epsnet import MAX_RESOLUTION, MIN_GRID_STEP
 from entact.cli import (
     MAX_CLIPPED_MASS,
+    MAX_NET_SETTINGS,
     SCHEMA_LINE,
     ConfigError,
     ExperimentConfig,
@@ -228,6 +229,24 @@ class TestCommands:
             assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, argv
             assert capsys.readouterr().err.startswith("config error:"), argv
             assert not out.exists(), argv
+
+    @pytest.mark.parametrize("command", ["activate", "discord-match"])
+    def test_net_settings_cap(self, tmp_path, capsys, command):
+        # both hold every net record at once; 73 x 137 is one setting over the cap
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+
+        def run(n_thetas, n_phis):
+            net = {"thetas": [0.01 * j for j in range(n_thetas)],
+                   "phis": [0.02 * k for k in range(n_phis)]}
+            cfg.write_text(json.dumps({"q_values": [0.2], "net": net}))
+            return main([command, "--config", str(cfg), "--out", str(out)])
+
+        assert 73 * 137 == MAX_NET_SETTINGS + 1
+        assert run(73, 137) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+        assert run(100, 100) == 0
+        assert out.exists()
 
     @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(csv_columns())

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from entact.qcore import DensityMatrix, chi_q, fidelity, projector
+from entact.qcore import DensityMatrix, chi_q, fidelity, pauli_basis, projector
 from entact.protocol import WaveplateSetting, premeasurement
 from entact.measures import negativities, negativity
 from entact.witnesses import expect, w3
@@ -19,6 +19,7 @@ from entact.tomo import (
     _BLOCK,
     _born,
     _draw,
+    _inversion_matrices,
     _parity_table,
     _project,
     _projector_stack,
@@ -117,12 +118,13 @@ def negativity_reference(mat):
     return np.linalg.svd(partial_transpose(mat, 2, (2, 2, 2)), compute_uv=False).sum() - 1.0
 
 
-def random_state(seed: int) -> DensityMatrix:
-    """Full-rank 3-qubit state A A^dag + I/20, normalised."""
+def random_state(seed: int, n_qubits: int = 3) -> DensityMatrix:
+    """Full-rank n-qubit state A A^dag + I/20, normalised."""
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    m = a @ a.conj().T + np.eye(8) / 20
-    return DensityMatrix(m / np.trace(m).real, (2, 2, 2))
+    d = 2**n_qubits
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    m = a @ a.conj().T + np.eye(d) / 20
+    return DensityMatrix(m / np.trace(m).real, (2,) * n_qubits)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +176,18 @@ class TestSettings:
             expected[:, 0] = 1
             assert table.tobytes() == expected.tobytes()  # no -0.0 either
 
+    def test_inversion_matrices_reshape_the_tables(self):
+        for n_qubits in (2, 3):
+            parity, real, imag = matrices = _inversion_matrices(n_qubits)
+            assert _inversion_matrices(n_qubits) is matrices
+            assert not any(m.flags.writeable for m in matrices)
+            # row (setting, outcome) and column string, as in the count layout
+            table = _parity_table(n_qubits)
+            assert np.array_equal(parity.reshape(3**n_qubits, 2**n_qubits, -1),
+                                  table.transpose(0, 2, 1))
+            basis = pauli_basis(n_qubits).reshape(4**n_qubits, -1) / 2**n_qubits
+            assert np.array_equal(real + 1j * imag, basis)
+
 
 class TestCounts:
     def test_reproducible_with_seed(self, rho3):
@@ -188,6 +202,38 @@ class TestCounts:
     def test_totals_scale_with_exposure(self, rho3):
         totals = simulate_counts(rho3, 1e5, seed=2).sum(axis=1)
         assert totals == pytest.approx(np.full(27, 1e5), rel=0.05)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_reset_substreams_match_jumped(self, rho3, seed):
+        # one generator reset per rep reads what Philox(seed).jumped(r) reads,
+        # across the carry of r into the fourth counter word
+        reps = [0, 1, 63, 64, 65, 2**64 - 1, 2**64, 2**64 + 5, 2**128 - 1]
+        lam = 1e4 * _born(_projector_stack(3), rho3.mat)
+        base = np.random.Philox(key=np.uint64(seed))
+        expected = [np.random.Generator(base.jumped(r)).poisson(lam) for r in reps]
+        assert np.array_equal(_draw(lam, seed, reps), expected)
+        assert np.array_equal(_draw(lam, seed, reps[::-1]), expected[::-1])
+        for r, counts in zip(reps, expected):
+            assert np.array_equal(simulate_counts(rho3, 1e4, seed, rep=r), counts)
+
+    @pytest.mark.parametrize("seed", [2**64, -1, 1.5, 1.0, "1", None])
+    def test_bad_seed_raises(self, rho3, seed):
+        for call in (lambda: simulate_counts(rho3, 1e4, seed),
+                     lambda: tomography(rho3, 1e4, seed),
+                     lambda: mc_errorbar(rho3, 1e4, 50, seed, "negativity")):
+            with pytest.raises(ValueError, match="seed"):
+                call()
+
+    @pytest.mark.parametrize("rep", [1.5, -1, 2**128, np.float64(2.0), "0"])
+    def test_bad_rep_raises(self, rho3, rep):
+        with pytest.raises(ValueError, match="rep"):
+            simulate_counts(rho3, 1e4, 1, rep=rep)
+        with pytest.raises(ValueError, match="rep"):
+            tomography(rho3, 1e4, 1, (0, rep))
+
+    def test_numpy_integer_seeds_and_reps(self, rho3):
+        counts = simulate_counts(rho3, 1e4, np.uint64(2**64 - 1), rep=np.int64(3))
+        assert np.array_equal(counts, simulate_counts(rho3, 1e4, 2**64 - 1, rep=3))
 
     def test_one_draw_equals_per_setting_draws(self, rho3):
         for seed, rep in ((1, 0), (1, 7), (123, 3)):
@@ -322,11 +368,12 @@ class TestReconstruction:
 
     @pytest.mark.parametrize("exposure", [1e4, 1.0])
     def test_matches_per_string_reference(self, rho3, exposure):
-        counts = simulate_counts(rho3, exposure, seed=4)
-        if exposure == 1.0:
-            assert (counts.sum(axis=1) == 0).any()
-        ref = reconstruct_reference(counts, 3)
-        assert np.abs(reconstruct(counts).mat - ref).max() < 1e-12
+        for n_qubits, rho in ((3, rho3), (2, random_state(5, 2))):
+            counts = simulate_counts(rho, exposure, seed=4)
+            if exposure == 1.0:
+                assert (counts.sum(axis=1) == 0).any()
+            ref = reconstruct_reference(counts, n_qubits)
+            assert np.abs(reconstruct(counts).mat - ref).max() < 1e-12
 
     def test_incomplete_settings_rejected(self, rho3):
         counts = simulate_counts(rho3, 1e4, seed=1)
@@ -345,8 +392,9 @@ class TestErrorBars:
             mc_errorbar(rho3, 1e4, reps=5, seed=1, functional="negativity")
 
     def test_reps_cap(self, rho3):
-        with pytest.raises(ValueError, match="reps"):
-            mc_errorbar(rho3, 1e4, reps=MC_REPS_MAX + 1, seed=1, functional="negativity")
+        for reps in (MC_REPS_MAX + 1, 50.5, 60.0):
+            with pytest.raises(ValueError, match="reps"):
+                mc_errorbar(rho3, 1e4, reps=reps, seed=1, functional="negativity")
 
     def test_negativity_statistics(self, rho3):
         mean, std, *_ = mc_errorbar(rho3, 1e4, reps=50, seed=1, functional="negativity")
@@ -402,6 +450,24 @@ class TestBatchedPipeline:
         assert np.array_equal(bar.zero_settings, run.zero_settings)
         if exposure == 1.0:
             assert run.zero_settings.max() > 0
+
+    @settings(max_examples=25, deadline=None)
+    @example(n_qubits=2, state_seed=0, exposure=1.0, offset=0, size=_BLOCK, seed=1)
+    @example(n_qubits=3, state_seed=1, exposure=1e4, offset=2**64 - 2, size=5, seed=0)
+    @given(n_qubits=st.sampled_from([2, 3]), state_seed=st.integers(0, 2**32 - 1),
+           exposure=st.sampled_from([1.0, 30.0, 1e4]),
+           offset=st.integers(0, 2**128 - _BLOCK), size=st.integers(1, _BLOCK),
+           seed=st.integers(0, 2**64 - 1))
+    def test_rep_is_bit_identical_alone_and_in_a_block(self, n_qubits, state_seed, exposure,
+                                                       offset, size, seed):
+        # the BLAS products must not depend on how many reps share them
+        rho = random_state(state_seed, n_qubits)
+        block = tomography(rho, exposure, seed, range(offset, offset + size))
+        for i, rep in enumerate(range(offset, offset + size)):
+            alone = tomography(rho, exposure, seed, (rep,))
+            assert alone.states[0].tobytes() == block.states[i].tobytes()
+            assert alone.clipped_mass[0].tobytes() == block.clipped_mass[i].tobytes()
+            assert alone.zero_settings[0] == block.zero_settings[i]
 
     def test_blocks_match_single_shot_reps(self, rho3):
         reps = 2 * _BLOCK + 3
