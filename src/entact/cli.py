@@ -8,6 +8,7 @@ in --strict mode.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -20,11 +21,7 @@ import numpy as np
 
 from .qcore import DensityMatrix, chi_q, fidelity
 from .protocol import NetSpec, WaveplateSetting, default_net, premeasurement
-from .measures import (
-    discord_numeric,
-    discord_x_state,
-    negativities_theory,
-)
+from .measures import discord_numeric, discord_x_state, negativities, negativities_theory
 from .epsnet import (
     MAX_RESOLUTION,
     MIN_GRID_STEP,
@@ -238,6 +235,7 @@ def cmd_activate(cfg: ExperimentConfig) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     clipping = []  # tomography diagnostics per (q, setting) under --mc-reps
     warnings = []
+    ab_m = functools.partial(negativities, dims=(2, 2, 2), cut=(0, 1))  # each rep's N(AB|M)
     for q in cfg.q_values:
         chi = cfg.input_state(q)
         # exact values come straight from the records; only tomography needs a state
@@ -247,7 +245,7 @@ def cmd_activate(cfg: ExperimentConfig) -> int:
             value, err = [], []
             for theta, phi in zip(rec.theta.tolist(), rec.phi.tolist()):
                 state = premeasurement(chi, WaveplateSetting(theta, phi))
-                bar = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed, "negativity")
+                bar = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed, ab_m)
                 value.append(bar.mean)
                 err.append(bar.std)
                 clipping.append({"q": q, "theta": theta, "phi": phi,
@@ -275,10 +273,8 @@ def _summary(name: str, per_rep: np.ndarray) -> dict:
 
 def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
-    verdicts = {}
     scans = sphere_scan([cfg.input_state(q) for q in cfg.q_values], cfg.net, cfg.grid_step)
-    for q, (min_low, argmin, (theta, phi, low1, low2)) in zip(cfg.q_values, scans):
-        verdicts[q] = min_low
+    for q, (min_low, argmin, (theta, phi, low1, low2), *_) in zip(cfg.q_values, scans):
         # n_theory is the closed form of the ideal chi_q(q), also under noise;
         # n_low, the bound at the grid point, is low2, as low2 >= low1 exactly
         _write_csv(out / f"certify_q{q:.2f}.csv",
@@ -287,27 +283,30 @@ def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
                    cfg_hash, cfg.seed)
         print(f"q={q}: min_low={min_low:.6f} at (theta={argmin.theta:.6f}, "
               f"phi={argmin.phi:.6f}) -> {'certified' if min_low > 0 else 'not certified'}")
-    _write_manifest(out, cfg, "certify", cfg_hash, {str(q): v for q, v in verdicts.items()})
-    if strict and any(v <= 0 for q, v in verdicts.items() if q > 0):
+    _write_manifest(out, cfg, "certify", cfg_hash, {  # min_low is n_low2_min - margin
+        str(q): {"min_low": s.min_low, "n_low2_min": s.grid_min, "L": s.lip, "margin": s.margin}
+        for q, s in zip(cfg.q_values, scans)})
+    if strict and any(s.min_low <= 0 for q, s in zip(cfg.q_values, scans) if q > 0):
         return 3
     return 0
 
 
 def cmd_discord_match(cfg: ExperimentConfig) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
-    rows, searches = [], {}
+    rows, searches, minimisers = [], {}, {}  # per q: the search report, its minimiser
     for q in cfg.q_values:
         chi = cfg.input_state(q)
         min_net = float(net_records(chi, cfg.net).n.min())
         # measured on B, the discord is min_n N(n), so its one search
         # (`negativity_of_quantumness`) gives both d_numeric and q_n
         res = discord_numeric(chi)
-        searches[str(q)] = asdict(res.search)
+        searches[str(q)], minimisers[str(q)] = asdict(res.search), asdict(res.settings_used)
         rows.append((q, discord_x_state(chi), res.value, min_net, res.value))
     # the search always ends on a finite value, so every row's status is ok
     _write_csv(out / "discord_match.csv", "q,d_closed,d_numeric,min_net_negativity,q_n,status",
                tuple(zip(*rows)) + ("ok",), cfg_hash, cfg.seed)
-    _write_manifest(out, cfg, "discord-match", cfg_hash, {"searches": searches})
+    _write_manifest(out, cfg, "discord-match", cfg_hash,
+                    {"searches": searches, "settings_used": minimisers})
     return 0
 
 

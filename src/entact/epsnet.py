@@ -148,6 +148,17 @@ def _bounds(records: NetRecords, chords: np.ndarray):
     return low1, low1 if lip == 1.0 else (rec_n - lip * chords).max(axis=0), lip
 
 
+class Scan(NamedTuple):
+    """One state's `sphere_scan`; min_low is grid_min - margin, bit for bit."""
+
+    min_low: float
+    argmin: WaveplateSetting  # a grid setting whose low2 is within 1e-12 of grid_min
+    columns: tuple  # (theta, phi, low1, low2), theta-major over the grid
+    grid_min: float  # min(low2) over the grid
+    lip: float  # L
+    margin: float  # L (2 + sqrt 2) grid_step
+
+
 def scan_grid(grid_step: float):
     """The (theta, phi) arrays of the `sphere_scan` grid, theta-major."""
     return NetSpec(np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step),
@@ -159,9 +170,8 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     (theta, phi) grid over the full angular range, MIN_GRID_STEP <= grid_step <= pi/90,
     and a verdict that holds between the grid points too.
 
-    Returns one (min_low, argmin_setting, columns) per state, with columns the 1-D
-    arrays (theta, phi, low1, low2), theta-major over the grid.  The chords to the
-    grid depend on the net alone, so one chord array serves every state.
+    Returns one `Scan` per state.  The chords to the grid depend on the net alone,
+    so one chord array serves every state.
 
     The range theta in [0, pi/2], phi in [0, pi/4] reaches every basis:
     n = (-cos a sin 2 theta, -sin a, cos a cos 2 theta) with a = 2 (theta - 2 phi),
@@ -171,7 +181,7 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     every basis lies within chord r = (2 + sqrt 2) grid_step of a grid point.
     low2 is L-Lipschitz, so
         min_low = min(low2) - L r
-    bounds N(n) from below at every basis.  argmin_setting is the
+    bounds N(n) from below at every basis.  argmin is the
     lexicographically smallest grid (theta, phi) whose low2 is within 1e-12 of
     min(low2).
     """
@@ -186,6 +196,7 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
         # lexicographically smallest; rounding-level changes in chi do not move it
         grid_min = float(low2.min())
         i = int(np.flatnonzero(low2 <= grid_min + 1e-12)[0])
-        min_low = grid_min - lip * (2.0 + math.sqrt(2.0)) * grid_step
-        scans.append((min_low, WaveplateSetting(theta[i], phi[i]), (theta, phi, low1, low2)))
+        margin = lip * (2.0 + math.sqrt(2.0)) * grid_step
+        scans.append(Scan(grid_min - margin, WaveplateSetting(theta[i], phi[i]),
+                          (theta, phi, low1, low2), grid_min, lip, margin))
     return scans

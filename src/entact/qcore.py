@@ -124,7 +124,8 @@ def _psd_sqrt(h) -> np.ndarray:
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2; accurate only to about
+    1e-8 when a state is rank-deficient, where square roots amplify rounding."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     sr = _psd_sqrt(rho.mat)

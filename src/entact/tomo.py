@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -283,49 +283,24 @@ class ErrorBar(NamedTuple):
 
 
 def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
-                functional: Union[str, Callable[[DensityMatrix], float]]) -> ErrorBar:
-    """Monte-Carlo spread of a reconstructed quantity: repeat simulate ->
-    reconstruct -> functional and report the mean and std over the reps.
-
-    The reps run in blocks of `_BLOCK` through the batched pipeline of
-    `tomography`, so peak memory does not grow with `reps`; rep r reads the same
+                functional: Callable[[np.ndarray], np.ndarray]) -> ErrorBar:
+    """Monte-Carlo spread of a reconstructed quantity: the mean and std over the
+    reps of `functional`, which maps a (reps, d, d) stack of reconstructions to one
+    value per rep.  The reps run in blocks of `_BLOCK` through the batched pipeline
+    of `tomography`, so peak memory does not grow with `reps`; rep r reads the same
     counts as `simulate_counts(..., rep=r)`.
     """
     if not isinstance(reps, numbers.Integral) or not MC_REPS_MIN <= reps <= MC_REPS_MAX:
         raise ValueError(f"reps must be an integer in [{MC_REPS_MIN}, {MC_REPS_MAX}]")
     _check_exposure(exposure)
     seed = _check_index("seed", seed, 64)
-    func = _resolve_functional(functional, rho.n_qubits)
+    if not callable(functional):
+        raise TypeError(f"functional must map a stack of states to values, got {functional!r}")
     lam = exposure * _born(_projector_stack(rho.n_qubits), rho.mat)
     values, clipped, zero = np.empty(reps), np.empty(reps), np.empty(reps, dtype=int)
     for start in range(0, reps, _BLOCK):
         block = slice(start, min(start + _BLOCK, reps))
         states, clipped[block], zero[block] = _reconstruct(
             _draw(lam, seed, range(block.start, block.stop)), rho.n_qubits)
-        values[block] = func(states)
+        values[block] = functional(states)
     return ErrorBar(float(values.mean()), float(values.std(ddof=1)), clipped, zero)
-
-
-def _resolve_functional(functional, n_qubits: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The functional as a map from a (reps, d, d) stack of reconstructions to
-    its values; negativity and the witness act on the whole stack."""
-    from .measures import discord_numeric, negativities
-    from .witnesses import expectations, w2, w3
-
-    dims = (2,) * n_qubits
-    if callable(functional):
-        per_state = functional
-    elif functional == "negativity":
-        # negativity across the AB|M cut for 3 qubits, A|B for 2
-        cut = [0, 1] if n_qubits == 3 else [0]
-        return lambda mats: negativities(mats, dims, cut)
-    elif functional == "witness-expect":
-        w = w3() if n_qubits == 3 else w2()
-        return lambda mats: expectations(w, mats)
-    elif functional == "discord":
-        if n_qubits != 2:
-            raise ValueError("discord functional needs a 2-qubit state")
-        per_state = lambda dm: discord_numeric(dm).value
-    else:
-        raise ValueError(f"unknown functional {functional!r}")
-    return lambda mats: np.array([per_state(DensityMatrix(m, dims)) for m in mats])

@@ -73,9 +73,9 @@ def test_04_certification_positivity():
     net = default_net()
     step = math.pi / 180
     scans = sphere_scan([chi_q(q) for q in Q_GRID], net, grid_step=step)
-    for q, (min_low, argmin, _) in zip(Q_GRID[1:], scans[1:]):
+    for q, (min_low, argmin, *_) in zip(Q_GRID[1:], scans[1:]):
         assert min_low > 0, f"q={q} not certified (min_low={min_low:.4f} at {argmin})"
-    min_low0, _, _ = scans[0]
+    min_low0 = scans[0].min_low
     assert min_low0 <= 0, "classical point must not certify"
     report(4, "certification positivity over the sphere", t0, 60.0)
 

@@ -1,12 +1,16 @@
 """Command-line interface: configs, outputs, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import entact
 from entact import cli, epsnet, measures
-from entact.epsnet import MAX_RESOLUTION, MIN_GRID_STEP
+from entact.epsnet import MAX_RESOLUTION, MIN_GRID_STEP, lower_bounds, net_records
 from entact.cli import (
     MAX_CLIPPED_MASS,
     MAX_NET_SETTINGS,
@@ -27,8 +31,8 @@ from entact.cli import (
     main,
     parse_angle,
 )
-from entact.measures import negativities_theory, negativity
-from entact.protocol import premeasurement
+from entact.measures import negativities_offdiag, negativities_theory, negativity
+from entact.protocol import bloch_vector, default_net, premeasurement
 from entact.qcore import DensityMatrix
 from reference import density_from_json, net_settings
 
@@ -63,6 +67,33 @@ def csv_columns(draw):
 _TWICE = np.array([1 / 3, 1 / 3, -1e-310, 2.5])
 SPECIAL_COLUMNS = [0.5, [0.0, -0.0, 0.0, math.nan], np.array([math.inf, -math.inf, 5e-324, -0.0]),
                    _TWICE, ["ok", "x", "ok", ""], _TWICE]
+
+
+COMMANDS = ("activate", "certify", "discord-match", "witness", "tomo-demo", "net-verify")
+PARSER = build_parser()
+# JSON values that no config field takes: booleans, strings, integers past 64 bits
+# (2**1024 overflows a float), NaN, the infinities, and lists of them
+BAD_LEAVES = (st.booleans() | st.text(max_size=6) | st.integers(2**64, 10**400)
+              | st.sampled_from([2**64, 2**1024, 10**400, math.nan, math.inf, -math.inf]))
+BAD_VALUES = BAD_LEAVES | st.lists(BAD_LEAVES, max_size=2)
+ANGLES = st.lists(st.floats(-10, 10) | BAD_VALUES, max_size=3)
+NETS = st.builds(lambda net, extra: {**net, **extra},
+                 st.fixed_dictionaries({}, optional={"thetas": ANGLES, "phis": ANGLES}),
+                 st.dictionaries(st.sampled_from(["phi", "theta", "net"]), ANGLES, max_size=1))
+VALID_FIELDS = {
+    "q_values": st.lists(st.floats(0, 1), min_size=1, max_size=3),
+    "noise": st.sampled_from(["ideal", "werner:0.9", "werner:1.5", "pink"]),
+    "exposure": st.floats(1, 1e6),
+    "seed": st.integers(0, 2**64 - 1),
+    "grid_step": st.floats(MIN_GRID_STEP, math.pi / 90),
+    "output_dir": st.text(max_size=6),
+    "mc_reps": st.sampled_from([0, 50, 100]),
+    "net": NETS,
+}
+# a config object on a subset of the fields, each valid, bad or a (nested) list of bad values
+CONFIGS = st.fixed_dictionaries({}, optional={
+    name: valid | BAD_VALUES | st.lists(BAD_VALUES, max_size=3)
+    for name, valid in VALID_FIELDS.items()})
 
 
 class TestParseAngle:
@@ -230,6 +261,27 @@ class TestCommands:
             assert capsys.readouterr().err.startswith("config error:"), argv
             assert not out.exists(), argv
 
+    @settings(max_examples=150, deadline=None)
+    @given(config=CONFIGS)
+    def test_any_config_loads_or_exits_2(self, config):
+        # every command either loads a config or refuses it with exit 2 and a
+        # one-line message before writing anything; the commands are not run.
+        # One parser serves every call: building it takes most of a main call
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(cli, "build_parser", lambda: PARSER):
+            path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+            path.write_text(json.dumps(config))
+            for command in COMMANDS:
+                argv = [command, "--config", str(path), "--out", str(out)]
+                try:
+                    load_config(PARSER.parse_args(argv))
+                except ConfigError:
+                    stderr = io.StringIO()
+                    with contextlib.redirect_stderr(stderr):
+                        assert main(argv) == 2, command
+                    assert stderr.getvalue().startswith("config error:"), command
+                    assert not out.exists(), command
+
     @pytest.mark.parametrize("command", ["activate", "discord-match"])
     def test_net_settings_cap(self, tmp_path, capsys, command):
         # both hold every net record at once; 73 x 137 is one setting over the cap
@@ -391,6 +443,28 @@ class TestCommands:
                               "n_low1", "n_low2", "n_low"]
         assert all(float(r[6]) > 0 for r in rows)
 
+    def test_certify_manifest_records_the_margin(self, tmp_path, capsys):
+        # per q: the grid minimum of n_low2, L and the margin L (2 + sqrt 2) grid_step,
+        # from which a reader gets the printed min_low without recomputing L
+        step = math.pi / 90
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.0, 0.4], "noise": "werner:0.9",
+                                   "grid_step": step}))
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        results = json.loads((tmp_path / "manifest_certify.json").read_text())["results"]
+        assert list(results) == ["0.0", "0.4"]
+        for (q, r), line in zip(results.items(), printed):
+            assert sorted(r) == ["L", "margin", "min_low", "n_low2_min"]
+            assert r["min_low"] == r["n_low2_min"] - r["margin"]
+            assert r["margin"] == r["L"] * (2.0 + math.sqrt(2.0)) * step
+            chi = ExperimentConfig(noise="werner:0.9").input_state(float(q))
+            assert r["L"] == lower_bounds(net_records(chi, default_net()), [0.0], [0.0])[2]
+            assert line.startswith(f"q={q}: min_low={r['min_low']:.6f} ")
+            _, rows = read_csv(tmp_path / f"certify_q{float(q):.2f}.csv")
+            assert min(float(row[5]) for row in rows) == pytest.approx(r["n_low2_min"],
+                                                                       abs=1e-12)
+
     def test_certify_zero_discord_not_certified(self, tmp_path, capsys):
         # the default pi/180 grid holds settings with zero negativity; LAPACK's
         # +4e-16 there must still read as 0
@@ -529,6 +603,22 @@ class TestCommands:
             assert 0 < report["nit_max"] <= report["nfev"]
             assert report["winner"] in ("coarse", "start 0", "start 1", "start 2", "start 3")
 
+    def test_discord_match_manifest_records_the_minimiser(self, tmp_path):
+        # beside each search report: the setting it ended on, where N(n) is d_numeric
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.1, 0.7], "noise": "werner:0.9"}))
+        assert main(["discord-match", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        results = json.loads((tmp_path / "manifest_discord_match.json").read_text())["results"]
+        assert list(results["settings_used"]) == list(results["searches"]) == ["0.1", "0.7"]
+        _, rows = read_csv(tmp_path / "discord_match.csv")
+        for row in rows:
+            setting = results["settings_used"][row[0]]
+            assert sorted(setting) == ["phi", "theta"]
+            chi = ExperimentConfig(noise="werner:0.9").input_state(float(row[0]))
+            n = bloch_vector(setting["theta"], setting["phi"])
+            assert negativities_offdiag(chi.mat, n[None])[0] == pytest.approx(float(row[2]),
+                                                                             abs=1e-11)
+
     def test_discord_match_runs_one_search_per_q(self, tmp_path, monkeypatch):
         # per q: one seed-scoring call of the array kernel and four Nelder-Mead runs
         kernel, nelder_mead = measures.negativities_offdiag, measures.minimize
@@ -582,11 +672,16 @@ class TestColdStart:
         assert (tmp_path / "discord_match.csv").exists()
 
     def test_discord_functional_from_a_cold_start(self):
+        # a per-rep discord map loads the optimiser on its first search
         proc = run_cold("""
             import math, sys
-            from entact.qcore import chi_q
+            from entact.measures import discord_numeric
+            from entact.qcore import DensityMatrix, chi_q
             from entact.tomo import mc_errorbar
-            bar = mc_errorbar(chi_q(0.2), 1e4, 50, 1, "discord")
+            discord = lambda mats: [discord_numeric(DensityMatrix(m, (2, 2))).value
+                                    for m in mats]
+            assert "scipy" not in sys.modules
+            bar = mc_errorbar(chi_q(0.2), 1e4, 50, 1, discord)
             assert "scipy.optimize" in sys.modules
             assert math.isclose(bar.mean, 0.2, abs_tol=0.02), bar.mean
             """)

@@ -372,7 +372,7 @@ class TestSphereScan:
                 sphere_scan([chi_q(0.2)], net, grid_step=step)
 
     def test_certifies_q02(self, net):
-        [(min_low, argmin, columns)] = sphere_scan([chi_q(0.2)], net, grid_step=math.pi / 90)
+        [(min_low, argmin, columns, *_)] = sphere_scan([chi_q(0.2)], net, grid_step=math.pi / 90)
         assert min_low > 0
         assert isinstance(argmin, WaveplateSetting)
         # theta 0..pi/2, phi 0..pi/4 at pi/90 steps, theta-major
@@ -386,22 +386,25 @@ class TestSphereScan:
         # the pi/180 grid contains the exact zero-negativity settings; the
         # others miss them, and min_low at 0.0349 read +0.0117 without the margin
         for step in (math.pi / 180, 0.0349, math.pi / 90, 0.0123):
-            [(min_low, _, _)] = sphere_scan([chi_q(0.0)], net, grid_step=step)
+            [(min_low, *_)] = sphere_scan([chi_q(0.0)], net, grid_step=step)
             assert min_low <= 0
 
     def test_verdict_subtracts_the_grid_margin(self, net):
         chi = chi_q(0.2)
         for step in (math.pi / 180, 0.0349):
-            [(min_low, _, (theta, phi, _, low2))] = sphere_scan([chi], net, grid_step=step)
+            [scan] = sphere_scan([chi], net, grid_step=step)
             _, _, lip = lower_bounds(net_records(chi, net), [0.0], [0.0])
-            assert min_low == low2.min() - lip * (2.0 + math.sqrt(2.0)) * step
+            # the parts of the verdict that the certify manifest records
+            assert (scan.grid_min, scan.lip) == (scan.columns[3].min(), lip)
+            assert scan.margin == lip * (2.0 + math.sqrt(2.0)) * step
+            assert scan.min_low == scan.grid_min - scan.margin
 
     @pytest.mark.parametrize("step", [math.pi / 180, math.pi / 90])
     def test_grid_covers_every_basis_within_the_margin(self, net, step):
         # every basis lies within chord (2 + sqrt 2) step of a grid point; the
         # worst gap a 20,000-point lattice finds is near 2 step.  The chord is
         # sqrt(2 (1 - |n.m|)) here, whose rounding is far below these gaps
-        [(_, _, (theta, phi, _, _))] = sphere_scan([chi_q(0.2)], net, grid_step=step)
+        [(_, _, (theta, phi, _, _), *_)] = sphere_scan([chi_q(0.2)], net, grid_step=step)
         grid = bloch_vector(theta, phi).T
         nearest = min(float(np.abs(chunk @ grid).max(axis=1).min())
                       for chunk in np.array_split(_fibonacci_directions(20_000), 40))
@@ -417,7 +420,7 @@ class TestSphereScan:
             werner_mix("phi+", v).mat + werner_mix("psi-", v).mat), (2, 2))
         assert 0 < np.abs(direct.mat - mixed.mat).max() < 1e-16
         argmins = []
-        for _, argmin, (theta, phi, _, low) in sphere_scan([direct, mixed], net):
+        for _, argmin, (theta, phi, _, low), *_ in sphere_scan([direct, mixed], net):
             tied = low <= low.min() + 1e-12
             assert tied.sum() > 1
             assert (argmin.theta, argmin.phi) == min(zip(theta[tied], phi[tied]))
@@ -425,7 +428,7 @@ class TestSphereScan:
         assert argmins[0] == argmins[1]
 
     def test_rows_are_consistent(self, net):
-        [(_, _, (theta, phi, low1, low2))] = sphere_scan([chi_q(0.6)], net,
+        [(_, _, (theta, phi, low1, low2), *_)] = sphere_scan([chi_q(0.6)], net,
                                                         grid_step=math.pi / 90)
         assert (low1 <= low2).all()
         assert (low2 <= negativities_theory(0.6, theta, phi) + 1e-9).all()
@@ -442,7 +445,7 @@ class TestSphereScan:
         theta, phi = np.repeat(thetas, len(phis)), np.tile(phis, len(thetas))
         scans = sphere_scan(states, net, grid_step=step)
         assert len(scans) == len(states)
-        for chi, (min_low, argmin, columns) in zip(states, scans):
+        for chi, (min_low, argmin, columns, *_) in zip(states, scans):
             low1, low2, lip = lower_bounds(net_records(chi, net), theta, phi)
             for got, want in zip(columns, (theta, phi, low1, low2)):
                 assert got.tobytes() == want.tobytes()

@@ -11,8 +11,9 @@ from hypothesis.extra.numpy import arrays
 
 from entact.qcore import DensityMatrix, chi_q, fidelity, pauli_basis, projector
 from entact.protocol import WaveplateSetting, premeasurement
-from entact.measures import negativities, negativity
-from entact.witnesses import expect, w3
+from entact import tomo
+from entact.measures import negativities, negativity, negativity_of_quantumness
+from entact.witnesses import expect, expectations, w3
 from entact.tomo import (
     E_MAX,
     MC_REPS_MAX,
@@ -127,6 +128,16 @@ def random_state(seed: int, n_qubits: int = 3) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real, (2,) * n_qubits)
 
 
+# mc_errorbar functionals: maps from a (reps, d, d) stack to one value per rep
+AB_M = functools.partial(negativities, dims=(2, 2, 2), cut=(0, 1))
+STACKED = {"negativity": AB_M, "witness-expect": lambda mats: expectations(w3(), mats)}
+
+
+def per_state(f, dims):
+    """The stack map that applies `f` to one `DensityMatrix` per rep."""
+    return lambda mats: [f(DensityMatrix(m, dims)) for m in mats]
+
+
 @pytest.fixture(scope="module")
 def rho3():
     return premeasurement(chi_q(0.2), WaveplateSetting(math.pi / 12, math.pi / 6))
@@ -220,7 +231,7 @@ class TestCounts:
     def test_bad_seed_raises(self, rho3, seed):
         for call in (lambda: simulate_counts(rho3, 1e4, seed),
                      lambda: tomography(rho3, 1e4, seed),
-                     lambda: mc_errorbar(rho3, 1e4, 50, seed, "negativity")):
+                     lambda: mc_errorbar(rho3, 1e4, 50, seed, AB_M)):
             with pytest.raises(ValueError, match="seed"):
                 call()
 
@@ -253,7 +264,7 @@ class TestCounts:
         with pytest.raises(ValueError, match="exposure"):
             simulate_counts(rho3, exposure, seed=1)
         with pytest.raises(ValueError, match="exposure"):
-            mc_errorbar(rho3, exposure, reps=50, seed=1, functional="negativity")
+            mc_errorbar(rho3, exposure, reps=50, seed=1, functional=AB_M)
 
     def test_largest_exposure_draws(self, rho3):
         totals = simulate_counts(rho3, E_MAX, seed=1).sum(axis=1)
@@ -389,34 +400,46 @@ class TestReconstruction:
 class TestErrorBars:
     def test_reps_floor(self, rho3):
         with pytest.raises(ValueError):
-            mc_errorbar(rho3, 1e4, reps=5, seed=1, functional="negativity")
+            mc_errorbar(rho3, 1e4, reps=5, seed=1, functional=AB_M)
 
     def test_reps_cap(self, rho3):
         for reps in (MC_REPS_MAX + 1, 50.5, 60.0):
             with pytest.raises(ValueError, match="reps"):
-                mc_errorbar(rho3, 1e4, reps=reps, seed=1, functional="negativity")
+                mc_errorbar(rho3, 1e4, reps=reps, seed=1, functional=AB_M)
 
     def test_negativity_statistics(self, rho3):
-        mean, std, *_ = mc_errorbar(rho3, 1e4, reps=50, seed=1, functional="negativity")
+        mean, std, *_ = mc_errorbar(rho3, 1e4, reps=50, seed=1, functional=AB_M)
         truth = negativity(rho3, [0, 1])
         assert std < 1e-2
         assert mean == pytest.approx(truth, abs=5 * std + 1e-3)
 
     def test_callable_functional(self, rho3):
-        mean, std, *_ = mc_errorbar(rho3, 1e4, reps=50, seed=1,
-                                functional=lambda dm: fidelity(dm, rho3))
+        fidelities = per_state(lambda dm: fidelity(dm, rho3), rho3.dims)
+        mean, std, *_ = mc_errorbar(rho3, 1e4, reps=50, seed=1, functional=fidelities)
         assert 0.97 < mean <= 1.0
         assert std < 0.01
 
     def test_discord_statistics(self):
-        # every rep runs the one discord search, discord_numeric
-        mean, std, *_ = mc_errorbar(chi_q(0.4), 1e4, reps=50, seed=1, functional="discord")
+        # every rep runs the one discord search, whose reports the map may keep
+        reports = []
+
+        def discord(dm):
+            result = negativity_of_quantumness(dm)
+            reports.append(result.search)
+            return result.value
+
+        mean, std, *_ = mc_errorbar(chi_q(0.4), 1e4, reps=50, seed=1,
+                                    functional=per_state(discord, (2, 2)))
         assert mean == pytest.approx(0.4, abs=0.02)
         assert std < 0.02
+        assert len(reports) == 50
 
-    def test_unknown_functional(self, rho3):
-        with pytest.raises(ValueError):
-            mc_errorbar(rho3, 1e4, reps=50, seed=1, functional="entropy")
+    @pytest.mark.parametrize("functional", ["negativity", None, 0.5, [AB_M]])
+    def test_non_callable_functional_raises(self, rho3, monkeypatch, functional):
+        # a name is no functional either, and the check runs before any count is drawn
+        monkeypatch.setattr(tomo, "_draw", None)
+        with pytest.raises(TypeError, match="functional"):
+            mc_errorbar(rho3, 1e4, reps=50, seed=1, functional=functional)
 
 
 class TestBatchedPipeline:
@@ -443,7 +466,7 @@ class TestBatchedPipeline:
             assert run.zero_settings[rep] == (single.sum(axis=1) == 0).sum()
             values.append(negativity_reference(mat))
         assert np.abs(negativities(run.states, (2, 2, 2), [0, 1]) - values).max() <= 1e-12
-        bar = mc_errorbar(rho, exposure, reps, seed, "negativity")
+        bar = mc_errorbar(rho, exposure, reps, seed, AB_M)
         assert bar.mean == pytest.approx(np.mean(values), abs=1e-12)
         assert bar.std == pytest.approx(np.std(values, ddof=1), abs=1e-12)
         assert np.array_equal(bar.clipped_mass, run.clipped_mass)
@@ -471,16 +494,17 @@ class TestBatchedPipeline:
 
     def test_blocks_match_single_shot_reps(self, rho3):
         reps = 2 * _BLOCK + 3
-        bar = mc_errorbar(rho3, 1e4, reps, seed=9, functional="negativity")
+        bar = mc_errorbar(rho3, 1e4, reps, seed=9, functional=AB_M)
         values = [negativity(reconstruct(simulate_counts(rho3, 1e4, 9, rep=r)), [0, 1])
                   for r in range(reps)]
         assert bar.mean == float(np.mean(values))
         assert bar.std == float(np.std(values, ddof=1))
 
-    @pytest.mark.parametrize("name, per_state", [
+    @pytest.mark.parametrize("name, single", [
         ("negativity", lambda dm: negativity(dm, [0, 1])),
         ("witness-expect", lambda dm: expect(w3(), dm)),
     ])
-    def test_stacked_functionals_equal_per_state(self, rho3, name, per_state):
-        stacked = mc_errorbar(rho3, 1e3, 50, 2, name)
-        assert stacked[:2] == mc_errorbar(rho3, 1e3, 50, 2, per_state)[:2]
+    def test_stacked_functionals_equal_per_state(self, rho3, name, single):
+        # the stack kernel gives the bits of its one-state call on every rep
+        stacked = mc_errorbar(rho3, 1e3, 50, 2, STACKED[name])
+        assert stacked[:2] == mc_errorbar(rho3, 1e3, 50, 2, per_state(single, rho3.dims))[:2]
