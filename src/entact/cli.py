@@ -23,6 +23,7 @@ from .qcore import DensityMatrix, chi_q, fidelity
 from .protocol import NetSpec, WaveplateSetting, default_net, premeasurement
 from .measures import discord_numeric, discord_x_state, negativities, negativities_theory
 from .epsnet import (
+    MAX_GRID_POINTS,
     MAX_RESOLUTION,
     MIN_GRID_STEP,
     cap_radius,
@@ -157,25 +158,22 @@ def load_config(args) -> ExperimentConfig:
         if (v := getattr(args, f.name, None)) is not None:
             setattr(cfg, f.name, v)
     cfg.validate()
-    if not 0 <= getattr(args, "q", 0.0) <= 1:
-        raise ConfigError("--q must lie in [0, 1]")
-    if not 0 <= getattr(args, "epsilon", 0.0) <= 2:
-        raise ConfigError("--epsilon must lie in [0, 2]")
-    if not 1000 <= getattr(args, "resolution", 1000) <= MAX_RESOLUTION:
-        raise ConfigError(f"--resolution must lie in [1000, {MAX_RESOLUTION}]")
-    settings, default = (len(n.thetas) * len(n.phis) for n in (cfg.net, default_net()))
-    if args.command in ("activate", "discord-match") and settings > MAX_NET_SETTINGS:
-        raise ConfigError(f"net has {settings} settings, above the {MAX_NET_SETTINGS} "
-                          f"that {args.command} takes")
-    if args.command in ("certify", "net-verify"):
-        # their chord arrays hold settings x points floats: no more than the
-        # default net's at the finest grid step or the highest resolution
-        points, most = ((len(scan_grid(cfg.grid_step)[0]), len(scan_grid(MIN_GRID_STEP)[0]))
-                        if args.command == "certify" else (args.resolution, MAX_RESOLUTION))
-        if settings * points > default * most:
-            raise ConfigError(f"net settings x points is {settings} x {points}, above the "
-                              f"default net's {default} x {most}")
     return cfg
+
+
+def _check_settings(cfg: ExperimentConfig, command: str):
+    if (settings := len(cfg.net.thetas) * len(cfg.net.phis)) > MAX_NET_SETTINGS:
+        raise ConfigError(f"net has {settings} settings, above the {MAX_NET_SETTINGS} "
+                          f"that {command} takes")
+
+
+def _check_chords(cfg: ExperimentConfig, points: int, most: int):
+    """certify and net-verify hold settings x points chord floats: no more than the
+    default net's at `most` points, the finest grid step or the highest resolution."""
+    settings, default = (len(n.thetas) * len(n.phis) for n in (cfg.net, default_net()))
+    if settings * points > default * most:
+        raise ConfigError(f"net settings x points is {settings} x {points}, above the "
+                          f"default net's {default} x {most}")
 
 
 def parse_angle(text: str) -> float:
@@ -231,7 +229,8 @@ def _exposure_warnings(where: str, clipped_mass: float, zero_settings: int) -> l
             f"(threshold {MAX_CLIPPED_MASS:g})"]
 
 
-def cmd_activate(cfg: ExperimentConfig) -> int:
+def cmd_activate(cfg: ExperimentConfig, args) -> int:
+    _check_settings(cfg, args.command)
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     clipping = []  # tomography diagnostics per (q, setting) under --mc-reps
     warnings = []
@@ -271,7 +270,8 @@ def _summary(name: str, per_rep: np.ndarray) -> dict:
     return {f"{name}_mean": float(per_rep.mean()), f"{name}_max": per_rep.max().item()}
 
 
-def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
+def cmd_certify(cfg: ExperimentConfig, args) -> int:
+    _check_chords(cfg, len(scan_grid(cfg.grid_step)[0]), MAX_GRID_POINTS)
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     scans = sphere_scan([cfg.input_state(q) for q in cfg.q_values], cfg.net, cfg.grid_step)
     for q, (min_low, argmin, (theta, phi, low1, low2), *_) in zip(cfg.q_values, scans):
@@ -286,12 +286,13 @@ def cmd_certify(cfg: ExperimentConfig, strict: bool = False) -> int:
     _write_manifest(out, cfg, "certify", cfg_hash, {  # min_low is n_low2_min - margin
         str(q): {"min_low": s.min_low, "n_low2_min": s.grid_min, "L": s.lip, "margin": s.margin}
         for q, s in zip(cfg.q_values, scans)})
-    if strict and any(s.min_low <= 0 for q, s in zip(cfg.q_values, scans) if q > 0):
+    if args.strict and any(s.min_low <= 0 for q, s in zip(cfg.q_values, scans) if q > 0):
         return 3
     return 0
 
 
-def cmd_discord_match(cfg: ExperimentConfig) -> int:
+def cmd_discord_match(cfg: ExperimentConfig, args) -> int:
+    _check_settings(cfg, args.command)
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     rows, searches, minimisers = [], {}, {}  # per q: the search report, its minimiser
     for q in cfg.q_values:
@@ -310,7 +311,7 @@ def cmd_discord_match(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_witness(cfg: ExperimentConfig) -> int:
+def cmd_witness(cfg: ExperimentConfig, args) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     rows = []
     worst_setting = WaveplateSetting(math.pi / 4, 0.0)
@@ -325,14 +326,14 @@ def cmd_witness(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_tomo_demo(cfg: ExperimentConfig, q: float, theta: float, phi: float,
-                  exact: bool = False) -> int:
-    out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    s = WaveplateSetting(theta, phi)
+def cmd_tomo_demo(cfg: ExperimentConfig, args) -> int:
+    if not 0 <= (q := args.q) <= 1:
+        raise ConfigError("--q must lie in [0, 1]")
+    s = WaveplateSetting(parse_angle(args.theta), parse_angle(args.phi))
+    (out := Path(cfg.output_dir)).mkdir(parents=True, exist_ok=True)
     truth = premeasurement(cfg.input_state(q), s)
     results = {}
-    if exact:
+    if args.exact:
         recon = reconstruct_from_expectations(pauli_expectations_exact(truth), 3)
     else:
         run = tomography(truth, cfg.exposure, cfg.seed)
@@ -352,8 +353,12 @@ def cmd_tomo_demo(cfg: ExperimentConfig, q: float, theta: float, phi: float,
     return 0
 
 
-def cmd_net_verify(cfg: ExperimentConfig, epsilon: float = 0.5,
-                   resolution: int = 10_000) -> int:
+def cmd_net_verify(cfg: ExperimentConfig, args) -> int:
+    if not 0 <= (epsilon := args.epsilon) <= 2:
+        raise ConfigError("--epsilon must lie in [0, 2]")
+    if not 1000 <= (resolution := args.resolution) <= MAX_RESOLUTION:
+        raise ConfigError(f"--resolution must lie in [1000, {MAX_RESOLUTION}]")
+    _check_chords(cfg, resolution, MAX_RESOLUTION)
     covered, gap = verify_covering(cfg.net, epsilon, resolution)
     packed, dmin = verify_packing(cfg.net, epsilon)
     print(f"epsilon={epsilon}: covering={'pass' if covered else 'FAIL'} "
@@ -376,11 +381,15 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, command: str, cfg_hash: st
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; each command's `run`
+    default is the `cmd_*` that checks and reads its own flags."""
     p = argparse.ArgumentParser(prog="entact", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, run):
+        sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--seed", type=int)
         sp.add_argument("--noise", help="ideal | werner:<v>")
@@ -388,25 +397,22 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid-step", dest="grid_step", type=float)
         sp.add_argument("--out", dest="output_dir", help="output directory")
         sp.add_argument("--mc-reps", dest="mc_reps", type=int)
+        sp.set_defaults(run=run)
+        return sp
 
-    for name in ("activate", "certify", "discord-match", "witness"):
-        sp = sub.add_parser(name)
-        common(sp)
-        if name == "certify":
-            sp.add_argument("--strict", action="store_true",
-                            help="exit 3 when any q > 0 fails to certify")
-
-    sp = sub.add_parser("tomo-demo")
-    common(sp)
+    command("activate", cmd_activate)
+    command("certify", cmd_certify).add_argument(
+        "--strict", action="store_true", help="exit 3 when any q > 0 fails to certify")
+    command("discord-match", cmd_discord_match)
+    command("witness", cmd_witness)
+    sp = command("tomo-demo", cmd_tomo_demo)
     sp.add_argument("--q", type=float, default=0.2)
     sp.add_argument("--theta", default="1/12 pi",
                     help="degrees or a pi fraction like '1/12 pi'")
     sp.add_argument("--phi", default="1/6 pi")
     sp.add_argument("--exact", action="store_true",
                     help="use exact expectation values instead of counts")
-
-    sp = sub.add_parser("net-verify")
-    common(sp)
+    sp = command("net-verify", cmd_net_verify)
     sp.add_argument("--epsilon", type=float, default=0.5)
     sp.add_argument("--resolution", type=int, default=10_000)
     return p
@@ -415,27 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-        if args.command == "activate":
-            return cmd_activate(cfg)
-        if args.command == "certify":
-            return cmd_certify(cfg, strict=args.strict)
-        if args.command == "discord-match":
-            return cmd_discord_match(cfg)
-        if args.command == "witness":
-            return cmd_witness(cfg)
-        if args.command == "tomo-demo":
-            return cmd_tomo_demo(cfg, args.q, parse_angle(args.theta),
-                                 parse_angle(args.phi), exact=args.exact)
-        if args.command == "net-verify":
-            return cmd_net_verify(cfg, args.epsilon, args.resolution)
+        return args.run(load_config(args), args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except OSError as e:
         print(f"I/O failure: {e}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -29,10 +29,11 @@ from .measures import _fibonacci_directions, negativities
 # points) float arrays, 77 MB at the 16 distinct bases of the default net; a
 # net-verify run at it peaks near 120 MB resident
 MAX_RESOLUTION = 200_000
-# Finest `sphere_scan` grid step, 0.25 degree: 361 x 181 = 65,341 grid points,
+# Finest `sphere_scan` grid step, 0.25 degree, and its MAX_GRID_POINTS grid points,
 # whose three (records, points) chord arrays take 44 MB at the 28-setting default
 # net; a certify run at it peaks near 95 MB resident
 MIN_GRID_STEP = math.pi / 720
+MAX_GRID_POINTS = 361 * 181
 
 
 class NetRecords(NamedTuple):

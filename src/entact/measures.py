@@ -235,7 +235,13 @@ def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
                           nit_max=max(int(res.nit) for res in runs),
                           converged=all(bool(res.success) for res in runs),
                           winner="coarse" if winner is None else f"start {winner}")
-    return MeasureResult(max(value, 0.0), settings_used=WaveplateSetting(*best), search=report)
+    # the same basis in certify's range theta in [0, pi/2], phi in [0, pi/4]:
+    # (theta + pi/2, theta - phi) gives the same n, and phi + pi/4 gives -n
+    theta, phi = setting_of(bloch_vector(*best))
+    if theta < 0.0:
+        theta, phi = theta + math.pi / 2, theta - phi
+    setting = WaveplateSetting(theta, phi % (math.pi / 4))
+    return MeasureResult(max(value, 0.0), settings_used=setting, search=report)
 
 
 def discord_numeric(chi: DensityMatrix) -> MeasureResult:

@@ -124,12 +124,13 @@ def _psd_sqrt(h) -> np.ndarray:
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2; accurate only to about
-    1e-8 when a state is rank-deficient, where square roots amplify rounding."""
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.  The inner matrix's
+    eigenvalues at rounding level, <= d eps max, are taken as zero: on a
+    rank-deficient state a square root would lift each to about 1e-8."""
     if rho.dims != sigma.dims:
         raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
     sr = _psd_sqrt(rho.mat)
     inner = sr @ sigma.mat @ sr
     vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    f = np.sqrt(np.clip(vals, 0.0, None)).sum() ** 2
+    f = np.sqrt(np.where(vals > len(vals) * np.finfo(float).eps * vals.max(), vals, 0.0)).sum() ** 2
     return float(min(max(f, 0.0), 1.0))

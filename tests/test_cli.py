@@ -1,5 +1,6 @@
 """Command-line interface: configs, outputs, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,7 +11,6 @@ import sys
 import tempfile
 import textwrap
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -70,7 +70,6 @@ SPECIAL_COLUMNS = [0.5, [0.0, -0.0, 0.0, math.nan], np.array([math.inf, -math.in
 
 
 COMMANDS = ("activate", "certify", "discord-match", "witness", "tomo-demo", "net-verify")
-PARSER = build_parser()
 # JSON values that no config field takes: booleans, strings, integers past 64 bits
 # (2**1024 overflows a float), NaN, the infinities, and lists of them
 BAD_LEAVES = (st.booleans() | st.text(max_size=6) | st.integers(2**64, 10**400)
@@ -204,16 +203,57 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("config error:")
         assert not list(tmp_path.iterdir())
 
-    def test_limits_themselves_are_accepted(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
+    def test_limits_themselves_are_accepted(self, tmp_path, capsys, monkeypatch):
+        # each command checks its own limits, so at each one the run goes on to
+        # the command's kernel, here stubbed to record that it was entered
+        class Entered(Exception):
+            pass
+
+        entered = []
+
+        def stub(name):
+            def kernel(*args, **kwargs):
+                entered.append(name)
+                raise Entered
+
+            return kernel
+
+        for name in ("verify_covering", "sphere_scan", "premeasurement"):
+            monkeypatch.setattr(cli, name, stub(name))
+        cfg, out = tmp_path / "cfg.json", str(tmp_path / "out")
         cfg.write_text(json.dumps({"grid_step": MIN_GRID_STEP}))
+        kernels = {"net-verify": "verify_covering", "certify": "sphere_scan",
+                   "tomo-demo": "premeasurement"}
         for argv in (["net-verify", "--resolution", str(MAX_RESOLUTION)],
+                     ["net-verify", "--resolution", "1000"],
+                     ["net-verify", "--epsilon", "0"], ["net-verify", "--epsilon", "2"],
                      ["certify", "--grid-step", repr(MIN_GRID_STEP)],
-                     ["certify", "--config", str(cfg)]):
-            load_config(build_parser().parse_args(argv))
+                     ["certify", "--config", str(cfg)],
+                     ["tomo-demo", "--q", "0"], ["tomo-demo", "--q", "1"]):
+            with pytest.raises(Entered):
+                main(argv + ["--out", out])
+            assert entered.pop() == kernels[argv[0]], argv
         cfg.write_text(json.dumps({"grid_step": MIN_GRID_STEP / 2}))
-        with pytest.raises(ConfigError, match="grid_step"):
-            load_config(build_parser().parse_args(["certify", "--config", str(cfg)]))
+        assert main(["certify", "--config", str(cfg), "--out", out]) == 2
+        assert "grid_step" in capsys.readouterr().err
+        assert entered == []
+
+    def test_one_parser_per_process(self, tmp_path, monkeypatch):
+        # the parser is built once; a later call constructs no ArgumentParser and
+        # still reads only its own argv
+        assert main(["witness", "--out", str(tmp_path)]) == 0
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert main(["witness", "--out", str(tmp_path)]) == 0
+        assert build_parser().parse_args(["tomo-demo", "--q", "0.5", "--exact"]).q == 0.5
+        args = build_parser().parse_args(["tomo-demo"])
+        assert (args.q, args.exact) == (0.2, False)
+        assert built == []
 
     @pytest.mark.parametrize("command", ["certify", "discord-match", "activate"])
     @pytest.mark.parametrize("net", [
@@ -265,16 +305,14 @@ class TestCommands:
     @given(config=CONFIGS)
     def test_any_config_loads_or_exits_2(self, config):
         # every command either loads a config or refuses it with exit 2 and a
-        # one-line message before writing anything; the commands are not run.
-        # One parser serves every call: building it takes most of a main call
-        with tempfile.TemporaryDirectory() as tmp, \
-                mock.patch.object(cli, "build_parser", lambda: PARSER):
+        # one-line message before writing anything; the commands are not run
+        with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
             path.write_text(json.dumps(config))
             for command in COMMANDS:
                 argv = [command, "--config", str(path), "--out", str(out)]
                 try:
-                    load_config(PARSER.parse_args(argv))
+                    load_config(build_parser().parse_args(argv))
                 except ConfigError:
                     stderr = io.StringIO()
                     with contextlib.redirect_stderr(stderr):

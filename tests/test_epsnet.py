@@ -25,6 +25,7 @@ from entact.measures import (
     negativity_offdiag,
 )
 from entact.epsnet import (
+    MAX_GRID_POINTS,
     MAX_RESOLUTION,
     MIN_GRID_STEP,
     NetRecords,
@@ -32,6 +33,7 @@ from entact.epsnet import (
     cap_radius,
     lower_bounds,
     net_records,
+    scan_grid,
     sphere_scan,
     verify_covering,
     verify_packing,
@@ -370,6 +372,10 @@ class TestSphereScan:
         for step in (math.pi / 10, 0.0, -0.01, math.nan, MIN_GRID_STEP * (1 - 1e-9)):
             with pytest.raises(ValueError, match="grid_step"):
                 sphere_scan([chi_q(0.2)], net, grid_step=step)
+
+    def test_finest_grid_size(self):
+        # the certify net-size check reads the finest grid's size from the constant
+        assert len(scan_grid(MIN_GRID_STEP)[0]) == MAX_GRID_POINTS == 361 * 181
 
     def test_certifies_q02(self, net):
         [(min_low, argmin, columns, *_)] = sphere_scan([chi_q(0.2)], net, grid_step=math.pi / 90)

@@ -275,6 +275,18 @@ class TestNegativityOfQuantumness:
         assert res.value <= premeasurement_negativities(chi.mat, LATTICE).min() + 1e-9
         assert res.value == pytest.approx(brute_force_at(chi, res.settings_used), abs=1e-9)
 
+    @settings(max_examples=30)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)), st.sampled_from(Q_GRID))
+    def test_reports_its_setting_in_the_certify_range(self, re_im, q):
+        # the setting lies in the range theta in [0, pi/2], phi in [0, pi/4] that
+        # certify scans, and N(n) there is the value
+        for chi in (full_rank_state(re_im), chi_q(q)):
+            res = negativity_of_quantumness(chi)
+            s = res.settings_used
+            assert 0.0 <= s.theta <= math.pi / 2 and 0.0 <= s.phi <= math.pi / 4, s
+            at_setting = negativities_offdiag(chi.mat, bloch_vector(s.theta, s.phi)[None])[0]
+            assert at_setting == pytest.approx(res.value, abs=1e-12)
+
     def test_reports_a_minimizing_setting(self):
         res = negativity_of_quantumness(chi_q(0.1))
         chi = chi_q(0.1)

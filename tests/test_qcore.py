@@ -203,3 +203,18 @@ class TestFidelity:
     def test_symmetry(self):
         a, b = chi_q(0.1), chi_q(0.8)
         assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-8)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_stable_on_rank_deficient_states(self, seed):
+        # a rank-3 state moved by rounding-level noise: square roots of the inner
+        # matrix's near-zero eigenvalues would move F by about 1e-8
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(8, 3)) + 1j * rng.normal(size=(8, 3))
+        low = DensityMatrix(a @ a.conj().T / np.linalg.norm(a) ** 2, (2, 2, 2))
+        full = DensityMatrix(random_density(8, rng), (2, 2, 2))
+        h = random_hermitian(8, rng)
+        h -= np.trace(h) / 8 * np.eye(8)
+        moved = DensityMatrix(low.mat + 4e-16 * h / np.abs(h).max(), low.dims)
+        for f, f_moved in ((fidelity(full, low), fidelity(full, moved)),
+                           (fidelity(low, full), fidelity(moved, full))):
+            assert abs(f_moved - f) < 1e-13
