@@ -28,7 +28,7 @@ from .epsnet import (
     MIN_GRID_STEP,
     cap_radius,
     net_records,
-    scan_grid,
+    scan_axes,
     sphere_scan,
     verify_covering,
     verify_packing,
@@ -271,7 +271,7 @@ def _summary(name: str, per_rep: np.ndarray) -> dict:
 
 
 def cmd_certify(cfg: ExperimentConfig, args) -> int:
-    _check_chords(cfg, len(scan_grid(cfg.grid_step)[0]), MAX_GRID_POINTS)
+    _check_chords(cfg, math.prod(map(len, scan_axes(cfg.grid_step))), MAX_GRID_POINTS)
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     scans = sphere_scan([cfg.input_state(q) for q in cfg.q_values], cfg.net, cfg.grid_step)
     for q, (min_low, argmin, (theta, phi, low1, low2), *_) in zip(cfg.q_values, scans):

@@ -160,10 +160,10 @@ class Scan(NamedTuple):
     margin: float  # L (2 + sqrt 2) grid_step
 
 
-def scan_grid(grid_step: float):
-    """The (theta, phi) arrays of the `sphere_scan` grid, theta-major."""
-    return NetSpec(np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step),
-                   np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step)).angles()
+def scan_axes(grid_step: float):
+    """The theta and phi axes of the `sphere_scan` grid, which is their product."""
+    return (np.arange(0.0, math.pi / 2 + grid_step / 2, grid_step),
+            np.arange(0.0, math.pi / 4 + grid_step / 2, grid_step))
 
 
 def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
@@ -188,7 +188,7 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     """
     if not MIN_GRID_STEP <= grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
         raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
-    theta, phi = scan_grid(grid_step)
+    theta, phi = NetSpec(*scan_axes(grid_step)).angles()
     chords = _basis_chords(bloch_vector(*net.angles()), bloch_vector(theta, phi))
     scans = []
     for chi in states:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -41,8 +40,8 @@ class SearchReport:
 @dataclass(frozen=True)
 class MeasureResult:
     value: float
-    settings_used: Optional[WaveplateSetting] = None
-    search: Optional[SearchReport] = None
+    settings_used: WaveplateSetting
+    search: SearchReport
 
 
 def negativity(rho: DensityMatrix, cut) -> float:
@@ -205,9 +204,10 @@ def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
 
     Seed stage: the `_seeds` settings, scored in one `negativities_offdiag` call;
     near-ties of the minimum rank lexicographically by (theta, phi).  Refinement:
-    Nelder-Mead in the waveplate angles from the best `_STARTS`, each step on
-    Python scalars, with the direction n(theta, phi) of `protocol.bloch_vector`
-    taken by `math`.  The value is the seed minimum unless a run beats it by 1e-9.
+    Nelder-Mead in the waveplate angles, on Python scalars, from the best `_STARTS`;
+    scipy stops a run when both tolerances hold, so with xatol open a run stops once
+    its simplex values agree to 1e-12.  The value is the seed minimum unless a run
+    beats it by 1e-9, so below 1e-9 (N >= 0) no run starts, and nfev = 0.
     """
     if chi.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
@@ -225,14 +225,14 @@ def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
                            cos_a * math.cos(2.0 * theta))
 
     runs = [minimize(objective, s, method="Nelder-Mead",
-                     options=dict(xatol=1e-7, fatol=1e-12, maxiter=400))
-            for _, s in ranked[:_STARTS]]
+                     options=dict(xatol=math.inf, fatol=1e-12, maxiter=400))
+            for _, s in (ranked[:_STARTS] if vmin >= 1e-9 else ())]
     best, value, winner = ranked[0][1], vmin, None
     for i, res in enumerate(runs):
         if res.fun < value - 1e-9:
             best, value, winner = tuple(res.x), float(res.fun), i
     report = SearchReport(nfev=sum(int(res.nfev) for res in runs),
-                          nit_max=max(int(res.nit) for res in runs),
+                          nit_max=max((int(res.nit) for res in runs), default=0),
                           converged=all(bool(res.success) for res in runs),
                           winner="coarse" if winner is None else f"start {winner}")
     # the same basis in certify's range theta in [0, pi/2], phi in [0, pi/4]:

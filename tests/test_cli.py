@@ -32,7 +32,7 @@ from entact.cli import (
     parse_angle,
 )
 from entact.measures import negativities_offdiag, negativities_theory, negativity
-from entact.protocol import bloch_vector, default_net, premeasurement
+from entact.protocol import NetSpec, bloch_vector, default_net, premeasurement
 from entact.qcore import DensityMatrix
 from reference import density_from_json, net_settings
 
@@ -93,6 +93,20 @@ VALID_FIELDS = {
 CONFIGS = st.fixed_dictionaries({}, optional={
     name: valid | BAD_VALUES | st.lists(BAD_VALUES, max_size=3)
     for name, valid in VALID_FIELDS.items()})
+
+
+def sized_net(n_thetas, n_phis):
+    return {"thetas": [0.01 * j for j in range(n_thetas)],
+            "phis": [0.02 * k for k in range(n_phis)]}
+
+
+# a config that loads, on a net of up to 150 x 150 settings: on either side of the
+# net-size limits of activate and discord-match, and of certify's and net-verify's
+# chord limits at any grid step or resolution
+LOADABLE_CONFIGS = st.fixed_dictionaries(
+    {"net": st.builds(sized_net, st.integers(1, 150), st.integers(1, 150))},
+    optional={"grid_step": VALID_FIELDS["grid_step"], "mc_reps": VALID_FIELDS["mc_reps"],
+              "noise": st.sampled_from(["ideal", "werner:0.9"])})
 
 
 class TestParseAngle:
@@ -320,6 +334,56 @@ class TestCommands:
                     assert stderr.getvalue().startswith("config error:"), command
                     assert not out.exists(), command
 
+    @settings(max_examples=100, deadline=None)
+    @given(config=LOADABLE_CONFIGS, resolution=st.integers(1000, MAX_RESOLUTION))
+    # one setting over the net cap and at it; 437 settings (at most the chord limit at
+    # the default grid step's 4,186 points) and 438; 29 settings at the finest grid
+    # step (over), and 28 at it and at the highest resolution (at both chord limits)
+    @example(config={"net": sized_net(73, 137)}, resolution=1000)
+    @example(config={"net": sized_net(100, 100)}, resolution=1000)
+    @example(config={"net": sized_net(19, 23)}, resolution=12_814)
+    @example(config={"net": sized_net(6, 73)}, resolution=12_815)
+    @example(config={"net": sized_net(29, 1), "grid_step": MIN_GRID_STEP}, resolution=1000)
+    @example(config={"net": sized_net(7, 4), "grid_step": MIN_GRID_STEP},
+             resolution=MAX_RESOLUTION)
+    def test_any_loaded_config_runs_or_exits_2(self, config, resolution):
+        # a config that loads may still be over a command's own net-size limit:
+        # then the command exits 2 with a one-line message, no traceback and no
+        # output; under it, the run goes on to the command's kernel, here stubbed
+        class Entered(Exception):
+            pass
+
+        def kernel(*args, **kwargs):
+            raise Entered
+
+        n_settings = len(config["net"]["thetas"]) * len(config["net"]["phis"])
+        default = len(default_net().thetas) * len(default_net().phis)
+        points = len(NetSpec(*epsnet.scan_axes(config.get("grid_step", math.pi / 180)))
+                     .angles()[0])
+        over = {"activate": n_settings > MAX_NET_SETTINGS,
+                "discord-match": n_settings > MAX_NET_SETTINGS,
+                "certify": n_settings * points > default * epsnet.MAX_GRID_POINTS,
+                "net-verify": n_settings * resolution > default * MAX_RESOLUTION}
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            for name in ("net_records", "sphere_scan", "verify_covering", "premeasurement"):
+                mp.setattr(cli, name, kernel)
+            (path := Path(tmp) / "cfg.json").write_text(json.dumps(config))
+            for command in COMMANDS:
+                out = Path(tmp) / command  # tomo-demo makes its directory before its kernel
+                argv = [command, "--config", str(path), "--out", str(out)]
+                argv += ["--resolution", str(resolution)] if command == "net-verify" else []
+                load_config(build_parser().parse_args(argv))
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    if not over.get(command, False):
+                        with pytest.raises(Entered):
+                            main(argv)
+                        continue
+                    assert main(argv) == 2, command
+                assert stderr.getvalue().startswith("config error:"), command
+                assert stderr.getvalue().count("\n") == 1, command
+                assert not out.exists(), command
+
     @pytest.mark.parametrize("command", ["activate", "discord-match"])
     def test_net_settings_cap(self, tmp_path, capsys, command):
         # both hold every net record at once; 73 x 137 is one setting over the cap
@@ -457,16 +521,23 @@ class TestCommands:
 
     def test_certify_builds_the_chords_once(self, tmp_path, monkeypatch):
         # the chords from the net's bases to the grid depend on neither q nor the
-        # state, so a default call (six q) builds them once
-        shapes, chords = [], epsnet._basis_chords
+        # state, so a default call (six q) builds them once, and the grid once: the
+        # net-size check counts the grid's points from its axes
+        shapes, chords, sizes, angles = [], epsnet._basis_chords, [], NetSpec.angles
 
         def counted(bases, points):
             shapes.append((len(bases), len(points)))
             return chords(bases, points)
 
+        def counted_angles(net):
+            sizes.append(len(net.thetas) * len(net.phis))
+            return angles(net)
+
         monkeypatch.setattr(epsnet, "_basis_chords", counted)
+        monkeypatch.setattr(NetSpec, "angles", counted_angles)
         assert main(["certify", "--out", str(tmp_path)]) == 0
         assert shapes == [(28, 91 * 46)]
+        assert sizes.count(91 * 46) == 1
         assert len(list(tmp_path.glob("certify_q*.csv"))) == 6
 
     def test_certify_strict_passes_for_positive_q(self, tmp_path, capsys):
@@ -638,8 +709,11 @@ class TestCommands:
         for report in searches.values():
             assert sorted(report) == ["converged", "nfev", "nit_max", "winner"]
             assert report["converged"] is True
-            assert 0 < report["nit_max"] <= report["nfev"]
-            assert report["winner"] in ("coarse", "start 0", "start 1", "start 2", "start 3")
+        # at q = 0 a seed already reads N = 0, which no run could beat, so none runs
+        assert searches["0.0"]["nfev"] == searches["0.0"]["nit_max"] == 0
+        assert searches["0.0"]["winner"] == "coarse"
+        assert 0 < searches["0.6"]["nit_max"] <= searches["0.6"]["nfev"]
+        assert searches["0.6"]["winner"] in ("coarse", "start 0", "start 1", "start 2", "start 3")
 
     def test_discord_match_manifest_records_the_minimiser(self, tmp_path):
         # beside each search report: the setting it ended on, where N(n) is d_numeric

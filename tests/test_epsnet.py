@@ -33,7 +33,7 @@ from entact.epsnet import (
     cap_radius,
     lower_bounds,
     net_records,
-    scan_grid,
+    scan_axes,
     sphere_scan,
     verify_covering,
     verify_packing,
@@ -375,7 +375,7 @@ class TestSphereScan:
 
     def test_finest_grid_size(self):
         # the certify net-size check reads the finest grid's size from the constant
-        assert len(scan_grid(MIN_GRID_STEP)[0]) == MAX_GRID_POINTS == 361 * 181
+        assert math.prod(map(len, scan_axes(MIN_GRID_STEP))) == MAX_GRID_POINTS == 361 * 181
 
     def test_certifies_q02(self, net):
         [(min_low, argmin, columns, *_)] = sphere_scan([chi_q(0.2)], net, grid_step=math.pi / 90)

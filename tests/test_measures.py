@@ -31,6 +31,9 @@ from reference import (BELL_KETS, bell_diagonal_discord, bell_state, premeasurem
 from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+# a mixed qubit state with coherence, for A in a product state whose B is diagonal
+# along z, a seed basis, where N = 0
+PRODUCT_A = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 
@@ -304,8 +307,16 @@ def x_state(p, c14, c23):
     return m
 
 
+def su2(quaternion):
+    """The SU(2) matrix of a unit quaternion (a, b, c, d)."""
+    a, b, c, d = quaternion
+    return np.array([[a + 1j * b, c + 1j * d], [-c + 1j * d, a - 1j * b]])
+
+
 populations = arrays(float, (4,), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
 coherences = st.builds(cmath.rect, st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+quaternions = (arrays(float, (4,), elements=st.floats(-1.0, 1.0))
+               .filter(lambda v: np.linalg.norm(v) > 1e-3).map(lambda v: v / np.linalg.norm(v)))
 
 
 class TestXStates:
@@ -320,6 +331,17 @@ class TestXStates:
         closed = discord_x_state(chi)
         assert discord_numeric(chi).value == pytest.approx(closed, abs=1e-6)
         assert negativity_of_quantumness(chi).value == pytest.approx(closed, abs=1e-6)
+
+    @settings(max_examples=60)
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), quaternions, quaternions)
+    def test_search_matches_closed_form_off_the_seed_lattice(self, q, v, qa, qb):
+        # local unitaries keep the discord on B but move the minimisers off the
+        # seed directions, so the runs, not the seeds, must reach the closed form
+        x = v * chi_q(q).mat + (1 - v) * np.eye(4) / 4
+        u = np.kron(su2(qa), su2(qb))
+        chi = DensityMatrix(u @ x @ u.conj().T, (2, 2))
+        assert negativity_of_quantumness(chi).value == pytest.approx(
+            discord_x_state(DensityMatrix(x, (2, 2))), abs=1e-6)
 
     @pytest.mark.parametrize("q", [1 / 3, 1.0])
     @pytest.mark.parametrize("v", [1.0, 0.9, 0.5, 1e-3])
@@ -447,6 +469,27 @@ class TestSearchReport:
             assert res.value == max(float(negativities_offdiag(chi.mat, _seeds()[1]).min()), 0.0)
         else:
             assert res.value == max(float(runs[int(res.search.winner.split()[1])].fun), 0.0)
+
+    @pytest.mark.parametrize("chi", [chi_q(0.0).mat, np.kron(PRODUCT_A, np.diag([0.3, 0.7])),
+                                     np.eye(4) / 4], ids=["chi_0", "product", "maximally_mixed"])
+    def test_no_run_starts_below_the_win_margin(self, monkeypatch, chi):
+        # a seed reads N below 1e-9 and N >= 0, so no run could beat it by 1e-9
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Nelder-Mead ran though no run could win")
+
+        monkeypatch.setattr(measures, "minimize", forbidden)
+        res = negativity_of_quantumness(DensityMatrix(chi, (2, 2)))
+        assert res.value < 1e-9
+        assert res.search == measures.SearchReport(nfev=0, nit_max=0, converged=True,
+                                                   winner="coarse")
+
+    @pytest.mark.parametrize("q", [0.4, 0.6, 0.8, 1.0])
+    def test_runs_on_a_flat_minimum_stop_on_its_value(self, q):
+        # N(n) = q at every basis: each simplex is flat in value from its first
+        # step, so the runs stop at once, however wide the simplex still is
+        res = negativity_of_quantumness(chi_q(q))
+        assert res.value == pytest.approx(q, abs=1e-12)
+        assert res.search.nfev <= 40
 
     @pytest.mark.parametrize("search", [discord_numeric, negativity_of_quantumness])
     def test_report_flags_runs_cut_by_maxfev(self, monkeypatch, search):
