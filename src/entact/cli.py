@@ -196,27 +196,31 @@ def parse_angle(text: str) -> float:
     return angle
 
 
-def _write_csv(path: Path, header: str, columns, cfg_hash: str, seed: int):
+def _write_csv(path: Path, header: str, columns, cfg_hash: str, seed: int, shared=None):
     """Write one CSV field per entry of `columns`, each a sequence over the rows or a
     scalar that every row repeats: floats as %.12g, other values as str.  A column
-    object given twice is formatted once."""
+    object given twice is formatted once; `shared` maps the id of a column that
+    several files repeat to its `_format_column` fields."""
     n = max((len(c) for c in columns if np.ndim(c)), default=0)
-    fields = {key: _format_column(c, n) for key, c in {id(c): c for c in columns}.items()}
+    shared = shared or {}
+    fields = {i: shared[i] if i in shared else _format_column(c, n)
+              for i, c in {id(c): c for c in columns}.items()}
     rows = zip(*(fields[id(c)] for c in columns), itertools.repeat(f"{cfg_hash},{seed}\n"))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"{SCHEMA_LINE}\n{header},cfg_hash,seed\n" + "".join(map(",".join, rows)))
+    path.write_text(f"{SCHEMA_LINE}\n{header},cfg_hash,seed\n" + "".join(map("".join, rows)))
 
 
 def _format_column(column, n: int) -> list:
-    """The n fields of one `_write_csv` column, formatting each distinct float once."""
+    """The n comma-terminated fields of one `_write_csv` column, formatting each
+    distinct float once."""
     if not np.ndim(column):
-        return [f"{column:.12g}" if isinstance(column, float) else str(column)] * n
+        return [f"{column:.12g}," if isinstance(column, float) else f"{column},"] * n
     values = np.asarray(column)
     if values.dtype != np.float64:
-        return [str(x) for x in column]
+        return [f"{x}," for x in column]
     # the bit view keeps -0.0 apart from 0.0
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(["%.12g" % x for x in bits.view(np.float64).tolist()], dtype=object)
+    text = np.array(["%.12g," % x for x in bits.view(np.float64).tolist()], dtype=object)
     return text[index].tolist()
 
 
@@ -274,13 +278,15 @@ def cmd_certify(cfg: ExperimentConfig, args) -> int:
     _check_chords(cfg, math.prod(map(len, scan_axes(cfg.grid_step))), MAX_GRID_POINTS)
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     scans = sphere_scan([cfg.input_state(q) for q in cfg.q_values], cfg.net, cfg.grid_step)
+    # every q's file repeats the grid's theta and phi columns
+    grid = {id(c): _format_column(c, len(c)) for c in scans[0].columns[:2]}
     for q, (min_low, argmin, (theta, phi, low1, low2), *_) in zip(cfg.q_values, scans):
         # n_theory is the closed form of the ideal chi_q(q), also under noise;
         # n_low, the bound at the grid point, is low2, as low2 >= low1 exactly
         _write_csv(out / f"certify_q{q:.2f}.csv",
                    "q,theta_rad,phi_rad,n_theory,n_low1,n_low2,n_low",
                    (q, theta, phi, negativities_theory(q, theta, phi), low1, low2, low2),
-                   cfg_hash, cfg.seed)
+                   cfg_hash, cfg.seed, grid)
         print(f"q={q}: min_low={min_low:.6f} at (theta={argmin.theta:.6f}, "
               f"phi={argmin.phi:.6f}) -> {'certified' if min_low > 0 else 'not certified'}")
     _write_manifest(out, cfg, "certify", cfg_hash, {  # min_low is n_low2_min - margin

@@ -25,13 +25,13 @@ from .protocol import (
 )
 from .measures import _fibonacci_directions, negativities
 
-# Largest `verify_covering` resolution: its chord kernel holds three (bases,
-# points) float arrays, 77 MB at the 16 distinct bases of the default net; a
-# net-verify run at it peaks near 120 MB resident
+# Largest `verify_covering` resolution: it holds one (bases, points) float array
+# of dot products, 26 MB at the 16 distinct bases of the default net; a
+# net-verify run at it peaks near 68 MiB resident
 MAX_RESOLUTION = 200_000
 # Finest `sphere_scan` grid step, 0.25 degree, and its MAX_GRID_POINTS grid points,
-# whose three (records, points) chord arrays take 44 MB at the 28-setting default
-# net; a certify run at it peaks near 95 MB resident
+# whose chord kernel holds three (records, points) float arrays, 44 MB at the
+# 28-setting default net; a certify run at it peaks near 85 MiB resident
 MIN_GRID_STEP = math.pi / 720
 MAX_GRID_POINTS = 361 * 181
 
@@ -88,7 +88,12 @@ def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
         raise ValueError(f"resolution must lie in [1000, {MAX_RESOLUTION}] sample points")
     bases = dedup_bloch(net)
     lattice = _fibonacci_directions(resolution)
-    worst_gap = float(_basis_chords(bases, lattice).min(axis=0).max())
+    # the nearest basis has the largest |n.m|; the worst point is among those whose
+    # largest |n.m| ties the smallest, so exact chords are taken at those alone
+    dots = bases @ lattice.T
+    near = np.maximum(dots.max(axis=0), -dots.min(axis=0))
+    worst = lattice[~(near > near.min() + 1e-12)]  # all points if any is NaN
+    worst_gap = float(_basis_chords(bases, worst).min(axis=0).max())
     return worst_gap <= epsilon + 1e-9, worst_gap
 
 
@@ -130,12 +135,13 @@ def lower_bounds(records: NetRecords, theta, phi):
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 1 or theta.shape != phi.shape:
         raise ValueError("theta and phi must be 1-D arrays of one length")
-    return _bounds(records, _basis_chords(bloch_vector(records.theta, records.phi),
-                                          bloch_vector(theta, phi)))
+    chords = _basis_chords(bloch_vector(records.theta, records.phi), bloch_vector(theta, phi))
+    return _bounds(records, chords, np.empty_like(chords))
 
 
-def _bounds(records: NetRecords, chords: np.ndarray):
-    """`lower_bounds` from the (records, targets) chord array of the record bases."""
+def _bounds(records: NetRecords, chords: np.ndarray, buf: np.ndarray):
+    """`lower_bounds` from the (records, targets) chord array of the record bases,
+    writing its differences into `buf`, a float array of the same shape."""
     if not len(records.n):
         raise ValueError("lower_bounds needs at least one record")
     if not (records.n >= 0).all():  # also rejects NaN
@@ -144,9 +150,10 @@ def _bounds(records: NetRecords, chords: np.ndarray):
     marginal = np.einsum("jabcb->jac", blocks.reshape(-1, 2, 2, 2, 2))
     centred = blocks - np.einsum("jac,bd->jabcd", marginal, np.eye(2) / 2).reshape(blocks.shape)
     lip = min(1.0, float(np.abs(np.linalg.eigvalsh(centred)).sum(axis=-1).max()))
-    low1 = (rec_n - chords).max(axis=0)
-    # at L = 1 the two bounds are one array, bit for bit
-    return low1, low1 if lip == 1.0 else (rec_n - lip * chords).max(axis=0), lip
+    low1 = np.subtract(rec_n, chords, out=buf).max(axis=0)
+    if lip == 1.0:  # the two bounds are one array, bit for bit
+        return low1, low1, lip
+    return low1, np.subtract(rec_n, np.multiply(lip, chords, out=buf), out=buf).max(axis=0), lip
 
 
 class Scan(NamedTuple):
@@ -172,7 +179,7 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     and a verdict that holds between the grid points too.
 
     Returns one `Scan` per state.  The chords to the grid depend on the net alone,
-    so one chord array serves every state.
+    so one chord array, and one buffer for the bounds, serve every state.
 
     The range theta in [0, pi/2], phi in [0, pi/4] reaches every basis:
     n = (-cos a sin 2 theta, -sin a, cos a cos 2 theta) with a = 2 (theta - 2 phi),
@@ -190,9 +197,9 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
         raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
     theta, phi = NetSpec(*scan_axes(grid_step)).angles()
     chords = _basis_chords(bloch_vector(*net.angles()), bloch_vector(theta, phi))
-    scans = []
+    buf, scans = np.empty_like(chords), []
     for chi in states:
-        low1, low2, lip = _bounds(net_records(chi, net), chords)
+        low1, low2, lip = _bounds(net_records(chi, net), chords, buf)
         # the grid runs theta-major in ascending order, so the first near-tie is the
         # lexicographically smallest; rounding-level changes in chi do not move it
         grid_min = float(low2.min())

@@ -12,6 +12,8 @@ import numpy as np
 
 from entact.qcore import I2, PAULIS, DensityMatrix, projector
 from entact.protocol import NetSpec, WaveplateSetting, bloch_vector, u_b
+from entact.measures import _fibonacci_directions
+from entact.epsnet import _basis_chords
 
 _KET = np.eye(4, dtype=complex)  # |00>, |01>, |10>, |11> with |H> = |0>, |V> = |1>
 BELL_KETS = {
@@ -63,6 +65,13 @@ def dedup_bloch(net: NetSpec) -> np.ndarray:
         if not any(np.abs(v - u).max() <= 1e-8 or np.abs(v + u).max() <= 1e-8 for u in unique):
             unique.append(v)
     return np.array(unique)
+
+
+def covering_gap(net: NetSpec, resolution: int) -> float:
+    """The worst gap of `epsnet.verify_covering` from the full (bases, points) chord
+    array: each lattice point's nearest basis, then the farthest point."""
+    chords = _basis_chords(dedup_bloch(net), _fibonacci_directions(resolution))
+    return float(chords.min(axis=0).max())
 
 
 def pauli_string_matrix(ops: str) -> np.ndarray:

@@ -522,8 +522,10 @@ class TestCommands:
     def test_certify_builds_the_chords_once(self, tmp_path, monkeypatch):
         # the chords from the net's bases to the grid depend on neither q nor the
         # state, so a default call (six q) builds them once, and the grid once: the
-        # net-size check counts the grid's points from its axes
+        # net-size check counts the grid's points from its axes.  Every q's file
+        # shares the grid's theta and phi columns, so each is formatted once
         shapes, chords, sizes, angles = [], epsnet._basis_chords, [], NetSpec.angles
+        formatted, format_column = [], cli._format_column
 
         def counted(bases, points):
             shapes.append((len(bases), len(points)))
@@ -533,12 +535,20 @@ class TestCommands:
             sizes.append(len(net.thetas) * len(net.phis))
             return angles(net)
 
+        def counted_column(column, n):
+            formatted.append(column)
+            return format_column(column, n)
+
         monkeypatch.setattr(epsnet, "_basis_chords", counted)
         monkeypatch.setattr(NetSpec, "angles", counted_angles)
+        monkeypatch.setattr(cli, "_format_column", counted_column)
         assert main(["certify", "--out", str(tmp_path)]) == 0
         assert shapes == [(28, 91 * 46)]
         assert sizes.count(91 * 46) == 1
         assert len(list(tmp_path.glob("certify_q*.csv"))) == 6
+        monkeypatch.undo()
+        for axis in NetSpec(*epsnet.scan_axes(math.pi / 180)).angles():
+            assert sum(np.array_equal(c, axis) for c in formatted if np.ndim(c)) == 1
 
     def test_certify_strict_passes_for_positive_q(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,11 @@
 """Net geometry, the lower-bounds kernel, and full-sphere certification scans."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from entact.qcore import DensityMatrix, chi_q
@@ -30,6 +31,7 @@ from entact.epsnet import (
     MIN_GRID_STEP,
     NetRecords,
     _basis_chords,
+    _bounds,
     cap_radius,
     lower_bounds,
     net_records,
@@ -205,6 +207,35 @@ class TestCoveringPacking:
         packed, dmin = verify_packing(tiny, 0.5)
         assert packed and dmin == math.inf
 
+    @settings(max_examples=40)
+    @given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=5),
+           st.lists(st.floats(0.0, math.pi / 4), min_size=1, max_size=4),
+           st.booleans(), st.floats(0.0, 2.0), st.integers(1000, 20_000))
+    @example(list(default_net().thetas), list(default_net().phis), False, 0.5, 10_000)
+    @example([0.3], [0.1], False, 1.5, 1000)
+    @example([0.3], [0.1], True, 1.5, 1001)
+    def test_covering_matches_the_full_chord_array(self, thetas, phis, repeat, epsilon,
+                                                   resolution):
+        # exact chords at the points whose nearest basis is near-farthest give the
+        # worst gap of the full (bases, points) array bit for bit; `repeat` adds
+        # settings that repeat bases of the grid, which dedup drops
+        if repeat:
+            thetas, phis = thetas + [thetas[-1] + math.pi], phis + [phis[0] + math.pi / 4]
+        net = NetSpec(thetas, phis)
+        gap = reference.covering_gap(net, resolution)
+        assert verify_covering(net, epsilon, resolution) == (gap <= epsilon + 1e-9, gap)
+
+    def test_covering_holds_one_dot_product(self, net):
+        # at the largest resolution the (bases, points) products are the one large
+        # array: the peak stays under 1.5 of them, lattice included
+        tracemalloc.start()
+        try:
+            verify_covering(net, 0.5, MAX_RESOLUTION)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(dedup_bloch(net)) * MAX_RESOLUTION * 8
+
     def test_resolution_floor(self, net):
         # the range is checked before anything is allocated
         for resolution in (10, MAX_RESOLUTION + 1, 10**15):
@@ -288,6 +319,25 @@ class TestBound2:
         records = net_records(chi_q(0.4), default_net())
         target = WaveplateSetting(math.pi / 8, math.pi / 24)
         assert low_at(records, target)[1] <= 0.4 + 1e-10
+
+    def test_bounds_write_into_the_given_buffer(self, records02):
+        # both bounds reduce the given buffer, so no (records, targets) temporary
+        # is allocated, and they equal the allocating expressions bit for bit
+        theta, phi = NetSpec(*scan_axes(math.pi / 180)).angles()
+        chords = _basis_chords(bloch_vector(records02.theta, records02.phi),
+                               bloch_vector(theta, phi))
+        buf = np.empty_like(chords)
+        tracemalloc.start()
+        try:
+            low1, low2, lip = _bounds(records02, chords, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lip < 1.0  # so low2 is a second pass through the buffer
+        assert peak < chords.nbytes / 2
+        rec_n = records02.n[:, None]
+        assert low1.tobytes() == (rec_n - chords).max(axis=0).tobytes()
+        assert low2.tobytes() == (rec_n - lip * chords).max(axis=0).tobytes()
 
     def test_requires_states(self, records02):
         # records always carry the premeasurement blocks that L is read from
