@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .qcore import DensityMatrix, chi_q, fidelity
-from .protocol import NetSpec, WaveplateSetting, default_net, premeasurement
+from .protocol import NetSpec, WaveplateSetting, _premeasure, default_net, premeasurement, u_b
 from .measures import discord_numeric, discord_x_state, negativities, negativities_theory
 from .epsnet import (
     MAX_GRID_POINTS,
@@ -33,7 +33,7 @@ from .epsnet import (
     verify_covering,
     verify_packing,
 )
-from .witnesses import expect, w2, w3
+from .witnesses import expectations, w2, w3
 from .tomo import (E_MAX, MC_REPS_MAX, MC_REPS_MIN, mc_errorbar, pauli_expectations_exact,
                    reconstruct_from_expectations, tomography)
 
@@ -45,8 +45,8 @@ DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 # 0.165 at 100 and 1.77 at 1)
 MAX_ZERO_SETTINGS = 0
 MAX_CLIPPED_MASS = 0.1
-# activate and discord-match hold every net record (about 1.8 kB a setting): at
-# this many settings they peak near 61 and 99 MiB resident
+# activate and discord-match hold one q's net records (about 1.8 kB a setting) at
+# once: at this many settings they peak near 62 and 79 MiB resident
 MAX_NET_SETTINGS = 10_000
 
 
@@ -239,10 +239,9 @@ def cmd_activate(cfg: ExperimentConfig, args) -> int:
     clipping = []  # tomography diagnostics per (q, setting) under --mc-reps
     warnings = []
     ab_m = functools.partial(negativities, dims=(2, 2, 2), cut=(0, 1))  # each rep's N(AB|M)
-    for q in cfg.q_values:
-        chi = cfg.input_state(q)
-        # exact values come straight from the records; only tomography needs a state
-        rec = net_records(chi, cfg.net)
+    states = [cfg.input_state(q) for q in cfg.q_values]
+    # exact values come straight from the records; only tomography needs a state
+    for q, chi, rec in zip(cfg.q_values, states, net_records(states, cfg.net)):
         value, err = rec.n, 0.0
         if cfg.mc_reps > 0:
             value, err = [], []
@@ -301,14 +300,15 @@ def cmd_discord_match(cfg: ExperimentConfig, args) -> int:
     _check_settings(cfg, args.command)
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     rows, searches, minimisers = [], {}, {}  # per q: the search report, its minimiser
-    for q in cfg.q_values:
-        chi = cfg.input_state(q)
-        min_net = float(net_records(chi, cfg.net).n.min())
+    states = [cfg.input_state(q) for q in cfg.q_values]
+    # the records of every q come before scipy loads, so the two peaks do not add
+    net_mins = [float(rec.n.min()) for rec in net_records(states, cfg.net)]
+    for q, chi, net_min in zip(cfg.q_values, states, net_mins):
         # measured on B, the discord is min_n N(n), so its one search
         # (`negativity_of_quantumness`) gives both d_numeric and q_n
         res = discord_numeric(chi)
         searches[str(q)], minimisers[str(q)] = asdict(res.search), asdict(res.settings_used)
-        rows.append((q, discord_x_state(chi), res.value, min_net, res.value))
+        rows.append((q, discord_x_state(chi), res.value, net_min, res.value))
     # the search always ends on a finite value, so every row's status is ok
     _write_csv(out / "discord_match.csv", "q,d_closed,d_numeric,min_net_negativity,q_n,status",
                tuple(zip(*rows)) + ("ok",), cfg_hash, cfg.seed)
@@ -319,15 +319,12 @@ def cmd_discord_match(cfg: ExperimentConfig, args) -> int:
 
 def cmd_witness(cfg: ExperimentConfig, args) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
-    rows = []
-    worst_setting = WaveplateSetting(math.pi / 4, 0.0)
-    bipartite, tripartite = w2(), w3()
-    for q in cfg.q_values:
-        chi = cfg.input_state(q)
-        rho = premeasurement(chi, worst_setting)
-        rows.append((q, expect(bipartite, chi), expect(tripartite, rho), 0.5 - q))
-    _write_csv(out / "witness.csv", "q,w2_expect,w3_expect,theory", tuple(zip(*rows)),
-               cfg_hash, cfg.seed)
+    chis = np.array([cfg.input_state(q).mat for q in cfg.q_values])
+    # W3 is read at (pi/4, 0), the setting that makes W3's GHZ~ state from |Psi+>
+    rhos = _premeasure(chis, u_b(math.pi / 4, 0.0))
+    _write_csv(out / "witness.csv", "q,w2_expect,w3_expect,theory",
+               (cfg.q_values, expectations(w2(), chis), expectations(w3(), rhos),
+                [0.5 - q for q in cfg.q_values]), cfg_hash, cfg.seed)
     _write_manifest(out, cfg, "witness", cfg_hash)
     return 0
 

@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qcore import DensityMatrix
 from .protocol import (
     _CNOT_IMAGE,
     NetSpec,
@@ -34,6 +33,10 @@ MAX_RESOLUTION = 200_000
 # 28-setting default net; a certify run at it peaks near 85 MiB resident
 MIN_GRID_STEP = math.pi / 720
 MAX_GRID_POINTS = 361 * 181
+# Most premeasurement states that one stacked `net_records` call takes, or one
+# state's net if larger: past about a thousand states the cost per state no longer
+# falls, and each holds about 2.2 kB in the call, small beside certify's chords
+MAX_STACK = 1_024
 
 
 class NetRecords(NamedTuple):
@@ -47,15 +50,22 @@ class NetRecords(NamedTuple):
     blocks: np.ndarray
 
 
-def net_records(chi: DensityMatrix, net: NetSpec) -> NetRecords:
-    """The records of `chi` on every setting of `net`, theta-major like
-    `net.angles()`, from one stacked premeasurement and one stacked `eigvalsh`."""
-    if chi.dims != (2, 2):
-        raise ValueError(f"chi must be a 2-qubit state, got dims {chi.dims}")
+def net_records(states, net: NetSpec):
+    """The records of each 2-qubit state of the sequence `states` on every setting of
+    `net`, theta-major like `net.angles()`, yielded one `NetRecords` per state.
+
+    u_b is built once over the net; each stacked premeasurement and `eigvalsh` call
+    takes as many states as keep its (states x settings) stack within MAX_STACK, and
+    at least one, so a caller that drops each record holds no more than one call."""
+    if any(chi.dims != (2, 2) for chi in states):
+        raise ValueError("every state must be a 2-qubit state")
     theta, phi = net.angles()
-    states = _premeasure(chi.mat, u_b(theta, phi))
-    return NetRecords(theta, phi, negativities(states, (2, 2, 2), [0, 1]),
-                      states[:, _CNOT_IMAGE[:, None], _CNOT_IMAGE])
+    u, per_call = u_b(theta, phi), max(1, MAX_STACK // max(len(theta), 1))
+    for i in range(0, len(states), per_call):
+        stack = _premeasure(np.array([chi.mat for chi in states[i:i + per_call]])[:, None], u)
+        n = negativities(stack.reshape(-1, 8, 8), (2, 2, 2), [0, 1]).reshape(stack.shape[:2])
+        stack = stack[..., _CNOT_IMAGE[:, None], _CNOT_IMAGE]  # frees the 8x8 states
+        yield from (NetRecords(theta, phi, *rec) for rec in zip(n, stack))
 
 
 def cap_radius(epsilon: float) -> float:
@@ -71,7 +81,8 @@ def _basis_chords(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
     sqrt(2 (1 - |n.m|)) it keeps full precision near coincident bases."""
     # one contiguous row per point coordinate; in place, so that three
     # (bases, points) arrays are the peak
-    sign = np.copysign(1.0, bases @ points.T)
+    sign = bases @ points.T
+    np.copysign(1.0, sign, out=sign)
     sq, d = np.zeros_like(sign), np.empty_like(sign)
     for x, m in zip(np.ascontiguousarray(points.T), bases.T):
         np.subtract(x, np.multiply(sign, m[:, None], out=d), out=d)
@@ -198,8 +209,8 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     theta, phi = NetSpec(*scan_axes(grid_step)).angles()
     chords = _basis_chords(bloch_vector(*net.angles()), bloch_vector(theta, phi))
     buf, scans = np.empty_like(chords), []
-    for chi in states:
-        low1, low2, lip = _bounds(net_records(chi, net), chords, buf)
+    for records in net_records(states, net):
+        low1, low2, lip = _bounds(records, chords, buf)
         # the grid runs theta-major in ascending order, so the first near-tie is the
         # lexicographically smallest; rounding-level changes in chi do not move it
         grid_min = float(low2.min())

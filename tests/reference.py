@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from entact.qcore import I2, PAULIS, DensityMatrix, projector
-from entact.protocol import NetSpec, WaveplateSetting, bloch_vector, u_b
-from entact.measures import _fibonacci_directions
+from entact.protocol import NetSpec, WaveplateSetting, bloch_vector, premeasurement, u_b
+from entact.measures import _fibonacci_directions, negativity
 from entact.epsnet import _basis_chords
 
 _KET = np.eye(4, dtype=complex)  # |00>, |01>, |10>, |11> with |H> = |0>, |V> = |1>
@@ -65,6 +65,25 @@ def dedup_bloch(net: NetSpec) -> np.ndarray:
         if not any(np.abs(v - u).max() <= 1e-8 or np.abs(v + u).max() <= 1e-8 for u in unique):
             unique.append(v)
     return np.array(unique)
+
+
+def net_records(states, net: NetSpec) -> list:
+    """(n, blocks) of each state on the settings of `net`, one setting at a time: the
+    AB|M `negativity` of its `premeasurement` state there, as an array over the
+    settings, and the state's 4x4 blocks on rows and columns 0, 3, 4, 7, the
+    C-NOT's image of |a, b, 0>, after checking that the state is zero off them."""
+    image = np.ix_([0, 3, 4, 7], [0, 3, 4, 7])
+    records = []
+    for chi in states:
+        rhos = [premeasurement(chi, s) for s in net_settings(net)]
+        for rho in rhos:
+            outside = rho.mat.copy()
+            outside[image] = 0.0
+            assert not outside.any()
+        n = np.array([negativity(rho, [0, 1]) for rho in rhos], dtype=float)
+        blocks = np.array([rho.mat[image] for rho in rhos], dtype=complex)
+        records.append((n, blocks.reshape(-1, 4, 4)))
+    return records
 
 
 def covering_gap(net: NetSpec, resolution: int) -> float:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import entact
-from entact import cli, epsnet, measures
+from entact import cli, epsnet, measures, protocol
 from entact.epsnet import MAX_RESOLUTION, MIN_GRID_STEP, lower_bounds, net_records
 from entact.cli import (
     MAX_CLIPPED_MASS,
@@ -32,8 +32,10 @@ from entact.cli import (
     parse_angle,
 )
 from entact.measures import negativities_offdiag, negativities_theory, negativity
-from entact.protocol import NetSpec, bloch_vector, default_net, premeasurement
+from entact.protocol import (NetSpec, WaveplateSetting, bloch_vector, default_net,
+                             premeasurement, u_b)
 from entact.qcore import DensityMatrix
+from entact.witnesses import expect, w2, w3
 from reference import density_from_json, net_settings
 
 
@@ -365,7 +367,8 @@ class TestCommands:
                 "certify": n_settings * points > default * epsnet.MAX_GRID_POINTS,
                 "net-verify": n_settings * resolution > default * MAX_RESOLUTION}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            for name in ("net_records", "sphere_scan", "verify_covering", "premeasurement"):
+            for name in ("net_records", "sphere_scan", "verify_covering", "premeasurement",
+                         "_premeasure"):
                 mp.setattr(cli, name, kernel)
             (path := Path(tmp) / "cfg.json").write_text(json.dumps(config))
             for command in COMMANDS:
@@ -451,7 +454,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
     def test_activate_reads_the_net_records(self, tmp_path, monkeypatch, noise):
-        # exact mode takes its values from one batched `net_records` call per q:
+        # exact mode takes its values from one stacked `net_records` call for all q:
         # it builds no 3-qubit state, and each row still carries the brute-force
         # negativity of its premeasurement state bit for bit
         written, three_qubit = {}, []
@@ -488,6 +491,58 @@ class TestCommands:
                 assert v == negativity(premeasurement(chi, s), [0, 1])
                 # the closed form of the ideal chi_q, also under noise
                 assert t == float(negativities_theory(q, th, ph))
+
+    @pytest.mark.parametrize("command", ["activate", "certify", "discord-match"])
+    def test_one_records_call_for_every_q(self, tmp_path, monkeypatch, command):
+        # the six default q share one stacked records call: u_b is built once over
+        # the 28 settings, and one eigvalsh call takes all 6 x 28 premeasurement states
+        built, solved, eigvalsh = [], [], np.linalg.eigvalsh
+
+        def counted_u_b(theta, phi):
+            built.append(np.shape(theta))
+            return u_b(theta, phi)
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            if np.shape(a)[-1] == 8:
+                solved.append(np.shape(a)[:-2])
+            return eigvalsh(a, *args, **kwargs)
+
+        for module in (protocol, epsnet, cli):
+            monkeypatch.setattr(module, "u_b", counted_u_b)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        assert main([command, "--out", str(tmp_path)]) == 0
+        assert built == [(28,)]
+        assert solved == [(6 * 28,)]
+
+    @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
+    def test_witness_lines_from_stacked_states(self, tmp_path, monkeypatch, noise):
+        # both lines are read off stacks over q, with no 3-qubit state built, and
+        # each value holds the bits of the per-q `expect` of its state
+        written, three_qubit = {}, []
+        write_csv, post_init = cli._write_csv, DensityMatrix.__post_init__
+
+        def recorded(path, header, columns, cfg_hash, seed):
+            written[path.name] = columns
+            write_csv(path, header, columns, cfg_hash, seed)
+
+        def counted(dm):
+            post_init(dm)
+            if dm.dims == (2, 2, 2):
+                three_qubit.append(dm)
+
+        monkeypatch.setattr(cli, "_write_csv", recorded)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+        assert main(["witness", "--noise", noise, "--out", str(tmp_path)]) == 0
+        monkeypatch.undo()
+        assert three_qubit == []
+        cfg, worst = ExperimentConfig(noise=noise), WaveplateSetting(math.pi / 4, 0.0)
+        q_col, w2_line, w3_line, theory = written["witness.csv"]
+        assert list(q_col) == list(cfg.q_values)
+        assert list(theory) == [0.5 - q for q in cfg.q_values]
+        for q, w2_value, w3_value in zip(cfg.q_values, w2_line.tolist(), w3_line.tolist()):
+            chi = cfg.input_state(q)
+            assert w2_value == expect(w2(), chi)
+            assert w3_value == expect(w3(), premeasurement(chi, worst))
 
     @pytest.mark.parametrize("command", ["activate", "certify"])
     def test_colliding_q_labels_exit_2(self, tmp_path, capsys, command):
@@ -578,7 +633,7 @@ class TestCommands:
             assert r["min_low"] == r["n_low2_min"] - r["margin"]
             assert r["margin"] == r["L"] * (2.0 + math.sqrt(2.0)) * step
             chi = ExperimentConfig(noise="werner:0.9").input_state(float(q))
-            assert r["L"] == lower_bounds(net_records(chi, default_net()), [0.0], [0.0])[2]
+            assert r["L"] == lower_bounds(next(net_records([chi], default_net())), [0.0], [0.0])[2]
             assert line.startswith(f"q={q}: min_low={r['min_low']:.6f} ")
             _, rows = read_csv(tmp_path / f"certify_q{float(q):.2f}.csv")
             assert min(float(row[5]) for row in rows) == pytest.approx(r["n_low2_min"],

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from entact import epsnet
 from entact.qcore import DensityMatrix, chi_q
 from entact.protocol import (
     _CNOT_IMAGE,
@@ -42,11 +43,27 @@ from entact.epsnet import (
 )
 import reference
 from reference import unit_vector, werner_mix
+from test_measures import random_state
 from test_protocol import full_rank_state
 
 # exact covering radius of the default net: the worst point sits on the
 # phi = 0 meridian midway between adjacent theta settings (15 degrees away)
 COVERING_RADIUS = 2.0 * math.sin(math.pi / 12)
+
+
+RE_IM = arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0))
+# full-rank, rank-1 and rank-2 random states, chi_q, and chi_q mixed with white noise
+STATES = st.one_of(
+    RE_IM.map(full_rank_state),
+    st.builds(lambda re_im, rank: DensityMatrix(random_state(re_im, rank), (2, 2)),
+              RE_IM, st.integers(1, 2)),
+    st.floats(0.0, 1.0).map(chi_q),
+    st.builds(lambda q, v: DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2)),
+              st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+# up to 5 x 4 settings at any angles; no theta gives the empty net
+NETS = st.builds(NetSpec, st.lists(st.floats(-math.pi, math.pi), max_size=5),
+                 st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4))
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +73,7 @@ def net():
 
 @pytest.fixture(scope="module")
 def records02(net):
-    return net_records(chi_q(0.2), net)
+    return next(net_records([chi_q(0.2)], net))
 
 
 def setting(records, j):
@@ -122,7 +139,7 @@ class TestNetSpec:
         # brute-force record values agree with the chi_q closed form, with exact
         # zeros at q = 0 (a spurious +4e-16 there would certify a classical state)
         for q in (0.0, 0.2, 0.6):
-            records = net_records(chi_q(q), net)
+            [records] = net_records([chi_q(q)], net)
             assert records.blocks.shape == (28, 4, 4)
             theory = negativities_theory(q, records.theta, records.phi)
             for value, closed in zip(records.n.tolist(), theory.tolist()):
@@ -137,7 +154,7 @@ class TestNetSpec:
         # the whole net in one kernel call gives the bits of one call per setting
         for chi in (full_rank_state(re_im), chi_q(0.0), chi_q(0.2), chi_q(1.0)):
             net = default_net()
-            records = net_records(chi, net)
+            [records] = net_records([chi], net)
             ordered = reference.net_settings(net)
             assert [setting(records, j) for j in range(len(records.n))] == ordered
             for s, value, block in zip(ordered, records.n.tolist(), records.blocks):
@@ -149,8 +166,65 @@ class TestNetSpec:
                 outside[_CNOT_IMAGE[:, None], _CNOT_IMAGE] = 0.0
                 assert not outside.any()
 
+    @settings(max_examples=40)
+    @given(st.lists(STATES, min_size=1, max_size=7), NETS, st.integers(1, 12))
+    @example([chi_q(0.2), chi_q(0.6)], NetSpec((), (0.0,)), 1)
+    @example([chi_q(q) for q in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)], default_net(), 28)
+    def test_stacked_records_match_a_per_setting_reference(self, states, net, bound):
+        # the records of a stack of states hold the bits of one premeasurement and
+        # one negativity per state and setting; with the stack bound lowered to
+        # `bound` states, the same draw spans several stacked calls, none past the
+        # bound unless one state's settings are, and gives the same records
+        records = list(net_records(states, net))
+        assert len(records) == len(states)
+        ordered = reference.net_settings(net)
+        for rec, (n, blocks) in zip(records, reference.net_records(states, net)):
+            assert [setting(rec, j) for j in range(len(rec.n))] == ordered
+            assert (rec.n.shape, rec.n.tobytes()) == (n.shape, n.tobytes())
+            assert (rec.blocks.shape, rec.blocks.tobytes()) == (blocks.shape, blocks.tobytes())
+        sizes, premeasure = [], epsnet._premeasure
+
+        def counted(chi, u):
+            sizes.append(len(chi) * len(u))
+            return premeasure(chi, u)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(epsnet, "MAX_STACK", bound)
+            mp.setattr(epsnet, "_premeasure", counted)
+            split = list(net_records(states, net))
+        assert sum(sizes) == len(states) * len(ordered)
+        assert max(sizes) <= max(bound, len(ordered))
+        for rec, again in zip(records, split):
+            assert [a.tobytes() for a in rec] == [a.tobytes() for a in again]
+
+    def test_stacked_records_hold_one_call(self, monkeypatch):
+        # at a stack bound of one q's settings, 12 q take 12 calls, and each call's
+        # states are freed before the next: the records of 12 q peak within 1.5
+        # times those of one q
+        net = NetSpec(np.linspace(0.0, 1.5, 20), np.linspace(0.0, 0.7, 20))
+        monkeypatch.setattr(epsnet, "MAX_STACK", 400)
+        states = [chi_q(q) for q in np.linspace(0.0, 1.0, 12)]
+
+        def peak(states):
+            tracemalloc.start()
+            try:
+                for rec in net_records(states, net):
+                    assert rec.n.shape == (400,)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(states[:1])
+        one, twelve = peak(states[:1]), peak(states)
+        assert twelve < 1.5 * one
+
+    def test_records_take_two_qubit_states(self, net):
+        three_qubit = premeasurement(chi_q(0.2), WaveplateSetting(0.0, 0.0))
+        with pytest.raises(ValueError, match="2-qubit"):
+            list(net_records([chi_q(0.2), three_qubit], net))
+
     def test_net_records_of_an_empty_net(self):
-        records = net_records(chi_q(0.2), NetSpec((), (0.0,)))
+        [records] = net_records([chi_q(0.2)], NetSpec((), (0.0,)))
         assert records.theta.shape == records.phi.shape == records.n.shape == (0,)
         assert records.blocks.shape == (0, 4, 4)
 
@@ -279,7 +353,7 @@ class TestBound1:
         assert low_at(records02, WaveplateSetting(math.pi / 4, 0.0))[0] >= 0.05
 
     def test_empty_records(self):
-        empty = net_records(chi_q(0.2), NetSpec((), (0.0,)))
+        [empty] = net_records([chi_q(0.2)], NetSpec((), (0.0,)))
         with pytest.raises(ValueError, match="at least one record"):
             lower_bounds(empty, [0.0], [0.0])
 
@@ -316,7 +390,7 @@ class TestBound2:
             records02.n[7], abs=1e-10)
 
     def test_never_exceeds_true_negativity(self):
-        records = net_records(chi_q(0.4), default_net())
+        [records] = net_records([chi_q(0.4)], default_net())
         target = WaveplateSetting(math.pi / 8, math.pi / 24)
         assert low_at(records, target)[1] <= 0.4 + 1e-10
 
@@ -348,15 +422,15 @@ class TestBound2:
     @given(st.integers(0, 2**32 - 1).map(seeded_state))
     def test_lipschitz_constant_from_the_records(self, chi):
         # every record's block gives ||chi - chi_A x I/2||_1, whatever B rotation
-        _, _, lip = lower_bounds(net_records(chi, default_net()), [0.0], [0.0])
+        _, _, lip = lower_bounds(next(net_records([chi], default_net())), [0.0], [0.0])
         assert lip == pytest.approx(lipschitz_reference(chi), abs=1e-12)
 
     def test_lipschitz_constant_of_chi_q(self):
         # chi_q is Bell-diagonal, so chi_A = I/2 and ||chi_q - I/4||_1 is
         # |q - 1/4| + 2 |(1 - q)/2 - 1/4| + 1/4
         for q, lip in ((0.2, 0.6), (0.0, 1.0), (1.0, 1.0)):
-            assert lower_bounds(net_records(chi_q(q), default_net()), [0.0], [0.0])[2] == \
-                pytest.approx(lip, abs=1e-12)
+            [records] = net_records([chi_q(q)], default_net())
+            assert lower_bounds(records, [0.0], [0.0])[2] == pytest.approx(lip, abs=1e-12)
 
     @settings(max_examples=100)
     @given(st.integers(0, 2**32 - 1).map(seeded_state), st.integers(0, 2**32 - 1),
@@ -393,7 +467,7 @@ class TestCombinedBound:
         assert (low <= negativities_theory(0.2, theta, phi) + 1e-9).all()
 
     def test_soundness_at_classical_point(self, net):
-        recs = net_records(chi_q(0.0), net)
+        [recs] = net_records([chi_q(0.0)], net)
         assert max(low_at(recs, WaveplateSetting(math.pi / 4, 0.0))) <= 1e-12
 
     def test_monotone_under_record_removal(self, records02):
@@ -410,7 +484,8 @@ class TestCombinedBound:
         # both bounds rest on N(n) being L-Lipschitz in the chord metric, which
         # is checked here beyond chi_q
         chi = full_rank_state(re_im)
-        low1, low2, _ = lower_bounds(net_records(chi, default_net()), *np.array(targets).T)
+        [records] = net_records([chi], default_net())
+        low1, low2, _ = lower_bounds(records, *np.array(targets).T)
         assert (low2 >= low1).all()
         for (th, ph), b in zip(targets, low2):
             assert b <= negativity_offdiag(chi, bloch_vector(th, ph)) + 1e-9
@@ -449,7 +524,7 @@ class TestSphereScan:
         chi = chi_q(0.2)
         for step in (math.pi / 180, 0.0349):
             [scan] = sphere_scan([chi], net, grid_step=step)
-            _, _, lip = lower_bounds(net_records(chi, net), [0.0], [0.0])
+            _, _, lip = lower_bounds(next(net_records([chi], net)), [0.0], [0.0])
             # the parts of the verdict that the certify manifest records
             assert (scan.grid_min, scan.lip) == (scan.columns[3].min(), lip)
             assert scan.margin == lip * (2.0 + math.sqrt(2.0)) * step
@@ -502,7 +577,7 @@ class TestSphereScan:
         scans = sphere_scan(states, net, grid_step=step)
         assert len(scans) == len(states)
         for chi, (min_low, argmin, columns, *_) in zip(states, scans):
-            low1, low2, lip = lower_bounds(net_records(chi, net), theta, phi)
+            low1, low2, lip = lower_bounds(next(net_records([chi], net)), theta, phi)
             for got, want in zip(columns, (theta, phi, low1, low2)):
                 assert got.tobytes() == want.tobytes()
             i = int(np.flatnonzero(low2 <= low2.min() + 1e-12)[0])

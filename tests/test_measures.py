@@ -389,7 +389,8 @@ class TestGuards:
 
     def test_traced_witness_run_records_its_spans(self, tmp_path):
         # the witness operators are built once per process, yet each call of w3
-        # still goes through the name that the traced run wraps
+        # still goes through the name that the traced run wraps; both witness lines
+        # come from stacked `expectations` calls, so `expect` is not called
         tracer = load_bench_tracing().Tracer()
         tracer.install()
         try:
@@ -397,7 +398,7 @@ class TestGuards:
         finally:
             tracer.uninstall()
         calls = {name: rec[0] for name, rec in tracer.by_name().items()}
-        assert (calls["cli.main"], calls["witnesses.w3"], calls["witnesses.expect"]) == (1, 1, 12)
+        assert (calls["cli.main"], calls["witnesses.w3"], calls["witnesses.expect"]) == (1, 1, 0)
 
     def test_optimisers_call_no_eigensolver(self, monkeypatch):
         chi = full_rank_state(np.random.default_rng(5).normal(size=(2, 4, 4)))
