@@ -177,13 +177,14 @@ def _check_chords(cfg: ExperimentConfig, points: int, most: int):
 
 
 def parse_angle(text: str) -> float:
-    """Angle given in degrees ('15') or as a fraction of pi ('1/12 pi', '0.25pi')."""
+    """Angle given in degrees ('15') or as a fraction of pi ('1/12 pi', '0.25pi',
+    '-pi')."""
     t = text.strip().lower()
     try:
         if not t.endswith("pi"):
             angle = math.radians(float(t))
-        elif not (frac := t[:-2].strip().rstrip("*").strip()):
-            angle = math.pi
+        elif (frac := t[:-2].strip().rstrip("*").strip()) in ("", "+", "-"):
+            angle = -math.pi if frac == "-" else math.pi
         elif "/" in frac:
             num, den = frac.split("/")
             angle = float(num) / float(den) * math.pi
@@ -240,8 +241,10 @@ def cmd_activate(cfg: ExperimentConfig, args) -> int:
     warnings = []
     ab_m = functools.partial(negativities, dims=(2, 2, 2), cut=(0, 1))  # each rep's N(AB|M)
     states = [cfg.input_state(q) for q in cfg.q_values]
+    angles = {}  # every q's records share the net's theta and phi columns
     # exact values come straight from the records; only tomography needs a state
     for q, chi, rec in zip(cfg.q_values, states, net_records(states, cfg.net)):
+        angles = angles or {id(c): _format_column(c, len(c)) for c in (rec.theta, rec.phi)}
         value, err = rec.n, 0.0
         if cfg.mc_reps > 0:
             value, err = [], []
@@ -258,7 +261,7 @@ def cmd_activate(cfg: ExperimentConfig, args) -> int:
                     clipping[-1]["clipped_mass_mean"], clipping[-1]["zero_settings_max"])
         _write_csv(out / f"activate_q{q:.2f}.csv", "q,theta_rad,phi_rad,n_theory,n_value,n_std",
                    (q, rec.theta, rec.phi, negativities_theory(q, rec.theta, rec.phi), value, err),
-                   cfg_hash, cfg.seed)
+                   cfg_hash, cfg.seed, angles)
     results = {"tomography": clipping} if clipping else {}
     if warnings:
         print(f"warning: {len(warnings)} of {len(clipping)} tomography runs crossed a "

@@ -4,9 +4,11 @@ Poissonian counts of every Pauli setting with a counter-based RNG,
 linear-inversion reconstruction with PSD projection, and Monte-Carlo error bars
 for derived quantities.  Counts are int arrays (setting, outcome): the 3^n
 settings in `itertools.product("XYZ", repeat=n)` order, the 2^n outcomes as bit
-strings with qubit 0 most significant, bit 1 the -1 eigenvalue.  One batched
-pipeline (counts, inversion, projection over a stack of reps) serves both the
-Monte-Carlo loop and the single-shot functions.
+strings with qubit 0 most significant, bit 1 the -1 eigenvalue.  One parity
+matrix describes the measurement both ways: it maps a state's Pauli expectations
+to its Born probabilities, and the observed frequencies back to the expectations.
+One batched pipeline (counts, inversion, projection over a stack of reps) serves
+both the Monte-Carlo loop and the single-shot functions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .qcore import DensityMatrix, _kron_power, pauli_basis, projector
+from .qcore import DensityMatrix, _kron_power, pauli_basis
 
 # numpy's Poisson sampler rejects means above about 9.2e18, and each mean is the
 # exposure times an outcome probability of at most 1
@@ -32,13 +34,6 @@ MC_REPS_MAX = 100_000
 _BLOCK = 64
 # `project_psd` input further than this from trace 1 is no reconstruction
 _RECONSTRUCTION_TRACE_TOL = 0.2
-
-_AXIS_EIGENBASES = {
-    # columns: +1 and -1 eigenvectors with a fixed phase convention
-    "X": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "Y": np.array([[1, 1], [1j, -1j]], dtype=complex) / math.sqrt(2),
-    "Z": np.array([[1, 0], [0, 1]], dtype=complex),
-}
 
 
 def _check_exposure(exposure: float):
@@ -55,26 +50,14 @@ def _check_index(name: str, value, bits: int) -> int:
     return int(value)
 
 
-@functools.cache
-def _projector_stack(n_qubits: int) -> np.ndarray:
-    """The rank-1 outcome projectors of every Pauli setting, for n in {2, 3}, as one
-    read-only (setting, outcome, d, d) array in the count layout; each is the kron
-    of one single-qubit eigenprojector per qubit.  Built once: restacking 221 kB
-    per 3-qubit call left malloc to return it to the OS and fault it back in on
-    every Monte-Carlo state."""
-    if n_qubits not in (2, 3):
-        raise ValueError(f"unsupported qubit count {n_qubits}")
-    # (axis, outcome, 2, 2): the +1 and -1 eigenprojectors of X, Y and Z
-    single = np.array([[projector(b[:, k]) for k in (0, 1)] for b in _AXIS_EIGENBASES.values()])
-    projs = _kron_power(single, n_qubits)
-    projs.flags.writeable = False
-    return projs
-
-
-def _born(projs: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """Outcome probabilities (setting, outcome) of the state `mat` under the
-    projector stack `projs` (setting, outcome, d, d), clipped at 0."""
-    return np.clip(np.trace(projs @ mat, axis1=-2, axis2=-1).real, 0.0, None)
+def _born(rho: DensityMatrix) -> np.ndarray:
+    """Outcome probabilities (setting, outcome) of `rho`, for n in {2, 3}: each is
+    the parity-weighted sum of its Pauli expectations over 2^n, clipped at 0."""
+    n_qubits = rho.n_qubits
+    if n_qubits not in (2, 3) or rho.dims != (2,) * n_qubits:
+        raise ValueError(f"unsupported qubit count: dims {rho.dims}, expected 2 or 3 qubits")
+    p = _inversion_matrices(n_qubits)[0] @ pauli_expectations_exact(rho) / 2**n_qubits
+    return np.clip(p, 0.0, None).reshape(3**n_qubits, 2**n_qubits)
 
 
 def _draw(lam: np.ndarray, seed: int, reps: Sequence[int]) -> np.ndarray:
@@ -105,7 +88,7 @@ def simulate_counts(rho: DensityMatrix, exposure: float, seed: int, rep: int = 0
     Pauli setting, as a (3^n, 2^n) int array; rep r draws from Philox(seed).jumped(r)."""
     _check_exposure(exposure)
     seed, rep = _check_index("seed", seed, 64), _check_index("rep", rep, 128)
-    return _draw(exposure * _born(_projector_stack(rho.n_qubits), rho.mat), seed, (rep,))[0]
+    return _draw(exposure * _born(rho), seed, (rep,))[0]
 
 
 def project_psd(h) -> DensityMatrix:
@@ -159,26 +142,21 @@ def _project(h: np.ndarray):
 
 
 @functools.cache
-def _parity_table(n_qubits: int) -> np.ndarray:
-    """Read-only (3^n, 4^n, 2^n) table: the eigenvalue (+-1) of each Pauli string,
-    in `pauli_basis` order, on each outcome of each setting in the count layout,
-    and 0 where that setting does not measure the string."""
-    # per qubit (axis, op, outcome): I reads +1, the measured axis +-1, the others 0
-    single = np.array([[[1, 1] if op == "I" else [1, -1] if op == axis else [0, 0]
-                        for op in "IXYZ"] for axis in "XYZ"])
-    parities = _kron_power(single, n_qubits).astype(float)  # integers keep every 0 unsigned
-    parities.flags.writeable = False
-    return parities
-
-
-@functools.cache
 def _inversion_matrices(n_qubits: int):
-    """Read-only real matrices of the two contractions of the linear inversion:
-    the parity table as a (3^n 2^n, 4^n) matrix from the flattened frequencies of
-    a rep to its parity sums, and the real and imaginary parts of
-    `pauli_basis(n) / 2^n` as (4^n, 4^n) matrices from its Pauli expectations to
-    its flattened state.  Two real products beat one complex one by far."""
-    parity = _parity_table(n_qubits).transpose(0, 2, 1).reshape(-1, 4**n_qubits)
+    """Read-only real matrices of the measurement and its linear inversion.
+
+    The parity matrix (3^n 2^n, 4^n) holds the eigenvalue (+-1) of each Pauli
+    string, in `pauli_basis` order, on each outcome of each setting in the count
+    layout, and 0 where that setting does not measure the string: it maps a
+    state's Pauli expectations to 2^n times its outcome probabilities, and a
+    rep's flattened frequencies to its parity sums.  The real and imaginary parts
+    of `pauli_basis(n) / 2^n`, as (4^n, 4^n) matrices, map Pauli expectations to
+    the flattened state.  Two real products beat one complex one by far."""
+    # per qubit (axis, outcome, op): I reads +1, the measured axis +-1, the others 0
+    single = np.array([[[1 if op == "I" else sign * (op == axis) for op in "IXYZ"]
+                        for sign in (1, -1)] for axis in "XYZ"])
+    # integers keep every 0 unsigned
+    parity = _kron_power(single, n_qubits).astype(float).reshape(-1, 4**n_qubits)
     basis = pauli_basis(n_qubits).reshape(4**n_qubits, -1) / 2**n_qubits
     matrices = parity, basis.real.copy(), basis.imag.copy()
     for m in matrices:
@@ -244,9 +222,10 @@ def _reconstruct(counts: np.ndarray, n_qubits: int):
     totals = c.sum(axis=2)
     kept = totals > 0
     freq = np.divide(c, totals[..., None], out=np.zeros_like(c), where=kept[..., None])
-    sums = _rowwise(freq.reshape(len(c), -1), _inversion_matrices(n_qubits)[0])
-    # outcome 0 has parity +1 on every measured string
-    hits = kept @ _parity_table(n_qubits)[:, :, 0]
+    parity = _inversion_matrices(n_qubits)[0]
+    sums = _rowwise(freq.reshape(len(c), -1), parity)
+    # outcome 0, every 2^n-th row, has parity +1 on every measured string
+    hits = kept @ parity[::2**n_qubits]
     values = np.divide(sums, hits, out=np.zeros_like(sums), where=hits > 0)
     values[:, 0] = 1.0  # the identity string
     states, clipped = _project(_pauli_sum(values, n_qubits))
@@ -268,7 +247,7 @@ def tomography(rho: DensityMatrix, exposure: float, seed: int,
     _check_exposure(exposure)
     seed = _check_index("seed", seed, 64)
     reps = [_check_index("rep", r, 128) for r in reps]
-    lam = exposure * _born(_projector_stack(rho.n_qubits), rho.mat)
+    lam = exposure * _born(rho)
     return Tomography(*_reconstruct(_draw(lam, seed, reps), rho.n_qubits))
 
 
@@ -296,7 +275,7 @@ def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
     seed = _check_index("seed", seed, 64)
     if not callable(functional):
         raise TypeError(f"functional must map a stack of states to values, got {functional!r}")
-    lam = exposure * _born(_projector_stack(rho.n_qubits), rho.mat)
+    lam = exposure * _born(rho)
     values, clipped, zero = np.empty(reps), np.empty(reps), np.empty(reps, dtype=int)
     for start in range(0, reps, _BLOCK):
         block = slice(start, min(start + _BLOCK, reps))

@@ -39,6 +39,19 @@ from entact.witnesses import expect, w2, w3
 from reference import density_from_json, net_settings
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """The columns that `cli._format_column` formats while the test runs."""
+    columns, format_column = [], cli._format_column
+
+    def counted(column, n):
+        columns.append(column)
+        return format_column(column, n)
+
+    monkeypatch.setattr(cli, "_format_column", counted)
+    return columns
+
+
 def read_csv(path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# schema=1"
@@ -119,6 +132,12 @@ class TestParseAngle:
         assert parse_angle("1/12 pi") == pytest.approx(math.pi / 12)
         assert parse_angle("0.25pi") == pytest.approx(math.pi / 4)
         assert parse_angle("pi") == pytest.approx(math.pi)
+        # a sign alone is a coefficient of 1, as in "-1 pi"
+        assert parse_angle("-pi") == parse_angle("-1 pi") == -math.pi
+        assert parse_angle("+pi") == parse_angle(" + PI ") == math.pi
+        for bad in ("--pi", "+-pi", "-/2 pi"):
+            with pytest.raises(ConfigError):
+                parse_angle(bad)
 
 
 class TestConfig:
@@ -438,6 +457,13 @@ class TestCommands:
             assert w2v == pytest.approx(0.5 - q, abs=1e-9)
             assert w3v == pytest.approx(0.5 - q, abs=1e-9)
 
+    def test_activate_formats_the_net_angles_once(self, tmp_path, formatted):
+        # every q's file shares the net's theta and phi columns
+        assert main(["activate", "--out", str(tmp_path)]) == 0
+        assert len(list(tmp_path.glob("activate_q*.csv"))) == 6
+        for axis in default_net().angles():
+            assert sum(np.array_equal(c, axis) for c in formatted if np.ndim(c)) == 1
+
     def test_activate_exact_mode(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q_values": [0.3]}))
@@ -460,9 +486,9 @@ class TestCommands:
         written, three_qubit = {}, []
         write_csv, post_init = cli._write_csv, DensityMatrix.__post_init__
 
-        def recorded(path, header, columns, cfg_hash, seed):
+        def recorded(path, header, columns, cfg_hash, seed, shared=None):
             written[path.name] = columns
-            write_csv(path, header, columns, cfg_hash, seed)
+            write_csv(path, header, columns, cfg_hash, seed, shared)
 
         def counted(dm):
             post_init(dm)
@@ -521,9 +547,9 @@ class TestCommands:
         written, three_qubit = {}, []
         write_csv, post_init = cli._write_csv, DensityMatrix.__post_init__
 
-        def recorded(path, header, columns, cfg_hash, seed):
+        def recorded(path, header, columns, cfg_hash, seed, shared=None):
             written[path.name] = columns
-            write_csv(path, header, columns, cfg_hash, seed)
+            write_csv(path, header, columns, cfg_hash, seed, shared)
 
         def counted(dm):
             post_init(dm)
@@ -574,13 +600,12 @@ class TestCommands:
         manifest = json.loads(next(tmp_path.glob("manifest_*.json")).read_text())
         assert manifest["cfg_hash"] == config_hash(calls[0])
 
-    def test_certify_builds_the_chords_once(self, tmp_path, monkeypatch):
+    def test_certify_builds_the_chords_once(self, tmp_path, monkeypatch, formatted):
         # the chords from the net's bases to the grid depend on neither q nor the
         # state, so a default call (six q) builds them once, and the grid once: the
         # net-size check counts the grid's points from its axes.  Every q's file
         # shares the grid's theta and phi columns, so each is formatted once
         shapes, chords, sizes, angles = [], epsnet._basis_chords, [], NetSpec.angles
-        formatted, format_column = [], cli._format_column
 
         def counted(bases, points):
             shapes.append((len(bases), len(points)))
@@ -590,13 +615,8 @@ class TestCommands:
             sizes.append(len(net.thetas) * len(net.phis))
             return angles(net)
 
-        def counted_column(column, n):
-            formatted.append(column)
-            return format_column(column, n)
-
         monkeypatch.setattr(epsnet, "_basis_chords", counted)
         monkeypatch.setattr(NetSpec, "angles", counted_angles)
-        monkeypatch.setattr(cli, "_format_column", counted_column)
         assert main(["certify", "--out", str(tmp_path)]) == 0
         assert shapes == [(28, 91 * 46)]
         assert sizes.count(91 * 46) == 1

@@ -21,9 +21,7 @@ from entact.tomo import (
     _born,
     _draw,
     _inversion_matrices,
-    _parity_table,
     _project,
-    _projector_stack,
     mc_errorbar,
     pauli_expectations_exact,
     project_psd,
@@ -119,12 +117,13 @@ def negativity_reference(mat):
     return np.linalg.svd(partial_transpose(mat, 2, (2, 2, 2)), compute_uv=False).sum() - 1.0
 
 
-def random_state(seed: int, n_qubits: int = 3) -> DensityMatrix:
-    """Full-rank n-qubit state A A^dag + I/20, normalised."""
+def random_state(seed: int, n_qubits: int = 3, rank: int | None = None) -> DensityMatrix:
+    """Full-rank n-qubit state A A^dag + I/20, normalised; given a rank, A A^dag
+    with A of that many columns instead."""
     rng = np.random.default_rng(seed)
     d = 2**n_qubits
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    m = a @ a.conj().T + np.eye(d) / 20
+    a = rng.normal(size=(d, rank or d)) + 1j * rng.normal(size=(d, rank or d))
+    m = a @ a.conj().T + (0.0 if rank else np.eye(d) / 20)
     return DensityMatrix(m / np.trace(m).real, (2,) * n_qubits)
 
 
@@ -145,57 +144,68 @@ def rho3():
 
 class TestSettings:
     def test_setting_counts(self, rho3):
-        assert _projector_stack(2).shape == (9, 4, 4, 4)
-        assert _projector_stack(3).shape == (27, 8, 8, 8)
+        assert _born(chi_q(0.3)).shape == (9, 4)
+        assert _born(rho3).shape == (27, 8)
         assert simulate_counts(chi_q(0.3), 1e4, seed=1).shape == (9, 4)
         assert simulate_counts(rho3, 1e4, seed=1).shape == (27, 8)
-        for n_qubits in (1, 4):
-            with pytest.raises(ValueError, match="qubit count"):
-                _projector_stack(n_qubits)
 
-    def test_settings_built_once(self):
-        for n_qubits in (2, 3):
-            stack = _projector_stack(n_qubits)
-            assert _projector_stack(n_qubits) is stack
-            # the kron of the per-qubit eigenprojectors, row by row in the count layout
-            assert np.array_equal(stack, [setting_projectors(a) for a in setting_axes(n_qubits)])
-            with pytest.raises(ValueError):
-                stack[0, 0, 0, 0] = 0.0
+    @pytest.mark.parametrize("dims", [(2,), (2, 2, 2, 2), (4, 2)])
+    def test_unsupported_qubit_count_raises(self, dims):
+        rho = DensityMatrix(np.eye(math.prod(dims)) / math.prod(dims), dims)
+        for call in (lambda: _born(rho), lambda: simulate_counts(rho, 1e4, 1),
+                     lambda: tomography(rho, 1e4, 1),
+                     lambda: mc_errorbar(rho, 1e4, 50, 1, AB_M)):
+            with pytest.raises(ValueError, match="unsupported qubit count"):
+                call()
 
-    def test_projectors_resolve_identity(self):
-        total = _projector_stack(3).sum(axis=1)
-        assert np.abs(total - np.eye(8)).max() < 1e-12
+    @settings(max_examples=30)
+    @example(n_qubits=3, rank=1, state_seed=0)
+    @given(n_qubits=st.sampled_from([2, 3]), rank=st.sampled_from([1, 2, None]),
+           state_seed=st.integers(0, 2**32 - 1))
+    def test_born_matches_setting_projectors(self, n_qubits, rank, state_seed):
+        # the Pauli expectations through the parity matrix give each outcome's
+        # trace with its projector, on full-rank and rank-deficient states alike
+        rho = random_state(state_seed, n_qubits, rank)
+        expected = [[np.trace(proj @ rho.mat).real for proj in setting_projectors(axes)]
+                    for axes in setting_axes(n_qubits)]
+        born = _born(rho)
+        assert np.abs(born - np.clip(expected, 0.0, None)).max() <= 1e-15
+        assert np.abs(born.sum(axis=1) - 1.0).max() <= 1e-12
+
+    def test_structural_zeros_clip_to_zero(self):
+        # some outcomes of this state have probability 0, and the parity sum of
+        # one lands a few ulps below it: the draw needs a nonnegative mean
+        rho = premeasurement(chi_q(0.0), WaveplateSetting(math.pi / 12, math.pi / 6))
+        assert _born(rho).min() == 0.0
+        assert simulate_counts(rho, 1e4, seed=1).min() == 0
 
     def test_outcome_parities(self):
         # setting ZZ is row 8; the strings ZZ, IZ and XZ are columns 15, 3 and 7
-        table = _parity_table(2)
-        assert np.array_equal(table[8, 15], [1, -1, -1, 1])
-        assert np.array_equal(table[8, 3], [1, -1, 1, -1])
-        assert np.array_equal(table[8, 7], [0, 0, 0, 0])
+        table = _inversion_matrices(2)[0].reshape(9, 4, 16)
+        assert np.array_equal(table[8, :, 15], [1, -1, -1, 1])
+        assert np.array_equal(table[8, :, 3], [1, -1, 1, -1])
+        assert np.array_equal(table[8, :, 7], [0, 0, 0, 0])
 
     def test_parity_table_matches_per_string_reference(self):
         for n_qubits in (2, 3):
-            table = _parity_table(n_qubits)
-            assert _parity_table(n_qubits) is table and not table.flags.writeable
-            assert table.shape == (3**n_qubits, 4**n_qubits, 2**n_qubits)
-            # the identity string reads +1 everywhere; every other string reads
-            # its outcome parities on the settings that measure it and 0 elsewhere
-            assert (table[:, 0] == 1).all()
+            parity = _inversion_matrices(n_qubits)[0]
+            assert parity.shape == (3**n_qubits * 2**n_qubits, 4**n_qubits)
+            # row (setting, outcome) in the count layout and column string: the
+            # identity string reads +1 everywhere; every other string reads its
+            # outcome parities on the settings that measure it and 0 elsewhere
+            table = parity.reshape(3**n_qubits, 2**n_qubits, -1)
+            assert (table[:, :, 0] == 1).all()
             expected = np.zeros_like(table)
-            for p, (_, parity, rows) in enumerate(pauli_string_table(n_qubits), start=1):
-                expected[rows, p] = parity
-            expected[:, 0] = 1
-            assert table.tobytes() == expected.tobytes()  # no -0.0 either
+            for p, (_, signs, rows) in enumerate(pauli_string_table(n_qubits), start=1):
+                expected[rows, :, p] = signs
+            expected[:, :, 0] = 1
+            assert parity.tobytes() == expected.tobytes()  # no -0.0 either
 
     def test_inversion_matrices_reshape_the_tables(self):
         for n_qubits in (2, 3):
             parity, real, imag = matrices = _inversion_matrices(n_qubits)
             assert _inversion_matrices(n_qubits) is matrices
             assert not any(m.flags.writeable for m in matrices)
-            # row (setting, outcome) and column string, as in the count layout
-            table = _parity_table(n_qubits)
-            assert np.array_equal(parity.reshape(3**n_qubits, 2**n_qubits, -1),
-                                  table.transpose(0, 2, 1))
             basis = pauli_basis(n_qubits).reshape(4**n_qubits, -1) / 2**n_qubits
             assert np.array_equal(real + 1j * imag, basis)
 
@@ -219,7 +229,7 @@ class TestCounts:
         # one generator reset per rep reads what Philox(seed).jumped(r) reads,
         # across the carry of r into the fourth counter word
         reps = [0, 1, 63, 64, 65, 2**64 - 1, 2**64, 2**64 + 5, 2**128 - 1]
-        lam = 1e4 * _born(_projector_stack(3), rho3.mat)
+        lam = 1e4 * _born(rho3)
         base = np.random.Philox(key=np.uint64(seed))
         expected = [np.random.Generator(base.jumped(r)).poisson(lam) for r in reps]
         assert np.array_equal(_draw(lam, seed, reps), expected)
@@ -453,7 +463,7 @@ class TestBatchedPipeline:
            reps=st.integers(50, 60), seed=st.integers(0, 2**64 - 1))
     def test_matches_per_rep_reference(self, state_seed, exposure, reps, seed):
         rho = random_state(state_seed)
-        counts = _draw(exposure * _born(_projector_stack(3), rho.mat), seed, range(reps))
+        counts = _draw(exposure * _born(rho), seed, range(reps))
         run = tomography(rho, exposure, seed, range(reps))
         values = []
         for rep in range(reps):
