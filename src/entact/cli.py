@@ -45,8 +45,9 @@ DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 # 0.165 at 100 and 1.77 at 1)
 MAX_ZERO_SETTINGS = 0
 MAX_CLIPPED_MASS = 0.1
-# activate and discord-match hold one q's net records (about 1.8 kB a setting) at
-# once: at this many settings they peak near 62 and 79 MiB resident
+# activate and discord-match build one q's net records at a time (about 1.4 kB a
+# setting at the peak of the call): at this many settings they peak near 50 and
+# 79 MiB resident
 MAX_NET_SETTINGS = 10_000
 
 
@@ -304,7 +305,8 @@ def cmd_discord_match(cfg: ExperimentConfig, args) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     rows, searches, minimisers = [], {}, {}  # per q: the search report, its minimiser
     states = [cfg.input_state(q) for q in cfg.q_values]
-    # the records of every q come before scipy loads, so the two peaks do not add
+    # the records of every q come before scipy loads, so the two peaks do not add:
+    # taken inside the search loop, a 100 x 100 net peaks at 95 MiB, not 79
     net_mins = [float(rec.n.min()) for rec in net_records(states, cfg.net)]
     for q, chi, net_min in zip(cfg.q_values, states, net_mins):
         # measured on B, the discord is min_n N(n), so its one search

@@ -1,9 +1,10 @@
 """Finite-sample certification of entanglement over the whole Bloch sphere.
 
 Spherical-cap covering/packing checks of a waveplate net (`protocol.NetSpec`)
-under the chord metric, the net records of an input state as arrays, one kernel
-for the two continuity lower bounds on the premeasurement negativity, and the
-full-sphere positivity scan built on it.
+under the chord metric, the net records of an input state as arrays (N(n) by the
+off-diagonal lemma of `measures.negativities_offdiag`), one kernel for the two
+continuity lower bounds on the premeasurement negativity, and the full-sphere
+positivity scan built on it.
 """
 
 from __future__ import annotations
@@ -13,16 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .protocol import (
-    _CNOT_IMAGE,
-    NetSpec,
-    WaveplateSetting,
-    _premeasure,
-    bloch_vector,
-    dedup_bloch,
-    u_b,
-)
-from .measures import _fibonacci_directions, negativities
+from .protocol import NetSpec, WaveplateSetting, _rotate_b, bloch_vector, dedup_bloch, u_b
+from .measures import _fibonacci_directions, negativities_offdiag
 
 # Largest `verify_covering` resolution: it holds one (bases, points) float array
 # of dot products, 26 MB at the 16 distinct bases of the default net; a
@@ -33,16 +26,13 @@ MAX_RESOLUTION = 200_000
 # 28-setting default net; a certify run at it peaks near 85 MiB resident
 MIN_GRID_STEP = math.pi / 720
 MAX_GRID_POINTS = 361 * 181
-# Most premeasurement states that one stacked `net_records` call takes, or one
-# state's net if larger: past about a thousand states the cost per state no longer
-# falls, and each holds about 2.2 kB in the call, small beside certify's chords
-MAX_STACK = 1_024
 
 
 class NetRecords(NamedTuple):
     """The records of a state on a net, as arrays over its k settings: the waveplate
-    angles, the brute-force AB|M negativity of each premeasurement state, and each
-    state's 4x4 block at the C-NOT image, which is chi rotated on B."""
+    angles, the AB|M negativity N(n) of each premeasurement state, 2 ||<n| chi |n_perp>||_1
+    by the off-diagonal lemma of `measures.negativities_offdiag`, and each state's
+    4x4 block at the C-NOT image, which is chi rotated on B."""
 
     theta: np.ndarray
     phi: np.ndarray
@@ -54,18 +44,15 @@ def net_records(states, net: NetSpec):
     """The records of each 2-qubit state of the sequence `states` on every setting of
     `net`, theta-major like `net.angles()`, yielded one `NetRecords` per state.
 
-    u_b is built once over the net; each stacked premeasurement and `eigvalsh` call
-    takes as many states as keep its (states x settings) stack within MAX_STACK, and
-    at least one, so a caller that drops each record holds no more than one call."""
+    The directions and u_b are built once over the net; each state's record is read
+    straight off chi, with no 3-qubit state, so a caller that drops each record holds
+    no more than one."""
     if any(chi.dims != (2, 2) for chi in states):
         raise ValueError("every state must be a 2-qubit state")
     theta, phi = net.angles()
-    u, per_call = u_b(theta, phi), max(1, MAX_STACK // max(len(theta), 1))
-    for i in range(0, len(states), per_call):
-        stack = _premeasure(np.array([chi.mat for chi in states[i:i + per_call]])[:, None], u)
-        n = negativities(stack.reshape(-1, 8, 8), (2, 2, 2), [0, 1]).reshape(stack.shape[:2])
-        stack = stack[..., _CNOT_IMAGE[:, None], _CNOT_IMAGE]  # frees the 8x8 states
-        yield from (NetRecords(theta, phi, *rec) for rec in zip(n, stack))
+    dirs, u = bloch_vector(theta, phi), u_b(theta, phi)
+    for chi in states:
+        yield NetRecords(theta, phi, negativities_offdiag(chi.mat, dirs), _rotate_b(chi.mat, u))
 
 
 def cap_radius(epsilon: float) -> float:

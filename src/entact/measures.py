@@ -1,10 +1,12 @@
 """Entanglement and discord quantifiers.
 
-Negativity comes in three routes (brute-force partial transpose, the
-off-diagonal-block shortcut for premeasurement states, and the closed form in
-the waveplate angles), plus the trace-distance discord in closed form for X
-states, and in general by one search for min_n N(n), which is both the negativity
-of quantumness and the discord.
+Negativity comes in three routes: the brute-force partial transpose, for general
+states such as the tomography reconstructions of `activate --mc-reps`; the
+off-diagonal-block lemma for premeasurement states, which gives the net records
+(`epsnet.net_records`) and the discord search; and the closed form of chi_q in
+the waveplate angles, the `n_theory` columns.  Also the trace-distance discord in
+closed form for X states, and in general by one search for min_n N(n), which is
+both the negativity of quantumness and the discord.
 """
 
 from __future__ import annotations
@@ -113,9 +115,12 @@ def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
         <n| = (1 + z, u) / c,  |n_perp> = (-u, 1 + z) / c,  u = n_x - i n_y,  c^2 = 2 (1 + z)
     have no cancellation.  The formula is `_offdiag`, written once: this is its
     array call; `_offdiag_at` is its call on one direction in Python scalars.
+    Values <= 1e-12 read exactly 0, the zero band of `negativities`, so a classical
+    state's zero-discord bases read 0 (NaN stays NaN).
     """
     x, y, z = ns.T
-    return _offdiag(_offdiag_columns(chi), np.copysign(1.0, z) * (x - 1j * y), 1.0 + np.abs(z))
+    n = _offdiag(_offdiag_columns(chi), np.copysign(1.0, z) * (x - 1j * y), 1.0 + np.abs(z))
+    return np.where(n <= 1e-12, 0.0, n)
 
 
 def negativity_offdiag(chi: DensityMatrix, n) -> float:

@@ -480,9 +480,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
     def test_activate_reads_the_net_records(self, tmp_path, monkeypatch, noise):
-        # exact mode takes its values from one stacked `net_records` call for all q:
-        # it builds no 3-qubit state, and each row still carries the brute-force
-        # negativity of its premeasurement state bit for bit
+        # exact mode takes its values from one `net_records` call for all q: it builds
+        # no 3-qubit state, each row carries the bits of the off-diagonal kernel over
+        # the net, and they lie within 2e-12 of the brute-force negativity
         written, three_qubit = {}, []
         write_csv, post_init = cli._write_csv, DensityMatrix.__post_init__
 
@@ -506,22 +506,23 @@ class TestCommands:
         monkeypatch.undo()
         assert three_qubit == []
         cfg = ExperimentConfig(noise=noise)
-        ordered = net_settings(cfg.net)
+        ordered, dirs = net_settings(cfg.net), bloch_vector(*cfg.net.angles())
         for q in cfg.q_values:
             chi = cfg.input_state(q)
             q_col, theta, phi, theory, value, err = written[f"activate_q{q:.2f}.csv"]
             assert (q_col, err) == (q, 0.0)
             assert list(zip(theta.tolist(), phi.tolist())) == [(s.theta, s.phi) for s in ordered]
+            assert value.tobytes() == negativities_offdiag(chi.mat, dirs).tobytes()
             for th, ph, t, v, s in zip(theta.tolist(), phi.tolist(), theory.tolist(),
                                        value.tolist(), ordered):
-                assert v == negativity(premeasurement(chi, s), [0, 1])
+                assert v == pytest.approx(negativity(premeasurement(chi, s), [0, 1]), abs=2e-12)
                 # the closed form of the ideal chi_q, also under noise
                 assert t == float(negativities_theory(q, th, ph))
 
     @pytest.mark.parametrize("command", ["activate", "certify", "discord-match"])
     def test_one_records_call_for_every_q(self, tmp_path, monkeypatch, command):
-        # the six default q share one stacked records call: u_b is built once over
-        # the 28 settings, and one eigvalsh call takes all 6 x 28 premeasurement states
+        # the six default q share one records call: u_b is built once over the 28
+        # settings, and no 8x8 eigvalsh runs, as no premeasurement state is built
         built, solved, eigvalsh = [], [], np.linalg.eigvalsh
 
         def counted_u_b(theta, phi):
@@ -538,7 +539,7 @@ class TestCommands:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         assert main([command, "--out", str(tmp_path)]) == 0
         assert built == [(28,)]
-        assert solved == [(6 * 28,)]
+        assert solved == []
 
     @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
     def test_witness_lines_from_stacked_states(self, tmp_path, monkeypatch, noise):
@@ -782,6 +783,16 @@ class TestCommands:
         assert min_net == pytest.approx(0.2, abs=1e-9)
         assert qn == pytest.approx(0.2, abs=1e-6)
         assert rows[0][5] == "ok"
+
+    @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
+    def test_discord_match_zero_discord_reads_zero(self, tmp_path, noise):
+        # chi_0 is classical on B: the kernel's zero band makes every column of its
+        # row exactly 0, where the raw formula leaves about 3e-17
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_values": [0.0], "noise": noise}))
+        assert main(["discord-match", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        _, [row] = read_csv(tmp_path / "discord_match.csv")
+        assert row[:6] == ["0", "0", "0", "0", "0", "ok"]
 
     def test_discord_match_manifest_records_searches(self, tmp_path):
         cfg = tmp_path / "cfg.json"
