@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import math
 import sys
@@ -169,8 +168,8 @@ def _check_settings(cfg: ExperimentConfig, command: str):
 
 
 def _check_chords(cfg: ExperimentConfig, points: int, most: int):
-    """certify and net-verify hold settings x points chord floats: no more than the
-    default net's at `most` points, the finest grid step or the highest resolution."""
+    """certify and net-verify hold settings x points chord floats (net-verify's packing,
+    settings x settings): no more than the default net's at `most` points."""
     settings, default = (len(n.thetas) * len(n.phis) for n in (cfg.net, default_net()))
     if settings * points > default * most:
         raise ConfigError(f"net settings x points is {settings} x {points}, above the "
@@ -199,22 +198,25 @@ def parse_angle(text: str) -> float:
 
 
 def _write_csv(path: Path, header: str, columns, cfg_hash: str, seed: int, shared=None):
-    """Write one CSV field per entry of `columns`, each a sequence over the rows or a
-    scalar that every row repeats: floats as %.12g, other values as str.  A column
-    object given twice is formatted once; `shared` maps the id of a column that
-    several files repeat to its `_format_column` fields."""
+    """Write one CSV field per entry of `columns`, each a sequence over the rows or a scalar
+    that every row repeats: floats as %.12g, other values as str; sequences of unequal
+    length raise ValueError.  A column object given twice is formatted once; `shared` maps
+    the id of a column that several files repeat to its `_format_column` fields."""
     n = max((len(c) for c in columns if np.ndim(c)), default=0)
     shared = shared or {}
     fields = {i: shared[i] if i in shared else _format_column(c, n)
               for i, c in {id(c): c for c in columns}.items()}
-    rows = zip(*(fields[id(c)] for c in columns), itertools.repeat(f"{cfg_hash},{seed}\n"))
+    k = len(columns) + 1  # row-major cells: each row's fields, then its hash and seed
+    cells = [f"{cfg_hash},{seed}\n"] * (n * k)
+    for j, c in enumerate(columns):
+        cells[j::k] = fields[id(c)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"{SCHEMA_LINE}\n{header},cfg_hash,seed\n" + "".join(map("".join, rows)))
+    path.write_text(f"{SCHEMA_LINE}\n{header},cfg_hash,seed\n" + "".join(cells))
 
 
 def _format_column(column, n: int) -> list:
-    """The n comma-terminated fields of one `_write_csv` column, formatting each
-    distinct float once."""
+    """The n comma-terminated fields of one `_write_csv` column, formatting the
+    distinct floats in one % operation."""
     if not np.ndim(column):
         return [f"{column:.12g}," if isinstance(column, float) else f"{column},"] * n
     values = np.asarray(column)
@@ -222,7 +224,8 @@ def _format_column(column, n: int) -> list:
         return [f"{x}," for x in column]
     # the bit view keeps -0.0 apart from 0.0
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(["%.12g," % x for x in bits.view(np.float64).tolist()], dtype=object)
+    u = bits.view(np.float64).tolist()
+    text = np.array((("%.12g,\n" * len(u)) % tuple(u)).split("\n")[:-1], dtype=object)
     return text[index].tolist()
 
 
@@ -367,6 +370,7 @@ def cmd_net_verify(cfg: ExperimentConfig, args) -> int:
     if not 1000 <= (resolution := args.resolution) <= MAX_RESOLUTION:
         raise ConfigError(f"--resolution must lie in [1000, {MAX_RESOLUTION}]")
     _check_chords(cfg, resolution, MAX_RESOLUTION)
+    _check_chords(cfg, len(cfg.net.thetas) * len(cfg.net.phis), MAX_RESOLUTION)
     covered, gap = verify_covering(cfg.net, epsilon, resolution)
     packed, dmin = verify_packing(cfg.net, epsilon)
     print(f"epsilon={epsilon}: covering={'pass' if covered else 'FAIL'} "

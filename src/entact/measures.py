@@ -125,13 +125,14 @@ def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
 
 def negativity_offdiag(chi: DensityMatrix, n) -> float:
     """Premeasurement negativity without building the 3-qubit state: 2 ||<n| chi |n_perp>||_1,
-    for a unit direction n given as a 3-sequence."""
+    for a unit direction n given as a 3-sequence, in the zero band of `negativities_offdiag`."""
     if chi.dims != (2, 2):
         raise ValueError("off-diagonal route expects a 2-qubit state with B a qubit")
     x, y, z = map(float, n)
     if abs(x * x + y * y + z * z - 1.0) > 1e-10:
         raise ValueError("the direction n must have unit norm")
-    return _offdiag_at(_offdiag_columns(chi.mat), x, y, z)
+    value = _offdiag_at(_offdiag_columns(chi.mat), x, y, z)
+    return 0.0 if value <= 1e-12 else value
 
 
 def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

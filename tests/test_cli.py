@@ -328,9 +328,13 @@ class TestCommands:
         angles = [0.05 * i for i in range(29)]
         wide = {"net": {"thetas": angles[:24], "phis": angles[:24]}}
         one_more = {"net": {"thetas": angles, "phis": [0.0]}}
+        # net-verify's packing holds settings x settings chords: 75 x 74 settings
+        # pass the resolution limit at 1000 points, not this one
         for argv, bad in ((["certify"], wide), (["net-verify"], wide),
                           (["certify", "--grid-step", repr(MIN_GRID_STEP)], one_more),
-                          (["net-verify", "--resolution", str(MAX_RESOLUTION)], one_more)):
+                          (["net-verify", "--resolution", str(MAX_RESOLUTION)], one_more),
+                          (["net-verify", "--resolution", "1000"],
+                           {"net": sized_net(75, 74)})):
             cfg.write_text(json.dumps(bad))
             assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, argv
             assert capsys.readouterr().err.startswith("config error:"), argv
@@ -359,7 +363,8 @@ class TestCommands:
     @given(config=LOADABLE_CONFIGS, resolution=st.integers(1000, MAX_RESOLUTION))
     # one setting over the net cap and at it; 437 settings (at most the chord limit at
     # the default grid step's 4,186 points) and 438; 29 settings at the finest grid
-    # step (over), and 28 at it and at the highest resolution (at both chord limits)
+    # step (over), and 28 at it and at the highest resolution (at both chord limits);
+    # net-verify's packing limit at 2,366 settings (26 x 91) and 2,368 (32 x 74)
     @example(config={"net": sized_net(73, 137)}, resolution=1000)
     @example(config={"net": sized_net(100, 100)}, resolution=1000)
     @example(config={"net": sized_net(19, 23)}, resolution=12_814)
@@ -367,6 +372,8 @@ class TestCommands:
     @example(config={"net": sized_net(29, 1), "grid_step": MIN_GRID_STEP}, resolution=1000)
     @example(config={"net": sized_net(7, 4), "grid_step": MIN_GRID_STEP},
              resolution=MAX_RESOLUTION)
+    @example(config={"net": sized_net(26, 91)}, resolution=1000)
+    @example(config={"net": sized_net(32, 74)}, resolution=1000)
     def test_any_loaded_config_runs_or_exits_2(self, config, resolution):
         # a config that loads may still be over a command's own net-size limit:
         # then the command exits 2 with a one-line message, no traceback and no
@@ -384,7 +391,8 @@ class TestCommands:
         over = {"activate": n_settings > MAX_NET_SETTINGS,
                 "discord-match": n_settings > MAX_NET_SETTINGS,
                 "certify": n_settings * points > default * epsnet.MAX_GRID_POINTS,
-                "net-verify": n_settings * resolution > default * MAX_RESOLUTION}
+                "net-verify": n_settings * max(resolution, n_settings)
+                > default * MAX_RESOLUTION}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             for name in ("net_records", "sphere_scan", "verify_covering", "premeasurement",
                          "_premeasure"):
@@ -427,10 +435,12 @@ class TestCommands:
     @settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(csv_columns())
     @example(SPECIAL_COLUMNS)
+    @example([0.5, [], np.array([]), np.array([]), [], []])  # no rows
+    @example([0.5, -0.0, math.nan, "ok", 3, 0.5])  # scalars alone: no rows
     def test_csv_bytes_match_per_field_rendering(self, tmp_path, columns):
         # the column writer gives the bytes of rendering each field alone as
         # f"{x:.12g}" (floats, np.float64 included) or str(x), a scalar on every row
-        n = len(columns[1])
+        n = max((len(c) for c in columns if np.ndim(c)), default=0)
         rows = zip(*(c if np.ndim(c) else [c] * n for c in columns))
         expected = "".join(
             ",".join(f"{x:.12g}" if isinstance(x, float) else str(x) for x in row)
@@ -446,6 +456,13 @@ class TestCommands:
         assert (tmp_path / "t.csv").read_text().splitlines()[2:] == [
             f"{x},h,1" for x in ("0", "-0", "nan", "inf", "-inf", "4.94065645841e-324",
                                  "0.333333333333", "0")]
+
+    def test_csv_refuses_ragged_columns(self, tmp_path):
+        # a column shorter than the others is an error, not a truncated file
+        for columns in (([1.0, 2.0], [1.0]), ([1.0], ["a", "b"]), (0.5, np.zeros(3), [])):
+            with pytest.raises(ValueError):
+                _write_csv(tmp_path / "t.csv", "a,b", columns, "h", 1)
+            assert not (tmp_path / "t.csv").exists()
 
     def test_witness_csv(self, tmp_path):
         assert main(["witness", "--out", str(tmp_path)]) == 0

@@ -126,6 +126,27 @@ class TestNetSpec:
         assert np.array_equal(bases, reference.dedup_bloch(net))
         assert len(bases) <= len(thetas) * len(phis)
 
+    def test_dedup_keeps_the_far_end_of_a_near_duplicate_chain(self):
+        # at phi = 0 each theta step of 3e-9 moves n by 6e-9 in x and y: the middle
+        # setting is a twin of both ends, which lie 1.2e-8 apart, so only the kept
+        # first end removes it and the last end stays
+        net = NetSpec((0.0, 3e-9, 6e-9), (0.0,))
+        dirs = bloch_vector(*net.angles())
+        gap = np.abs(dirs[:, None] - dirs).max(axis=2)
+        assert gap[0, 1] <= 1e-8 and gap[1, 2] <= 1e-8 < gap[0, 2]
+        bases = dedup_bloch(net)
+        assert np.array_equal(bases, dirs[[0, 2]])
+        assert np.array_equal(bases, reference.dedup_bloch(net))
+
+    def test_dedup_across_row_blocks(self, net):
+        # 112 settings take several row blocks of the pairwise test; every added
+        # setting repeats a basis of the default net, in a later block
+        big = NetSpec(net.thetas + tuple(t + math.pi for t in net.thetas),
+                      net.phis + tuple(p + math.pi / 4 for p in net.phis))
+        bases = dedup_bloch(big)
+        assert np.array_equal(bases, reference.dedup_bloch(big))
+        assert np.array_equal(bases, dedup_bloch(net))
+
     def test_records_reject_negative_negativity(self, records02):
         # the bounds check the records they are given: N < 0 (or NaN) is not a record
         for bad in (-0.1, math.nan):

@@ -169,9 +169,19 @@ class TestNegativityRoutes:
             scalar = _offdiag_at(cols, *n)
             assert type(scalar) is float
             assert abs(scalar - value) <= 1e-15
-            # the one-setting route is the scalar call, exactly
-            assert negativity_offdiag(chi, n) == scalar
+            # the one-setting route is the scalar call, exactly, in the zero band
+            assert negativity_offdiag(chi, n) == (scalar if scalar > 1e-12 else 0.0)
         assert np.abs(got[:len(ns) // 2] - got[len(ns) // 2:]).max() <= 1e-15
+
+    def test_offdiag_zero_band_at_the_search_minimiser(self):
+        # chi_q(0) is classical on B: where its search ends, the kernel's raw value
+        # is a rounding residue (3.06e-17 on x86-64), which both routes read as 0
+        chi = chi_q(0.0)
+        s = negativity_of_quantumness(chi).settings_used
+        n = bloch_vector(s.theta, s.phi)
+        assert _offdiag_at(_offdiag_columns(chi.mat), *n.tolist()) <= 1e-12
+        assert negativity_offdiag(chi, n) == 0.0
+        assert negativities_offdiag(chi.mat, n[None])[0] == 0.0
 
     def test_offdiag_requires_two_qubits(self):
         rho = premeasurement(chi_q(0.2), WaveplateSetting(0, 0))

@@ -2,7 +2,7 @@
 checkouts write the same bytes:
 
     python3 tools/output_digest.py > new.txt              # this checkout
-    python3 tools/output_digest.py path/to/other > old.txt  # another checkout's src/
+    python3 tools/output_digest.py path/to/other > old.txt  # another checkout's root
     diff old.txt new.txt
 
 Each run calls `entact.cli.main` in this process, into its own folder of a
