@@ -101,9 +101,14 @@ def verify_packing(net: NetSpec, epsilon: float):
     Returns (packed, min_pairwise_distance).
     """
     bases = dedup_bloch(net)
-    if len(bases) < 2:
-        return True, math.inf
-    dmin = float(_basis_chords(bases, bases)[np.triu_indices(len(bases), 1)].min())
+    # the pairs i < j in row blocks of about 65k chords: row i of a block starting
+    # at s holds the chords to bases s + 1 on, the first i - s of them pairs j <= i
+    step, mins = 1 + 2**16 // (len(bases) or 1), [math.inf]
+    for s in range(0, len(bases) - 1, step):
+        chords = _basis_chords(bases[s:s + step], bases[s + 1:])
+        chords[np.tril_indices(len(chords), -1, chords.shape[1])] = math.inf
+        mins.append(chords.min())
+    dmin = float(np.min(mins))
     # the default net attains the threshold exactly, so compare with a float margin
     return dmin >= epsilon - 1e-9, dmin
 
@@ -147,10 +152,12 @@ def _bounds(records: NetRecords, chords: np.ndarray, buf: np.ndarray):
     rec_n, blocks = records.n[:, None], records.blocks
     marginal = np.einsum("jabcb->jac", blocks.reshape(-1, 2, 2, 2, 2))
     centred = blocks - np.einsum("jac,bd->jabcd", marginal, np.eye(2) / 2).reshape(blocks.shape)
-    lip = min(1.0, float(np.abs(np.linalg.eigvalsh(centred)).sum(axis=-1).max()))
+    lip = float(np.abs(np.linalg.eigvalsh(centred)).sum(axis=-1).max())
     low1 = np.subtract(rec_n, chords, out=buf).max(axis=0)
-    if lip == 1.0:  # the two bounds are one array, bit for bit
-        return low1, low1, lip
+    # L = 1 always holds (tau = 0), so an L within rounding of 1, or above it, is 1
+    # and the two bounds are one array, bit for bit
+    if not lip < 1.0 - 1e-12:
+        return low1, low1, 1.0
     return low1, np.subtract(rec_n, np.multiply(lip, chords, out=buf), out=buf).max(axis=0), lip
 
 

@@ -1,14 +1,14 @@
 """Simulated quantum state tomography.
 
-Poissonian counts of every Pauli setting with a counter-based RNG,
-linear-inversion reconstruction with PSD projection, and Monte-Carlo error bars
-for derived quantities.  Counts are int arrays (setting, outcome): the 3^n
-settings in `itertools.product("XYZ", repeat=n)` order, the 2^n outcomes as bit
-strings with qubit 0 most significant, bit 1 the -1 eigenvalue.  One parity
-matrix describes the measurement both ways: it maps a state's Pauli expectations
-to its Born probabilities, and the observed frequencies back to the expectations.
-One batched pipeline (counts, inversion, projection over a stack of reps) serves
-both the Monte-Carlo loop and the single-shot functions.
+Poissonian counts of every Pauli setting with a counter-based RNG, linear
+inversion, the closed-form PSD projection of Smolin, Gambetta and Smith, and
+Monte-Carlo error bars for derived quantities.  Counts are int arrays (setting,
+outcome): the 3^n settings in `itertools.product("XYZ", repeat=n)` order, the 2^n
+outcomes as bit strings with qubit 0 most significant, bit 1 the -1 eigenvalue.
+One parity matrix describes the measurement both ways: it maps a state's Pauli
+expectations to its Born probabilities, and the observed frequencies back to the
+expectations.  One batched pipeline (counts, inversion, projection over a stack
+of reps) serves both the Monte-Carlo loop and the single-shot functions.
 """
 
 from __future__ import annotations
@@ -94,13 +94,12 @@ def simulate_counts(rho: DensityMatrix, exposure: float, seed: int, rep: int = 0
 def project_psd(h) -> DensityMatrix:
     """Project a Hermitian matrix onto the PSD unit-trace cone.
 
-    Repeatedly clips the most negative eigenvalue to zero and spreads its
-    deficit uniformly over the eigenvalues that are still positive only, then
-    renormalizes the trace.  This is close to the one-pass algorithm of Smolin,
-    Gambetta and Smith, PRL 108, 070502 (2012), but not the same algorithm:
-    theirs walks up the sorted spectrum and spreads the accumulated deficit
-    over every eigenvalue not yet zeroed.  On random spectra the two results
-    agree to rounding, which a test checks.
+    Keeps the eigenvectors and replaces the spectrum mu by its Euclidean
+    projection onto the simplex of nonnegative spectra of the same trace, then
+    renormalizes the trace: the one-pass algorithm of Smolin, Gambetta and Smith,
+    PRL 108, 070502 (2012).  For a unit-trace `h`, as every reconstruction is, the
+    result is the closest density matrix in Frobenius norm, so it is no further
+    than `h` from any density matrix.
     """
     a = np.asarray(h, dtype=complex)
     if np.abs(a - a.conj().T).max() > 1e-8:
@@ -115,30 +114,24 @@ def project_psd(h) -> DensityMatrix:
 def _project(h: np.ndarray):
     """`project_psd` on a Hermitian stack (reps, d, d), without its input checks.
 
-    Returns the projected stack and, per rep, the clipped eigenvalue mass: the
-    summed magnitude of the eigenvalues the loop set to zero.  Each round
-    works on the reps that still have a negative eigenvalue and zeroes one
-    eigenvalue of each for good, so there are at most d rounds; every element
-    sees the same arithmetic whatever else is in the stack.
+    With each spectrum sorted as mu_(1) >= ... >= mu_(d) and tr its sum, let
+    tau_k = (mu_(1) + ... + mu_(k) - tr) / k.  The water level tau is the largest
+    tau_k, which is tau_k at the largest k with mu_(k) > tau_k, and the projected
+    spectrum is max(mu - tau, 0), renormalized.  tau_d = 0 and every other tau_k
+    is at most 0 when no eigenvalue is negative, so such a rep is only
+    renormalized.  Returns the projected stack and, per rep, the clipped
+    eigenvalue mass: the summed |mu_j| of the eigenvalues set to zero.  One pass
+    over the stack: every element sees the same arithmetic whatever else is in it.
     """
     vals, vecs = np.linalg.eigh(h)
-    clipped = np.zeros(len(h))
-    rows = np.flatnonzero(vals.min(axis=1) < 0)
-    while rows.size:
-        v = vals[rows]
-        if (v.max(axis=1) <= 0).any():
-            raise ValueError("spectrum entirely nonpositive; cannot project")
-        lowest = v.argmin(axis=1)
-        deficit = v[np.arange(rows.size), lowest]
-        v[np.arange(rows.size), lowest] = 0.0
-        clipped[rows] -= deficit
-        positive = v > 0
-        np.add(v, (deficit / positive.sum(axis=1))[:, None], out=v, where=positive)
-        vals[rows] = v
-        rows = rows[v.min(axis=1) < 0]
-    vals = np.clip(vals, 0.0, None)
-    vals /= vals.sum(axis=1, keepdims=True)
-    return (vecs * vals[:, None, :]) @ vecs.conj().swapaxes(-1, -2), clipped
+    sums = np.cumsum(vals[:, ::-1], axis=1)
+    if (sums[:, -1] <= 0).any():
+        raise ValueError("spectrum entirely nonpositive or of nonpositive trace; cannot project")
+    level = ((sums - sums[:, -1:]) / np.arange(1, vals.shape[1] + 1)).max(axis=1, keepdims=True)
+    lam = np.maximum(vals - level, 0.0)
+    clipped = np.abs(vals, out=np.zeros_like(vals), where=lam == 0).sum(axis=1)
+    lam /= lam.sum(axis=1, keepdims=True)
+    return (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2), clipped
 
 
 @functools.cache

@@ -172,3 +172,23 @@ def premeasurement_negativities(chi, settings) -> np.ndarray:
     states = v @ np.kron(chi, projector([1.0, 0.0])) @ v.conj().swapaxes(-1, -2)
     pt = np.array([partial_transpose(m, 2, (2, 2, 2)) for m in states])
     return np.abs(np.linalg.eigvalsh(pt)).sum(axis=-1) - 1.0
+
+
+def project_spectrum_sgs(mu):
+    """The projected spectrum and clipped mass of one spectrum `mu` of positive sum,
+    as in Smolin, Gambetta and Smith, PRL 108, 070502 (2012): walk up the sorted
+    spectrum from its smallest eigenvalue, zeroing each while it stays negative
+    once the deficit accumulated so far is spread over the i eigenvalues not yet
+    zeroed; add that spread to those i, then renormalise.  The clipped mass is the
+    summed |mu_j| over the eigenvalues that end at 0."""
+    mu = [float(m) for m in mu]
+    order = sorted(range(len(mu)), key=lambda j: mu[j], reverse=True)
+    lam, deficit, i = [0.0] * len(mu), 0.0, len(mu)
+    while mu[order[i - 1]] + deficit / i < 0:
+        deficit += mu[order[i - 1]]
+        i -= 1
+    for j in order[:i]:
+        lam[j] = mu[j] + deficit / i
+    total = sum(lam)
+    return (np.array([x / total for x in lam]),
+            sum(abs(m) for m, x in zip(mu, lam) if x == 0.0))

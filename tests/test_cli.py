@@ -328,13 +328,12 @@ class TestCommands:
         angles = [0.05 * i for i in range(29)]
         wide = {"net": {"thetas": angles[:24], "phis": angles[:24]}}
         one_more = {"net": {"thetas": angles, "phis": [0.0]}}
-        # net-verify's packing holds settings x settings chords: 75 x 74 settings
-        # pass the resolution limit at 1000 points, not this one
+        # at the lowest resolution the limit is 28 x 200 = 5,600 settings
         for argv, bad in ((["certify"], wide), (["net-verify"], wide),
                           (["certify", "--grid-step", repr(MIN_GRID_STEP)], one_more),
                           (["net-verify", "--resolution", str(MAX_RESOLUTION)], one_more),
                           (["net-verify", "--resolution", "1000"],
-                           {"net": sized_net(75, 74)})):
+                           {"net": sized_net(75, 75)})):
             cfg.write_text(json.dumps(bad))
             assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2, argv
             assert capsys.readouterr().err.startswith("config error:"), argv
@@ -364,7 +363,7 @@ class TestCommands:
     # one setting over the net cap and at it; 437 settings (at most the chord limit at
     # the default grid step's 4,186 points) and 438; 29 settings at the finest grid
     # step (over), and 28 at it and at the highest resolution (at both chord limits);
-    # net-verify's packing limit at 2,366 settings (26 x 91) and 2,368 (32 x 74)
+    # net-verify's limit at the lowest resolution, 5,600 settings (70 x 80) and 5,625
     @example(config={"net": sized_net(73, 137)}, resolution=1000)
     @example(config={"net": sized_net(100, 100)}, resolution=1000)
     @example(config={"net": sized_net(19, 23)}, resolution=12_814)
@@ -372,8 +371,8 @@ class TestCommands:
     @example(config={"net": sized_net(29, 1), "grid_step": MIN_GRID_STEP}, resolution=1000)
     @example(config={"net": sized_net(7, 4), "grid_step": MIN_GRID_STEP},
              resolution=MAX_RESOLUTION)
-    @example(config={"net": sized_net(26, 91)}, resolution=1000)
-    @example(config={"net": sized_net(32, 74)}, resolution=1000)
+    @example(config={"net": sized_net(70, 80)}, resolution=1000)
+    @example(config={"net": sized_net(75, 75)}, resolution=1000)
     def test_any_loaded_config_runs_or_exits_2(self, config, resolution):
         # a config that loads may still be over a command's own net-size limit:
         # then the command exits 2 with a one-line message, no traceback and no
@@ -391,8 +390,7 @@ class TestCommands:
         over = {"activate": n_settings > MAX_NET_SETTINGS,
                 "discord-match": n_settings > MAX_NET_SETTINGS,
                 "certify": n_settings * points > default * epsnet.MAX_GRID_POINTS,
-                "net-verify": n_settings * max(resolution, n_settings)
-                > default * MAX_RESOLUTION}
+                "net-verify": n_settings * resolution > default * MAX_RESOLUTION}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             for name in ("net_records", "sphere_scan", "verify_covering", "premeasurement",
                          "_premeasure"):
@@ -753,9 +751,9 @@ class TestCommands:
         # alone, the default neither
         assert stderr["10000"] == "" and "warnings" not in results["10000"]
         [warning] = results["100"]["warnings"]
-        assert "0 zero-count settings" in warning and "clipped PSD mass 0.165" in warning
+        assert "0 zero-count settings" in warning and "clipped PSD mass 0.151" in warning
         [warning] = results["1"]["warnings"]
-        assert "10 zero-count settings" in warning and "clipped PSD mass 1.77" in warning
+        assert "10 zero-count settings" in warning and "clipped PSD mass 1.88" in warning
         assert stderr["1"] == f"warning: {warning}\n"
 
     def test_activate_manifest_records_clipping(self, tmp_path, capsys):

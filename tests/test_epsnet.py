@@ -314,6 +314,28 @@ class TestCoveringPacking:
             tracemalloc.stop()
         assert peak < 1.5 * len(dedup_bloch(net)) * MAX_RESOLUTION * 8
 
+    @pytest.mark.parametrize("thetas, phis", [(25, 25), (3, 1), (1, 2)])
+    def test_packing_matches_the_full_chord_array(self, thetas, phis):
+        # the row blocks reach every pair i < j once: on 625 settings they are six
+        # blocks, and the minimum is the full upper triangle's, bit for bit
+        net = NetSpec([0.013 * j for j in range(thetas)], [0.021 * k for k in range(phis)])
+        bases = dedup_bloch(net)
+        full = _basis_chords(bases, bases)[np.triu_indices(len(bases), 1)]
+        assert verify_packing(net, 0.01)[1] == full.min()
+
+    def test_packing_holds_row_blocks(self):
+        # a 48 x 49 net's full (bases, bases) chords took 133 MB traced; the row
+        # blocks stay under a tenth of one such float array
+        net = NetSpec([0.01 * j for j in range(48)], [0.02 * k for k in range(49)])
+        bases = len(dedup_bloch(net))
+        tracemalloc.start()
+        try:
+            verify_packing(net, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bases**2 * 8 / 10
+
     def test_resolution_floor(self, net):
         # the range is checked before anything is allocated
         for resolution in (10, MAX_RESOLUTION + 1, 10**15):
@@ -435,6 +457,17 @@ class TestBound2:
         for q, lip in ((0.2, 0.6), (0.0, 1.0), (1.0, 1.0)):
             [records] = net_records([chi_q(q)], default_net())
             assert lower_bounds(records, [0.0], [0.0])[2] == pytest.approx(lip, abs=1e-12)
+
+    def test_lipschitz_constant_within_rounding_of_1_is_1(self):
+        # at q = 0 the exact L is 1; read off the first block alone, its rounded
+        # eigensum is 0.9999999999999998, and the two bounds are still one array
+        [records] = net_records([chi_q(0.0)], default_net())
+        theta, phi = NetSpec(*scan_axes(math.pi / 180)).angles()
+        chords = _basis_chords(bloch_vector(records.theta, records.phi),
+                               bloch_vector(theta, phi))
+        low1, low2, lip = _bounds(records._replace(blocks=records.blocks[:1]), chords,
+                                  np.empty_like(chords))
+        assert low2 is low1 and lip == 1.0
 
     @settings(max_examples=100)
     @given(st.integers(0, 2**32 - 1).map(seeded_state), st.integers(0, 2**32 - 1),

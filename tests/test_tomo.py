@@ -30,7 +30,8 @@ from entact.tomo import (
     simulate_counts,
     tomography,
 )
-from reference import bell_state, partial_transpose, pauli_string_matrix
+from reference import (bell_state, partial_transpose, pauli_string_matrix,
+                       project_spectrum_sgs)
 
 # the count layout: one row per setting, one column per outcome bit string
 EIGENBASES = {"X": np.array([[1, 1], [1, -1]]) / math.sqrt(2),
@@ -323,36 +324,84 @@ class TestProjection:
         rng = np.random.default_rng(3)
         u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
         spread_twice = np.diag([0.9, 0.3, -0.1, -0.1]).astype(complex)  # two clip rounds
-        # the first spread pushes 0.01 below zero, so a second round clips more
-        # than the initial negative mass
+        # the clip loop's first spread pushes 0.01 below zero, so a second round
+        # zeroes it too: the same state, but the loop clips 0.2 + 0.2/3 - 0.01
         pushed_under = np.diag([0.8, 0.01, 0.39, -0.2]).astype(complex)
         h = np.array([spread_twice, u @ spread_twice @ u.conj().T, pushed_under,
-                      np.diag([0.7, 0.4, -0.1, 0.0]), np.eye(4) / 4])
+                      np.diag([0.7, 0.4, -0.1, 0.0]), np.eye(4) / 4,
+                      random_state(2, 2).mat])
         states, clipped = _project(h)
         for r in range(len(h)):
             ref, ref_clipped = project_reference(h[r])
-            assert np.array_equal(states[r], ref)
-            assert clipped[r] == ref_clipped
-            assert np.array_equal(project_psd(h[r]).mat, ref)
+            assert np.abs(states[r] - ref).max() <= 1e-15
+            assert np.array_equal(project_psd(h[r]).mat, states[r])
+            if r != 2:  # only negative eigenvalues are zeroed
+                assert clipped[r] == pytest.approx(ref_clipped, abs=1e-15)
+        # a spectrum with no negative eigenvalue is only renormalised, bit for bit
+        for r in (4, 5):
+            assert np.array_equal(states[r], project_reference(h[r])[0])
         assert np.diag(states[0]).real == pytest.approx([0.8, 0.2, 0.0, 0.0], abs=1e-15)
-        assert clipped[:3] == pytest.approx([0.2, 0.2, 0.2 + 0.2 / 3 - 0.01], abs=1e-15)
-        assert clipped[4] == 0.0
+        assert np.diag(states[2]).real == pytest.approx([0.705, 0.0, 0.295, 0.0], abs=1e-15)
+        # the mass of the raw eigenvalues that end at zero, 0.01 + 0.2 here
+        assert clipped[:4] == pytest.approx([0.2, 0.2, 0.21, 0.1], abs=1e-15)
+        assert clipped[4] == clipped[5] == 0.0
 
-    @settings(max_examples=100)
-    @given(spectrum=arrays(np.float64, 8, elements=st.floats(-0.3, 0.6)))
-    def test_spectrum_agrees_with_smolin_gambetta_smith(self, spectrum):
-        mu = spectrum + (1.0 - spectrum.sum()) / 8  # unit trace, as a reconstruction has
-        # their one pass: walk up the sorted spectrum, zero while the accumulated
-        # deficit spread over the rest leaves the current eigenvalue negative
-        order = np.argsort(mu)[::-1]
-        deficit, keep = 0.0, 8
-        while mu[order[keep - 1]] + deficit / keep < 0:
-            deficit += mu[order[keep - 1]]
-            keep -= 1
-        sgs = np.zeros(8)
-        sgs[order[:keep]] = mu[order[:keep]] + deficit / keep
-        states, _ = _project(np.diag(mu).astype(complex)[None])
-        assert np.abs(np.diag(states[0]).real - sgs / sgs.sum()).max() <= 1e-12
+    @settings(max_examples=200, deadline=None)
+    @example(spectrum=[0.9, 0.3, -0.1], trace=1.0)
+    @example(spectrum=[0.8, 0.01, 0.39], trace=1.0)
+    @example(spectrum=[0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0], trace=1.0)
+    @example(spectrum=[0.7, 0.4, 0.1], trace=0.9)  # the last mu_(k) is tau_k, exactly
+    @given(spectrum=st.sampled_from([3, 7]).flatmap(lambda n: st.lists(
+               st.floats(-0.3, 0.6) | st.sampled_from([0.0, 0.25, -0.05]),
+               min_size=n, max_size=n)),
+           trace=st.floats(0.8, 1.2))
+    def test_spectrum_agrees_with_smolin_gambetta_smith(self, spectrum, trace):
+        # the last eigenvalue sets the trace; ties and exact zeros come from the
+        # sampled values, on 2- and 3-qubit spectra
+        mu = np.array(spectrum + [trace - math.fsum(spectrum)])
+        ref, ref_clipped = project_spectrum_sgs(mu)
+        states, clipped = _project(np.diag(mu).astype(complex)[None])
+        assert np.abs(np.diag(states[0]).real - ref).max() <= 1e-12
+        # the clipped mass jumps by mu_j where a positive mu_j meets the water level,
+        # which the largest eigenvalue gives: it ends at (mu_(1) - level) / tr
+        level = mu.max() - ref.max() * mu.sum()
+        if not ((mu > 1e-9) & (np.abs(mu - level) <= 1e-9)).any():
+            assert clipped[0] == pytest.approx(ref_clipped, abs=1e-12)
+        # the eigenvectors carry over: the same spectrum in a random basis
+        u, _ = np.linalg.qr(np.random.default_rng(len(mu)).normal(size=(len(mu),) * 2))
+        states, _ = _project((u @ np.diag(mu) @ u.T).astype(complex)[None])
+        assert np.abs(states[0] - u @ np.diag(ref) @ u.T).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_qubits=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           spread=st.floats(0.01, 1.0), rank=st.integers(1, 8))
+    def test_projection_never_moves_away_from_a_state(self, n_qubits, seed, spread, rank):
+        # the projection onto the convex set of density matrices is a contraction
+        # towards every member: ||P(X) - rho||_F <= ||X - rho||_F
+        rng = np.random.default_rng(seed)
+        d = 2**n_qubits
+        a = spread * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        x = (a + a.conj().T) / 2
+        x += np.eye(d) * (1.0 - np.trace(x).real) / d  # unit trace, as a reconstruction has
+        rho = random_state(seed, n_qubits, rank=min(rank, d)).mat
+        states, _ = _project(x[None])
+        assert np.linalg.norm(states[0] - rho) <= np.linalg.norm(x - rho) + 1e-12
+
+    def test_clipped_mass_matches_the_clip_loop_where_only_negatives_are_zeroed(self):
+        # reconstructions at high exposure zero only negative eigenvalues: there the
+        # clip loop's rounds clip each raw eigenvalue once, and the masses agree
+        rho = random_state(11, rank=6)
+        run = tomography(rho, 1e4, 5, range(40))
+        only_negatives = 0
+        for state, clipped, counts in zip(run.states, run.clipped_mass,
+                                          _draw(1e4 * _born(rho), 5, range(40))):
+            h = inversion_reference(counts, 3)
+            # both spectra ascend, and the projection keeps their order
+            mu, zeroed = np.linalg.eigvalsh(h), np.linalg.eigvalsh(state) <= 1e-14
+            if zeroed.any() and (mu[zeroed] < 0).all():
+                only_negatives += 1
+                assert clipped == pytest.approx(project_reference(h)[1], abs=1e-12)
+        assert only_negatives >= 20
 
     def test_stack_with_nonpositive_rep_raises(self):
         h = np.array([np.diag([0.7, 0.4, -0.1, 0.0]), np.diag([-0.1, -0.2, 0.0, 0.0])])
@@ -470,8 +519,10 @@ class TestBatchedPipeline:
             single = simulate_counts(rho, exposure, seed, rep=rep)
             assert np.array_equal(counts[rep], single)
             assert np.array_equal(reconstruct(single).mat, run.states[rep])
-            mat, clipped = project_reference(inversion_reference(single, 3))
+            h = inversion_reference(single, 3)
+            mat = project_reference(h)[0]
             assert np.abs(run.states[rep] - mat).max() <= 1e-12
+            clipped = project_spectrum_sgs(np.linalg.eigvalsh(h))[1]
             assert run.clipped_mass[rep] == pytest.approx(clipped, abs=1e-12)
             assert run.zero_settings[rep] == (single.sum(axis=1) == 0).sum()
             values.append(negativity_reference(mat))
