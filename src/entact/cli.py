@@ -19,10 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from .qcore import DensityMatrix, chi_q, fidelity
-from .protocol import NetSpec, WaveplateSetting, _premeasure, default_net, premeasurement, u_b
+from .protocol import (NetSpec, WaveplateSetting, _premeasure, dedup_bloch, default_net,
+                       premeasurement, u_b)
 from .measures import discord_numeric, discord_x_state, negativities, negativities_theory
 from .epsnet import (
     MAX_GRID_POINTS,
+    MAX_GRID_STEP,
     MAX_RESOLUTION,
     MIN_GRID_STEP,
     cap_radius,
@@ -39,9 +41,9 @@ from .tomo import (E_MAX, MC_REPS_MAX, MC_REPS_MIN, mc_errorbar, pauli_expectati
 SCHEMA_LINE = "# schema=1"
 DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 # Past either threshold a reconstruction shows the exposure more than the state:
-# a Pauli setting that recorded no counts, or a PSD projection that clipped more
-# eigenvalue mass than this (the tomo-demo state clips 0.016 at exposure 1e4,
-# 0.151 at 100 and 1.88 at 1)
+# a Pauli setting that recorded no counts, or a linear inversion with more
+# negative eigenvalue mass than this, the mass the PSD projection clips (the
+# tomo-demo state has 0.016 at exposure 1e4, 0.150 at 100 and 1.72 at 1)
 MAX_ZERO_SETTINGS = 0
 MAX_CLIPPED_MASS = 0.1
 # activate and discord-match build one q's net records at a time (about 1.4 kB a
@@ -75,7 +77,7 @@ class ExperimentConfig:
                               "which name the per-q CSV files")
         if not 0 < self.exposure <= E_MAX:  # also rejects NaN
             raise ConfigError(f"exposure must lie in (0, {E_MAX:g}]")
-        if not MIN_GRID_STEP <= self.grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
+        if not MIN_GRID_STEP <= self.grid_step <= MAX_GRID_STEP:  # also rejects NaN
             raise ConfigError("grid_step must lie in [pi/720, pi/90]")
         if not 0 <= self.seed < 2**64:  # the Philox key is an unsigned 64-bit integer
             raise ConfigError("seed must be a nonnegative 64-bit integer")
@@ -370,8 +372,9 @@ def cmd_net_verify(cfg: ExperimentConfig, args) -> int:
     if not 1000 <= (resolution := args.resolution) <= MAX_RESOLUTION:
         raise ConfigError(f"--resolution must lie in [1000, {MAX_RESOLUTION}]")
     _check_chords(cfg, resolution, MAX_RESOLUTION)
-    covered, gap = verify_covering(cfg.net, epsilon, resolution)
-    packed, dmin = verify_packing(cfg.net, epsilon)
+    bases = dedup_bloch(cfg.net)
+    covered, gap = verify_covering(bases, epsilon, resolution)
+    packed, dmin = verify_packing(bases, epsilon)
     print(f"epsilon={epsilon}: covering={'pass' if covered else 'FAIL'} "
           f"(worst gap {gap:.6f}), packing={'pass' if packed else 'FAIL'} "
           f"(min pairwise {dmin:.6f})")

@@ -1,6 +1,6 @@
 """Finite-sample certification of entanglement over the whole Bloch sphere.
 
-Spherical-cap covering/packing checks of a waveplate net (`protocol.NetSpec`)
+Spherical-cap covering/packing checks of a net's distinct bases (`dedup_bloch`)
 under the chord metric, the net records of an input state as arrays (N(n) by the
 off-diagonal lemma of `measures.negativities_offdiag`), one kernel for the two
 continuity lower bounds on the premeasurement negativity, and the full-sphere
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .protocol import NetSpec, WaveplateSetting, _rotate_b, bloch_vector, dedup_bloch, u_b
+from .protocol import NetSpec, WaveplateSetting, _rotate_b, bloch_vector, u_b
 from .measures import _fibonacci_directions, negativities_offdiag
 
 # Largest `verify_covering` resolution: it holds one (bases, points) float array
@@ -25,6 +25,7 @@ MAX_RESOLUTION = 200_000
 # whose chord kernel holds three (records, points) float arrays, 44 MB at the
 # 28-setting default net; a certify run at it peaks near 85 MiB resident
 MIN_GRID_STEP = math.pi / 720
+MAX_GRID_STEP = math.pi / 90 + 1e-12  # the coarsest, 2 degrees, with a float margin
 MAX_GRID_POINTS = 361 * 181
 
 
@@ -77,14 +78,13 @@ def _basis_chords(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.sqrt(sq, out=sq)
 
 
-def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
-    """Check that every point of a Fibonacci lattice lies within chord epsilon of the net.
+def verify_covering(bases: np.ndarray, epsilon: float, resolution: int = 10_000):
+    """Check that every Fibonacci lattice point lies within chord epsilon of `bases`.
 
     Returns (covered, worst_gap).
     """
     if not 1000 <= resolution <= MAX_RESOLUTION:
         raise ValueError(f"resolution must lie in [1000, {MAX_RESOLUTION}] sample points")
-    bases = dedup_bloch(net)
     lattice = _fibonacci_directions(resolution)
     # the nearest basis has the largest |n.m|; the worst point is among those whose
     # largest |n.m| ties the smallest, so exact chords are taken at those alone
@@ -95,12 +95,11 @@ def verify_covering(net: NetSpec, epsilon: float, resolution: int = 10_000):
     return worst_gap <= epsilon + 1e-9, worst_gap
 
 
-def verify_packing(net: NetSpec, epsilon: float):
-    """Check that distinct deduplicated bases are pairwise at least epsilon apart.
+def verify_packing(bases: np.ndarray, epsilon: float):
+    """Check that the distinct `bases` are pairwise at least epsilon apart.
 
     Returns (packed, min_pairwise_distance).
     """
-    bases = dedup_bloch(net)
     # the pairs i < j in row blocks of about 65k chords: row i of a block starting
     # at s holds the chords to bases s + 1 on, the first i - s of them pairs j <= i
     step, mins = 1 + 2**16 // (len(bases) or 1), [math.inf]
@@ -198,7 +197,7 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     lexicographically smallest grid (theta, phi) whose low2 is within 1e-12 of
     min(low2).
     """
-    if not MIN_GRID_STEP <= grid_step <= math.pi / 90 + 1e-12:  # also rejects NaN
+    if not MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP:  # also rejects NaN
         raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
     theta, phi = NetSpec(*scan_axes(grid_step)).angles()
     chords = _basis_chords(bloch_vector(*net.angles()), bloch_vector(theta, phi))

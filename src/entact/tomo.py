@@ -1,14 +1,15 @@
 """Simulated quantum state tomography.
 
 Poissonian counts of every Pauli setting with a counter-based RNG, linear
-inversion, the closed-form PSD projection of Smolin, Gambetta and Smith, and
-Monte-Carlo error bars for derived quantities.  Counts are int arrays (setting,
-outcome): the 3^n settings in `itertools.product("XYZ", repeat=n)` order, the 2^n
-outcomes as bit strings with qubit 0 most significant, bit 1 the -1 eigenvalue.
-One parity matrix describes the measurement both ways: it maps a state's Pauli
-expectations to its Born probabilities, and the observed frequencies back to the
-expectations.  One batched pipeline (counts, inversion, projection over a stack
-of reps) serves both the Monte-Carlo loop and the single-shot functions.
+inversion, the closed-form projection of Smolin, Gambetta and Smith onto the
+nearest density matrix, and Monte-Carlo error bars for derived quantities.
+Counts are int arrays (setting, outcome): the 3^n settings in
+`itertools.product("XYZ", repeat=n)` order, the 2^n outcomes as bit strings with
+qubit 0 most significant, bit 1 the -1 eigenvalue.  One parity matrix describes
+the measurement both ways: it maps a state's Pauli expectations to its Born
+probabilities, and the observed frequencies back to the expectations.  One
+batched pipeline (counts, inversion, projection over a stack of reps) serves
+both the Monte-Carlo loop and the single-shot functions.
 """
 
 from __future__ import annotations
@@ -92,18 +93,17 @@ def simulate_counts(rho: DensityMatrix, exposure: float, seed: int, rep: int = 0
 
 
 def project_psd(h) -> DensityMatrix:
-    """Project a Hermitian matrix onto the PSD unit-trace cone.
+    """The density matrix nearest a Hermitian matrix in Frobenius norm.
 
     Keeps the eigenvectors and replaces the spectrum mu by its Euclidean
-    projection onto the simplex of nonnegative spectra of the same trace, then
-    renormalizes the trace: the one-pass algorithm of Smolin, Gambetta and Smith,
-    PRL 108, 070502 (2012).  For a unit-trace `h`, as every reconstruction is, the
-    result is the closest density matrix in Frobenius norm, so it is no further
-    than `h` from any density matrix.
+    projection onto the unit-trace simplex: the one-pass algorithm of Smolin,
+    Gambetta and Smith, PRL 108, 070502 (2012).  The density matrices are convex,
+    so the result is no further than `h` from any of them.  The trace of `h` must
+    lie within `_RECONSTRUCTION_TRACE_TOL` of 1.
     """
     a = np.asarray(h, dtype=complex)
-    if np.abs(a - a.conj().T).max() > 1e-8:
-        raise ValueError("input must be Hermitian")
+    if not (np.isfinite(a).all() and np.abs(a - a.conj().T).max() <= 1e-8):
+        raise ValueError("input must be finite and Hermitian")
     tr = np.trace(a).real
     if abs(tr - 1.0) > _RECONSTRUCTION_TRACE_TOL:
         raise ValueError(f"trace {tr} too far from 1 to be a reconstruction")
@@ -114,23 +114,19 @@ def project_psd(h) -> DensityMatrix:
 def _project(h: np.ndarray):
     """`project_psd` on a Hermitian stack (reps, d, d), without its input checks.
 
-    With each spectrum sorted as mu_(1) >= ... >= mu_(d) and tr its sum, let
-    tau_k = (mu_(1) + ... + mu_(k) - tr) / k.  The water level tau is the largest
+    With each spectrum sorted as mu_(1) >= ... >= mu_(d), let
+    tau_k = (mu_(1) + ... + mu_(k) - 1) / k.  The water level tau is the largest
     tau_k, which is tau_k at the largest k with mu_(k) > tau_k, and the projected
-    spectrum is max(mu - tau, 0), renormalized.  tau_d = 0 and every other tau_k
-    is at most 0 when no eigenvalue is negative, so such a rep is only
-    renormalized.  Returns the projected stack and, per rep, the clipped
-    eigenvalue mass: the summed |mu_j| of the eigenvalues set to zero.  One pass
-    over the stack: every element sees the same arithmetic whatever else is in it.
+    spectrum is max(mu - tau, 0), of trace 1.  Returns the projected stack and,
+    per rep, the clipped mass: the summed |mu_j| of the negative eigenvalues,
+    continuous in the spectrum.  One pass over the stack: every element sees the
+    same arithmetic whatever else is in it.
     """
     vals, vecs = np.linalg.eigh(h)
     sums = np.cumsum(vals[:, ::-1], axis=1)
-    if (sums[:, -1] <= 0).any():
-        raise ValueError("spectrum entirely nonpositive or of nonpositive trace; cannot project")
-    level = ((sums - sums[:, -1:]) / np.arange(1, vals.shape[1] + 1)).max(axis=1, keepdims=True)
+    level = ((sums - 1.0) / np.arange(1, vals.shape[1] + 1)).max(axis=1, keepdims=True)
     lam = np.maximum(vals - level, 0.0)
-    clipped = np.abs(vals, out=np.zeros_like(vals), where=lam == 0).sum(axis=1)
-    lam /= lam.sum(axis=1, keepdims=True)
+    clipped = np.maximum(-vals, 0.0).sum(axis=1)
     return (vecs * lam[:, None, :]) @ vecs.conj().swapaxes(-1, -2), clipped
 
 
@@ -229,7 +225,7 @@ class Tomography(NamedTuple):
     """Simulated tomography of one state, one entry per rep."""
 
     states: np.ndarray  # (reps, d, d) reconstructed density matrices
-    clipped_mass: np.ndarray  # eigenvalue mass the PSD projection set to zero
+    clipped_mass: np.ndarray  # negative eigenvalue mass of the raw inversion
     zero_settings: np.ndarray  # settings that recorded no counts
 
 

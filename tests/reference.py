@@ -175,20 +175,19 @@ def premeasurement_negativities(chi, settings) -> np.ndarray:
 
 
 def project_spectrum_sgs(mu):
-    """The projected spectrum and clipped mass of one spectrum `mu` of positive sum,
-    as in Smolin, Gambetta and Smith, PRL 108, 070502 (2012): walk up the sorted
-    spectrum from its smallest eigenvalue, zeroing each while it stays negative
-    once the deficit accumulated so far is spread over the i eigenvalues not yet
-    zeroed; add that spread to those i, then renormalise.  The clipped mass is the
-    summed |mu_j| over the eigenvalues that end at 0."""
+    """The projected spectrum and clipped mass of one spectrum `mu`, as in Smolin,
+    Gambetta and Smith, PRL 108, 070502 (2012), with target trace 1: start from the
+    deficit 1 - sum(mu), walk up the sorted spectrum from its smallest eigenvalue,
+    zeroing each while it stays negative once the deficit accumulated so far is
+    spread over the i eigenvalues not yet zeroed; add that spread to those i.  The
+    result has trace 1 with no rescale.  The clipped mass is the summed |mu_j| over
+    the negative eigenvalues."""
     mu = [float(m) for m in mu]
     order = sorted(range(len(mu)), key=lambda j: mu[j], reverse=True)
-    lam, deficit, i = [0.0] * len(mu), 0.0, len(mu)
+    lam, deficit, i = [0.0] * len(mu), 1.0 - math.fsum(mu), len(mu)
     while mu[order[i - 1]] + deficit / i < 0:
         deficit += mu[order[i - 1]]
         i -= 1
     for j in order[:i]:
         lam[j] = mu[j] + deficit / i
-    total = sum(lam)
-    return (np.array([x / total for x in lam]),
-            sum(abs(m) for m, x in zip(mu, lam) if x == 0.0))
+    return np.array(lam), math.fsum(-m for m in mu if m < 0)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from entact.qcore import chi_q, fidelity
-from entact.protocol import WaveplateSetting, bloch_vector, default_net, premeasurement
+from entact.protocol import WaveplateSetting, bloch_vector, dedup_bloch, default_net, premeasurement
 from entact.measures import (
     discord_numeric,
     discord_x_state,
@@ -83,11 +83,11 @@ def test_04_certification_positivity():
 def test_05_net_verification():
     t0 = time.monotonic()
     net = default_net()
-    packed, dmin = verify_packing(net, 0.5)
+    packed, dmin = verify_packing(dedup_bloch(net), 0.5)
     assert packed and dmin == pytest.approx(0.5, abs=1e-9)
     # the exact covering radius of the net is 2 sin(pi/12) = 0.5176...;
     # chord 0.52 covers with margin while chord 1/2 falls just short
-    covered, gap = verify_covering(net, 0.52, resolution=10_000)
+    covered, gap = verify_covering(dedup_bloch(net), 0.52, resolution=10_000)
     assert covered, f"covering gap {gap:.4f} exceeds 0.52"
     assert gap <= 2.0 * math.sin(math.pi / 12) + 1e-9
     assert cap_radius(0.5) == pytest.approx(0.242061, abs=1e-6)

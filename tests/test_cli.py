@@ -720,6 +720,19 @@ class TestCommands:
         assert main(["net-verify", "--epsilon", "0.52", "--out", str(tmp_path)]) == 0
         assert "covering=pass" in capsys.readouterr().out
 
+    def test_net_verify_deduplicates_the_net_once(self, tmp_path, capsys, monkeypatch):
+        # both checks read the one (k, 3) array of distinct bases
+        calls = []
+
+        def counted(net):
+            calls.append(net)
+            return protocol.dedup_bloch(net)
+
+        monkeypatch.setattr(cli, "dedup_bloch", counted)
+        assert main(["net-verify", "--out", str(tmp_path)]) == 0
+        assert calls == [default_net()]
+        assert "net is an epsilon-net at epsilon=0.5: no" in capsys.readouterr().out
+
     def test_tomo_demo_exact(self, tmp_path, capsys):
         assert main(["tomo-demo", "--exact", "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -751,9 +764,9 @@ class TestCommands:
         # alone, the default neither
         assert stderr["10000"] == "" and "warnings" not in results["10000"]
         [warning] = results["100"]["warnings"]
-        assert "0 zero-count settings" in warning and "clipped PSD mass 0.151" in warning
+        assert "0 zero-count settings" in warning and "clipped PSD mass 0.15 (" in warning
         [warning] = results["1"]["warnings"]
-        assert "10 zero-count settings" in warning and "clipped PSD mass 1.88" in warning
+        assert "10 zero-count settings" in warning and "clipped PSD mass 1.72 (" in warning
         assert stderr["1"] == f"warning: {warning}\n"
 
     def test_activate_manifest_records_clipping(self, tmp_path, capsys):

@@ -262,24 +262,24 @@ class TestChordMetric:
 
 class TestCoveringPacking:
     def test_packing_at_half(self, net):
-        ok, dmin = verify_packing(net, 0.5)
+        ok, dmin = verify_packing(dedup_bloch(net), 0.5)
         assert ok
         assert dmin == pytest.approx(0.5, abs=1e-9)
 
     def test_covering_at_true_radius(self, net):
-        ok, gap = verify_covering(net, 0.52, resolution=10_000)
+        ok, gap = verify_covering(dedup_bloch(net), 0.52, resolution=10_000)
         assert ok
         # the lattice gap approaches the exact covering radius from below
         assert gap <= COVERING_RADIUS + 1e-9
         assert gap > 0.5  # the net does not quite cover at chord 1/2
 
     def test_covering_fails_when_too_tight(self, net):
-        ok, gap = verify_covering(net, 0.1, resolution=2000)
+        ok, gap = verify_covering(dedup_bloch(net), 0.1, resolution=2000)
         assert not ok
         assert gap > 0.1
 
     def test_single_point_net_covers_trivially(self):
-        tiny = NetSpec(thetas=(0.0,), phis=(0.0,))
+        tiny = dedup_bloch(NetSpec(thetas=(0.0,), phis=(0.0,)))
         ok, gap = verify_covering(tiny, 2.0, resolution=1000)
         assert ok
         packed, dmin = verify_packing(tiny, 0.5)
@@ -301,18 +301,19 @@ class TestCoveringPacking:
             thetas, phis = thetas + [thetas[-1] + math.pi], phis + [phis[0] + math.pi / 4]
         net = NetSpec(thetas, phis)
         gap = reference.covering_gap(net, resolution)
-        assert verify_covering(net, epsilon, resolution) == (gap <= epsilon + 1e-9, gap)
+        assert verify_covering(dedup_bloch(net), epsilon, resolution) == (gap <= epsilon + 1e-9, gap)
 
     def test_covering_holds_one_dot_product(self, net):
         # at the largest resolution the (bases, points) products are the one large
         # array: the peak stays under 1.5 of them, lattice included
+        bases = dedup_bloch(net)
         tracemalloc.start()
         try:
-            verify_covering(net, 0.5, MAX_RESOLUTION)
+            verify_covering(bases, 0.5, MAX_RESOLUTION)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * len(dedup_bloch(net)) * MAX_RESOLUTION * 8
+        assert peak < 1.5 * len(bases) * MAX_RESOLUTION * 8
 
     @pytest.mark.parametrize("thetas, phis", [(25, 25), (3, 1), (1, 2)])
     def test_packing_matches_the_full_chord_array(self, thetas, phis):
@@ -321,26 +322,26 @@ class TestCoveringPacking:
         net = NetSpec([0.013 * j for j in range(thetas)], [0.021 * k for k in range(phis)])
         bases = dedup_bloch(net)
         full = _basis_chords(bases, bases)[np.triu_indices(len(bases), 1)]
-        assert verify_packing(net, 0.01)[1] == full.min()
+        assert verify_packing(bases, 0.01)[1] == full.min()
 
     def test_packing_holds_row_blocks(self):
         # a 48 x 49 net's full (bases, bases) chords took 133 MB traced; the row
         # blocks stay under a tenth of one such float array
         net = NetSpec([0.01 * j for j in range(48)], [0.02 * k for k in range(49)])
-        bases = len(dedup_bloch(net))
+        bases = dedup_bloch(net)
         tracemalloc.start()
         try:
-            verify_packing(net, 0.5)
+            verify_packing(bases, 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bases**2 * 8 / 10
+        assert peak < len(bases)**2 * 8 / 10
 
     def test_resolution_floor(self, net):
         # the range is checked before anything is allocated
         for resolution in (10, MAX_RESOLUTION + 1, 10**15):
             with pytest.raises(ValueError, match="resolution"):
-                verify_covering(net, 0.5, resolution=resolution)
+                verify_covering(dedup_bloch(net), 0.5, resolution=resolution)
 
 
 class TestBound1:

@@ -316,6 +316,13 @@ class TestProjection:
         with pytest.raises(ValueError):
             project_psd(bad / np.trace(bad))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        h = np.eye(4, dtype=complex) / 4
+        h[1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            project_psd(h)
+
     def test_rejects_wild_trace(self):
         with pytest.raises(ValueError):
             project_psd(np.eye(4, dtype=complex))
@@ -337,20 +344,18 @@ class TestProjection:
             assert np.array_equal(project_psd(h[r]).mat, states[r])
             if r != 2:  # only negative eigenvalues are zeroed
                 assert clipped[r] == pytest.approx(ref_clipped, abs=1e-15)
-        # a spectrum with no negative eigenvalue is only renormalised, bit for bit
-        for r in (4, 5):
-            assert np.array_equal(states[r], project_reference(h[r])[0])
         assert np.diag(states[0]).real == pytest.approx([0.8, 0.2, 0.0, 0.0], abs=1e-15)
         assert np.diag(states[2]).real == pytest.approx([0.705, 0.0, 0.295, 0.0], abs=1e-15)
-        # the mass of the raw eigenvalues that end at zero, 0.01 + 0.2 here
-        assert clipped[:4] == pytest.approx([0.2, 0.2, 0.21, 0.1], abs=1e-15)
+        # the negative eigenvalue mass: 0.01 ends at zero too, but is not counted
+        assert clipped[:4] == pytest.approx([0.2, 0.2, 0.2, 0.1], abs=1e-15)
         assert clipped[4] == clipped[5] == 0.0
 
     @settings(max_examples=200, deadline=None)
     @example(spectrum=[0.9, 0.3, -0.1], trace=1.0)
     @example(spectrum=[0.8, 0.01, 0.39], trace=1.0)
     @example(spectrum=[0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0], trace=1.0)
-    @example(spectrum=[0.7, 0.4, 0.1], trace=0.9)  # the last mu_(k) is tau_k, exactly
+    @example(spectrum=[0.8, 0.4, 0.1], trace=1.0)  # mu_(3) is the level tau_3
+    @example(spectrum=[0.7, 0.4, 0.1], trace=0.9)  # a deficit of 0.1 to spread
     @given(spectrum=st.sampled_from([3, 7]).flatmap(lambda n: st.lists(
                st.floats(-0.3, 0.6) | st.sampled_from([0.0, 0.25, -0.05]),
                min_size=n, max_size=n)),
@@ -362,40 +367,43 @@ class TestProjection:
         ref, ref_clipped = project_spectrum_sgs(mu)
         states, clipped = _project(np.diag(mu).astype(complex)[None])
         assert np.abs(np.diag(states[0]).real - ref).max() <= 1e-12
-        # the clipped mass jumps by mu_j where a positive mu_j meets the water level,
-        # which the largest eigenvalue gives: it ends at (mu_(1) - level) / tr
-        level = mu.max() - ref.max() * mu.sum()
-        if not ((mu > 1e-9) & (np.abs(mu - level) <= 1e-9)).any():
-            assert clipped[0] == pytest.approx(ref_clipped, abs=1e-12)
+        assert clipped[0] == pytest.approx(ref_clipped, abs=1e-14)
         # the eigenvectors carry over: the same spectrum in a random basis
         u, _ = np.linalg.qr(np.random.default_rng(len(mu)).normal(size=(len(mu),) * 2))
         states, _ = _project((u @ np.diag(mu) @ u.T).astype(complex)[None])
         assert np.abs(states[0] - u @ np.diag(ref) @ u.T).max() <= 1e-12
 
     @settings(max_examples=100, deadline=None)
+    # projected at its own trace and then rescaled, this input moves away
+    @example(n_qubits=2, seed=210, spread=0.1, rank=4, trace=0.8)
     @given(n_qubits=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
-           spread=st.floats(0.01, 1.0), rank=st.integers(1, 8))
-    def test_projection_never_moves_away_from_a_state(self, n_qubits, seed, spread, rank):
+           spread=st.floats(0.01, 1.0), rank=st.integers(1, 8), trace=st.floats(0.8, 1.2))
+    def test_projection_never_moves_away_from_a_state(self, n_qubits, seed, spread, rank,
+                                                      trace):
         # the projection onto the convex set of density matrices is a contraction
-        # towards every member: ||P(X) - rho||_F <= ||X - rho||_F
+        # towards every member: ||P(X) - rho||_F <= ||X - rho||_F, at any trace
         rng = np.random.default_rng(seed)
         d = 2**n_qubits
         a = spread * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
         x = (a + a.conj().T) / 2
-        x += np.eye(d) * (1.0 - np.trace(x).real) / d  # unit trace, as a reconstruction has
+        x += np.eye(d) * (trace - np.trace(x).real) / d
         rho = random_state(seed, n_qubits, rank=min(rank, d)).mat
         states, _ = _project(x[None])
         assert np.linalg.norm(states[0] - rho) <= np.linalg.norm(x - rho) + 1e-12
 
     def test_clipped_mass_matches_the_clip_loop_where_only_negatives_are_zeroed(self):
-        # reconstructions at high exposure zero only negative eigenvalues: there the
-        # clip loop's rounds clip each raw eigenvalue once, and the masses agree
+        # the clipped mass is the negative eigenvalue mass of the raw inversion; at
+        # high exposure only negative eigenvalues are zeroed, and there the clip
+        # loop's rounds clip each raw eigenvalue once, so the masses agree
         rho = random_state(11, rank=6)
+        counts = _draw(1e4 * _born(rho), 5, range(40))
         run = tomography(rho, 1e4, 5, range(40))
+        raw = np.array([inversion_reference(c, 3) for c in counts])
+        negative_mass = np.maximum(-np.linalg.eigvalsh(raw), 0.0).sum(axis=1)
+        assert _project(raw)[1] == pytest.approx(negative_mass, abs=1e-15)
+        assert run.clipped_mass == pytest.approx(negative_mass, abs=1e-14)
         only_negatives = 0
-        for state, clipped, counts in zip(run.states, run.clipped_mass,
-                                          _draw(1e4 * _born(rho), 5, range(40))):
-            h = inversion_reference(counts, 3)
+        for state, clipped, h in zip(run.states, run.clipped_mass, raw):
             # both spectra ascend, and the projection keeps their order
             mu, zeroed = np.linalg.eigvalsh(h), np.linalg.eigvalsh(state) <= 1e-14
             if zeroed.any() and (mu[zeroed] < 0).all():
@@ -403,10 +411,20 @@ class TestProjection:
                 assert clipped == pytest.approx(project_reference(h)[1], abs=1e-12)
         assert only_negatives >= 20
 
-    def test_stack_with_nonpositive_rep_raises(self):
+    @pytest.mark.parametrize("nudge", [0.0, 1e-15, -1e-15])
+    def test_clipped_mass_is_continuous(self, nudge):
+        # mu_(3) = 0.1 is the level of a projection at this spectrum's own trace,
+        # 0.9: the mass, 0.3, must not depend on the last bit of mu_(3)
+        _, clipped = _project(np.diag([0.7, 0.4, 0.1 + nudge, -0.3]).astype(complex)[None])
+        assert clipped[0] == pytest.approx(0.3, abs=1e-14)
+
+    def test_every_spectrum_has_a_level(self):
+        # a spectrum of nonpositive trace still has a nearest density matrix
         h = np.array([np.diag([0.7, 0.4, -0.1, 0.0]), np.diag([-0.1, -0.2, 0.0, 0.0])])
-        with pytest.raises(ValueError, match="nonpositive"):
-            _project(h.astype(complex))
+        states, clipped = _project(h.astype(complex))
+        assert np.diag(states[1]).real == pytest.approx([0.225, 0.125, 0.325, 0.325],
+                                                        abs=1e-15)
+        assert clipped == pytest.approx([0.1, 0.3], abs=1e-15)
 
 
 class TestReconstruction:
