@@ -15,7 +15,6 @@ both the Monte-Carlo loop and the single-shot functions.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 from typing import Callable, NamedTuple, Sequence
 
@@ -98,17 +97,19 @@ def project_psd(h) -> DensityMatrix:
     Keeps the eigenvectors and replaces the spectrum mu by its Euclidean
     projection onto the unit-trace simplex: the one-pass algorithm of Smolin,
     Gambetta and Smith, PRL 108, 070502 (2012).  The density matrices are convex,
-    so the result is no further than `h` from any of them.  The trace of `h` must
-    lie within `_RECONSTRUCTION_TRACE_TOL` of 1.
+    so the result is no further than `h` from any of them.  `h` must be 2^n x 2^n,
+    n >= 1, with its trace within `_RECONSTRUCTION_TRACE_TOL` of 1.
     """
     a = np.asarray(h, dtype=complex)
+    d = a.shape[0] if a.ndim else 0
+    if a.shape != (d, d) or d < 2 or d & (d - 1):
+        raise ValueError(f"input must be 2^n x 2^n with n >= 1, got shape {a.shape}")
     if not (np.isfinite(a).all() and np.abs(a - a.conj().T).max() <= 1e-8):
         raise ValueError("input must be finite and Hermitian")
     tr = np.trace(a).real
     if abs(tr - 1.0) > _RECONSTRUCTION_TRACE_TOL:
         raise ValueError(f"trace {tr} too far from 1 to be a reconstruction")
-    n_qubits = round(math.log2(a.shape[0]))
-    return DensityMatrix(_project(a[None])[0][0], (2,) * n_qubits)
+    return DensityMatrix(_project(a[None])[0][0], (2,) * (d.bit_length() - 1))
 
 
 def _project(h: np.ndarray):
@@ -260,15 +261,12 @@ def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
     """
     if not isinstance(reps, numbers.Integral) or not MC_REPS_MIN <= reps <= MC_REPS_MAX:
         raise ValueError(f"reps must be an integer in [{MC_REPS_MIN}, {MC_REPS_MAX}]")
-    _check_exposure(exposure)
-    seed = _check_index("seed", seed, 64)
     if not callable(functional):
         raise TypeError(f"functional must map a stack of states to values, got {functional!r}")
-    lam = exposure * _born(rho)
     values, clipped, zero = np.empty(reps), np.empty(reps), np.empty(reps, dtype=int)
     for start in range(0, reps, _BLOCK):
         block = slice(start, min(start + _BLOCK, reps))
-        states, clipped[block], zero[block] = _reconstruct(
-            _draw(lam, seed, range(block.start, block.stop)), rho.n_qubits)
+        states, clipped[block], zero[block] = tomography(
+            rho, exposure, seed, range(block.start, block.stop))
         values[block] = functional(states)
     return ErrorBar(float(values.mean()), float(values.std(ddof=1)), clipped, zero)

@@ -890,14 +890,24 @@ def run_cold(script: str, *args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=120)
 
 
+def test_version_matches_pyproject():
+    # the benchmark's provenance records `__version__`; pyproject.toml holds it too
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(entact.__file__).resolve().parents[2] / "pyproject.toml"
+    assert entact.__version__ == tomllib.loads(pyproject.read_text())["project"]["version"]
+
+
 class TestColdStart:
     """scipy.optimize is imported on the first Nelder-Mead call, not with entact."""
 
     def test_only_the_optimiser_imports_scipy(self, tmp_path):
         proc = run_cold("""
             import sys
-            import entact, entact.cli
-            assert "scipy" not in sys.modules, "import entact"
+            import entact
+            loaded = [m for m in sys.modules if m.startswith("entact.") or m == "numpy"]
+            assert not loaded, f"import entact loads {loaded}"
+            import entact.cli
+            assert "scipy" not in sys.modules, "import entact.cli"
             for command in ("activate", "witness", "net-verify", "tomo-demo", "certify"):
                 assert entact.cli.main([command, "--out", sys.argv[1]]) == 0, command
                 assert "scipy" not in sys.modules, command

@@ -323,6 +323,12 @@ class TestProjection:
         with pytest.raises(ValueError, match="finite"):
             project_psd(h)
 
+    def test_rejects_bad_shape(self):
+        # a (2, 3) input would fail in the Hermiticity test, a 3 x 3 one in DensityMatrix
+        for bad in (np.zeros((2, 3)), np.eye(3) / 3):
+            with pytest.raises(ValueError, match=rf"got shape \({bad.shape[0]}, 3\)"):
+                project_psd(bad)
+
     def test_rejects_wild_trace(self):
         with pytest.raises(ValueError):
             project_psd(np.eye(4, dtype=complex))
@@ -578,6 +584,9 @@ class TestBatchedPipeline:
                   for r in range(reps)]
         assert bar.mean == float(np.mean(values))
         assert bar.std == float(np.std(values, ddof=1))
+        run = tomography(rho3, 1e4, 9, range(reps))
+        assert bar.clipped_mass.tobytes() == run.clipped_mass.tobytes()
+        assert bar.zero_settings.tobytes() == run.zero_settings.tobytes()
 
     @pytest.mark.parametrize("name, single", [
         ("negativity", lambda dm: negativity(dm, [0, 1])),

@@ -8,12 +8,14 @@ checkouts write the same bytes:
 Each run calls `entact.cli.main` in this process, into its own folder of a
 temporary directory: the six commands at their defaults, the six under
 `--noise werner:0.9`, `tomo-demo --exact`, `tomo-demo` at exposures 100 and 1
-(where the PSD projection clips most and the low-exposure warnings fire), and
-`activate --mc-reps 50` twice: on the mc-tomography config of
-`bench/workloads.py` (q = 0.2 at the settings (0, 0) and (pi/4, 0)) and on the
-default net and q values.  Every file a run writes gets one line, and so do its
-stdout, its stderr and its exit code.  A manifest is hashed with
-`config.output_dir` removed, as that path names the temporary directory.
+(where the PSD projection clips most and the low-exposure warnings fire),
+`activate --mc-reps 50` twice (on the mc-tomography config of
+`bench/workloads.py`, q = 0.2 at the settings (0, 0) and (pi/4, 0), and on the
+default net and q values), and `activate --mc-reps 131` on that config: two
+full Monte-Carlo blocks of 64 reps and a partial one.  Every file a run writes gets
+one line, and so do its stdout, its stderr and its exit code.  A manifest is
+hashed with `config.output_dir` removed, as that path names the temporary
+directory.
 """
 
 import contextlib
@@ -38,6 +40,7 @@ def runs(tmp: Path):
     yield from ((f"tomo-demo.e{e}", ["tomo-demo", "--exposure", e]) for e in ("100", "1"))
     yield "activate.mc", ["activate", "--mc-reps", "50", "--config", str(config)]
     yield "activate.mc-net", ["activate", "--mc-reps", "50"]
+    yield "activate.mc-blocks", ["activate", "--mc-reps", "131", "--config", str(config)]
 
 
 def sha(data: bytes) -> str:
