@@ -47,8 +47,8 @@ DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 MAX_ZERO_SETTINGS = 0
 MAX_CLIPPED_MASS = 0.1
 # activate and discord-match build one q's net records at a time (about 1.4 kB a
-# setting at the peak of the call): at this many settings they peak near 50 and
-# 79 MiB resident
+# setting at the peak of the call): at this many settings each peaks near 52 MiB
+# resident
 MAX_NET_SETTINGS = 10_000
 
 
@@ -310,16 +310,13 @@ def cmd_discord_match(cfg: ExperimentConfig, args) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     rows, searches, minimisers = [], {}, {}  # per q: the search report, its minimiser
     states = [cfg.input_state(q) for q in cfg.q_values]
-    # the records of every q come before scipy loads, so the two peaks do not add:
-    # taken inside the search loop, a 100 x 100 net peaks at 95 MiB, not 79
-    net_mins = [float(rec.n.min()) for rec in net_records(states, cfg.net)]
-    for q, chi, net_min in zip(cfg.q_values, states, net_mins):
-        # measured on B, the discord is min_n N(n), so its one search
+    for q, chi, rec in zip(cfg.q_values, states, net_records(states, cfg.net)):
+        # measured on B, the discord is min_n N(n), so its one exact minimum
         # (`negativity_of_quantumness`) gives both d_numeric and q_n
         res = discord_numeric(chi)
         searches[str(q)], minimisers[str(q)] = asdict(res.search), asdict(res.settings_used)
-        rows.append((q, discord_x_state(chi), res.value, net_min, res.value))
-    # the search always ends on a finite value, so every row's status is ok
+        rows.append((q, discord_x_state(chi), res.value, float(rec.n.min()), res.value))
+    # the minimum is always a finite value, so every row's status is ok
     _write_csv(out / "discord_match.csv", "q,d_closed,d_numeric,min_net_negativity,q_n,status",
                tuple(zip(*rows)) + ("ok",), cfg_hash, cfg.seed)
     _write_manifest(out, cfg, "discord-match", cfg_hash,

@@ -2,7 +2,7 @@
 
 Spherical-cap covering/packing checks of a net's distinct bases (`dedup_bloch`)
 under the chord metric, the net records of an input state as arrays (N(n) by the
-off-diagonal lemma of `measures.negativities_offdiag`), one kernel for the two
+(b, T) kernel of `measures.negativities_offdiag`), one kernel for the two
 continuity lower bounds on the premeasurement negativity, and the full-sphere
 positivity scan built on it.
 """
@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .protocol import NetSpec, WaveplateSetting, _rotate_b, bloch_vector, u_b
-from .measures import _fibonacci_directions, negativities_offdiag
+from .measures import _fibonacci_directions, _frames, _kernel, _pauli_block
 
 # Largest `verify_covering` resolution: it holds one (bases, points) float array
 # of dot products, 26 MB at the 16 distinct bases of the default net; a
@@ -31,9 +31,9 @@ MAX_GRID_POINTS = 361 * 181
 
 class NetRecords(NamedTuple):
     """The records of a state on a net, as arrays over its k settings: the waveplate
-    angles, the AB|M negativity N(n) of each premeasurement state, 2 ||<n| chi |n_perp>||_1
-    by the off-diagonal lemma of `measures.negativities_offdiag`, and each state's
-    4x4 block at the C-NOT image, which is chi rotated on B."""
+    angles, N(n) = 2 ||<n| chi |n_perp>||_1 of each premeasurement state, read off B's
+    Bloch vector b and the correlation matrix T of chi (`measures.negativities_offdiag`),
+    and each state's 4x4 block at the C-NOT image, which is chi rotated on B."""
 
     theta: np.ndarray
     phi: np.ndarray
@@ -45,15 +45,15 @@ def net_records(states, net: NetSpec):
     """The records of each 2-qubit state of the sequence `states` on every setting of
     `net`, theta-major like `net.angles()`, yielded one `NetRecords` per state.
 
-    The directions and u_b are built once over the net; each state's record is read
-    straight off chi, with no 3-qubit state, so a caller that drops each record holds
-    no more than one."""
+    The directions' frames and u_b are built once over the net; each state's record is
+    read straight off chi, N(n) by one `measures._kernel` call on its (b, T), so a
+    caller that drops each record holds no more than one."""
     if any(chi.dims != (2, 2) for chi in states):
         raise ValueError("every state must be a 2-qubit state")
     theta, phi = net.angles()
-    dirs, u = bloch_vector(theta, phi), u_b(theta, phi)
+    e, u = _frames(bloch_vector(theta, phi)), u_b(theta, phi)
     for chi in states:
-        yield NetRecords(theta, phi, negativities_offdiag(chi.mat, dirs), _rotate_b(chi.mat, u))
+        yield NetRecords(theta, phi, _kernel(_pauli_block(chi.mat), e), _rotate_b(chi.mat, u))
 
 
 def cap_radius(epsilon: float) -> float:

@@ -2,41 +2,37 @@
 
 Negativity comes in three routes: the brute-force partial transpose, for general
 states such as the tomography reconstructions of `activate --mc-reps`; the
-off-diagonal-block lemma for premeasurement states, which gives the net records
-(`epsnet.net_records`) and the discord search; and the closed form of chi_q in
-the waveplate angles, the `n_theory` columns.  Also the trace-distance discord in
-closed form for X states, and in general by one search for min_n N(n), which is
-both the negativity of quantumness and the discord.
+off-diagonal-block lemma for premeasurement states, read off B's Bloch vector b and
+the correlation matrix T, which gives the net records (`epsnet.net_records`) and
+the discord; and the closed form of chi_q in the waveplate angles, the `n_theory`
+columns.  Also the trace-distance discord: in closed form for X states, and for
+every two-qubit state as the exact min_n N(n) over a finite set of directions.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DensityMatrix
-from .protocol import WaveplateSetting, bloch_vector, dedup_bloch, default_net, setting_of
+from .qcore import DensityMatrix, pauli_basis
+from .protocol import WaveplateSetting, setting_of
 
 X_STATE_TOL = 1e-8
 _OFF_X = ~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1])
-# Nelder-Mead runs from this many of the best seed directions: one start missed
-# the global minimum on 7 of 300 random full-rank states, four on none of 1,000
-_STARTS = 4
+_SIGNATURE = np.array([1.0, -1.0, -1.0, -1.0])  # J of `_kernel`
+_FOURIER = np.arange(-6, 7)  # the frequencies of `_great_circle`'s polynomial
+_SAMPLES = 2.0 * math.pi * np.arange(13)[:, None] / 13  # and its sample angles
 
 
 @dataclass(frozen=True)
 class SearchReport:
-    """How a multi-start Nelder-Mead search went: evaluations over all runs, the
-    most iterations of one run, whether every run converged, and which start gave
-    the value (its rank among the seeds, 0 = best), or "coarse" for the seed stage."""
+    """The class of critical point that gave the discord (`negativity_of_quantumness`)
+    and the polish residual of the great circle's least point, None if none was scored."""
 
-    nfev: int
-    nit_max: int
-    converged: bool
     winner: str
+    polish_residual: float | None
 
 
 @dataclass(frozen=True)
@@ -76,33 +72,36 @@ def negativities(mats: np.ndarray, dims, cut) -> np.ndarray:
     return np.where(raw > 1e-12, raw, 0.0)
 
 
-def _sv_sum(a, b, c, d):
-    """s1 + s2, the sum of the singular values of [[a, b], [c, d]], as
-    sqrt(||m||_F^2 + 2 |det m|) = sqrt(s1^2 + s2^2 + 2 s1 s2); elementwise, so the
-    entries may be Python complex scalars or numpy arrays of one shape."""
-    frob = ((a.real * a.real + a.imag * a.imag) + (b.real * b.real + b.imag * b.imag)
-            + (c.real * c.real + c.imag * c.imag) + (d.real * d.real + d.imag * d.imag))
-    return (frob + 2.0 * abs(a * d - b * c)) ** 0.5
+def _pauli_block(chi: np.ndarray) -> np.ndarray:
+    """X_ij = tr chi (s_i x sigma_j), s = (I, sigma_x, sigma_y, sigma_z), of a raw 4x4
+    `chi`: row 0 is B's Bloch vector b, rows 1-3 the correlation matrix T."""
+    return np.einsum("pij,ji->p", pauli_basis(2), chi).real.reshape(4, 4)[:, 1:]
 
 
-def _offdiag_columns(chi: np.ndarray) -> list:
-    """The columns of chi with the B indices moved first, (b, d) x (a, c), as nested
-    Python complex: the coefficients that `_offdiag` contracts with its kets."""
-    return chi.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2).reshape(4, 4).T.tolist()
+def _frames(ns: np.ndarray) -> np.ndarray:
+    """An orthonormal pair (e1, e2) perpendicular to each unit direction of the stack
+    `ns` (k, 3), as (k, 2, 3): e1 - i e2 = <n| sigma |n_perp> for the kets
+    <n| = (1 + z, u) / c, |n_perp> = (-u, 1 + z) / c, u = n_x - i n_y, c^2 = 2 (1 + z),
+    of n or -n, whichever has z >= 0, where they have no cancellation."""
+    x, y, z = ns.T
+    s, k = np.copysign(1.0, z), 1.0 / (1.0 + np.abs(z))
+    e = np.empty((len(ns), 2, 3))
+    e[:, 0, 0], e[:, 1, 1] = 1.0 - k * x * x, 1.0 - k * y * y
+    e[:, 0, 1] = e[:, 1, 0] = -k * x * y
+    e[:, 0, 2], e[:, 1, 2] = -s * x, -s * y
+    return e
 
 
-def _offdiag(cols: list, u, zp):
-    """N(n) of `negativities_offdiag` from the `_offdiag_columns` of chi and the ket
-    parameters u = sign(z) (n_x - i n_y), zp = 1 + |z|; elementwise, so u and zp
-    may be Python scalars (one direction) or numpy arrays (a stack)."""
-    # 2 <n|_b |n_perp>_d over (b, d), so that s1 + s2 of the product is N
-    w0, w1, w2, w3 = -u, zp, -u * u / zp, u
-    return _sv_sum(*[w0 * c0 + w1 * c1 + w2 * c2 + w3 * c3 for c0, c1, c2, c3 in cols])
-
-
-def _offdiag_at(cols: list, x: float, y: float, z: float) -> float:
-    """`_offdiag` at one direction (x, y, z), on Python scalars only."""
-    return _offdiag(cols, math.copysign(1.0, z) * complex(x, -y), 1.0 + abs(z))
+def _kernel(block: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """N(n) of `negativities_offdiag` from the `_pauli_block` X and the `_frames` of the
+    directions: with x_i = X e_i = (b.e_i, T e_i), J = diag(1, -1, -1, -1) and
+    m = [x_i^T J x_j], N^2 = (|x_1|^2 + |x_2|^2 + hypot(m_11 - m_22, 2 m_12)) / 2.  The
+    forms come from X e, not e^T X^T J X e, which reads a zero N as sqrt(eps), not eps."""
+    x = frames @ block.T
+    m = (x * _SIGNATURE) @ x.swapaxes(1, 2)
+    n = np.sqrt(0.5 * ((x * x).sum(axis=(1, 2))
+                       + np.hypot(m[:, 0, 0] - m[:, 1, 1], 2.0 * m[:, 0, 1])))
+    return np.where(n <= 1e-12, 0.0, n)
 
 
 def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
@@ -111,28 +110,23 @@ def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
 
     N(n) is the premeasurement negativity at basis n, and also ||chi - D_n(chi)||_1
     for chi dephased on B along n, whose B-off-diagonal part has eigenvalues
-    +-s1, +-s2.  N is even in n, so n is taken with z >= 0, where the kets
-        <n| = (1 + z, u) / c,  |n_perp> = (-u, 1 + z) / c,  u = n_x - i n_y,  c^2 = 2 (1 + z)
-    have no cancellation.  The formula is `_offdiag`, written once: this is its
-    array call; `_offdiag_at` is its call on one direction in Python scalars.
+    +-s1, +-s2.  With b_j = tr chi (I x sigma_j), T_ij = tr chi (sigma_i x sigma_j) and
+    e1, e2 of `_frames`, M = 2 <n| chi |n_perp> = sum_j (e1 - i e2)_j (b_j I + sum_i T_ij
+    sigma_i) / 2, so s1 + s2 = sqrt(||M||_F^2 + 2 |det M|) is the `_kernel` formula.
     Values <= 1e-12 read exactly 0, the zero band of `negativities`, so a classical
-    state's zero-discord bases read 0 (NaN stays NaN).
-    """
-    x, y, z = ns.T
-    n = _offdiag(_offdiag_columns(chi), np.copysign(1.0, z) * (x - 1j * y), 1.0 + np.abs(z))
-    return np.where(n <= 1e-12, 0.0, n)
+    state's zero-discord bases read 0 (NaN stays NaN)."""
+    return _kernel(_pauli_block(chi), _frames(ns))
 
 
 def negativity_offdiag(chi: DensityMatrix, n) -> float:
     """Premeasurement negativity without building the 3-qubit state: 2 ||<n| chi |n_perp>||_1,
-    for a unit direction n given as a 3-sequence, in the zero band of `negativities_offdiag`."""
+    for a unit direction n given as a 3-sequence, by `negativities_offdiag`."""
     if chi.dims != (2, 2):
         raise ValueError("off-diagonal route expects a 2-qubit state with B a qubit")
     x, y, z = map(float, n)
     if abs(x * x + y * y + z * z - 1.0) > 1e-10:
         raise ValueError("the direction n must have unit norm")
-    value = _offdiag_at(_offdiag_columns(chi.mat), x, y, z)
-    return 0.0 if value <= 1e-12 else value
+    return float(negativities_offdiag(chi.mat, np.array([[x, y, z]]))[0])
 
 
 def negativities_theory(q: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -181,83 +175,88 @@ def _fibonacci_directions(count: int) -> np.ndarray:
     return np.stack([r * np.cos(az), r * np.sin(az), z], axis=1)
 
 
-def minimize(fun, x0, **kwargs):
-    """`scipy.optimize.minimize`, imported on the first call: scipy.optimize takes
-    most of a cold `import entact`, and only the discord search uses it.  The
-    search calls this module global, so it can be patched or traced."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+def minimize(*args, **kwargs):
+    """Kept as a name for the benchmark's tracing; the exact discord calls no optimiser."""
+    raise NotImplementedError("negativity_of_quantumness runs no optimiser")
 
 
-@functools.lru_cache(maxsize=None)
-def _seeds():
-    """The seed settings of `negativity_of_quantumness` as (theta, phi) pairs and the
-    directions (k, 3) they select, read-only; they do not depend on the state, so
-    they are built once.  The 16 distinct bases of the default net hold the
-    minimisers of chi_q; the 64 Fibonacci directions keep Nelder-Mead out of the
-    local minima of general states."""
-    bases = np.vstack([dedup_bloch(default_net()), _fibonacci_directions(64)])
-    theta, phi = setting_of(bases)
-    dirs = bloch_vector(theta, phi)
-    dirs.flags.writeable = False
-    return tuple(zip(theta.tolist(), phi.tolist())), dirs
+def _great_circle(block: np.ndarray):
+    """The directions (r, 3) where N(n) is stationary on the great circle n perp b,
+    b = X_0 of the `_pauli_block` X, and their polish residuals: the roots of the
+    squared stationarity condition P(psi) = 0 (see the README), of degree 6 in the
+    angle psi, from 13 samples of P; those within 1e-3 of the unit circle in e^(i psi)
+    take four Newton steps.  The residual is |P| over its coefficients' summed
+    magnitudes.  X is scaled to norm 1, which leaves the roots alone."""
+    x = block / np.linalg.norm(block)
+    b = x[0] / np.linalg.norm(x[0])
+    f, tb = _frames(b[None])[0], x[1:] @ b
+    # T w and T w' at 13 samples psi_k = 2 pi k / 13, w = cos psi f1 + sin psi f2
+    c, s = np.cos(_SAMPLES), np.sin(_SAMPLES)
+    tw, dtw = (c * f[0] + s * f[1]) @ x[1:].T, (c * f[1] - s * f[0]) @ x[1:].T
+    w, dw, cc, dc = (tw * tw).sum(axis=1), 2.0 * (tw * dtw).sum(axis=1), tw @ tb, dtw @ tb
+    p = cc * (dw * dw * cc - 2.0 * (x[0] @ x[0] - tb @ tb + w) * dw * dc - 4.0 * cc * dc * dc)
+    coef = np.fft.fft(p)[_FOURIER % 13] / 13  # c_m of e^(i m psi), m = -6..6
+    coef[np.abs(coef) <= 1e-13 * np.abs(coef).max()] = 0.0  # no leading one overflows
+    roots = np.roots(coef[::-1])  # none where P = 0, as where C = 0
+    psi = np.angle(roots[np.abs(np.abs(roots) - 1.0) <= 1e-3])
+    for step in range(5):
+        terms = coef * np.exp(1j * np.outer(psi, _FOURIER))
+        value, slope = terms.sum(axis=1).real, (terms @ (1j * _FOURIER)).real
+        if step < 4:
+            psi = psi - np.divide(value, slope, out=np.zeros_like(psi), where=slope != 0.0)
+    # n = b^ x w: (f1, f2, +-b^) is orthonormal, and n and -n are one basis
+    n = np.cos(psi)[:, None] * f[1] - np.sin(psi)[:, None] * f[0]
+    return n, np.abs(value) / np.abs(coef).sum()
 
 
 def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
     """Minimum premeasurement negativity min_n N(n) over all measurement bases on B,
-    and a setting that attains it.
-
-    Seed stage: the `_seeds` settings, scored in one `negativities_offdiag` call;
-    near-ties of the minimum rank lexicographically by (theta, phi).  Refinement:
-    Nelder-Mead in the waveplate angles, on Python scalars, from the best `_STARTS`;
-    scipy stops a run when both tolerances hold, so with xatol open a run stops once
-    its simplex values agree to 1e-12.  The value is the seed minimum unless a run
-    beats it by 1e-9, so below 1e-9 (N >= 0) no run starts, and nfev = 0.
-    """
+    exactly, and a setting that attains it: the least `_kernel` score among the
+    critical points of three classes (the README gives the argument): kink, the
+    normals (sqrt(d1 - d2), 0, +-sqrt(d2 - d3)) of the circular sections of
+    A- = b b^T - K, K = T^T T, in its eigenbasis (d1 >= d2 >= d3); eigen, the
+    eigenvectors of K, A- and A+ = b b^T + K, and (b x k) x k for each eigenvector k
+    of K; circle, the `_great_circle` n perp b (skipped for |b| <= 1e-13).  A tie
+    within 1e-12 goes to the first candidate in that order; the report names its class."""
     if chi.dims != (2, 2):
         raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
-    grid, dirs = _seeds()
-    vals = negativities_offdiag(chi.mat, dirs)
-    vmin = float(vals.min())
-    ranked = sorted(zip(vals.tolist(), grid), key=lambda vs: (max(vs[0], vmin + 1e-9), vs[1]))
-    cols = _offdiag_columns(chi.mat)
-
-    def objective(angles):
-        theta, phi = angles.tolist()
-        a = 2.0 * (theta - 2.0 * phi)
-        cos_a = math.cos(a)
-        return _offdiag_at(cols, -cos_a * math.sin(2.0 * theta), -math.sin(a),
-                           cos_a * math.cos(2.0 * theta))
-
-    runs = [minimize(objective, s, method="Nelder-Mead",
-                     options=dict(xatol=math.inf, fatol=1e-12, maxiter=400))
-            for _, s in (ranked[:_STARTS] if vmin >= 1e-9 else ())]
-    best, value, winner = ranked[0][1], vmin, None
-    for i, res in enumerate(runs):
-        if res.fun < value - 1e-9:
-            best, value, winner = tuple(res.x), float(res.fun), i
-    report = SearchReport(nfev=sum(int(res.nfev) for res in runs),
-                          nit_max=max((int(res.nit) for res in runs), default=0),
-                          converged=all(bool(res.success) for res in runs),
-                          winner="coarse" if winner is None else f"start {winner}")
-    # the same basis in certify's range theta in [0, pi/2], phi in [0, pi/4]:
-    # (theta + pi/2, theta - phi) gives the same n, and phi + pi/4 gives -n
-    theta, phi = setting_of(bloch_vector(*best))
+    block = _pauli_block(chi.mat)
+    b = block[0]
+    # K and A- as S U^T U S and S U^T J U S, X = U S V^T: unlike T^T T and b b^T - K,
+    # they keep the eigenvector digits of near-product states (4e-16 against 4e-10)
+    u, s, vt = np.linalg.svd(block, full_matrices=False)
+    us = u * s
+    vals, vecs = np.linalg.eigh(np.stack([us[1:].T @ us[1:], (us * _SIGNATURE[:, None]).T @ us]))
+    (d3, d2, d1), a = vals[1], vt.T @ vecs[1]
+    kink = math.sqrt(d1 - d2) * a[:, 2] + np.outer((1.0, -1.0), math.sqrt(d2 - d3) * a[:, 0])
+    eigen = np.concatenate([(vt.T @ vecs).swapaxes(1, 2).reshape(6, 3), vt])  # A+ = V S^2 V^T
+    parts, residuals = [kink, eigen, eigen[:3] * (eigen[:3] @ b)[:, None] - b], ()
+    if math.sqrt(b @ b) > 1e-13:
+        circle, residuals = _great_circle(block)
+        parts.append(circle)
+    raw, classes = np.concatenate(parts), np.repeat((0, 1, 2), (2, 12, len(residuals)))
+    norms = np.sqrt((raw * raw).sum(axis=1))
+    keep = norms > 0.0  # a vanishing normal or (b x k) x k is no direction
+    dirs, classes = raw[keep] / norms[keep, None], classes[keep]
+    scores = _kernel(block, _frames(dirs))
+    i = int(np.flatnonzero(scores <= scores.min() + 1e-12)[0])
+    # the circle comes last, and none of its directions is dropped
+    least = int(scores[len(scores) - len(residuals):].argmin()) if len(residuals) else None
+    report = SearchReport(("kink", "eigen", "circle")[classes[i]],
+                          None if least is None else float(residuals[least]))
+    # the same basis in certify's range theta in [0, pi/2], phi in [0, pi/4]: (theta +
+    # pi/2, theta - phi) gives the same n, phi + pi/4 gives -n; abs reads -0.0 as 0.0
+    theta, phi = map(float, setting_of(dirs[i]))
     if theta < 0.0:
         theta, phi = theta + math.pi / 2, theta - phi
-    setting = WaveplateSetting(theta, phi % (math.pi / 4))
-    return MeasureResult(max(value, 0.0), settings_used=setting, search=report)
+    setting = WaveplateSetting(abs(theta), phi % (math.pi / 4))
+    return MeasureResult(float(scores[i]), setting, report)
 
 
 def discord_numeric(chi: DensityMatrix) -> MeasureResult:
-    """Trace-distance discord of a two-qubit state, measured on B: the search of
-    `negativity_of_quantumness`, whose value it is.
-
-    For each direction n the closest B-classical state is the dephased D_n(chi):
-    any such sigma is fixed by I x Z_n, which flips the sign of X = chi - D_n(chi),
-    so 2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n) and
-    ||chi - sigma||_1 >= ||X||_1 = N(n) (see `negativities_offdiag`).  So the
-    discord is min_n N(n), the least premeasurement negativity.
-    """
+    """Trace-distance discord of a two-qubit state, measured on B: the value of
+    `negativity_of_quantumness`.  For each n the closest B-classical state is the
+    dephased D_n(chi): any such sigma is fixed by I x Z_n, which flips the sign of
+    X = chi - D_n(chi), so 2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n) and
+    ||chi - sigma||_1 >= ||X||_1 = N(n) (see `negativities_offdiag`)."""
     return negativity_of_quantumness(chi)

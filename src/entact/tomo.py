@@ -236,7 +236,11 @@ def tomography(rho: DensityMatrix, exposure: float, seed: int,
     `reps`, over all 3^n Pauli settings; rep r draws from Philox(seed).jumped(r)."""
     _check_exposure(exposure)
     seed = _check_index("seed", seed, 64)
-    reps = [_check_index("rep", r, 128) for r in reps]
+    if not isinstance(reps, range):
+        reps = [_check_index("rep", r, 128) for r in reps]
+    elif reps:  # a range's two ends bound all of its integers
+        for r in (reps[0], reps[-1]):
+            _check_index("rep", r, 128)
     lam = exposure * _born(rho)
     return Tomography(*_reconstruct(_draw(lam, seed, reps), rho.n_qubits))
 

@@ -1,7 +1,8 @@
 """Brute-force references and extra state families that only the tests use.
 
 Each one is the textbook construction, kept independent of the package kernels
-it is compared against.
+it is compared against.  scipy is imported here only, by the Nelder-Mead
+reference for the discord.
 """
 
 import functools
@@ -162,6 +163,36 @@ def coupling_unitary(s: WaveplateSetting) -> np.ndarray:
 def _premeasurement_unitaries(settings: tuple) -> np.ndarray:
     """I_A x V_BM at each setting, as a (k, 8, 8) stack."""
     return np.array([np.kron(I2, coupling_unitary(s)) for s in settings])
+
+
+def dephasing_negativity(chi, n) -> float:
+    """N(n) = 1/2 ||chi - Z chi Z||_1 with Z = I x n.sigma, for a 4x4 `chi` and a unit
+    3-vector n: the trace distance of chi to its dephasing on B along n."""
+    z = np.kron(I2, sum(c * PAULIS[p] for c, p in zip(n, "XYZ")))
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(chi - z @ chi @ z)).sum())
+
+
+def discord_nelder_mead(chi, starts: int = 4) -> float:
+    """min_n N(n) of the 4x4 `chi` by Nelder-Mead (scipy) in the polar angles of n,
+    from the `starts` best points of a 200-point Fibonacci lattice, with N taken by
+    `dephasing_negativity`: an upper bound on the discord that shares no code with
+    the package's candidate set."""
+    from scipy.optimize import minimize
+
+    def objective(angles):
+        theta, phi = angles
+        return dephasing_negativity(chi, (math.sin(theta) * math.cos(phi),
+                                          math.sin(theta) * math.sin(phi), math.cos(theta)))
+
+    lattice = _fibonacci_directions(200)
+    values = [dephasing_negativity(chi, n) for n in lattice]
+    best = min(values)
+    for i in np.argsort(values)[:starts]:
+        x, y, z = lattice[i]
+        run = minimize(objective, [math.acos(z), math.atan2(y, x)], method="Nelder-Mead",
+                       options=dict(xatol=1e-12, fatol=1e-15, maxiter=1000))
+        best = min(best, float(run.fun))
+    return best
 
 
 def premeasurement_negativities(chi, settings) -> np.ndarray:

@@ -253,6 +253,18 @@ class TestCounts:
         with pytest.raises(ValueError, match="rep"):
             tomography(rho3, 1e4, 1, (0, rep))
 
+    @pytest.mark.parametrize("reps", [range(-1, 3), range(2**128 - 2, 2**128 + 1),
+                                      range(4, -3, -2)])
+    def test_bad_rep_range_raises(self, rho3, reps):
+        # a range is checked by its two ends alone
+        with pytest.raises(ValueError, match="rep"):
+            tomography(rho3, 1e4, 1, reps)
+
+    def test_rep_range_reads_as_its_list(self, rho3):
+        for reps in (range(3), range(2**128 - 5, 2**128, 2), range(6, 0, -3)):
+            run, listed = tomography(rho3, 1e3, 4, reps), tomography(rho3, 1e3, 4, list(reps))
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(run, listed)), reps
+
     def test_numpy_integer_seeds_and_reps(self, rho3):
         counts = simulate_counts(rho3, 1e4, np.uint64(2**64 - 1), rep=np.int64(3))
         assert np.array_equal(counts, simulate_counts(rho3, 1e4, 2**64 - 1, rep=3))
