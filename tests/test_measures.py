@@ -150,6 +150,24 @@ class TestNegativityRoutes:
             assert value == pytest.approx(0.5 * trace_norm(chi - z @ chi @ z), abs=1e-12)
         assert np.abs(got[:len(ns)] - got[len(ns):]).max() <= 1e-12
 
+    @settings(max_examples=60)
+    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
+           st.lists(unit_vectors, min_size=1, max_size=8))
+    def test_scalar_call_matches_array_call(self, re_im, vs):
+        # the one-setting route, on a 3-sequence, against the array call over the
+        # stack: both run the one kernel, and n and -n share one frame exactly
+        chi = full_rank_state(re_im)
+        ns = np.array([v / np.linalg.norm(v) for v in vs] + SEAM_DIRECTIONS
+                      + SIGNED_ZERO_DIRECTIONS)
+        ns = np.vstack([ns, -ns])
+        got = negativities_offdiag(chi.mat, ns)
+        for n, value in zip(ns.tolist(), got.tolist()):
+            scalar = negativity_offdiag(chi, n)
+            assert type(scalar) is float
+            assert abs(scalar - value) <= 1e-15
+            assert scalar == 0.0 or scalar > 1e-12  # the zero band
+        assert np.abs(got[:len(ns) // 2] - got[len(ns) // 2:]).max() <= 1e-15
+
     def test_offdiag_zero_band_at_the_search_minimiser(self):
         # chi_q(0) is classical on B: where its minimum lies, both routes read 0
         chi = chi_q(0.0)
@@ -405,6 +423,69 @@ class TestGuards:
             tracer.uninstall()
         calls = {name: rec[0] for name, rec in tracer.by_name().items()}
         assert (calls["cli.main"], calls["witnesses.w3"], calls["witnesses.expect"]) == (1, 1, 0)
+
+
+# a mixed qubit state with coherence, for A in a product state whose B is diagonal
+# along z, a classical basis, where N = 0
+PRODUCT_A = np.array([[0.6, 0.3 - 0.1j], [0.3 + 0.1j, 0.4]])
+
+
+class TestSearchReport:
+    """The report of `negativity_of_quantumness` against the scores of its one kernel
+    call: the kink candidates come first (2), then the eigen ones (12), then the circle."""
+
+    def scored(self, monkeypatch, search, chi):
+        """The search's result, the scores of its kernel call and the polish residuals
+        of its great circle (empty where the circle is skipped)."""
+        kernel, circle, seen = measures._kernel, measures._great_circle, {"residuals": ()}
+
+        def scores(block, frames):
+            assert "scores" not in seen, "the kernel ran twice"
+            seen["scores"] = kernel(block, frames)
+            return seen["scores"]
+
+        def circled(block):
+            dirs, seen["residuals"] = circle(block)
+            return dirs, seen["residuals"]
+
+        monkeypatch.setattr(measures, "_kernel", scores)
+        monkeypatch.setattr(measures, "_great_circle", circled)
+        return search(chi), seen["scores"], np.asarray(seen["residuals"])
+
+    @pytest.mark.parametrize("search", [discord_numeric, negativity_of_quantumness])
+    @pytest.mark.parametrize("seed", [3, 4, 5])
+    def test_report_summarises_every_run(self, monkeypatch, search, seed):
+        # a random full-rank state drops no candidate, so each class keeps its place
+        chi = full_rank_state(np.random.default_rng(seed).normal(size=(2, 4, 4)))
+        res, scores, residuals = self.scored(monkeypatch, search, chi)
+        assert len(residuals) > 0 and len(scores) == 14 + len(residuals)
+        first = int(np.flatnonzero(scores <= scores.min() + 1e-12)[0])
+        assert res.value == float(scores[first])
+        assert res.search.winner == ("kink", "eigen", "circle")[(first >= 2) + (first >= 14)]
+        assert res.search.polish_residual == float(residuals[scores[14:].argmin()])
+        assert res.value == pytest.approx(brute_force_at(chi, res.settings_used), abs=1e-12)
+
+    @pytest.mark.parametrize("chi", [chi_q(0.0).mat, np.kron(PRODUCT_A, np.diag([0.3, 0.7])),
+                                     np.eye(4) / 4], ids=["chi_0", "product", "maximally_mixed"])
+    def test_no_run_starts_below_the_win_margin(self, monkeypatch, chi):
+        # a zero-discord state: a candidate reads exactly 0, in the zero band, and
+        # no optimiser runs to find it
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an optimiser ran on a zero-discord state")
+
+        monkeypatch.setattr(measures, "minimize", forbidden)
+        state = DensityMatrix(chi, (2, 2))
+        res, scores, _ = self.scored(monkeypatch, negativity_of_quantumness, state)
+        assert res.value == 0.0 == scores.min()
+        assert max(brute_force_at(state, res.settings_used), 0.0) <= 1e-12
+
+    @pytest.mark.parametrize("q", [0.4, 0.6, 0.8, 1.0])
+    def test_runs_on_a_flat_minimum_stop_on_its_value(self, monkeypatch, q):
+        # N(n) = q at every basis: every candidate reads q, and b = 0 skips the circle
+        res, scores, residuals = self.scored(monkeypatch, negativity_of_quantumness, chi_q(q))
+        assert res.value == pytest.approx(q, abs=1e-12)
+        assert np.abs(scores - q).max() <= 1e-12
+        assert len(residuals) == 0 and res.search.polish_residual is None
 
 
 def classical_quantum(blocks, p, qa, qb):
