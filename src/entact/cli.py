@@ -19,16 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from .qcore import DensityMatrix, chi_q, fidelity
-from .protocol import (NetSpec, WaveplateSetting, _premeasure, dedup_bloch, default_net,
-                       premeasurement, u_b)
-from .measures import discord_numeric, discord_x_state, negativities, negativities_theory
+from .protocol import (NetSpec, WaveplateSetting, _premeasure, bloch_vector, dedup_bloch,
+                       default_net, premeasurement, u_b)
+from .measures import (discord_numeric, discord_x_state, negativities, negativities_offdiag,
+                       negativities_theory)
 from .epsnet import (
     MAX_GRID_POINTS,
     MAX_GRID_STEP,
     MAX_RESOLUTION,
     MIN_GRID_STEP,
     cap_radius,
-    net_records,
     scan_axes,
     sphere_scan,
     verify_covering,
@@ -46,9 +46,8 @@ DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 # tomo-demo state has 0.016 at exposure 1e4, 0.150 at 100 and 1.72 at 1)
 MAX_ZERO_SETTINGS = 0
 MAX_CLIPPED_MASS = 0.1
-# activate and discord-match build one q's net records at a time (about 1.4 kB a
-# setting at the peak of the call): at this many settings each peaks near 52 MiB
-# resident
+# activate and discord-match take N(n) in blocks of at most this many (q, setting)
+# pairs, or one q, about 190 B a pair at the peak: memory does not grow with the q count
 MAX_NET_SETTINGS = 10_000
 
 
@@ -231,6 +230,14 @@ def _format_column(column, n: int) -> list:
     return text[index].tolist()
 
 
+def _net_negativities(states, net: NetSpec) -> np.ndarray:
+    """N(n) of each state at each setting of `net`, theta-major, as (states, settings)."""
+    mats, dirs = np.array([chi.mat for chi in states]), bloch_vector(*net.angles())
+    step = max(1, MAX_NET_SETTINGS // len(dirs))
+    return np.concatenate([negativities_offdiag(mats[i:i + step], dirs)
+                           for i in range(0, len(mats), step)])
+
+
 def _exposure_warnings(where: str, clipped_mass: float, zero_settings: int) -> list:
     """A one-item list naming the crossed low-exposure thresholds, or []."""
     if zero_settings <= MAX_ZERO_SETTINGS and clipped_mass <= MAX_CLIPPED_MASS:
@@ -243,30 +250,29 @@ def _exposure_warnings(where: str, clipped_mass: float, zero_settings: int) -> l
 def cmd_activate(cfg: ExperimentConfig, args) -> int:
     _check_settings(cfg, args.command)
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
-    clipping = []  # tomography diagnostics per (q, setting) under --mc-reps
-    warnings = []
+    clipping, warnings = [], []  # tomography diagnostics per (q, setting) under --mc-reps
     ab_m = functools.partial(negativities, dims=(2, 2, 2), cut=(0, 1))  # each rep's N(AB|M)
     states = [cfg.input_state(q) for q in cfg.q_values]
-    angles = {}  # every q's records share the net's theta and phi columns
-    # exact values come straight from the records; only tomography needs a state
-    for q, chi, rec in zip(cfg.q_values, states, net_records(states, cfg.net)):
-        angles = angles or {id(c): _format_column(c, len(c)) for c in (rec.theta, rec.phi)}
-        value, err = rec.n, 0.0
+    theta, phi = cfg.net.angles()
+    angles = {id(c): _format_column(c, len(c)) for c in (theta, phi)}  # every q's file repeats
+    # exact values come straight from the 4x4 states; only tomography needs a state
+    for q, chi, n in zip(cfg.q_values, states, _net_negativities(states, cfg.net)):
+        value, err = n, 0.0
         if cfg.mc_reps > 0:
             value, err = [], []
-            for theta, phi in zip(rec.theta.tolist(), rec.phi.tolist()):
-                state = premeasurement(chi, WaveplateSetting(theta, phi))
+            for th, ph in zip(theta.tolist(), phi.tolist()):
+                state = premeasurement(chi, WaveplateSetting(th, ph))
                 bar = mc_errorbar(state, cfg.exposure, cfg.mc_reps, cfg.seed, ab_m)
                 value.append(bar.mean)
                 err.append(bar.std)
-                clipping.append({"q": q, "theta": theta, "phi": phi,
+                clipping.append({"q": q, "theta": th, "phi": ph,
                                  **_summary("clipped_mass", bar.clipped_mass),
                                  **_summary("zero_settings", bar.zero_settings)})
                 warnings += _exposure_warnings(
-                    f"q={q} theta={theta:.6f} phi={phi:.6f}",
+                    f"q={q} theta={th:.6f} phi={ph:.6f}",
                     clipping[-1]["clipped_mass_mean"], clipping[-1]["zero_settings_max"])
         _write_csv(out / f"activate_q{q:.2f}.csv", "q,theta_rad,phi_rad,n_theory,n_value,n_std",
-                   (q, rec.theta, rec.phi, negativities_theory(q, rec.theta, rec.phi), value, err),
+                   (q, theta, phi, negativities_theory(q, theta, phi), value, err),
                    cfg_hash, cfg.seed, angles)
     results = {"tomography": clipping} if clipping else {}
     if warnings:
@@ -308,14 +314,13 @@ def cmd_certify(cfg: ExperimentConfig, args) -> int:
 def cmd_discord_match(cfg: ExperimentConfig, args) -> int:
     _check_settings(cfg, args.command)
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
-    rows, searches, minimisers = [], {}, {}  # per q: the search report, its minimiser
+    searches, minimisers, rows = {}, {}, []  # per q: the search report, its minimiser
     states = [cfg.input_state(q) for q in cfg.q_values]
-    for q, chi, rec in zip(cfg.q_values, states, net_records(states, cfg.net)):
-        # measured on B, the discord is min_n N(n), so its one exact minimum
-        # (`negativity_of_quantumness`) gives both d_numeric and q_n
-        res = discord_numeric(chi)
+    net_min = _net_negativities(states, cfg.net).min(axis=1).tolist()
+    # the discord on B is min_n N(n): one exact minimum per q gives d_numeric and q_n
+    for q, chi, res, least in zip(cfg.q_values, states, discord_numeric(states), net_min):
         searches[str(q)], minimisers[str(q)] = asdict(res.search), asdict(res.settings_used)
-        rows.append((q, discord_x_state(chi), res.value, float(rec.n.min()), res.value))
+        rows.append((q, discord_x_state(chi), res.value, least, res.value))
     # the minimum is always a finite value, so every row's status is ok
     _write_csv(out / "discord_match.csv", "q,d_closed,d_numeric,min_net_negativity,q_n,status",
                tuple(zip(*rows)) + ("ok",), cfg_hash, cfg.seed)

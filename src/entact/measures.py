@@ -73,40 +73,41 @@ def negativities(mats: np.ndarray, dims, cut) -> np.ndarray:
 
 
 def _pauli_block(chi: np.ndarray) -> np.ndarray:
-    """X_ij = tr chi (s_i x sigma_j), s = (I, sigma_x, sigma_y, sigma_z), of a raw 4x4
-    `chi`: row 0 is B's Bloch vector b, rows 1-3 the correlation matrix T."""
-    return np.einsum("pij,ji->p", pauli_basis(2), chi).real.reshape(4, 4)[:, 1:]
+    """X_ij = tr chi (s_i x sigma_j), s = (I, sigma_x, sigma_y, sigma_z), (..., 4, 3), of a
+    raw (..., 4, 4) stack `chi`: row 0 is B's Bloch vector b, rows 1-3 the correlation T."""
+    x = np.einsum("pij,...ji->...p", pauli_basis(2), chi).real
+    return x.reshape(chi.shape[:-2] + (4, 4))[..., 1:]
 
 
 def _frames(ns: np.ndarray) -> np.ndarray:
     """An orthonormal pair (e1, e2) perpendicular to each unit direction of the stack
-    `ns` (k, 3), as (k, 2, 3): e1 - i e2 = <n| sigma |n_perp> for the kets
+    `ns` (..., 3), as (..., 2, 3): e1 - i e2 = <n| sigma |n_perp> for the kets
     <n| = (1 + z, u) / c, |n_perp> = (-u, 1 + z) / c, u = n_x - i n_y, c^2 = 2 (1 + z),
     of n or -n, whichever has z >= 0, where they have no cancellation."""
-    x, y, z = ns.T
+    x, y, z = np.moveaxis(ns, -1, 0)
     s, k = np.copysign(1.0, z), 1.0 / (1.0 + np.abs(z))
-    e = np.empty((len(ns), 2, 3))
-    e[:, 0, 0], e[:, 1, 1] = 1.0 - k * x * x, 1.0 - k * y * y
-    e[:, 0, 1] = e[:, 1, 0] = -k * x * y
-    e[:, 0, 2], e[:, 1, 2] = -s * x, -s * y
+    e = np.empty(ns.shape[:-1] + (2, 3))
+    e[..., 0, 0], e[..., 1, 1] = 1.0 - k * x * x, 1.0 - k * y * y
+    e[..., 0, 1] = e[..., 1, 0] = -k * x * y
+    e[..., 0, 2], e[..., 1, 2] = -s * x, -s * y
     return e
 
 
 def _kernel(block: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """N(n) of `negativities_offdiag` from the `_pauli_block` X and the `_frames` of the
-    directions: with x_i = X e_i = (b.e_i, T e_i), J = diag(1, -1, -1, -1) and
-    m = [x_i^T J x_j], N^2 = (|x_1|^2 + |x_2|^2 + hypot(m_11 - m_22, 2 m_12)) / 2.  The
-    forms come from X e, not e^T X^T J X e, which reads a zero N as sqrt(eps), not eps."""
-    x = frames @ block.T
-    m = (x * _SIGNATURE) @ x.swapaxes(1, 2)
-    n = np.sqrt(0.5 * ((x * x).sum(axis=(1, 2))
-                       + np.hypot(m[:, 0, 0] - m[:, 1, 1], 2.0 * m[:, 0, 1])))
+    """N(n) of `negativities_offdiag`, (..., m), from the `_pauli_block` X (..., 4, 3) and
+    the `_frames` (..., m, 2, 3), leading axes broadcast: with x_i = X e_i = (b.e_i, T e_i),
+    J = diag(1, -1, -1, -1) and m = [x_i^T J x_j], N^2 = (|x_1|^2 + |x_2|^2 + hypot(m_11 -
+    m_22, 2 m_12)) / 2, from X e, not e^T X^T J X e, which reads a zero N as sqrt(eps)."""
+    x = frames @ block[..., None, :, :].swapaxes(-1, -2)
+    m = (x * _SIGNATURE) @ x.swapaxes(-1, -2)
+    n = np.sqrt(0.5 * ((x * x).sum(axis=(-2, -1))
+                       + np.hypot(m[..., 0, 0] - m[..., 1, 1], 2.0 * m[..., 0, 1])))
     return np.where(n <= 1e-12, 0.0, n)
 
 
 def negativities_offdiag(chi: np.ndarray, ns: np.ndarray) -> np.ndarray:
-    """N(n) = 2 (s1 + s2)(<n| chi |n_perp>), with the kets on B, for a raw 4x4 `chi`
-    (unvalidated) and each unit direction of the stack `ns` (k, 3).
+    """N(n) = 2 (s1 + s2)(<n| chi |n_perp>), kets on B, as (..., k): of each raw 4x4 `chi`
+    (unvalidated) of a (..., 4, 4) stack at each unit direction of the stack `ns` (k, 3).
 
     N(n) is the premeasurement negativity at basis n, and also ||chi - D_n(chi)||_1
     for chi dephased on B along n, whose B-off-diagonal part has eigenvalues
@@ -209,54 +210,57 @@ def _great_circle(block: np.ndarray):
     return n, np.abs(value) / np.abs(coef).sum()
 
 
-def negativity_of_quantumness(chi: DensityMatrix) -> MeasureResult:
-    """Minimum premeasurement negativity min_n N(n) over all measurement bases on B,
-    exactly, and a setting that attains it: the least `_kernel` score among the
-    critical points of three classes (the README gives the argument): kink, the
-    normals (sqrt(d1 - d2), 0, +-sqrt(d2 - d3)) of the circular sections of
-    A- = b b^T - K, K = T^T T, in its eigenbasis (d1 >= d2 >= d3); eigen, the
-    eigenvectors of K, A- and A+ = b b^T + K, and (b x k) x k for each eigenvector k
-    of K; circle, the `_great_circle` n perp b (skipped for |b| <= 1e-13).  A tie
-    within 1e-12 goes to the first candidate in that order; the report names its class."""
-    if chi.dims != (2, 2):
-        raise ValueError(f"expected a 2-qubit state, got dims {chi.dims}")
-    block = _pauli_block(chi.mat)
-    b = block[0]
+def negativity_of_quantumness(states) -> list:
+    """The exact min_n N(n) over all measurement bases on B, and a setting that attains
+    it, as one `MeasureResult` per 2-qubit state of the sequence `states`: the least
+    `_kernel` score over three classes of critical points, which the README derives:
+    kink, the normals of the circular sections of A- = b b^T - K, K = T^T T; eigen, the
+    eigenvectors of K, A- and A+ = b b^T + K, and (b x k) x k for each eigenvector k of K;
+    circle, the `_great_circle` n perp b, skipped where |b| <= 1e-13 and where A- is a
+    multiple of the identity, all kinks.  A tie within 1e-12 goes to the first candidate
+    in that order, and the report names its class.  A stack changes no result's bits."""
+    if bad := [chi.dims for chi in states if chi.dims != (2, 2)]:
+        raise ValueError(f"expected 2-qubit states, got dims {bad[0]}")
+    blocks = _pauli_block(np.array([chi.mat for chi in states]).reshape(-1, 4, 4))
+    b = blocks[:, 0]
     # K and A- as S U^T U S and S U^T J U S, X = U S V^T: unlike T^T T and b b^T - K,
     # they keep the eigenvector digits of near-product states (4e-16 against 4e-10)
-    u, s, vt = np.linalg.svd(block, full_matrices=False)
-    us = u * s
-    vals, vecs = np.linalg.eigh(np.stack([us[1:].T @ us[1:], (us * _SIGNATURE[:, None]).T @ us]))
-    (d3, d2, d1), a = vals[1], vt.T @ vecs[1]
-    kink = math.sqrt(d1 - d2) * a[:, 2] + np.outer((1.0, -1.0), math.sqrt(d2 - d3) * a[:, 0])
-    eigen = np.concatenate([(vt.T @ vecs).swapaxes(1, 2).reshape(6, 3), vt])  # A+ = V S^2 V^T
-    parts, residuals = [kink, eigen, eigen[:3] * (eigen[:3] @ b)[:, None] - b], ()
-    if math.sqrt(b @ b) > 1e-13:
-        circle, residuals = _great_circle(block)
-        parts.append(circle)
-    raw, classes = np.concatenate(parts), np.repeat((0, 1, 2), (2, 12, len(residuals)))
-    norms = np.sqrt((raw * raw).sum(axis=1))
-    keep = norms > 0.0  # a vanishing normal or (b x k) x k is no direction
-    dirs, classes = raw[keep] / norms[keep, None], classes[keep]
-    scores = _kernel(block, _frames(dirs))
-    i = int(np.flatnonzero(scores <= scores.min() + 1e-12)[0])
-    # the circle comes last, and none of its directions is dropped
-    least = int(scores[len(scores) - len(residuals):].argmin()) if len(residuals) else None
-    report = SearchReport(("kink", "eigen", "circle")[classes[i]],
-                          None if least is None else float(residuals[least]))
+    u, s, vt = np.linalg.svd(blocks, full_matrices=False)
+    us = u * s[:, None]
+    vals, vecs = np.linalg.eigh(np.stack([us[:, 1:].swapaxes(1, 2) @ us[:, 1:],
+                                          (us * _SIGNATURE[:, None]).swapaxes(1, 2) @ us], 1))
+    eigen = vt.swapaxes(1, 2)[:, None] @ vecs  # K's and A-'s eigenvectors as columns
+    (d3, d2, d1), a = vals[:, 1].T, eigen[:, 1]
+    flat = d1 - d3 <= 1e-12 * ((b * b).sum(axis=1) + vals[:, 0].sum(axis=1))  # A- ~ I
+    circles = [_great_circle(x) if math.sqrt(x[0] @ x[0]) > 1e-13 and not f
+               else (np.empty((0, 3)), ()) for x, f in zip(blocks, flat)]
+    # the candidates in class order, zero rows padding each state's circle to the longest
+    raw = np.zeros((len(blocks), 14 + max((len(c[1]) for c in circles), default=0), 3))
+    raw[:, :2] = (np.sqrt(d1 - d2)[:, None, None] * a[:, None, :, 2]
+                  + _SIGNATURE[:2, None] * (np.sqrt(d2 - d3)[:, None, None] * a[:, None, :, 0]))
+    raw[:, 2:8], raw[:, 8:11] = eigen.swapaxes(2, 3).reshape(-1, 6, 3), vt  # A+ = V S^2 V^T
+    raw[:, 11:14] = raw[:, 2:5] * (raw[:, 2:5] @ b[:, :, None]) - b[:, None]
+    for row, (circle, _) in zip(raw, circles):
+        row[14:14 + len(circle)] = circle
+    norms = np.sqrt((raw * raw).sum(axis=2))
+    keep = norms > 0.0  # a vanishing normal or (b x k) x k is no direction, nor is a pad
+    dirs = raw / np.where(keep, norms, 1.0)[..., None]
+    scores = np.where(keep, _kernel(blocks, _frames(dirs)), np.inf)
+    first = np.argmax(scores <= scores.min(axis=1, keepdims=True) + 1e-12, axis=1)
     # the same basis in certify's range theta in [0, pi/2], phi in [0, pi/4]: (theta +
     # pi/2, theta - phi) gives the same n, phi + pi/4 gives -n; abs reads -0.0 as 0.0
-    theta, phi = map(float, setting_of(dirs[i]))
-    if theta < 0.0:
-        theta, phi = theta + math.pi / 2, theta - phi
-    setting = WaveplateSetting(abs(theta), phi % (math.pi / 4))
-    return MeasureResult(float(scores[i]), setting, report)
+    theta, phi = setting_of(dirs[np.arange(len(dirs)), first])
+    angles = np.where(theta < 0.0, (theta + math.pi / 2, theta - phi), (theta, phi)).tolist()
+    return [MeasureResult(float(row[i]), WaveplateSetting(abs(t), p % (math.pi / 4)),
+                          SearchReport(("kink", "eigen", "circle")[(i >= 2) + (i >= 14)],
+                                       float(res[row[14:].argmin()]) if len(res) else None))
+            for row, i, (_, res), t, p in zip(scores, first.tolist(), circles, *angles)]
 
 
-def discord_numeric(chi: DensityMatrix) -> MeasureResult:
-    """Trace-distance discord of a two-qubit state, measured on B: the value of
-    `negativity_of_quantumness`.  For each n the closest B-classical state is the
-    dephased D_n(chi): any such sigma is fixed by I x Z_n, which flips the sign of
-    X = chi - D_n(chi), so 2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n) and
-    ||chi - sigma||_1 >= ||X||_1 = N(n) (see `negativities_offdiag`)."""
-    return negativity_of_quantumness(chi)
+def discord_numeric(states) -> list:
+    """Trace-distance discord of each two-qubit state of the sequence `states`, measured
+    on B: the values of `negativity_of_quantumness`.  For each n the closest B-classical
+    state is the dephased D_n(chi): any such sigma is fixed by I x Z_n, which flips the
+    sign of X = chi - D_n(chi), so 2X = (chi - sigma) - (I x Z_n)(chi - sigma)(I x Z_n)
+    and ||chi - sigma||_1 >= ||X||_1 = N(n) (see `negativities_offdiag`)."""
+    return negativity_of_quantumness(states)

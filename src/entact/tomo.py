@@ -238,9 +238,10 @@ def tomography(rho: DensityMatrix, exposure: float, seed: int,
     seed = _check_index("seed", seed, 64)
     if not isinstance(reps, range):
         reps = [_check_index("rep", r, 128) for r in reps]
-    elif reps:  # a range's two ends bound all of its integers
-        for r in (reps[0], reps[-1]):
-            _check_index("rep", r, 128)
+    if not reps:
+        raise ValueError("the rep set is empty: tomography draws at least one rep")
+    for r in (reps[0], reps[-1]):  # a range's two ends bound all of its integers
+        _check_index("rep", r, 128)
     lam = exposure * _born(rho)
     return Tomography(*_reconstruct(_draw(lam, seed, reps), rho.n_qubits))
 

@@ -63,8 +63,8 @@ def test_03_discord_triple_agreement():
     for q in Q_GRID:
         chi = chi_q(q)
         assert discord_x_state(chi) == pytest.approx(q, abs=1e-10)
-        assert discord_numeric(chi).value == pytest.approx(q, abs=1e-3)
-        assert negativity_of_quantumness(chi).value == pytest.approx(q, abs=1e-6)
+        assert discord_numeric([chi])[0].value == pytest.approx(q, abs=1e-3)
+        assert negativity_of_quantumness([chi])[0].value == pytest.approx(q, abs=1e-6)
     report(3, "discord triple agreement", t0, 120.0)
 
 

@@ -392,8 +392,8 @@ class TestCommands:
                 "certify": n_settings * points > default * epsnet.MAX_GRID_POINTS,
                 "net-verify": n_settings * resolution > default * MAX_RESOLUTION}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            for name in ("net_records", "sphere_scan", "verify_covering", "premeasurement",
-                         "_premeasure"):
+            for name in ("negativities_offdiag", "sphere_scan", "verify_covering",
+                         "premeasurement", "_premeasure"):
                 mp.setattr(cli, name, kernel)
             (path := Path(tmp) / "cfg.json").write_text(json.dumps(config))
             for command in COMMANDS:
@@ -495,9 +495,9 @@ class TestCommands:
 
     @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
     def test_activate_reads_the_net_records(self, tmp_path, monkeypatch, noise):
-        # exact mode takes its values from one `net_records` call for all q: it builds
-        # no 3-qubit state, each row carries the bits of the off-diagonal kernel over
-        # the net, and they lie within 2e-12 of the brute-force negativity
+        # exact mode takes its values from one `negativities_offdiag` call for all q:
+        # it builds no 3-qubit state, each row carries the bits of the off-diagonal
+        # kernel over the net, and they lie within 2e-12 of the brute-force negativity
         written, three_qubit = {}, []
         write_csv, post_init = cli._write_csv, DensityMatrix.__post_init__
 
@@ -536,8 +536,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["activate", "certify", "discord-match"])
     def test_one_records_call_for_every_q(self, tmp_path, monkeypatch, command):
-        # the six default q share one records call: u_b is built once over the 28
-        # settings, and no 8x8 eigvalsh runs, as no premeasurement state is built
+        # the six default q share one records call in certify: u_b is built once over
+        # the 28 settings for the rotated blocks of its bound.  activate and
+        # discord-match read N(n) off (b, T) alone and build no u_b at all; no 8x8
+        # eigvalsh runs, as no premeasurement state is built
         built, solved, eigvalsh = [], [], np.linalg.eigvalsh
 
         def counted_u_b(theta, phi):
@@ -553,7 +555,7 @@ class TestCommands:
             monkeypatch.setattr(module, "u_b", counted_u_b)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         assert main([command, "--out", str(tmp_path)]) == 0
-        assert built == [(28,)]
+        assert built == ([(28,)] if command == "certify" else [])
         assert solved == []
 
     @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
@@ -850,20 +852,45 @@ class TestCommands:
             assert negativities_offdiag(chi.mat, n[None])[0] == pytest.approx(float(row[2]),
                                                                              abs=1e-11)
 
+    def test_no_rotated_blocks_outside_certify(self, tmp_path, monkeypatch):
+        # discord-match and exact activate read N(n) off (b, T) alone: with the rotated
+        # blocks unbuildable they write the same bytes, and only certify, whose
+        # Lipschitz bound reads the blocks, fails
+        class Rotated(Exception):
+            pass
+
+        def rotated(*args):
+            raise Rotated
+
+        plain, patched = tmp_path / "plain", tmp_path / "patched"
+        for command in ("discord-match", "activate"):
+            assert main([command, "--out", str(plain)]) == 0
+        monkeypatch.setattr(epsnet, "_rotate_b", rotated)
+        for command in ("discord-match", "activate"):
+            assert main([command, "--out", str(patched)]) == 0
+        names = sorted(path.name for path in plain.glob("*.csv"))
+        assert len(names) == 7 and names == sorted(path.name for path in patched.glob("*.csv"))
+        for name in names:
+            assert (plain / name).read_bytes() == (patched / name).read_bytes(), name
+        with pytest.raises(Rotated):
+            main(["certify", "--out", str(tmp_path / "certify")])
+
     def test_discord_match_runs_one_search_per_q(self, tmp_path, monkeypatch):
-        # per q: one kernel call scores the whole candidate set (the net records
-        # call the kernel through epsnet's own name)
+        # two kernel calls serve every q: one over the 28 net directions, then one that
+        # scores the whole candidate set of each q
         kernel, calls = measures._kernel, []
 
         def counted(block, frames):
-            calls.append(len(frames))
+            calls.append((block.shape[:-2], frames.shape[:-2]))
             return kernel(block, frames)
 
         monkeypatch.setattr(measures, "_kernel", counted)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"q_values": [0.1, 0.7]}))
         assert main(["discord-match", "--config", str(cfg), "--out", str(tmp_path)]) == 0
-        assert len(calls) == 2
+        (net_states, net_dirs), (states, candidates) = calls
+        assert net_states == states == (2,) and net_dirs == (28,)
+        assert candidates[0] == 2 and candidates[1] >= 14
         _, rows = read_csv(tmp_path / "discord_match.csv")
         for q, row in zip((0.1, 0.7), rows):
             assert row[2] == row[4]  # d_numeric is q_n
@@ -912,8 +939,8 @@ class TestColdStart:
             from entact.measures import discord_numeric
             from entact.qcore import DensityMatrix, chi_q
             from entact.tomo import mc_errorbar
-            discord = lambda mats: [discord_numeric(DensityMatrix(m, (2, 2))).value
-                                    for m in mats]
+            discord = lambda mats: [r.value for r in discord_numeric(
+                [DensityMatrix(m, (2, 2)) for m in mats])]
             bar = mc_errorbar(chi_q(0.2), 1e4, 50, 1, discord)
             assert "scipy" not in sys.modules
             assert math.isclose(bar.mean, 0.2, abs_tol=0.02), bar.mean

@@ -260,6 +260,13 @@ class TestCounts:
         with pytest.raises(ValueError, match="rep"):
             tomography(rho3, 1e4, 1, reps)
 
+    @pytest.mark.parametrize("reps", [[], (), range(0), range(5, 2)])
+    def test_empty_rep_set_is_named(self, rho3, monkeypatch, reps):
+        # named before any count is drawn, where numpy's reshape would fail unnamed
+        monkeypatch.setattr(tomo, "_draw", None)
+        with pytest.raises(ValueError, match="the rep set is empty"):
+            tomography(rho3, 1e4, 1, reps)
+
     def test_rep_range_reads_as_its_list(self, rho3):
         for reps in (range(3), range(2**128 - 5, 2**128, 2), range(6, 0, -3)):
             run, listed = tomography(rho3, 1e3, 4, reps), tomography(rho3, 1e3, 4, list(reps))
@@ -515,16 +522,15 @@ class TestErrorBars:
         assert std < 0.01
 
     def test_discord_statistics(self):
-        # every rep runs the one discord search, whose reports the map may keep
+        # each block of reps runs one stacked discord call, whose reports the map may keep
         reports = []
 
-        def discord(dm):
-            result = negativity_of_quantumness(dm)
-            reports.append(result.search)
-            return result.value
+        def discord(mats):
+            results = negativity_of_quantumness([DensityMatrix(m, (2, 2)) for m in mats])
+            reports.extend(r.search for r in results)
+            return [r.value for r in results]
 
-        mean, std, *_ = mc_errorbar(chi_q(0.4), 1e4, reps=50, seed=1,
-                                    functional=per_state(discord, (2, 2)))
+        mean, std, *_ = mc_errorbar(chi_q(0.4), 1e4, reps=50, seed=1, functional=discord)
         assert mean == pytest.approx(0.4, abs=0.02)
         assert std < 0.02
         assert len(reports) == 50
