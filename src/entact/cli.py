@@ -19,16 +19,17 @@ from pathlib import Path
 import numpy as np
 
 from .qcore import DensityMatrix, chi_q, fidelity
-from .protocol import (NetSpec, WaveplateSetting, _premeasure, bloch_vector, dedup_bloch,
-                       default_net, premeasurement, u_b)
-from .measures import (discord_numeric, discord_x_state, negativities, negativities_offdiag,
-                       negativities_theory)
+from .protocol import (NetSpec, WaveplateSetting, _premeasure, dedup_bloch, default_net,
+                       premeasurement, u_b)
+from .measures import discord_numeric, discord_x_state, negativities, negativities_theory
 from .epsnet import (
     MAX_GRID_POINTS,
     MAX_GRID_STEP,
+    MAX_NET_SETTINGS,
     MAX_RESOLUTION,
     MIN_GRID_STEP,
     cap_radius,
+    net_negativities,
     scan_axes,
     sphere_scan,
     verify_covering,
@@ -46,9 +47,6 @@ DEFAULT_Q = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 # tomo-demo state has 0.016 at exposure 1e4, 0.150 at 100 and 1.72 at 1)
 MAX_ZERO_SETTINGS = 0
 MAX_CLIPPED_MASS = 0.1
-# activate and discord-match take N(n) in blocks of at most this many (q, setting)
-# pairs, or one q, about 190 B a pair at the peak: memory does not grow with the q count
-MAX_NET_SETTINGS = 10_000
 
 
 class ConfigError(ValueError):
@@ -230,14 +228,6 @@ def _format_column(column, n: int) -> list:
     return text[index].tolist()
 
 
-def _net_negativities(states, net: NetSpec) -> np.ndarray:
-    """N(n) of each state at each setting of `net`, theta-major, as (states, settings)."""
-    mats, dirs = np.array([chi.mat for chi in states]), bloch_vector(*net.angles())
-    step = max(1, MAX_NET_SETTINGS // len(dirs))
-    return np.concatenate([negativities_offdiag(mats[i:i + step], dirs)
-                           for i in range(0, len(mats), step)])
-
-
 def _exposure_warnings(where: str, clipped_mass: float, zero_settings: int) -> list:
     """A one-item list naming the crossed low-exposure thresholds, or []."""
     if zero_settings <= MAX_ZERO_SETTINGS and clipped_mass <= MAX_CLIPPED_MASS:
@@ -255,8 +245,9 @@ def cmd_activate(cfg: ExperimentConfig, args) -> int:
     states = [cfg.input_state(q) for q in cfg.q_values]
     theta, phi = cfg.net.angles()
     angles = {id(c): _format_column(c, len(c)) for c in (theta, phi)}  # every q's file repeats
-    # exact values come straight from the 4x4 states; only tomography needs a state
-    for q, chi, n in zip(cfg.q_values, states, _net_negativities(states, cfg.net)):
+    # exact values come straight from the 4x4 states, taken only where no tomography runs
+    exact = net_negativities(states, cfg.net) if cfg.mc_reps == 0 else [None] * len(states)
+    for q, chi, n in zip(cfg.q_values, states, exact):
         value, err = n, 0.0
         if cfg.mc_reps > 0:
             value, err = [], []
@@ -316,7 +307,7 @@ def cmd_discord_match(cfg: ExperimentConfig, args) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     searches, minimisers, rows = {}, {}, []  # per q: the search report, its minimiser
     states = [cfg.input_state(q) for q in cfg.q_values]
-    net_min = _net_negativities(states, cfg.net).min(axis=1).tolist()
+    net_min = net_negativities(states, cfg.net).min(axis=1).tolist()
     # the discord on B is min_n N(n): one exact minimum per q gives d_numeric and q_n
     for q, chi, res, least in zip(cfg.q_values, states, discord_numeric(states), net_min):
         searches[str(q)], minimisers[str(q)] = asdict(res.search), asdict(res.settings_used)

@@ -1,8 +1,8 @@
 """Finite-sample certification of entanglement over the whole Bloch sphere.
 
 Spherical-cap covering/packing checks of a net's distinct bases (`dedup_bloch`)
-under the chord metric, the net records of an input state as arrays (N(n) by the
-(b, T) kernel of `measures.negativities_offdiag`), one kernel for the two
+under the chord metric, N(n) of a sequence of states over a net, the one path that
+every command takes (`net_negativities`), the net records, one kernel for the two
 continuity lower bounds on the premeasurement negativity, and the full-sphere
 positivity scan built on it.
 """
@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .protocol import NetSpec, WaveplateSetting, _rotate_b, bloch_vector, u_b
-from .measures import _fibonacci_directions, _frames, _kernel, _pauli_block
+from .protocol import NetSpec, WaveplateSetting, bloch_vector
+from .measures import _fibonacci_directions, negativities_offdiag
 
 # Largest `verify_covering` resolution: it holds one (bases, points) float array
 # of dot products, 26 MB at the 16 distinct bases of the default net; a
@@ -27,33 +27,40 @@ MAX_RESOLUTION = 200_000
 MIN_GRID_STEP = math.pi / 720
 MAX_GRID_STEP = math.pi / 90 + 1e-12  # the coarsest, 2 degrees, with a float margin
 MAX_GRID_POINTS = 361 * 181
+# `net_negativities` takes N(n) in blocks of at most this many (state, setting) pairs,
+# or one state, about 190 B a pair at the peak: memory does not grow with the state count
+MAX_NET_SETTINGS = 10_000
+
+
+def net_negativities(states, net: NetSpec) -> np.ndarray:
+    """N(n) of each 2-qubit state of the sequence `states` at each setting of `net`,
+    theta-major like `net.angles()`, as a (states, settings) array: the
+    `negativities_offdiag` kernel over the net's directions, in blocks of states."""
+    if any(chi.dims != (2, 2) for chi in states):
+        raise ValueError("every state must be a 2-qubit state")
+    mats, dirs = np.array([chi.mat for chi in states]), bloch_vector(*net.angles())
+    out, step = np.empty((len(mats), len(dirs))), max(1, MAX_NET_SETTINGS // max(1, len(dirs)))
+    for i in range(0, len(mats), step):
+        out[i:i + step] = negativities_offdiag(mats[i:i + step], dirs)
+    return out
 
 
 class NetRecords(NamedTuple):
-    """The records of a state on a net, as arrays over its k settings: the waveplate
-    angles, N(n) = 2 ||<n| chi |n_perp>||_1 of each premeasurement state, read off B's
-    Bloch vector b and the correlation matrix T of chi (`measures.negativities_offdiag`),
-    and each state's 4x4 block at the C-NOT image, which is chi rotated on B."""
+    """The records of a state on a net: the angles of its k settings and N(n) at each,
+    as arrays, and the raw 4x4 chi, which gives the Lipschitz constant of `lower_bounds`."""
 
     theta: np.ndarray
     phi: np.ndarray
     n: np.ndarray
-    blocks: np.ndarray
+    chi: np.ndarray
 
 
-def net_records(states, net: NetSpec):
-    """The records of each 2-qubit state of the sequence `states` on every setting of
-    `net`, theta-major like `net.angles()`, yielded one `NetRecords` per state.
-
-    The directions' frames and u_b are built once over the net; each state's record is
-    read straight off chi, N(n) by one `measures._kernel` call on its (b, T), so a
-    caller that drops each record holds no more than one."""
-    if any(chi.dims != (2, 2) for chi in states):
-        raise ValueError("every state must be a 2-qubit state")
+def net_records(states, net: NetSpec) -> list:
+    """One `NetRecords` per 2-qubit state of the sequence `states` on every setting of
+    `net`, theta-major like `net.angles()`, from one `net_negativities` call."""
     theta, phi = net.angles()
-    e, u = _frames(bloch_vector(theta, phi)), u_b(theta, phi)
-    for chi in states:
-        yield NetRecords(theta, phi, _kernel(_pauli_block(chi.mat), e), _rotate_b(chi.mat, u))
+    return [NetRecords(theta, phi, n, chi.mat)
+            for chi, n in zip(states, net_negativities(states, net))]
 
 
 def cap_radius(epsilon: float) -> float:
@@ -120,8 +127,7 @@ def lower_bounds(records: NetRecords, theta, phi):
 
         low1 = max_j (N_j - chord(n, n_j)),   low2 = max_j (N_j - L chord(n, n_j)),
 
-    with L = min(1, max_j ||B_j - tr_B(B_j) x I/2||_1), B_j the 4x4 block of
-    record j's state at the C-NOT image, which is chi rotated on B.
+    with L = min(1, ||chi - chi_A x I/2||_1), read off the records' chi.
 
     Both rest on N being L-Lipschitz in the chord metric with n and -n
     identified.  With Z_n = I x n.sigma, N(n) = ||chi - D_n(chi)||_1
@@ -131,8 +137,8 @@ def lower_bounds(records: NetRecords, theta, phi):
         |N(n) - N(m)| <= 1/2 ||Z_n Delta Z_n - Z_m Delta Z_m||_1 <= |n - m| ||Delta||_1,
     since ||Z_n - Z_m||_inf = |n - m|; Z_-n gives the conjugation of Z_n, so
     |n - m| may be the chord.  tau = 0 gives ||chi||_1 = 1, and tau =
-    chi_A x I/2 gives ||chi - chi_A x I/2||_1, which no unitary on B changes, so
-    every B_j gives it.  As L <= 1, low2 >= low1 in every entry, exactly.
+    chi_A x I/2 gives ||chi - chi_A x I/2||_1, which no unitary on B changes.  As
+    L <= 1, low2 >= low1 in every entry, exactly.
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 1 or theta.shape != phi.shape:
@@ -148,10 +154,9 @@ def _bounds(records: NetRecords, chords: np.ndarray, buf: np.ndarray):
         raise ValueError("lower_bounds needs at least one record")
     if not (records.n >= 0).all():  # also rejects NaN
         raise ValueError("record negativities must be nonnegative")
-    rec_n, blocks = records.n[:, None], records.blocks
-    marginal = np.einsum("jabcb->jac", blocks.reshape(-1, 2, 2, 2, 2))
-    centred = blocks - np.einsum("jac,bd->jabcd", marginal, np.eye(2) / 2).reshape(blocks.shape)
-    lip = float(np.abs(np.linalg.eigvalsh(centred)).sum(axis=-1).max())
+    rec_n, chi = records.n[:, None], records.chi
+    chi_a = np.trace(chi.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    lip = float(np.abs(np.linalg.eigvalsh(chi - np.kron(chi_a, np.eye(2) / 2))).sum())
     low1 = np.subtract(rec_n, chords, out=buf).max(axis=0)
     # L = 1 always holds (tau = 0), so an L within rounding of 1, or above it, is 1
     # and the two bounds are one array, bit for bit

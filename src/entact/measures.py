@@ -3,10 +3,10 @@
 Negativity comes in three routes: the brute-force partial transpose, for general
 states such as the tomography reconstructions of `activate --mc-reps`; the
 off-diagonal-block lemma for premeasurement states, read off B's Bloch vector b and
-the correlation matrix T, which gives the net records (`epsnet.net_records`) and
-the discord; and the closed form of chi_q in the waveplate angles, the `n_theory`
-columns.  Also the trace-distance discord: in closed form for X states, and for
-every two-qubit state as the exact min_n N(n) over a finite set of directions.
+the correlation matrix T, a form that no other module reads, which gives N(n) over a
+net (`epsnet.net_negativities`) and the discord; and the closed form of chi_q, the
+`n_theory` columns.  Also the trace-distance discord: in closed form for X states,
+and for every two-qubit state as the exact min_n N(n) over a finite set of directions.
 """
 
 from __future__ import annotations

@@ -139,19 +139,13 @@ def u_b(theta, phi) -> np.ndarray:
 _CNOT_IMAGE = np.array([0, 3, 4, 7])
 
 
-def _rotate_b(chi: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(I_A x U_B) chi (I_A x U_B)^dag for raw 4x4 `chi` (..., 4, 4) and 2x2 unitaries
-    `u` (..., 2, 2), broadcast: the (..., 4, 4) blocks that `_premeasure` places."""
-    w = np.einsum("ac,...bd->...abcd", I2, u).reshape(u.shape[:-2] + (4, 4))
-    return w @ chi @ w.conj().swapaxes(-1, -2)
-
-
 def _premeasure(chi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Premeasurement states of a stack of raw 4x4 `chi` (..., 4, 4) at the 2x2 basis
-    unitaries of the stack `u` (..., 2, 2), their leading axes broadcast against each
-    other; returns the (..., 8, 8) stack, unvalidated."""
+    unitaries of the stack `u` (..., 2, 2), leading axes broadcast: the (..., 8, 8) stack,
+    unvalidated, (I_A x U_B) chi (I_A x U_B)^dag on the C-NOT image and zero elsewhere."""
+    w = np.einsum("ac,...bd->...abcd", I2, u).reshape(u.shape[:-2] + (4, 4))
     out = np.zeros(np.broadcast_shapes(chi.shape[:-2], u.shape[:-2]) + (8, 8), dtype=complex)
-    out[..., _CNOT_IMAGE[:, None], _CNOT_IMAGE] = _rotate_b(chi, u)
+    out[..., _CNOT_IMAGE[:, None], _CNOT_IMAGE] = w @ chi @ w.conj().swapaxes(-1, -2)
     return out
 
 

@@ -392,7 +392,7 @@ class TestCommands:
                 "certify": n_settings * points > default * epsnet.MAX_GRID_POINTS,
                 "net-verify": n_settings * resolution > default * MAX_RESOLUTION}
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-            for name in ("negativities_offdiag", "sphere_scan", "verify_covering",
+            for name in ("net_negativities", "sphere_scan", "verify_covering",
                          "premeasurement", "_premeasure"):
                 mp.setattr(cli, name, kernel)
             (path := Path(tmp) / "cfg.json").write_text(json.dumps(config))
@@ -536,11 +536,15 @@ class TestCommands:
 
     @pytest.mark.parametrize("command", ["activate", "certify", "discord-match"])
     def test_one_records_call_for_every_q(self, tmp_path, monkeypatch, command):
-        # the six default q share one records call in certify: u_b is built once over
-        # the 28 settings for the rotated blocks of its bound.  activate and
-        # discord-match read N(n) off (b, T) alone and build no u_b at all; no 8x8
-        # eigvalsh runs, as no premeasurement state is built
-        built, solved, eigvalsh = [], [], np.linalg.eigvalsh
+        # the six default q share one `net_negativities` call in each command, which
+        # reads N(n) off (b, T) alone: no u_b is built, and no 8x8 eigvalsh runs, as
+        # no premeasurement state is built
+        calls, built, solved = [], [], []
+        net_negativities, eigvalsh = epsnet.net_negativities, np.linalg.eigvalsh
+
+        def counted(states, net):
+            calls.append((len(states), net))
+            return net_negativities(states, net)
 
         def counted_u_b(theta, phi):
             built.append(np.shape(theta))
@@ -551,12 +555,14 @@ class TestCommands:
                 solved.append(np.shape(a)[:-2])
             return eigvalsh(a, *args, **kwargs)
 
-        for module in (protocol, epsnet, cli):
+        for module in (epsnet, cli):
+            monkeypatch.setattr(module, "net_negativities", counted)
+        for module in (protocol, cli):
             monkeypatch.setattr(module, "u_b", counted_u_b)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         assert main([command, "--out", str(tmp_path)]) == 0
-        assert built == ([(28,)] if command == "certify" else [])
-        assert solved == []
+        assert calls == [(6, default_net())]
+        assert built == solved == []
 
     @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
     def test_witness_lines_from_stacked_states(self, tmp_path, monkeypatch, noise):
@@ -671,7 +677,7 @@ class TestCommands:
             assert r["min_low"] == r["n_low2_min"] - r["margin"]
             assert r["margin"] == r["L"] * (2.0 + math.sqrt(2.0)) * step
             chi = ExperimentConfig(noise="werner:0.9").input_state(float(q))
-            assert r["L"] == lower_bounds(next(net_records([chi], default_net())), [0.0], [0.0])[2]
+            assert r["L"] == lower_bounds(net_records([chi], default_net())[0], [0.0], [0.0])[2]
             assert line.startswith(f"q={q}: min_low={r['min_low']:.6f} ")
             _, rows = read_csv(tmp_path / f"certify_q{float(q):.2f}.csv")
             assert min(float(row[5]) for row in rows) == pytest.approx(r["n_low2_min"],
@@ -852,28 +858,51 @@ class TestCommands:
             assert negativities_offdiag(chi.mat, n[None])[0] == pytest.approx(float(row[2]),
                                                                              abs=1e-11)
 
-    def test_no_rotated_blocks_outside_certify(self, tmp_path, monkeypatch):
-        # discord-match and exact activate read N(n) off (b, T) alone: with the rotated
-        # blocks unbuildable they write the same bytes, and only certify, whose
-        # Lipschitz bound reads the blocks, fails
+    def test_no_rotated_blocks_in_the_net_commands(self, tmp_path, monkeypatch):
+        # activate, certify and discord-match read N(n) off (b, T) and L off chi: with
+        # the waveplate unitaries unbuildable, and no rotated block with them, they
+        # write the same CSV bytes and print the same lines
         class Rotated(Exception):
             pass
 
         def rotated(*args):
             raise Rotated
 
+        def run(out):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                for command in ("activate", "certify", "discord-match"):
+                    assert main([command, "--out", str(out)]) == 0
+            return stdout.getvalue()
+
         plain, patched = tmp_path / "plain", tmp_path / "patched"
-        for command in ("discord-match", "activate"):
-            assert main([command, "--out", str(plain)]) == 0
-        monkeypatch.setattr(epsnet, "_rotate_b", rotated)
-        for command in ("discord-match", "activate"):
-            assert main([command, "--out", str(patched)]) == 0
+        printed = run(plain)
+        for module in (protocol, cli):
+            monkeypatch.setattr(module, "u_b", rotated)
+        assert run(patched) == printed
         names = sorted(path.name for path in plain.glob("*.csv"))
-        assert len(names) == 7 and names == sorted(path.name for path in patched.glob("*.csv"))
+        assert len(names) == 13 and names == sorted(path.name for path in patched.glob("*.csv"))
         for name in names:
             assert (plain / name).read_bytes() == (patched / name).read_bytes(), name
         with pytest.raises(Rotated):
-            main(["certify", "--out", str(tmp_path / "certify")])
+            main(["witness", "--out", str(tmp_path / "witness")])
+
+    def test_mc_activate_takes_no_exact_negativities(self, tmp_path, monkeypatch):
+        # under --mc-reps every n_value is a Monte-Carlo mean: with the net kernel
+        # unusable, activate on the mc-tomography config (q = 0.2 at the settings
+        # (0, 0) and (pi/4, 0)) exits 0 and writes the same bytes
+        def forbidden(*args):
+            raise AssertionError("activate --mc-reps took the exact N(n)")
+
+        (cfg := tmp_path / "mc.json").write_text(json.dumps(
+            {"q_values": [0.2], "net": {"thetas": [0.0, 3 * (math.pi / 12)], "phis": [0.0]}}))
+        plain, patched = tmp_path / "plain", tmp_path / "patched"
+        argv = ["activate", "--mc-reps", "50", "--seed", "1", "--config", str(cfg)]
+        assert main(argv + ["--out", str(plain)]) == 0
+        monkeypatch.setattr(epsnet, "negativities_offdiag", forbidden)
+        assert main(argv + ["--out", str(patched)]) == 0
+        csv = "activate_q0.20.csv"
+        assert (plain / csv).read_bytes() == (patched / csv).read_bytes()
 
     def test_discord_match_runs_one_search_per_q(self, tmp_path, monkeypatch):
         # two kernel calls serve every q: one over the 28 net directions, then one that

@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from entact.qcore import DensityMatrix, chi_q
 from entact.protocol import (
-    _CNOT_IMAGE,
     NetSpec,
     WaveplateSetting,
     bloch_vector,
@@ -29,11 +28,13 @@ from entact.epsnet import (
     MAX_GRID_POINTS,
     MAX_RESOLUTION,
     MIN_GRID_STEP,
+    MAX_NET_SETTINGS,
     NetRecords,
     _basis_chords,
     _bounds,
     cap_radius,
     lower_bounds,
+    net_negativities,
     net_records,
     scan_axes,
     sphere_scan,
@@ -72,7 +73,7 @@ def net():
 
 @pytest.fixture(scope="module")
 def records02(net):
-    return next(net_records([chi_q(0.2)], net))
+    return net_records([chi_q(0.2)], net)[0]
 
 
 def setting(records, j):
@@ -81,10 +82,8 @@ def setting(records, j):
 
 
 def one_record(s, value, chi):
-    """Records of one setting `s`, with negativity `value` and the block of chi's
-    premeasurement state there."""
-    block = premeasurement(chi, s).mat[_CNOT_IMAGE[:, None], _CNOT_IMAGE]
-    return NetRecords(np.array([s.theta]), np.array([s.phi]), np.array([value]), block[None])
+    """Records of one setting `s` of the state chi, with negativity `value`."""
+    return NetRecords(np.array([s.theta]), np.array([s.phi]), np.array([value]), chi.mat)
 
 
 def low_at(records, target):
@@ -160,7 +159,7 @@ class TestNetSpec:
         # (a spurious +4e-16 there would certify a classical state)
         for q in (0.0, 0.2, 0.6):
             [records] = net_records([chi_q(q)], net)
-            assert records.blocks.shape == (28, 4, 4)
+            assert records.n.shape == (28,)
             theory = negativities_theory(q, records.theta, records.phi)
             for value, closed in zip(records.n.tolist(), theory.tolist()):
                 assert value == pytest.approx(closed, abs=1e-15)
@@ -171,66 +170,67 @@ class TestNetSpec:
     @settings(max_examples=20)
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
     def test_net_records_match_per_setting_states(self, re_im):
-        # the whole net in one kernel call gives the block of one premeasurement state
-        # per setting bit for bit, and its brute-force negativity within the zero band
+        # the whole net in one kernel call gives the brute-force negativity of one
+        # premeasurement state per setting within the zero band, and the record
+        # carries the state's own 4x4 chi
         for chi in (full_rank_state(re_im), chi_q(0.0), chi_q(0.2), chi_q(1.0)):
             net = default_net()
             [records] = net_records([chi], net)
             ordered = reference.net_settings(net)
             assert [setting(records, j) for j in range(len(records.n))] == ordered
-            for s, value, block in zip(ordered, records.n.tolist(), records.blocks):
-                # the block is the whole state: it is zero off the C-NOT image
-                state = premeasurement(chi, s)
-                assert value == pytest.approx(negativity(state, [0, 1]), abs=2e-12)
-                outside = state.mat.copy()
-                assert np.array_equal(block, outside[_CNOT_IMAGE[:, None], _CNOT_IMAGE])
-                outside[_CNOT_IMAGE[:, None], _CNOT_IMAGE] = 0.0
-                assert not outside.any()
+            assert records.chi is chi.mat
+            for s, value in zip(ordered, records.n.tolist()):
+                assert value == pytest.approx(negativity(premeasurement(chi, s), [0, 1]),
+                                              abs=2e-12)
 
     @settings(max_examples=40)
     @given(st.lists(STATES, min_size=1, max_size=7), NETS)
     @example([chi_q(0.2), chi_q(0.6)], NetSpec((), (0.0,)))
     @example([chi_q(q) for q in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)], default_net())
     def test_stacked_records_match_a_per_setting_reference(self, states, net):
-        # the records of a stack of states hold the bits of one premeasurement block
-        # per state and setting, and its brute-force negativity within 2e-12: the
-        # off-diagonal lemma and the 8x8 route share the 1e-12 zero band
-        records = list(net_records(states, net))
+        # the records of a stack of states hold each state's chi and the brute-force
+        # negativity of one premeasurement state per setting within 2e-12: the
+        # off-diagonal lemma and the 8x8 route share the 1e-12 zero band.  Each row
+        # holds the bits of its state's one-state call
+        records = net_records(states, net)
         assert len(records) == len(states)
         ordered = reference.net_settings(net)
-        for rec, (n, blocks) in zip(records, reference.net_records(states, net)):
+        for chi, rec, (n, _) in zip(states, records, reference.net_records(states, net)):
             assert [setting(rec, j) for j in range(len(rec.n))] == ordered
             assert rec.n.shape == n.shape and np.abs(rec.n - n).max(initial=0.0) <= 2e-12
-            assert (rec.blocks.shape, rec.blocks.tobytes()) == (blocks.shape, blocks.tobytes())
+            assert rec.chi is chi.mat
+            assert rec.n.tobytes() == net_negativities([chi], net)[0].tobytes()
 
-    def test_stacked_records_hold_one_call(self):
-        # each state's record is built when it is taken and freed when it is dropped:
-        # the records of 12 q peak within 1.5 times those of one q
-        net = NetSpec(np.linspace(0.0, 1.5, 20), np.linspace(0.0, 0.7, 20))
+    def test_net_negativities_hold_one_block(self):
+        # on a net of MAX_NET_SETTINGS settings each block holds one state, so 12
+        # states peak under twice one state's peak: only the (states, settings)
+        # result grows with the state count
+        net = NetSpec(np.linspace(0.0, 1.5, 100), np.linspace(0.0, 0.7, 100))
         states = [chi_q(q) for q in np.linspace(0.0, 1.0, 12)]
+        assert len(net.thetas) * len(net.phis) >= MAX_NET_SETTINGS
 
         def peak(states):
             tracemalloc.start()
             try:
-                for rec in net_records(states, net):
-                    assert rec.n.shape == (400,)
+                assert net_negativities(states, net).shape == (len(states), 10_000)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(states[:1])
         one, twelve = peak(states[:1]), peak(states)
-        assert twelve < 1.5 * one
+        assert twelve < 2 * one
 
     def test_records_take_two_qubit_states(self, net):
         three_qubit = premeasurement(chi_q(0.2), WaveplateSetting(0.0, 0.0))
         with pytest.raises(ValueError, match="2-qubit"):
-            list(net_records([chi_q(0.2), three_qubit], net))
+            net_records([chi_q(0.2), three_qubit], net)
 
     def test_net_records_of_an_empty_net(self):
         [records] = net_records([chi_q(0.2)], NetSpec((), (0.0,)))
         assert records.theta.shape == records.phi.shape == records.n.shape == (0,)
-        assert records.blocks.shape == (0, 4, 4)
+        assert records.chi.shape == (4, 4)
+        assert net_negativities([], default_net()).shape == (0, 28)
 
 
 def chord(a, b):
@@ -441,16 +441,28 @@ class TestBound2:
         assert low2.tobytes() == (rec_n - lip * chords).max(axis=0).tobytes()
 
     def test_requires_states(self, records02):
-        # records always carry the premeasurement blocks that L is read from
+        # records always carry the chi that L is read from
         with pytest.raises(TypeError):
             NetRecords(records02.theta, records02.phi, records02.n)
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1).map(seeded_state))
     def test_lipschitz_constant_from_the_records(self, chi):
-        # every record's block gives ||chi - chi_A x I/2||_1, whatever B rotation
-        _, _, lip = lower_bounds(next(net_records([chi], default_net())), [0.0], [0.0])
+        # the records' chi gives min(1, ||chi - chi_A x I/2||_1)
+        _, _, lip = lower_bounds(net_records([chi], default_net())[0], [0.0], [0.0])
         assert lip == pytest.approx(lipschitz_reference(chi), abs=1e-12)
+
+    @settings(max_examples=50)
+    @given(st.integers(0, 2**32 - 1).map(seeded_state),
+           NETS.filter(lambda net: len(net.thetas) > 0))
+    def test_lipschitz_constant_is_invariant_under_b_rotations(self, chi, net):
+        # no unitary on B changes ||chi - chi_A x I/2||_1: L read off chi alone is the
+        # largest value over B_j, the 4x4 block of each setting's 8x8 premeasurement
+        # state on the C-NOT image, which is chi rotated on B
+        [(_, blocks)] = reference.net_records([chi], net)
+        per_setting = [lipschitz_reference(DensityMatrix(block, (2, 2))) for block in blocks]
+        _, _, lip = lower_bounds(net_records([chi], net)[0], [0.0], [0.0])
+        assert lip == pytest.approx(max(per_setting), abs=1e-12)
 
     def test_lipschitz_constant_of_chi_q(self):
         # chi_q is Bell-diagonal, so chi_A = I/2 and ||chi_q - I/4||_1 is
@@ -460,14 +472,16 @@ class TestBound2:
             assert lower_bounds(records, [0.0], [0.0])[2] == pytest.approx(lip, abs=1e-12)
 
     def test_lipschitz_constant_within_rounding_of_1_is_1(self):
-        # at q = 0 the exact L is 1; read off the first block alone, its rounded
-        # eigensum is 0.9999999999999998, and the two bounds are still one array
+        # at q = 0 the exact L is 1; read off chi, its rounded eigensum is
+        # 0.9999999999999998, and the two bounds are still one array
         [records] = net_records([chi_q(0.0)], default_net())
+        chi_a = np.trace(records.chi.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+        centred = records.chi - np.kron(chi_a, np.eye(2) / 2)
+        assert float(np.abs(np.linalg.eigvalsh(centred)).sum()) == 0.9999999999999998
         theta, phi = NetSpec(*scan_axes(math.pi / 180)).angles()
         chords = _basis_chords(bloch_vector(records.theta, records.phi),
                                bloch_vector(theta, phi))
-        low1, low2, lip = _bounds(records._replace(blocks=records.blocks[:1]), chords,
-                                  np.empty_like(chords))
+        low1, low2, lip = _bounds(records, chords, np.empty_like(chords))
         assert low2 is low1 and lip == 1.0
 
     @settings(max_examples=100)
@@ -511,7 +525,8 @@ class TestCombinedBound:
     def test_monotone_under_record_removal(self, records02):
         s = WaveplateSetting(0.33, 0.21)
         full = np.array(low_at(records02, s))
-        subset = np.array(low_at(NetRecords(*(a[::3] for a in records02)), s))
+        thinned = NetRecords(*(a[::3] for a in records02[:3]), records02.chi)
+        subset = np.array(low_at(thinned, s))
         assert (subset <= full + 1e-12).all()
 
     @settings(max_examples=50)
@@ -562,7 +577,7 @@ class TestSphereScan:
         chi = chi_q(0.2)
         for step in (math.pi / 180, 0.0349):
             [scan] = sphere_scan([chi], net, grid_step=step)
-            _, _, lip = lower_bounds(next(net_records([chi], net)), [0.0], [0.0])
+            _, _, lip = lower_bounds(net_records([chi], net)[0], [0.0], [0.0])
             # the parts of the verdict that the certify manifest records
             assert (scan.grid_min, scan.lip) == (scan.columns[3].min(), lip)
             assert scan.margin == lip * (2.0 + math.sqrt(2.0)) * step
@@ -615,7 +630,7 @@ class TestSphereScan:
         scans = sphere_scan(states, net, grid_step=step)
         assert len(scans) == len(states)
         for chi, (min_low, argmin, columns, *_) in zip(states, scans):
-            low1, low2, lip = lower_bounds(next(net_records([chi], net)), theta, phi)
+            low1, low2, lip = lower_bounds(net_records([chi], net)[0], theta, phi)
             for got, want in zip(columns, (theta, phi, low1, low2)):
                 assert got.tobytes() == want.tobytes()
             i = int(np.flatnonzero(low2 <= low2.min() + 1e-12)[0])

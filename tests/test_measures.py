@@ -685,6 +685,29 @@ class TestCandidateSet:
         assert negativities_offdiag(chi, dirs).min() <= least + 1e-12
         assert res.search.polish_residual in residuals.tolist()
 
+    @pytest.mark.parametrize("state, rank", [("flat", 2), ("flat", 3), ("flat", 4),
+                                             ("sparse", 2)])
+    def test_value_holds_where_the_circle_roots_miss(self, state, rank):
+        # two states where `_great_circle`'s best root misses the circle's least
+        # sample (by 1.5e-5 on the first at rank 2) or its residual exceeds 1e-12
+        # (2.3e-11 on the second): another candidate holds the minimum, at or below
+        # the least of 4,096 circle samples and of a 20,000-point lattice
+        re_im = np.zeros((2, 4, 4))
+        if state == "flat":
+            re_im[:] = 0.5
+            re_im[0, :2, 0] = 0.0, 1.0
+        else:
+            re_im[0, 1:3, 0], re_im[0, 3, 1], re_im[1, 0, 0] = (1.0, 0.5), 0.8203125, 0.125
+        a = (re_im[0] + 1j * re_im[1])[:, :rank]
+        chi = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        w = np.linalg.svd(_pauli_block(chi)[0][None])[2][1:]  # a pair perpendicular to b
+        psi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+        circle = negativities_offdiag(chi, np.cos(psi)[:, None] * w[0]
+                                      + np.sin(psi)[:, None] * w[1]).min()
+        lattice = negativities_offdiag(chi, _fibonacci_directions(20_000)).min()
+        value = negativity_of_quantumness([DensityMatrix(chi, (2, 2))])[0].value
+        assert value <= circle + 1e-12 and value <= lattice + 1e-12
+
     def test_runs_no_optimiser(self, monkeypatch):
         # the candidate set is scored in one kernel call; nothing calls `minimize`,
         # whose name stays for the benchmark's tracing
