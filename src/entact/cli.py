@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .qcore import DensityMatrix, chi_q, fidelity
-from .protocol import (NetSpec, WaveplateSetting, _premeasure, dedup_bloch, default_net,
-                       premeasurement, u_b)
+from .protocol import (NetSpec, WaveplateSetting, _premeasure, bloch_vector, dedup_bloch,
+                       default_net, premeasurement, u_b)
 from .measures import discord_numeric, discord_x_state, negativities, negativities_theory
 from .epsnet import (
     MAX_GRID_POINTS,
@@ -167,8 +167,8 @@ def _check_settings(cfg: ExperimentConfig, command: str):
 
 
 def _check_chords(cfg: ExperimentConfig, points: int, most: int):
-    """certify and net-verify hold settings x points chord floats: no more than the
-    default net's at `most` points."""
+    """certify and net-verify hold at most settings x points chord floats: no more
+    than the default net's at `most` points."""
     settings, default = (len(n.thetas) * len(n.phis) for n in (cfg.net, default_net()))
     if settings * points > default * most:
         raise ConfigError(f"net settings x points is {settings} x {points}, above the "
@@ -202,15 +202,16 @@ def _write_csv(path: Path, header: str, columns, cfg_hash: str, seed: int, share
     length raise ValueError.  A column object given twice is formatted once; `shared` maps
     the id of a column that several files repeat to its `_format_column` fields."""
     n = max((len(c) for c in columns if np.ndim(c)), default=0)
-    shared = shared or {}
-    fields = {i: shared[i] if i in shared else _format_column(c, n)
+    fields = {i: shared[i] if shared and i in shared else _format_column(c, n)
               for i, c in {id(c): c for c in columns}.items()}
     k = len(columns) + 1  # row-major cells: each row's fields, then its hash and seed
     cells = [f"{cfg_hash},{seed}\n"] * (n * k)
     for j, c in enumerate(columns):
         cells[j::k] = fields[id(c)]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"{SCHEMA_LINE}\n{header},cfg_hash,seed\n" + "".join(cells))
+    with path.open("w") as f:  # in slices: a whole-file string made the heap trim per file
+        f.write(f"{SCHEMA_LINE}\n{header},cfg_hash,seed\n")
+        f.writelines("".join(cells[i:i + 4096]) for i in range(0, len(cells), 4096))
 
 
 def _format_column(column, n: int) -> list:
@@ -246,7 +247,8 @@ def cmd_activate(cfg: ExperimentConfig, args) -> int:
     theta, phi = cfg.net.angles()
     angles = {id(c): _format_column(c, len(c)) for c in (theta, phi)}  # every q's file repeats
     # exact values come straight from the 4x4 states, taken only where no tomography runs
-    exact = net_negativities(states, cfg.net) if cfg.mc_reps == 0 else [None] * len(states)
+    exact = [None] * len(states) if cfg.mc_reps else net_negativities(
+        states, bloch_vector(theta, phi))
     for q, chi, n in zip(cfg.q_values, states, exact):
         value, err = n, 0.0
         if cfg.mc_reps > 0:
@@ -307,7 +309,7 @@ def cmd_discord_match(cfg: ExperimentConfig, args) -> int:
     out, cfg_hash = Path(cfg.output_dir), cfg.hash()
     searches, minimisers, rows = {}, {}, []  # per q: the search report, its minimiser
     states = [cfg.input_state(q) for q in cfg.q_values]
-    net_min = net_negativities(states, cfg.net).min(axis=1).tolist()
+    net_min = net_negativities(states, bloch_vector(*cfg.net.angles())).min(axis=1).tolist()
     # the discord on B is min_n N(n): one exact minimum per q gives d_numeric and q_n
     for q, chi, res, least in zip(cfg.q_values, states, discord_numeric(states), net_min):
         searches[str(q)], minimisers[str(q)] = asdict(res.search), asdict(res.settings_used)

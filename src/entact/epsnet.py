@@ -1,10 +1,10 @@
 """Finite-sample certification of entanglement over the whole Bloch sphere.
 
 Spherical-cap covering/packing checks of a net's distinct bases (`dedup_bloch`)
-under the chord metric, N(n) of a sequence of states over a net, the one path that
-every command takes (`net_negativities`), the net records, one kernel for the two
-continuity lower bounds on the premeasurement negativity, and the full-sphere
-positivity scan built on it.
+under the chord metric, N(n) of a sequence of states at a stack of directions, the
+one path that every command takes (`net_negativities`), the net records, one kernel
+for the two continuity lower bounds on the premeasurement negativity, and the
+full-sphere positivity scan built on it, over the net's distinct bases.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .protocol import NetSpec, WaveplateSetting, bloch_vector
+from .protocol import NetSpec, WaveplateSetting, bloch_vector, dedup_bloch
 from .measures import _fibonacci_directions, negativities_offdiag
 
 # Largest `verify_covering` resolution: it holds one (bases, points) float array
@@ -22,8 +22,8 @@ from .measures import _fibonacci_directions, negativities_offdiag
 # net-verify run at it peaks near 68 MiB resident
 MAX_RESOLUTION = 200_000
 # Finest `sphere_scan` grid step, 0.25 degree, and its MAX_GRID_POINTS grid points,
-# whose chord kernel holds three (records, points) float arrays, 44 MB at the
-# 28-setting default net; a certify run at it peaks near 85 MiB resident
+# whose chord kernel holds three (bases, points) float arrays, 25 MB at the 16
+# distinct bases of the default net; a certify run at it peaks near 63 MiB resident
 MIN_GRID_STEP = math.pi / 720
 MAX_GRID_STEP = math.pi / 90 + 1e-12  # the coarsest, 2 degrees, with a float margin
 MAX_GRID_POINTS = 361 * 181
@@ -32,13 +32,13 @@ MAX_GRID_POINTS = 361 * 181
 MAX_NET_SETTINGS = 10_000
 
 
-def net_negativities(states, net: NetSpec) -> np.ndarray:
-    """N(n) of each 2-qubit state of the sequence `states` at each setting of `net`,
-    theta-major like `net.angles()`, as a (states, settings) array: the
-    `negativities_offdiag` kernel over the net's directions, in blocks of states."""
+def net_negativities(states, dirs: np.ndarray) -> np.ndarray:
+    """N(n) of each 2-qubit state of the sequence `states` at each unit direction of
+    the (k, 3) stack `dirs`, as a (states, k) array: the `negativities_offdiag`
+    kernel, in blocks of states."""
     if any(chi.dims != (2, 2) for chi in states):
         raise ValueError("every state must be a 2-qubit state")
-    mats, dirs = np.array([chi.mat for chi in states]), bloch_vector(*net.angles())
+    mats = np.array([chi.mat for chi in states])
     out, step = np.empty((len(mats), len(dirs))), max(1, MAX_NET_SETTINGS // max(1, len(dirs)))
     for i in range(0, len(mats), step):
         out[i:i + step] = negativities_offdiag(mats[i:i + step], dirs)
@@ -60,7 +60,7 @@ def net_records(states, net: NetSpec) -> list:
     `net`, theta-major like `net.angles()`, from one `net_negativities` call."""
     theta, phi = net.angles()
     return [NetRecords(theta, phi, n, chi.mat)
-            for chi, n in zip(states, net_negativities(states, net))]
+            for chi, n in zip(states, net_negativities(states, bloch_vector(theta, phi)))]
 
 
 def cap_radius(epsilon: float) -> float:
@@ -144,17 +144,17 @@ def lower_bounds(records: NetRecords, theta, phi):
     if theta.ndim != 1 or theta.shape != phi.shape:
         raise ValueError("theta and phi must be 1-D arrays of one length")
     chords = _basis_chords(bloch_vector(records.theta, records.phi), bloch_vector(theta, phi))
-    return _bounds(records, chords, np.empty_like(chords))
+    return _bounds(records.n, records.chi, chords, np.empty_like(chords))
 
 
-def _bounds(records: NetRecords, chords: np.ndarray, buf: np.ndarray):
-    """`lower_bounds` from the (records, targets) chord array of the record bases,
-    writing its differences into `buf`, a float array of the same shape."""
-    if not len(records.n):
+def _bounds(n: np.ndarray, chi: np.ndarray, chords: np.ndarray, buf: np.ndarray):
+    """`lower_bounds` from the records' N_j `n`, their raw 4x4 `chi` and the (records,
+    targets) chords of their bases, writing its differences into `buf`, of that shape."""
+    if not len(n):
         raise ValueError("lower_bounds needs at least one record")
-    if not (records.n >= 0).all():  # also rejects NaN
+    if not (n >= 0).all():  # also rejects NaN
         raise ValueError("record negativities must be nonnegative")
-    rec_n, chi = records.n[:, None], records.chi
+    rec_n = n[:, None]
     chi_a = np.trace(chi.reshape(2, 2, 2, 2), axis1=1, axis2=3)
     lip = float(np.abs(np.linalg.eigvalsh(chi - np.kron(chi_a, np.eye(2) / 2))).sum())
     low1 = np.subtract(rec_n, chords, out=buf).max(axis=0)
@@ -183,12 +183,13 @@ def scan_axes(grid_step: float):
 
 
 def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
-    """Both lower bounds, from the net records of each state in `states`, on one
+    """Both lower bounds, from each state's records at the net's distinct bases, on one
     (theta, phi) grid over the full angular range, MIN_GRID_STEP <= grid_step <= pi/90,
     and a verdict that holds between the grid points too.
 
-    Returns one `Scan` per state.  The chords to the grid depend on the net alone,
-    so one chord array, and one buffer for the bounds, serve every state.
+    Returns one `Scan` per state.  One (distinct bases, grid points) chord array, which
+    depends on the net alone, and one buffer serve every state.  A setting that
+    `dedup_bloch` drops twins a kept basis, and a max over fewer lower bounds is one too.
 
     The range theta in [0, pi/2], phi in [0, pi/4] reaches every basis:
     n = (-cos a sin 2 theta, -sin a, cos a cos 2 theta) with a = 2 (theta - 2 phi),
@@ -205,10 +206,11 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     if not MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP:  # also rejects NaN
         raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
     theta, phi = NetSpec(*scan_axes(grid_step)).angles()
-    chords = _basis_chords(bloch_vector(*net.angles()), bloch_vector(theta, phi))
+    bases = dedup_bloch(net)
+    chords = _basis_chords(bases, bloch_vector(theta, phi))
     buf, scans = np.empty_like(chords), []
-    for records in net_records(states, net):
-        low1, low2, lip = _bounds(records, chords, buf)
+    for chi, n in zip(states, net_negativities(states, bases)):
+        low1, low2, lip = _bounds(n, chi.mat, chords, buf)
         # the grid runs theta-major in ascending order, so the first near-tie is the
         # lexicographically smallest; rounding-level changes in chi do not move it
         grid_min = float(low2.min())

@@ -91,14 +91,15 @@ def default_net() -> NetSpec:
 
 
 def dedup_bloch(net: NetSpec) -> np.ndarray:
-    """Unique measurement bases of a net as a (k, 3) array, identifying n with -n:
-    the directions of the settings in `net.angles()` order, each kept unless a kept
-    one lies within `_DEDUP_TOL` of it or of its negative in every coordinate."""
+    """Unique measurement bases of a net as a (k, 3) array, identifying n with -n, the
+    one dedupe that `net-verify` and `sphere_scan` run: the directions of the settings
+    in `net.angles()` order, each kept unless a kept one lies within `_DEDUP_TOL` of it
+    or of its negative in every coordinate."""
     dirs = bloch_vector(*net.angles())
     cols, keep = np.ascontiguousarray(dirs.T), np.ones(len(dirs), dtype=bool)
     # the pairwise test in row blocks of about 4,096 pairs: temporaries near 100 kB,
     # too small to leave the heap larger once the call returns
-    step = max(1, 4096 // len(dirs))
+    step = max(1, 4096 // (len(dirs) or 1))
     for a in range(0, len(dirs), step):
         block = cols[:, a:a + step, None]
         twin = ((np.abs(block - cols[:, None]).max(axis=0) <= _DEDUP_TOL)

@@ -242,8 +242,7 @@ def tomography(rho: DensityMatrix, exposure: float, seed: int,
         raise ValueError("the rep set is empty: tomography draws at least one rep")
     for r in (reps[0], reps[-1]):  # a range's two ends bound all of its integers
         _check_index("rep", r, 128)
-    lam = exposure * _born(rho)
-    return Tomography(*_reconstruct(_draw(lam, seed, reps), rho.n_qubits))
+    return Tomography(*_reconstruct(_draw(exposure * _born(rho), seed, reps), rho.n_qubits))
 
 
 class ErrorBar(NamedTuple):
@@ -260,18 +259,19 @@ def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
                 functional: Callable[[np.ndarray], np.ndarray]) -> ErrorBar:
     """Monte-Carlo spread of a reconstructed quantity: the mean and std over the
     reps of `functional`, which maps a (reps, d, d) stack of reconstructions to one
-    value per rep.  The reps run in blocks of `_BLOCK` through the batched pipeline
-    of `tomography`, so peak memory does not grow with `reps`; rep r reads the same
-    counts as `simulate_counts(..., rep=r)`.
+    value per rep.  The Born probabilities are taken once, and the reps run in blocks
+    of `_BLOCK` through the batched pipeline of `tomography`, so peak memory does not
+    grow with `reps`; rep r reads the same counts as `simulate_counts(..., rep=r)`.
     """
     if not isinstance(reps, numbers.Integral) or not MC_REPS_MIN <= reps <= MC_REPS_MAX:
         raise ValueError(f"reps must be an integer in [{MC_REPS_MIN}, {MC_REPS_MAX}]")
     if not callable(functional):
         raise TypeError(f"functional must map a stack of states to values, got {functional!r}")
+    _check_exposure(exposure)
+    seed, lam = _check_index("seed", seed, 64), exposure * _born(rho)
     values, clipped, zero = np.empty(reps), np.empty(reps), np.empty(reps, dtype=int)
     for start in range(0, reps, _BLOCK):
-        block = slice(start, min(start + _BLOCK, reps))
-        states, clipped[block], zero[block] = tomography(
-            rho, exposure, seed, range(block.start, block.stop))
+        block = range(start, min(start + _BLOCK, reps))
+        states, clipped[block], zero[block] = _reconstruct(_draw(lam, seed, block), rho.n_qubits)
         values[block] = functional(states)
     return ErrorBar(float(values.mean()), float(values.std(ddof=1)), clipped, zero)

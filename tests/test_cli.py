@@ -32,8 +32,8 @@ from entact.cli import (
     parse_angle,
 )
 from entact.measures import negativities_offdiag, negativities_theory, negativity
-from entact.protocol import (NetSpec, WaveplateSetting, bloch_vector, default_net,
-                             premeasurement, u_b)
+from entact.protocol import (NetSpec, WaveplateSetting, bloch_vector, dedup_bloch,
+                             default_net, premeasurement, u_b)
 from entact.qcore import DensityMatrix
 from entact.witnesses import expect, w2, w3
 from reference import density_from_json, net_settings
@@ -435,6 +435,8 @@ class TestCommands:
     @example(SPECIAL_COLUMNS)
     @example([0.5, [], np.array([]), np.array([]), [], []])  # no rows
     @example([0.5, -0.0, math.nan, "ok", 3, 0.5])  # scalars alone: no rows
+    # 1,500 rows of 8 cells: the file is written in several slices
+    @example([np.linspace(-1.0, 1.0, 1500), np.arange(1500), 0.5, "x", 7, -0.0])
     def test_csv_bytes_match_per_field_rendering(self, tmp_path, columns):
         # the column writer gives the bytes of rendering each field alone as
         # f"{x:.12g}" (floats, np.float64 included) or str(x), a scalar on every row
@@ -538,13 +540,14 @@ class TestCommands:
     def test_one_records_call_for_every_q(self, tmp_path, monkeypatch, command):
         # the six default q share one `net_negativities` call in each command, which
         # reads N(n) off (b, T) alone: no u_b is built, and no 8x8 eigvalsh runs, as
-        # no premeasurement state is built
+        # no premeasurement state is built.  certify takes it at the net's 16 distinct
+        # bases, the other two at all 28 settings
         calls, built, solved = [], [], []
         net_negativities, eigvalsh = epsnet.net_negativities, np.linalg.eigvalsh
 
-        def counted(states, net):
-            calls.append((len(states), net))
-            return net_negativities(states, net)
+        def counted(states, dirs):
+            calls.append((len(states), dirs))
+            return net_negativities(states, dirs)
 
         def counted_u_b(theta, phi):
             built.append(np.shape(theta))
@@ -561,7 +564,10 @@ class TestCommands:
             monkeypatch.setattr(module, "u_b", counted_u_b)
         monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
         assert main([command, "--out", str(tmp_path)]) == 0
-        assert calls == [(6, default_net())]
+        net = default_net()
+        want = dedup_bloch(net) if command == "certify" else bloch_vector(*net.angles())
+        [(count, dirs)] = calls
+        assert count == 6 and dirs.shape == want.shape and dirs.tobytes() == want.tobytes()
         assert built == solved == []
 
     @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
@@ -625,10 +631,12 @@ class TestCommands:
         assert manifest["cfg_hash"] == config_hash(calls[0])
 
     def test_certify_builds_the_chords_once(self, tmp_path, monkeypatch, formatted):
-        # the chords from the net's bases to the grid depend on neither q nor the
-        # state, so a default call (six q) builds them once, and the grid once: the
-        # net-size check counts the grid's points from its axes.  Every q's file
-        # shares the grid's theta and phi columns, so each is formatted once
+        # the chords from the net's 16 distinct bases to the grid depend on neither q
+        # nor the state, so a default call (six q) builds them once, the grid once and
+        # the net's angles once, from which the bases, their twin test, the records
+        # and the chords all come: the net-size check counts the grid's points from
+        # its axes.  Every q's file shares the grid's theta and phi columns, so each
+        # is formatted once
         shapes, chords, sizes, angles = [], epsnet._basis_chords, [], NetSpec.angles
 
         def counted(bases, points):
@@ -642,8 +650,8 @@ class TestCommands:
         monkeypatch.setattr(epsnet, "_basis_chords", counted)
         monkeypatch.setattr(NetSpec, "angles", counted_angles)
         assert main(["certify", "--out", str(tmp_path)]) == 0
-        assert shapes == [(28, 91 * 46)]
-        assert sizes.count(91 * 46) == 1
+        assert shapes == [(16, 91 * 46)]
+        assert sizes.count(91 * 46) == sizes.count(28) == 1
         assert len(list(tmp_path.glob("certify_q*.csv"))) == 6
         monkeypatch.undo()
         for axis in NetSpec(*epsnet.scan_axes(math.pi / 180)).angles():

@@ -86,6 +86,15 @@ def one_record(s, value, chi):
     return NetRecords(np.array([s.theta]), np.array([s.phi]), np.array([value]), chi.mat)
 
 
+def at_distinct_bases(records, net):
+    """The records at the settings whose directions `dedup_bloch(net)` keeps: for
+    each kept direction, the first setting with those bits, as the dedupe keeps the
+    first of its twins."""
+    dirs = bloch_vector(records.theta, records.phi)
+    kept = [int(np.flatnonzero((dirs == b).all(axis=1))[0]) for b in dedup_bloch(net)]
+    return NetRecords(*(a[kept] for a in records[:3]), records.chi)
+
+
 def low_at(records, target):
     """(low1, low2) at one target setting."""
     low1, low2, _ = lower_bounds(records, [target.theta], [target.phi])
@@ -192,27 +201,28 @@ class TestNetSpec:
         # negativity of one premeasurement state per setting within 2e-12: the
         # off-diagonal lemma and the 8x8 route share the 1e-12 zero band.  Each row
         # holds the bits of its state's one-state call
-        records = net_records(states, net)
+        records, dirs = net_records(states, net), bloch_vector(*net.angles())
         assert len(records) == len(states)
         ordered = reference.net_settings(net)
         for chi, rec, (n, _) in zip(states, records, reference.net_records(states, net)):
             assert [setting(rec, j) for j in range(len(rec.n))] == ordered
             assert rec.n.shape == n.shape and np.abs(rec.n - n).max(initial=0.0) <= 2e-12
             assert rec.chi is chi.mat
-            assert rec.n.tobytes() == net_negativities([chi], net)[0].tobytes()
+            assert rec.n.tobytes() == net_negativities([chi], dirs)[0].tobytes()
 
     def test_net_negativities_hold_one_block(self):
         # on a net of MAX_NET_SETTINGS settings each block holds one state, so 12
         # states peak under twice one state's peak: only the (states, settings)
         # result grows with the state count
-        net = NetSpec(np.linspace(0.0, 1.5, 100), np.linspace(0.0, 0.7, 100))
+        dirs = bloch_vector(*NetSpec(np.linspace(0.0, 1.5, 100),
+                                     np.linspace(0.0, 0.7, 100)).angles())
         states = [chi_q(q) for q in np.linspace(0.0, 1.0, 12)]
-        assert len(net.thetas) * len(net.phis) >= MAX_NET_SETTINGS
+        assert len(dirs) >= MAX_NET_SETTINGS
 
         def peak(states):
             tracemalloc.start()
             try:
-                assert net_negativities(states, net).shape == (len(states), 10_000)
+                assert net_negativities(states, dirs).shape == (len(states), 10_000)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -230,7 +240,7 @@ class TestNetSpec:
         [records] = net_records([chi_q(0.2)], NetSpec((), (0.0,)))
         assert records.theta.shape == records.phi.shape == records.n.shape == (0,)
         assert records.chi.shape == (4, 4)
-        assert net_negativities([], default_net()).shape == (0, 28)
+        assert net_negativities([], bloch_vector(*default_net().angles())).shape == (0, 28)
 
 
 def chord(a, b):
@@ -430,7 +440,7 @@ class TestBound2:
         buf = np.empty_like(chords)
         tracemalloc.start()
         try:
-            low1, low2, lip = _bounds(records02, chords, buf)
+            low1, low2, lip = _bounds(records02.n, records02.chi, chords, buf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -481,7 +491,7 @@ class TestBound2:
         theta, phi = NetSpec(*scan_axes(math.pi / 180)).angles()
         chords = _basis_chords(bloch_vector(records.theta, records.phi),
                                bloch_vector(theta, phi))
-        low1, low2, lip = _bounds(records, chords, np.empty_like(chords))
+        low1, low2, lip = _bounds(records.n, records.chi, chords, np.empty_like(chords))
         assert low2 is low1 and lip == 1.0
 
     @settings(max_examples=100)
@@ -550,6 +560,14 @@ class TestSphereScan:
         for step in (math.pi / 10, 0.0, -0.01, math.nan, MIN_GRID_STEP * (1 - 1e-9)):
             with pytest.raises(ValueError, match="grid_step"):
                 sphere_scan([chi_q(0.2)], net, grid_step=step)
+
+    def test_empty_net_has_no_records(self):
+        # an empty net has no bases, so the scan names the missing records
+        # rather than failing inside the dedupe's block size
+        empty = NetSpec((), (0.0,))
+        assert dedup_bloch(empty).shape == (0, 3)
+        with pytest.raises(ValueError, match="at least one record"):
+            sphere_scan([chi_q(0.2)], empty)
 
     def test_finest_grid_size(self):
         # the certify net-size check reads the finest grid's size from the constant
@@ -620,7 +638,7 @@ class TestSphereScan:
     @pytest.mark.parametrize("step", [math.pi / 90, 0.0349])
     def test_shared_chords_match_a_scan_per_state(self, net, step):
         # one chord array serves every state of a call: each result holds the bits
-        # of that state's scan alone, with its chords built by `lower_bounds`
+        # of `lower_bounds` on that state's records at the net's distinct bases
         v, q = 0.9, 0.2
         werner = DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
         states = [chi_q(0.0), chi_q(0.2), chi_q(1.0), werner]
@@ -630,12 +648,57 @@ class TestSphereScan:
         scans = sphere_scan(states, net, grid_step=step)
         assert len(scans) == len(states)
         for chi, (min_low, argmin, columns, *_) in zip(states, scans):
-            low1, low2, lip = lower_bounds(net_records([chi], net)[0], theta, phi)
+            records = at_distinct_bases(net_records([chi], net)[0], net)
+            assert len(records.n) == 16
+            low1, low2, lip = lower_bounds(records, theta, phi)
             for got, want in zip(columns, (theta, phi, low1, low2)):
                 assert got.tobytes() == want.tobytes()
             i = int(np.flatnonzero(low2 <= low2.min() + 1e-12)[0])
             assert argmin == WaveplateSetting(theta[i], phi[i])
             assert min_low == float(low2.min()) - lip * (2.0 + math.sqrt(2.0)) * step
+
+    @settings(max_examples=30)
+    @given(st.lists(STATES, min_size=1, max_size=3), NETS.filter(lambda net: net.thetas))
+    @example([chi_q(q) for q in (0.0, 0.2, 1.0)], default_net())
+    def test_twin_settings_leave_the_scan_unchanged(self, states, net):
+        # a repeated theta, theta + pi and phi + pi/4 each repeat a basis of the net
+        # after it in `angles()` order: the scan keeps the same first settings, so
+        # every field holds the same bits
+        padded = NetSpec(net.thetas + net.thetas + tuple(t + math.pi for t in net.thetas),
+                         net.phis + tuple(p + math.pi / 4 for p in net.phis))
+        plain, twins = (sphere_scan(states, n, grid_step=math.pi / 90) for n in (net, padded))
+        for a, b in zip(plain, twins):
+            assert (a.min_low, a.argmin, a.grid_min, a.lip, a.margin) == (
+                b.min_low, b.argmin, b.grid_min, b.lip, b.margin)
+            assert [c.tobytes() for c in a.columns] == [c.tobytes() for c in b.columns]
+
+    @settings(max_examples=30)
+    @given(st.lists(STATES, min_size=1, max_size=3), NETS.filter(lambda net: net.thetas))
+    @example([chi_q(q) for q in (0.0, 0.2, 1.0)], default_net())
+    def test_scan_never_exceeds_the_bounds_of_every_record(self, states, net):
+        # the scan takes its max over the records at the distinct bases, a subset of
+        # every setting's records, so neither bound exceeds the all-records one
+        scans = sphere_scan(states, net, grid_step=math.pi / 90)
+        for records, (_, _, (theta, phi, low1, low2), *_) in zip(net_records(states, net), scans):
+            full1, full2, _ = lower_bounds(records, theta, phi)
+            assert (low1 <= full1 + 1e-15).all() and (low2 <= full2 + 1e-15).all()
+
+    def test_twin_settings_add_no_scan_memory(self, net):
+        # every setting of the default net doubled (theta repeated) and mirrored
+        # (phi + pi/4) is 112 settings of the same 16 bases: the (bases, grid points)
+        # chord array, and the scan's peak with it, stays that of the plain net
+        twins = NetSpec(net.thetas * 2, net.phis + tuple(p + math.pi / 4 for p in net.phis))
+
+        def peak(net):
+            tracemalloc.start()
+            try:
+                sphere_scan([chi_q(0.2)], net, grid_step=math.pi / 180)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(net)
+        assert peak(twins) <= peak(net) + 64_000
 
     def test_scan_builds_no_per_point_objects(self, net, monkeypatch):
         # the records and the grid run as arrays: no setting is built per net

@@ -535,6 +535,19 @@ class TestErrorBars:
         assert std < 0.02
         assert len(reports) == 50
 
+    def test_born_probabilities_once_per_call(self, rho3, monkeypatch):
+        # 131 reps run in three blocks (64, 64 and 3) from one set of Poisson means
+        calls, born = [], tomo._born
+
+        def counted(rho):
+            calls.append(rho)
+            return born(rho)
+
+        monkeypatch.setattr(tomo, "_born", counted)
+        bar = mc_errorbar(rho3, 1e4, 2 * _BLOCK + 3, seed=9, functional=AB_M)
+        assert len(calls) == 1 and calls[0] is rho3
+        assert len(bar.clipped_mass) == 131
+
     @pytest.mark.parametrize("functional", ["negativity", None, 0.5, [AB_M]])
     def test_non_callable_functional_raises(self, rho3, monkeypatch, functional):
         # a name is no functional either, and the check runs before any count is drawn

@@ -11,8 +11,10 @@ temporary directory: the six commands at their defaults, the six under
 (where the PSD projection clips most and the low-exposure warnings fire),
 `activate --mc-reps 50` twice (on the mc-tomography config of
 `bench/workloads.py`, q = 0.2 at the settings (0, 0) and (pi/4, 0), and on the
-default net and q values), and `activate --mc-reps 131` on that config: two
-full Monte-Carlo blocks of 64 reps and a partial one.  Every file a run writes gets
+default net and q values), `activate --mc-reps 131` on that config: two
+full Monte-Carlo blocks of 64 reps and a partial one, and `certify` on a net full
+of twin settings (a repeated theta, and phi = pi/4, which gives -n), whose scan
+keeps only the net's distinct bases.  Every file a run writes gets
 one line, and so do its stdout, its stderr and its exit code.  A manifest is
 hashed with `config.output_dir` removed, as that path names the temporary
 directory.
@@ -29,11 +31,14 @@ from pathlib import Path
 
 COMMANDS = ("activate", "certify", "discord-match", "witness", "tomo-demo", "net-verify")
 MC_CONFIG = {"q_values": [0.2], "net": {"thetas": [0.0, 3 * (math.pi / 12)], "phis": [0.0]}}
+TWIN_CONFIG = {"net": {"thetas": [0.0, math.pi / 12, math.pi / 12, math.pi / 2],
+                       "phis": [0.0, math.pi / 4]}}
 
 
 def runs(tmp: Path):
     """(name, argv) of every run, each without its --out."""
     (config := tmp / "mc.json").write_text(json.dumps(MC_CONFIG))
+    (twins := tmp / "twins.json").write_text(json.dumps(TWIN_CONFIG))
     yield from ((c, [c]) for c in COMMANDS)
     yield from ((f"{c}.werner", [c, "--noise", "werner:0.9"]) for c in COMMANDS)
     yield "tomo-demo.exact", ["tomo-demo", "--exact"]
@@ -41,6 +46,7 @@ def runs(tmp: Path):
     yield "activate.mc", ["activate", "--mc-reps", "50", "--config", str(config)]
     yield "activate.mc-net", ["activate", "--mc-reps", "50"]
     yield "activate.mc-blocks", ["activate", "--mc-reps", "131", "--config", str(config)]
+    yield "certify.twins", ["certify", "--config", str(twins)]
 
 
 def sha(data: bytes) -> str:
