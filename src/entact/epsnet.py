@@ -2,9 +2,9 @@
 
 Spherical-cap covering/packing checks of a net's distinct bases (`dedup_bloch`)
 under the chord metric, N(n) of a sequence of states at a stack of directions, the
-one path that every command takes (`net_negativities`), the net records, one kernel
-for the two continuity lower bounds on the premeasurement negativity, and the
-full-sphere positivity scan built on it, over the net's distinct bases.
+one path that every command takes (`net_negativities`), and the full-sphere scan of
+the two continuity lower bounds on the premeasurement negativity, read off N(n) at
+the net's distinct bases (`sphere_scan`).
 """
 
 from __future__ import annotations
@@ -43,24 +43,6 @@ def net_negativities(states, dirs: np.ndarray) -> np.ndarray:
     for i in range(0, len(mats), step):
         out[i:i + step] = negativities_offdiag(mats[i:i + step], dirs)
     return out
-
-
-class NetRecords(NamedTuple):
-    """The records of a state on a net: the angles of its k settings and N(n) at each,
-    as arrays, and the raw 4x4 chi, which gives the Lipschitz constant of `lower_bounds`."""
-
-    theta: np.ndarray
-    phi: np.ndarray
-    n: np.ndarray
-    chi: np.ndarray
-
-
-def net_records(states, net: NetSpec) -> list:
-    """One `NetRecords` per 2-qubit state of the sequence `states` on every setting of
-    `net`, theta-major like `net.angles()`, from one `net_negativities` call."""
-    theta, phi = net.angles()
-    return [NetRecords(theta, phi, n, chi.mat)
-            for chi, n in zip(states, net_negativities(states, bloch_vector(theta, phi)))]
 
 
 def cap_radius(epsilon: float) -> float:
@@ -119,52 +101,6 @@ def verify_packing(bases: np.ndarray, epsilon: float):
     return dmin >= epsilon - 1e-9, dmin
 
 
-def lower_bounds(records: NetRecords, theta, phi):
-    """Two continuity lower bounds on the AB|M negativity N(n) at each target
-    setting (theta, phi), given as two 1-D angle arrays of one length, read off
-    the records alone.  A negative bound means "not certified", not "zero".
-    Returns (low1, low2, L): two arrays over the targets and the constant L,
-
-        low1 = max_j (N_j - chord(n, n_j)),   low2 = max_j (N_j - L chord(n, n_j)),
-
-    with L = min(1, ||chi - chi_A x I/2||_1), read off the records' chi.
-
-    Both rest on N being L-Lipschitz in the chord metric with n and -n
-    identified.  With Z_n = I x n.sigma, N(n) = ||chi - D_n(chi)||_1
-    = 1/2 ||chi - Z_n chi Z_n||_1 (the dephasing lemma of `negativities_offdiag`).
-    Any tau = X_A x I commutes with Z_n, so with Delta = chi - tau
-        N(n) = 1/2 ||Delta - Z_n Delta Z_n||_1,
-        |N(n) - N(m)| <= 1/2 ||Z_n Delta Z_n - Z_m Delta Z_m||_1 <= |n - m| ||Delta||_1,
-    since ||Z_n - Z_m||_inf = |n - m|; Z_-n gives the conjugation of Z_n, so
-    |n - m| may be the chord.  tau = 0 gives ||chi||_1 = 1, and tau =
-    chi_A x I/2 gives ||chi - chi_A x I/2||_1, which no unitary on B changes.  As
-    L <= 1, low2 >= low1 in every entry, exactly.
-    """
-    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
-    if theta.ndim != 1 or theta.shape != phi.shape:
-        raise ValueError("theta and phi must be 1-D arrays of one length")
-    chords = _basis_chords(bloch_vector(records.theta, records.phi), bloch_vector(theta, phi))
-    return _bounds(records.n, records.chi, chords, np.empty_like(chords))
-
-
-def _bounds(n: np.ndarray, chi: np.ndarray, chords: np.ndarray, buf: np.ndarray):
-    """`lower_bounds` from the records' N_j `n`, their raw 4x4 `chi` and the (records,
-    targets) chords of their bases, writing its differences into `buf`, of that shape."""
-    if not len(n):
-        raise ValueError("lower_bounds needs at least one record")
-    if not (n >= 0).all():  # also rejects NaN
-        raise ValueError("record negativities must be nonnegative")
-    rec_n = n[:, None]
-    chi_a = np.trace(chi.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-    lip = float(np.abs(np.linalg.eigvalsh(chi - np.kron(chi_a, np.eye(2) / 2))).sum())
-    low1 = np.subtract(rec_n, chords, out=buf).max(axis=0)
-    # L = 1 always holds (tau = 0), so an L within rounding of 1, or above it, is 1
-    # and the two bounds are one array, bit for bit
-    if not lip < 1.0 - 1e-12:
-        return low1, low1, 1.0
-    return low1, np.subtract(rec_n, np.multiply(lip, chords, out=buf), out=buf).max(axis=0), lip
-
-
 class Scan(NamedTuple):
     """One state's `sphere_scan`; min_low is grid_min - margin, bit for bit."""
 
@@ -183,9 +119,19 @@ def scan_axes(grid_step: float):
 
 
 def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
-    """Both lower bounds, from each state's records at the net's distinct bases, on one
-    (theta, phi) grid over the full angular range, MIN_GRID_STEP <= grid_step <= pi/90,
-    and a verdict that holds between the grid points too.
+    """Two continuity lower bounds on the AB|M negativity N(n), from each state's N_j
+    at the net's distinct bases n_j, on one (theta, phi) grid over the full angular
+    range, MIN_GRID_STEP <= grid_step <= pi/90, and a verdict that holds between the
+    grid points too.  A negative bound means "not certified", not "zero":
+
+        low1 = max_j (N_j - chord(n, n_j)),   low2 = max_j (N_j - L chord(n, n_j)),
+
+    with L = min(1, ||chi - chi_A x I/2||_1).  Both rest on N being L-Lipschitz in
+    the chord, n and -n identified.  With Z_n = I x n.sigma and any Delta = chi - X_A x I,
+    N(n) = 1/2 ||Delta - Z_n Delta Z_n||_1 (the dephasing lemma of `negativities_offdiag`),
+    so |N(n) - N(m)| <= |n - m| ||Delta||_1 as ||Z_n - Z_m||_inf = |n - m|, and Z_-n
+    conjugates like Z_n; Delta = chi gives 1, and Delta = chi - chi_A x I/2 the
+    other constant, which no unitary on B changes.  As L <= 1, low2 >= low1 exactly.
 
     Returns one `Scan` per state.  One (distinct bases, grid points) chord array, which
     depends on the net alone, and one buffer serve every state.  A setting that
@@ -205,12 +151,23 @@ def sphere_scan(states, net: NetSpec, grid_step: float = math.pi / 180) -> list:
     """
     if not MIN_GRID_STEP <= grid_step <= MAX_GRID_STEP:  # also rejects NaN
         raise ValueError(f"grid_step must lie in [pi/720, pi/90], got {grid_step}")
-    theta, phi = NetSpec(*scan_axes(grid_step)).angles()
     bases = dedup_bloch(net)
+    if not len(bases):
+        raise ValueError("sphere_scan needs at least one record, and the net has no settings")
+    theta, phi = NetSpec(*scan_axes(grid_step)).angles()
     chords = _basis_chords(bases, bloch_vector(theta, phi))
     buf, scans = np.empty_like(chords), []
     for chi, n in zip(states, net_negativities(states, bases)):
-        low1, low2, lip = _bounds(n, chi.mat, chords, buf)
+        rec_n = n[:, None]
+        chi_a = np.trace(chi.mat.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+        lip = float(np.abs(np.linalg.eigvalsh(chi.mat - np.kron(chi_a, np.eye(2) / 2))).sum())
+        low1 = np.subtract(rec_n, chords, out=buf).max(axis=0)
+        # L = 1 always holds (Delta = chi), so an L within rounding of 1, or above it,
+        # is 1 and the two bounds are one array, bit for bit
+        if lip < 1.0 - 1e-12:
+            low2 = np.subtract(rec_n, np.multiply(lip, chords, out=buf), out=buf).max(axis=0)
+        else:
+            low2, lip = low1, 1.0
         # the grid runs theta-major in ascending order, so the first near-tie is the
         # lexicographically smallest; rounding-level changes in chi do not move it
         grid_min = float(low2.min())

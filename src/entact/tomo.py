@@ -273,5 +273,9 @@ def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
     for start in range(0, reps, _BLOCK):
         block = range(start, min(start + _BLOCK, reps))
         states, clipped[block], zero[block] = _reconstruct(_draw(lam, seed, block), rho.n_qubits)
-        values[block] = functional(states)
+        out = functional(states)
+        if np.shape(out) != (len(block),):  # a scalar or (1,) would broadcast silently
+            raise ValueError(f"functional must return shape ({len(block)},), one value "
+                             f"per rep, got shape {np.shape(out)}")
+        values[block] = out
     return ErrorBar(float(values.mean()), float(values.std(ddof=1)), clipped, zero)

@@ -11,9 +11,9 @@ import math
 
 import numpy as np
 
-from entact.qcore import I2, PAULIS, DensityMatrix, projector
+from entact.qcore import I2, PAULIS, DensityMatrix, chi_q, projector
 from entact.protocol import NetSpec, WaveplateSetting, bloch_vector, premeasurement, u_b
-from entact.measures import _fibonacci_directions, negativity
+from entact.measures import _fibonacci_directions, negativities_offdiag, negativity
 from entact.epsnet import _basis_chords
 
 _KET = np.eye(4, dtype=complex)  # |00>, |01>, |10>, |11> with |H> = |0>, |V> = |1>
@@ -68,7 +68,7 @@ def dedup_bloch(net: NetSpec) -> np.ndarray:
     return np.array(unique)
 
 
-def net_records(states, net: NetSpec) -> list:
+def per_setting_records(states, net: NetSpec) -> list:
     """(n, blocks) of each state on the settings of `net`, one setting at a time: the
     AB|M `negativity` of its `premeasurement` state there, as an array over the
     settings, and the state's 4x4 blocks on rows and columns 0, 3, 4, 7, the
@@ -85,6 +85,44 @@ def net_records(states, net: NetSpec) -> list:
         blocks = np.array([rho.mat[image] for rho in rhos], dtype=complex)
         records.append((n, blocks.reshape(-1, 4, 4)))
     return records
+
+
+def lipschitz_reference(chi) -> float:
+    """min(1, ||chi - chi_A x I/2||_1), straight from chi."""
+    chi_a = np.trace(chi.mat.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+    return min(1.0, float(np.abs(np.linalg.eigvalsh(chi.mat - np.kron(chi_a, np.eye(2) / 2))).sum()))
+
+
+def scan_bounds(chi, dirs, theta, phi):
+    """(low1, low2) of `epsnet.sphere_scan` at each target setting (theta, phi), two
+    1-D angle arrays, from N_j of the state `chi` at each direction of the (k, 3)
+    stack `dirs`: max_j (N_j - chord) and max_j (N_j - L chord), with each chord
+    min(|n - m|, |n + m|) by `np.linalg.norm` and L by `lipschitz_reference`."""
+    n = negativities_offdiag(chi.mat, dirs)[:, None]
+    targets = bloch_vector(theta, phi)[None]
+    chords = np.minimum(np.linalg.norm(dirs[:, None] - targets, axis=2),
+                        np.linalg.norm(dirs[:, None] + targets, axis=2))
+    return (n - chords).max(axis=0), (n - lipschitz_reference(chi) * chords).max(axis=0)
+
+
+def full_rank_state(re_im):
+    """Two-qubit density matrix (A A^dag + I/10) / trace from a real (2, 4, 4) array."""
+    a = re_im[0] + 1j * re_im[1]
+    m = a @ a.conj().T + 0.1 * np.eye(4)
+    return DensityMatrix(m / np.trace(m).real, (2, 2))
+
+
+def seeded_state(seed):
+    """For even seeds, `full_rank_state` of a seeded normal draw whose A A^dag has rank 1
+    to 4, so the B marginals range from nearly pure to nearly mixed; for odd ones
+    chi_q(q) mixed with white noise at visibility v, both drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    if seed % 2 == 0:
+        re_im = rng.normal(size=(2, 4, 4))
+        re_im[:, :, rng.integers(1, 5):] = 0.0
+        return full_rank_state(re_im)
+    q, v = rng.uniform(0.0, 1.0, 2)
+    return DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
 
 
 def covering_gap(net: NetSpec, resolution: int) -> float:

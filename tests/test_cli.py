@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import entact
 from entact import cli, epsnet, measures, protocol
-from entact.epsnet import MAX_RESOLUTION, MIN_GRID_STEP, lower_bounds, net_records
+from entact.epsnet import MAX_RESOLUTION, MIN_GRID_STEP
 from entact.cli import (
     MAX_CLIPPED_MASS,
     MAX_NET_SETTINGS,
@@ -36,7 +36,7 @@ from entact.protocol import (NetSpec, WaveplateSetting, bloch_vector, dedup_bloc
                              default_net, premeasurement, u_b)
 from entact.qcore import DensityMatrix
 from entact.witnesses import expect, w2, w3
-from reference import density_from_json, net_settings
+from reference import density_from_json, lipschitz_reference, net_settings
 
 
 @pytest.fixture
@@ -496,7 +496,7 @@ class TestCommands:
         assert manifest["config"]["q_values"] == [0.3]
 
     @pytest.mark.parametrize("noise", ["ideal", "werner:0.9"])
-    def test_activate_reads_the_net_records(self, tmp_path, monkeypatch, noise):
+    def test_activate_reads_the_net_negativities(self, tmp_path, monkeypatch, noise):
         # exact mode takes its values from one `negativities_offdiag` call for all q:
         # it builds no 3-qubit state, each row carries the bits of the off-diagonal
         # kernel over the net, and they lie within 2e-12 of the brute-force negativity
@@ -537,7 +537,7 @@ class TestCommands:
                 assert t == float(negativities_theory(q, th, ph))
 
     @pytest.mark.parametrize("command", ["activate", "certify", "discord-match"])
-    def test_one_records_call_for_every_q(self, tmp_path, monkeypatch, command):
+    def test_one_net_negativities_call_for_every_q(self, tmp_path, monkeypatch, command):
         # the six default q share one `net_negativities` call in each command, which
         # reads N(n) off (b, T) alone: no u_b is built, and no 8x8 eigvalsh runs, as
         # no premeasurement state is built.  certify takes it at the net's 16 distinct
@@ -685,7 +685,7 @@ class TestCommands:
             assert r["min_low"] == r["n_low2_min"] - r["margin"]
             assert r["margin"] == r["L"] * (2.0 + math.sqrt(2.0)) * step
             chi = ExperimentConfig(noise="werner:0.9").input_state(float(q))
-            assert r["L"] == lower_bounds(net_records([chi], default_net())[0], [0.0], [0.0])[2]
+            assert r["L"] == lipschitz_reference(chi)
             assert line.startswith(f"q={q}: min_low={r['min_low']:.6f} ")
             _, rows = read_csv(tmp_path / f"certify_q{float(q):.2f}.csv")
             assert min(float(row[5]) for row in rows) == pytest.approx(r["n_low2_min"],

@@ -1,4 +1,5 @@
-"""Net geometry, the lower-bounds kernel, and full-sphere certification scans."""
+"""Net geometry, N(n) over a net, and the full-sphere certification scan with its
+two lower bounds, checked against the independent per-target bound of `reference`."""
 
 import math
 import tracemalloc
@@ -22,29 +23,24 @@ from entact.measures import (
     negativities_offdiag,
     negativities_theory,
     negativity,
-    negativity_offdiag,
 )
 from entact.epsnet import (
     MAX_GRID_POINTS,
     MAX_RESOLUTION,
     MIN_GRID_STEP,
     MAX_NET_SETTINGS,
-    NetRecords,
     _basis_chords,
-    _bounds,
     cap_radius,
-    lower_bounds,
     net_negativities,
-    net_records,
     scan_axes,
     sphere_scan,
     verify_covering,
     verify_packing,
 )
 import reference
-from reference import unit_vector, werner_mix
+from reference import (full_rank_state, lipschitz_reference, scan_bounds, seeded_state,
+                       unit_vector, werner_mix)
 from test_measures import random_state
-from test_protocol import full_rank_state
 
 # exact covering radius of the default net: the worst point sits on the
 # phi = 0 meridian midway between adjacent theta settings (15 degrees away)
@@ -72,33 +68,26 @@ def net():
 
 
 @pytest.fixture(scope="module")
-def records02(net):
-    return net_records([chi_q(0.2)], net)[0]
+def n02(net):
+    """N(n) of chi_q(0.2) at every setting of the default net, theta-major."""
+    return net_negativities([chi_q(0.2)], bloch_vector(*net.angles()))[0]
 
 
-def setting(records, j):
-    """The waveplate setting of record j."""
-    return WaveplateSetting(records.theta[j], records.phi[j])
+def net_setting(net, j):
+    """Setting j of `net`, theta-major."""
+    theta, phi = net.angles()
+    return WaveplateSetting(theta[j], phi[j])
 
 
-def one_record(s, value, chi):
-    """Records of one setting `s` of the state chi, with negativity `value`."""
-    return NetRecords(np.array([s.theta]), np.array([s.phi]), np.array([value]), chi.mat)
-
-
-def at_distinct_bases(records, net):
-    """The records at the settings whose directions `dedup_bloch(net)` keeps: for
-    each kept direction, the first setting with those bits, as the dedupe keeps the
-    first of its twins."""
-    dirs = bloch_vector(records.theta, records.phi)
-    kept = [int(np.flatnonzero((dirs == b).all(axis=1))[0]) for b in dedup_bloch(net)]
-    return NetRecords(*(a[kept] for a in records[:3]), records.chi)
-
-
-def low_at(records, target):
-    """(low1, low2) at one target setting."""
-    low1, low2, _ = lower_bounds(records, [target.theta], [target.phi])
-    return float(low1[0]), float(low2[0])
+def low_at(chi, net, targets, step=math.pi / 180):
+    """(low1, low2) of the scan of chi on `net` at the grid points of step `step` that
+    lie within 1e-15 of each target setting, as two arrays."""
+    [scan] = sphere_scan([chi], net, grid_step=step)
+    theta, phi, low1, low2 = scan.columns
+    i = [int(np.argmin(np.abs(theta - t.theta) + np.abs(phi - t.phi))) for t in targets]
+    assert np.abs(theta[i] - [t.theta for t in targets]).max() <= 1e-15
+    assert np.abs(phi[i] - [t.phi for t in targets]).max() <= 1e-15
+    return low1[i], low2[i]
 
 
 class TestNetSpec:
@@ -155,22 +144,15 @@ class TestNetSpec:
         assert np.array_equal(bases, reference.dedup_bloch(big))
         assert np.array_equal(bases, dedup_bloch(net))
 
-    def test_records_reject_negative_negativity(self, records02):
-        # the bounds check the records they are given: N < 0 (or NaN) is not a record
-        for bad in (-0.1, math.nan):
-            n = records02.n.copy()
-            n[5] = bad
-            with pytest.raises(ValueError, match="nonnegative"):
-                lower_bounds(records02._replace(n=n), [0.0], [0.0])
-
     def test_net_records_match_closed_form(self, net):
-        # record values agree with the chi_q closed form, with exact zeros at q = 0
-        # (a spurious +4e-16 there would certify a classical state)
+        # N(n) over the net agrees with the chi_q closed form, with exact zeros at
+        # q = 0 (a spurious +4e-16 there would certify a classical state)
+        theta, phi = net.angles()
         for q in (0.0, 0.2, 0.6):
-            [records] = net_records([chi_q(q)], net)
-            assert records.n.shape == (28,)
-            theory = negativities_theory(q, records.theta, records.phi)
-            for value, closed in zip(records.n.tolist(), theory.tolist()):
+            [n] = net_negativities([chi_q(q)], bloch_vector(theta, phi))
+            assert n.shape == (28,)
+            theory = negativities_theory(q, theta, phi)
+            for value, closed in zip(n.tolist(), theory.tolist()):
                 assert value == pytest.approx(closed, abs=1e-15)
                 if closed == 0.0:
                     assert value == 0.0
@@ -180,15 +162,12 @@ class TestNetSpec:
     @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)))
     def test_net_records_match_per_setting_states(self, re_im):
         # the whole net in one kernel call gives the brute-force negativity of one
-        # premeasurement state per setting within the zero band, and the record
-        # carries the state's own 4x4 chi
+        # premeasurement state per setting, theta-major, within the zero band
+        net = default_net()
+        dirs = bloch_vector(*net.angles())
         for chi in (full_rank_state(re_im), chi_q(0.0), chi_q(0.2), chi_q(1.0)):
-            net = default_net()
-            [records] = net_records([chi], net)
-            ordered = reference.net_settings(net)
-            assert [setting(records, j) for j in range(len(records.n))] == ordered
-            assert records.chi is chi.mat
-            for s, value in zip(ordered, records.n.tolist()):
+            [n] = net_negativities([chi], dirs)
+            for s, value in zip(reference.net_settings(net), n.tolist(), strict=True):
                 assert value == pytest.approx(negativity(premeasurement(chi, s), [0, 1]),
                                               abs=2e-12)
 
@@ -197,18 +176,16 @@ class TestNetSpec:
     @example([chi_q(0.2), chi_q(0.6)], NetSpec((), (0.0,)))
     @example([chi_q(q) for q in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)], default_net())
     def test_stacked_records_match_a_per_setting_reference(self, states, net):
-        # the records of a stack of states hold each state's chi and the brute-force
+        # N(n) of a stack of states over the net, theta-major, is the brute-force
         # negativity of one premeasurement state per setting within 2e-12: the
         # off-diagonal lemma and the 8x8 route share the 1e-12 zero band.  Each row
         # holds the bits of its state's one-state call
-        records, dirs = net_records(states, net), bloch_vector(*net.angles())
-        assert len(records) == len(states)
-        ordered = reference.net_settings(net)
-        for chi, rec, (n, _) in zip(states, records, reference.net_records(states, net)):
-            assert [setting(rec, j) for j in range(len(rec.n))] == ordered
-            assert rec.n.shape == n.shape and np.abs(rec.n - n).max(initial=0.0) <= 2e-12
-            assert rec.chi is chi.mat
-            assert rec.n.tobytes() == net_negativities([chi], dirs)[0].tobytes()
+        dirs = bloch_vector(*net.angles())
+        rows = net_negativities(states, dirs)
+        assert rows.shape == (len(states), len(dirs))
+        for chi, row, (n, _) in zip(states, rows, reference.per_setting_records(states, net)):
+            assert np.abs(row - n).max(initial=0.0) <= 2e-12
+            assert row.tobytes() == net_negativities([chi], dirs)[0].tobytes()
 
     def test_net_negativities_hold_one_block(self):
         # on a net of MAX_NET_SETTINGS settings each block holds one state, so 12
@@ -234,12 +211,12 @@ class TestNetSpec:
     def test_records_take_two_qubit_states(self, net):
         three_qubit = premeasurement(chi_q(0.2), WaveplateSetting(0.0, 0.0))
         with pytest.raises(ValueError, match="2-qubit"):
-            net_records([chi_q(0.2), three_qubit], net)
+            net_negativities([chi_q(0.2), three_qubit], bloch_vector(*net.angles()))
 
     def test_net_records_of_an_empty_net(self):
-        [records] = net_records([chi_q(0.2)], NetSpec((), (0.0,)))
-        assert records.theta.shape == records.phi.shape == records.n.shape == (0,)
-        assert records.chi.shape == (4, 4)
+        empty = bloch_vector(*NetSpec((), (0.0,)).angles())
+        assert empty.shape == (0, 3)
+        assert net_negativities([chi_q(0.2)], empty).shape == (1, 0)
         assert net_negativities([], bloch_vector(*default_net().angles())).shape == (0, 28)
 
 
@@ -357,110 +334,83 @@ class TestCoveringPacking:
 class TestBound1:
     """low1 = max_j (N_j - chord(n, n_j)), the model-free bound."""
 
-    def test_exact_at_net_point(self, records02):
-        assert low_at(records02, setting(records02, 3))[0] == pytest.approx(
-            records02.n[3], abs=1e-12)
+    def test_exact_at_net_point(self, net, n02):
+        [low1], _ = low_at(chi_q(0.2), net, [net_setting(net, 3)])
+        assert low1 == pytest.approx(n02[3], abs=1e-12)
 
-    def test_exact_one_ulp_off_net_points(self, records02):
-        # grid angles can miss a net angle by an ulp (the 1-degree grid's
-        # 30 * pi/180 against the net's 2 * pi/12); the chord of two bases that
-        # far apart is ~1e-16, which sqrt(2 (1 - |n.m|)) would turn into 1.5e-8
-        targets = [(np.nextafter(th, dt), np.nextafter(ph, dp))
-                   for th, ph in zip(records02.theta, records02.phi)
-                   for dt in (-np.inf, np.inf) for dp in (-np.inf, np.inf)]
-        targets.append((0.0, 30 * (math.pi / 180)))
-        expect = np.append(np.repeat(records02.n, 4), records02.n[2])  # the net's (0, pi/6)
-        assert setting(records02, 2) == WaveplateSetting(0.0, math.pi / 6)
-        low1, _, _ = lower_bounds(records02, *np.array(targets).T)
-        assert np.abs(low1 - expect).max() <= 1e-12
+    def test_exact_one_ulp_off_net_points(self, net, n02):
+        # grid angles can miss a net angle by an ulp (30 * pi/180 against 2 * pi/12
+        # on some platforms): on nets an ulp off the 1-degree grid's points, the
+        # chord of two bases that far apart is ~1e-16, which sqrt(2 (1 - |n.m|))
+        # would turn into 1.5e-8
+        targets = [net_setting(net, j) for j in range(len(n02))]
+        for dt in (-np.inf, np.inf):
+            for dp in (-np.inf, np.inf):
+                off = NetSpec(np.nextafter(net.thetas, dt), np.nextafter(net.phis, dp))
+                assert not set(off.thetas) & set(net.thetas)
+                low1, _ = low_at(chi_q(0.2), off, targets)
+                assert np.abs(low1 - n02).max() <= 1e-12
 
     def test_antipodal_worst_case(self):
-        rec = one_record(WaveplateSetting(0.0, 0.0), 1.0, chi_q(0.2))
-        # identifying n with -n, nothing is more than sqrt(2) away; (pi/8, pi/16)
-        # measures along (-1, 0, 1)/sqrt(2), at chord sqrt(2 - sqrt(2)) from z,
-        # and (pi/4, 0) along -y, at chord sqrt(2)
-        assert low_at(rec, WaveplateSetting(math.pi / 4, 0.0))[0] == pytest.approx(
-            1.0 - math.sqrt(2.0), abs=1e-12)
-        assert low_at(rec, WaveplateSetting(math.pi / 8, math.pi / 16))[0] == pytest.approx(
-            1.0 - math.sqrt(2.0 - math.sqrt(2.0)), abs=1e-12)
+        # on a one-setting net low1 is N_0 - chord.  Identifying n with -n, nothing
+        # is more than sqrt(2) away; (pi/8, pi/16) measures along (-1, 0, 1)/sqrt(2),
+        # at chord sqrt(2 - sqrt(2)) from z, and (pi/4, 0) along -y, at chord sqrt(2)
+        chi, one = chi_q(0.2), NetSpec((0.0,), (0.0,))
+        [[n0]] = net_negativities([chi], bloch_vector(*one.angles()))
+        low1, _ = low_at(chi, one, [WaveplateSetting(math.pi / 4, 0.0),
+                                    WaveplateSetting(math.pi / 8, math.pi / 16)], MIN_GRID_STEP)
+        assert low1 == pytest.approx([n0 - math.sqrt(2.0), n0 - math.sqrt(2.0 - math.sqrt(2.0))],
+                                     abs=1e-12)
 
-    def test_minus_y_target_at_q02(self, records02):
+    def test_minus_y_target_at_q02(self, net):
         # (pi/4, 0) measures along -y, the least-entangling basis of chi_q
         assert np.allclose(bloch_vector(math.pi / 4, 0), [0, -1, 0])
-        assert low_at(records02, WaveplateSetting(math.pi / 4, 0.0))[0] >= 0.05
-
-    def test_empty_records(self):
-        [empty] = net_records([chi_q(0.2)], NetSpec((), (0.0,)))
-        with pytest.raises(ValueError, match="at least one record"):
-            lower_bounds(empty, [0.0], [0.0])
-
-
-def seeded_full_rank_state(seed):
-    """`full_rank_state` of a seeded normal draw whose A A^dag has rank 1 to 4, so the
-    B marginals range from nearly pure to nearly mixed."""
-    rng = np.random.default_rng(seed)
-    re_im = rng.normal(size=(2, 4, 4))
-    re_im[:, :, rng.integers(1, 5):] = 0.0
-    return full_rank_state(re_im)
-
-
-def seeded_state(seed):
-    """`seeded_full_rank_state` for even seeds; for odd ones chi_q(q) mixed with white
-    noise at visibility v, both drawn from the seed."""
-    if seed % 2 == 0:
-        return seeded_full_rank_state(seed)
-    q, v = np.random.default_rng(seed).uniform(0.0, 1.0, 2)
-    return DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
-
-
-def lipschitz_reference(chi):
-    """min(1, ||chi - chi_A x I/2||_1), straight from chi."""
-    chi_a = np.trace(chi.mat.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-    return min(1.0, float(np.abs(np.linalg.eigvalsh(chi.mat - np.kron(chi_a, np.eye(2) / 2))).sum()))
+        [low1], _ = low_at(chi_q(0.2), net, [WaveplateSetting(math.pi / 4, 0.0)])
+        assert low1 >= 0.05
 
 
 class TestBound2:
     """low2 = max_j (N_j - L chord(n, n_j)), with L = min(1, ||chi - chi_A x I/2||_1)."""
 
-    def test_exact_at_net_state(self, records02):
-        assert low_at(records02, setting(records02, 7))[1] == pytest.approx(
-            records02.n[7], abs=1e-10)
+    def test_exact_at_net_state(self, net, n02):
+        _, [low2] = low_at(chi_q(0.2), net, [net_setting(net, 7)])
+        assert low2 == pytest.approx(n02[7], abs=1e-10)
 
-    def test_never_exceeds_true_negativity(self):
-        [records] = net_records([chi_q(0.4)], default_net())
+    def test_never_exceeds_true_negativity(self, net):
         target = WaveplateSetting(math.pi / 8, math.pi / 24)
-        assert low_at(records, target)[1] <= 0.4 + 1e-10
+        _, [low2] = low_at(chi_q(0.4), net, [target], MIN_GRID_STEP)
+        assert low2 <= 0.4 + 1e-10
 
-    def test_bounds_write_into_the_given_buffer(self, records02):
-        # both bounds reduce the given buffer, so no (records, targets) temporary
-        # is allocated, and they equal the allocating expressions bit for bit
-        theta, phi = NetSpec(*scan_axes(math.pi / 180)).angles()
-        chords = _basis_chords(bloch_vector(records02.theta, records02.phi),
-                               bloch_vector(theta, phi))
-        buf = np.empty_like(chords)
-        tracemalloc.start()
-        try:
-            low1, low2, lip = _bounds(records02.n, records02.chi, chords, buf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert lip < 1.0  # so low2 is a second pass through the buffer
-        assert peak < chords.nbytes / 2
-        rec_n = records02.n[:, None]
+    def test_bounds_write_into_the_given_buffer(self, net):
+        # both bounds reduce one (bases, grid points) buffer, so no such temporary is
+        # allocated per bound: the scan's peak (3.5 of those arrays) stays under four.
+        # They equal the allocating expressions bit for bit
+        chi, bases = chi_q(0.2), dedup_bloch(net)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                [scan] = sphere_scan([chi], net, grid_step=math.pi / 180)
+                return scan, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()
+        scan, traced = peak()
+        theta, phi, low1, low2 = scan.columns
+        chords = _basis_chords(bases, bloch_vector(theta, phi))
+        assert scan.lip < 1.0  # so low2 is a second pass through the buffer
+        assert traced < 4 * chords.nbytes
+        rec_n = net_negativities([chi], bases)[0][:, None]
         assert low1.tobytes() == (rec_n - chords).max(axis=0).tobytes()
-        assert low2.tobytes() == (rec_n - lip * chords).max(axis=0).tobytes()
-
-    def test_requires_states(self, records02):
-        # records always carry the chi that L is read from
-        with pytest.raises(TypeError):
-            NetRecords(records02.theta, records02.phi, records02.n)
+        assert low2.tobytes() == (rec_n - scan.lip * chords).max(axis=0).tobytes()
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1).map(seeded_state))
     def test_lipschitz_constant_from_the_records(self, chi):
-        # the records' chi gives min(1, ||chi - chi_A x I/2||_1)
-        _, _, lip = lower_bounds(net_records([chi], default_net())[0], [0.0], [0.0])
-        assert lip == pytest.approx(lipschitz_reference(chi), abs=1e-12)
+        # the scan reads min(1, ||chi - chi_A x I/2||_1) off chi
+        [scan] = sphere_scan([chi], default_net(), grid_step=math.pi / 90)
+        assert scan.lip == pytest.approx(lipschitz_reference(chi), abs=1e-12)
 
     @settings(max_examples=50)
     @given(st.integers(0, 2**32 - 1).map(seeded_state),
@@ -469,30 +419,26 @@ class TestBound2:
         # no unitary on B changes ||chi - chi_A x I/2||_1: L read off chi alone is the
         # largest value over B_j, the 4x4 block of each setting's 8x8 premeasurement
         # state on the C-NOT image, which is chi rotated on B
-        [(_, blocks)] = reference.net_records([chi], net)
+        [(_, blocks)] = reference.per_setting_records([chi], net)
         per_setting = [lipschitz_reference(DensityMatrix(block, (2, 2))) for block in blocks]
-        _, _, lip = lower_bounds(net_records([chi], net)[0], [0.0], [0.0])
-        assert lip == pytest.approx(max(per_setting), abs=1e-12)
+        [scan] = sphere_scan([chi], net, grid_step=math.pi / 90)
+        assert scan.lip == pytest.approx(max(per_setting), abs=1e-12)
 
-    def test_lipschitz_constant_of_chi_q(self):
+    def test_lipschitz_constant_of_chi_q(self, net):
         # chi_q is Bell-diagonal, so chi_A = I/2 and ||chi_q - I/4||_1 is
         # |q - 1/4| + 2 |(1 - q)/2 - 1/4| + 1/4
-        for q, lip in ((0.2, 0.6), (0.0, 1.0), (1.0, 1.0)):
-            [records] = net_records([chi_q(q)], default_net())
-            assert lower_bounds(records, [0.0], [0.0])[2] == pytest.approx(lip, abs=1e-12)
+        scans = sphere_scan([chi_q(q) for q in (0.2, 0.0, 1.0)], net, grid_step=math.pi / 90)
+        assert [scan.lip for scan in scans] == pytest.approx([0.6, 1.0, 1.0], abs=1e-12)
 
-    def test_lipschitz_constant_within_rounding_of_1_is_1(self):
+    def test_lipschitz_constant_within_rounding_of_1_is_1(self, net):
         # at q = 0 the exact L is 1; read off chi, its rounded eigensum is
         # 0.9999999999999998, and the two bounds are still one array
-        [records] = net_records([chi_q(0.0)], default_net())
-        chi_a = np.trace(records.chi.reshape(2, 2, 2, 2), axis1=1, axis2=3)
-        centred = records.chi - np.kron(chi_a, np.eye(2) / 2)
+        chi = chi_q(0.0).mat
+        chi_a = np.trace(chi.reshape(2, 2, 2, 2), axis1=1, axis2=3)
+        centred = chi - np.kron(chi_a, np.eye(2) / 2)
         assert float(np.abs(np.linalg.eigvalsh(centred)).sum()) == 0.9999999999999998
-        theta, phi = NetSpec(*scan_axes(math.pi / 180)).angles()
-        chords = _basis_chords(bloch_vector(records.theta, records.phi),
-                               bloch_vector(theta, phi))
-        low1, low2, lip = _bounds(records.n, records.chi, chords, np.empty_like(chords))
-        assert low2 is low1 and lip == 1.0
+        [scan] = sphere_scan([chi_q(0.0)], net)
+        assert scan.columns[2] is scan.columns[3] and scan.lip == 1.0
 
     @settings(max_examples=100)
     @given(st.integers(0, 2**32 - 1).map(seeded_state), st.integers(0, 2**32 - 1),
@@ -509,49 +455,14 @@ class TestBound2:
 class TestCombinedBound:
     """low2 >= low1 in every entry, exactly, so low2 is the certified bound."""
 
-    def test_report_fields(self, records02):
-        theta, phi = np.array([0.2, 1.0, -3.0]), np.array([0.1, 0.5, 7.0])
-        low1, low2, lip = lower_bounds(records02, theta, phi)
-        assert low1.shape == low2.shape == (3,)
-        assert type(lip) is float
-        for i, s in enumerate(map(WaveplateSetting, theta, phi)):
-            assert (low1[i], low2[i]) == pytest.approx(low_at(records02, s), abs=1e-15)
-        assert lower_bounds(records02, [], [])[0].shape == (0,)
-        for bad in (([0.1, 0.2], [0.1]), (np.zeros((2, 2)), np.zeros((2, 2)))):
-            with pytest.raises(ValueError):
-                lower_bounds(records02, *bad)
-
-    def test_soundness_against_theory(self, records02):
+    def test_soundness_against_theory(self, net):
         # the bound never overclaims relative to the exact negativity
-        rng = np.random.default_rng(17)
-        theta, phi = rng.uniform(0, math.pi / 2, 40), rng.uniform(0, math.pi / 4, 40)
-        _, low, _ = lower_bounds(records02, theta, phi)
+        [(_, _, (theta, phi, _, low), *_)] = sphere_scan([chi_q(0.2)], net)
         assert (low <= negativities_theory(0.2, theta, phi) + 1e-9).all()
 
     def test_soundness_at_classical_point(self, net):
-        [recs] = net_records([chi_q(0.0)], net)
-        assert max(low_at(recs, WaveplateSetting(math.pi / 4, 0.0))) <= 1e-12
-
-    def test_monotone_under_record_removal(self, records02):
-        s = WaveplateSetting(0.33, 0.21)
-        full = np.array(low_at(records02, s))
-        thinned = NetRecords(*(a[::3] for a in records02[:3]), records02.chi)
-        subset = np.array(low_at(thinned, s))
-        assert (subset <= full + 1e-12).all()
-
-    @settings(max_examples=50)
-    @given(arrays(float, (2, 4, 4), elements=st.floats(-1.0, 1.0)),
-           st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
-                    min_size=1, max_size=8))
-    def test_sound_on_random_states(self, re_im, targets):
-        # both bounds rest on N(n) being L-Lipschitz in the chord metric, which
-        # is checked here beyond chi_q
-        chi = full_rank_state(re_im)
-        [records] = net_records([chi], default_net())
-        low1, low2, _ = lower_bounds(records, *np.array(targets).T)
-        assert (low2 >= low1).all()
-        for (th, ph), b in zip(targets, low2):
-            assert b <= negativity_offdiag(chi, bloch_vector(th, ph)) + 1e-9
+        low1, low2 = low_at(chi_q(0.0), net, [WaveplateSetting(math.pi / 4, 0.0)])
+        assert max(low1[0], low2[0]) <= 1e-12
 
 
 class TestSphereScan:
@@ -595,10 +506,9 @@ class TestSphereScan:
         chi = chi_q(0.2)
         for step in (math.pi / 180, 0.0349):
             [scan] = sphere_scan([chi], net, grid_step=step)
-            _, _, lip = lower_bounds(net_records([chi], net)[0], [0.0], [0.0])
             # the parts of the verdict that the certify manifest records
-            assert (scan.grid_min, scan.lip) == (scan.columns[3].min(), lip)
-            assert scan.margin == lip * (2.0 + math.sqrt(2.0)) * step
+            assert (scan.grid_min, scan.lip) == (scan.columns[3].min(), lipschitz_reference(chi))
+            assert scan.margin == scan.lip * (2.0 + math.sqrt(2.0)) * step
             assert scan.min_low == scan.grid_min - scan.margin
 
     @pytest.mark.parametrize("step", [math.pi / 180, math.pi / 90])
@@ -629,33 +539,40 @@ class TestSphereScan:
             argmins.append(argmin)
         assert argmins[0] == argmins[1]
 
-    def test_rows_are_consistent(self, net):
-        [(_, _, (theta, phi, low1, low2), *_)] = sphere_scan([chi_q(0.6)], net,
-                                                        grid_step=math.pi / 90)
+    @settings(max_examples=50)
+    @given(STATES, NETS.filter(lambda net: net.thetas))
+    @example(chi_q(0.6), default_net())
+    def test_rows_are_consistent(self, chi, net):
+        # both bounds rest on N(n) being L-Lipschitz in the chord metric, which is
+        # checked here beyond chi_q, at every grid point
+        [(_, _, (theta, phi, low1, low2), *_)] = sphere_scan([chi], net, grid_step=math.pi / 90)
         assert (low1 <= low2).all()
-        assert (low2 <= negativities_theory(0.6, theta, phi) + 1e-9).all()
+        assert (low2 <= negativities_offdiag(chi.mat, bloch_vector(theta, phi)) + 1e-12).all()
 
     @pytest.mark.parametrize("step", [math.pi / 90, 0.0349])
     def test_shared_chords_match_a_scan_per_state(self, net, step):
         # one chord array serves every state of a call: each result holds the bits
-        # of `lower_bounds` on that state's records at the net's distinct bases
+        # of that state's own scan, and its bounds lie within 1e-15 of the reference
+        # bound at the net's 16 distinct bases
         v, q = 0.9, 0.2
         werner = DensityMatrix(v * chi_q(q).mat + (1 - v) * np.eye(4) / 4, (2, 2))
         states = [chi_q(0.0), chi_q(0.2), chi_q(1.0), werner]
         thetas = np.arange(0.0, math.pi / 2 + step / 2, step)
         phis = np.arange(0.0, math.pi / 4 + step / 2, step)
         theta, phi = np.repeat(thetas, len(phis)), np.tile(phis, len(thetas))
-        scans = sphere_scan(states, net, grid_step=step)
-        assert len(scans) == len(states)
-        for chi, (min_low, argmin, columns, *_) in zip(states, scans):
-            records = at_distinct_bases(net_records([chi], net)[0], net)
-            assert len(records.n) == 16
-            low1, low2, lip = lower_bounds(records, theta, phi)
-            for got, want in zip(columns, (theta, phi, low1, low2)):
-                assert got.tobytes() == want.tobytes()
-            i = int(np.flatnonzero(low2 <= low2.min() + 1e-12)[0])
-            assert argmin == WaveplateSetting(theta[i], phi[i])
-            assert min_low == float(low2.min()) - lip * (2.0 + math.sqrt(2.0)) * step
+        scans, bases = sphere_scan(states, net, grid_step=step), dedup_bloch(net)
+        assert len(scans) == len(states) and len(bases) == 16
+        for chi, scan in zip(states, scans):
+            [alone] = sphere_scan([chi], net, grid_step=step)
+            assert scan[:2] + scan[3:] == alone[:2] + alone[3:]
+            assert [c.tobytes() for c in scan.columns] == [c.tobytes() for c in alone.columns]
+            low1, low2 = scan_bounds(chi, bases, theta, phi)
+            got_theta, got_phi, got1, got2 = scan.columns
+            assert got_theta.tobytes() == theta.tobytes() and got_phi.tobytes() == phi.tobytes()
+            assert np.abs(got1 - low1).max() <= 1e-15 and np.abs(got2 - low2).max() <= 1e-15
+            i = int(np.flatnonzero(got2 <= got2.min() + 1e-12)[0])
+            assert scan.argmin == WaveplateSetting(theta[i], phi[i])
+            assert scan.min_low == float(got2.min()) - scan.lip * (2.0 + math.sqrt(2.0)) * step
 
     @settings(max_examples=30)
     @given(st.lists(STATES, min_size=1, max_size=3), NETS.filter(lambda net: net.thetas))
@@ -677,10 +594,11 @@ class TestSphereScan:
     @example([chi_q(q) for q in (0.0, 0.2, 1.0)], default_net())
     def test_scan_never_exceeds_the_bounds_of_every_record(self, states, net):
         # the scan takes its max over the records at the distinct bases, a subset of
-        # every setting's records, so neither bound exceeds the all-records one
-        scans = sphere_scan(states, net, grid_step=math.pi / 90)
-        for records, (_, _, (theta, phi, low1, low2), *_) in zip(net_records(states, net), scans):
-            full1, full2, _ = lower_bounds(records, theta, phi)
+        # every setting's records, so neither bound exceeds the reference bound over
+        # all settings
+        scans, dirs = sphere_scan(states, net, grid_step=math.pi / 90), bloch_vector(*net.angles())
+        for chi, (_, _, (theta, phi, low1, low2), *_) in zip(states, scans):
+            full1, full2 = scan_bounds(chi, dirs, theta, phi)
             assert (low1 <= full1 + 1e-15).all() and (low2 <= full2 + 1e-15).all()
 
     def test_twin_settings_add_no_scan_memory(self, net):

@@ -27,8 +27,9 @@ from entact.measures import (
     negativity_offdiag,
 )
 from reference import (BELL_KETS, bell_diagonal_discord, bell_state, dephasing_negativity,
-                       discord_nelder_mead, premeasurement_negativities, quantum_classical)
-from test_protocol import PAULI_VEC, full_rank_state, unit_vectors
+                       discord_nelder_mead, full_rank_state, premeasurement_negativities,
+                       quantum_classical)
+from test_protocol import PAULI_VEC, unit_vectors
 
 Q_GRID = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 BENCH_TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"

@@ -17,20 +17,13 @@ from entact.protocol import (
     u_b,
 )
 from entact.measures import negativity, negativity_offdiag
-from reference import cnot_bm, coupling_unitary, partial_trace, unit_vector
+from reference import cnot_bm, coupling_unitary, full_rank_state, partial_trace, unit_vector
 
 PAULI_VEC = [
     np.array([[0, 1], [1, 0]], dtype=complex),
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 ]
-
-
-def full_rank_state(re_im):
-    """Two-qubit density matrix (A A^dag + I/10) / trace from a real (2, 4, 4) array."""
-    a = re_im[0] + 1j * re_im[1]
-    m = a @ a.conj().T + 0.1 * np.eye(4)
-    return DensityMatrix(m / np.trace(m).real, (2, 2))
 
 
 in_range_settings = st.builds(

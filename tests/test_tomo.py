@@ -555,6 +555,16 @@ class TestErrorBars:
         with pytest.raises(TypeError, match="functional"):
             mc_errorbar(rho3, 1e4, reps=50, seed=1, functional=functional)
 
+    @pytest.mark.parametrize("reps, functional, shape", [
+        (50, lambda mats: AB_M(mats).mean(), r"\(\)"),
+        (130, lambda mats: AB_M(mats)[:1], r"\(1,\)"),
+    ])
+    def test_wrong_shaped_functional_raises(self, rho3, reps, functional, shape):
+        # a scalar or a (1,) would broadcast over the block: a 5.6e-17 std, or the
+        # mean of one value per block
+        with pytest.raises(ValueError, match=rf"functional must return shape \(\d+,\).*{shape}"):
+            mc_errorbar(rho3, 1e4, reps=reps, seed=1, functional=functional)
+
 
 class TestBatchedPipeline:
     """The batched pipeline against a per-rep loop built from the single-shot API

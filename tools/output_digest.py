@@ -12,9 +12,11 @@ temporary directory: the six commands at their defaults, the six under
 `activate --mc-reps 50` twice (on the mc-tomography config of
 `bench/workloads.py`, q = 0.2 at the settings (0, 0) and (pi/4, 0), and on the
 default net and q values), `activate --mc-reps 131` on that config: two
-full Monte-Carlo blocks of 64 reps and a partial one, and `certify` on a net full
+full Monte-Carlo blocks of 64 reps and a partial one, `certify` on a net full
 of twin settings (a repeated theta, and phi = pi/4, which gives -n), whose scan
-keeps only the net's distinct bases.  Every file a run writes gets
+keeps only the net's distinct bases, and `certify --grid-step 0.0349`, a step
+that does not divide the angle ranges, so the scan's bounds run on a second
+grid.  Every file a run writes gets
 one line, and so do its stdout, its stderr and its exit code.  A manifest is
 hashed with `config.output_dir` removed, as that path names the temporary
 directory.
@@ -47,6 +49,7 @@ def runs(tmp: Path):
     yield "activate.mc-net", ["activate", "--mc-reps", "50"]
     yield "activate.mc-blocks", ["activate", "--mc-reps", "131", "--config", str(config)]
     yield "certify.twins", ["certify", "--config", str(twins)]
+    yield "certify.step", ["certify", "--grid-step", "0.0349"]
 
 
 def sha(data: bytes) -> str:
