@@ -80,8 +80,9 @@ class ExperimentConfig:
             raise ConfigError("seed must be a nonnegative 64-bit integer")
         if not (self.net.thetas and self.net.phis):
             raise ConfigError("net.thetas and net.phis must be nonempty")
-        if not all(map(math.isfinite, self.net.thetas + self.net.phis)):
-            raise ConfigError("net angles must be finite")
+        # 12 |angle| bounds the largest angle sum taken, |4 theta - 8 phi| of `n_theory`
+        if not all(math.isfinite(12.0 * a) for a in self.net.thetas + self.net.phis):
+            raise ConfigError("net angles must be finite, with 12 |angle| within the float range")
         if self.mc_reps != 0 and not MC_REPS_MIN <= self.mc_reps <= MC_REPS_MAX:
             raise ConfigError(f"mc_reps must be 0 (exact values) or lie in "
                               f"[{MC_REPS_MIN}, {MC_REPS_MAX}]")
@@ -344,12 +345,9 @@ def cmd_tomo_demo(cfg: ExperimentConfig, args) -> int:
     if args.exact:
         recon = reconstruct_from_expectations(pauli_expectations_exact(truth), 3)
     else:
-        run = tomography(truth, cfg.exposure, cfg.seed)
-        recon = DensityMatrix(run.states[0], truth.dims)
-        results = {"clipped_mass": float(run.clipped_mass[0]),
-                   "zero_settings": int(run.zero_settings[0])}
-        if warnings := _exposure_warnings(f"tomo-demo exposure={cfg.exposure:g}",
-                                          results["clipped_mass"], results["zero_settings"]):
+        recon, clipped, zero = tomography(truth, cfg.exposure, cfg.seed)
+        results = {"clipped_mass": clipped, "zero_settings": zero}
+        if warnings := _exposure_warnings(f"tomo-demo exposure={cfg.exposure:g}", clipped, zero):
             print(f"warning: {warnings[0]}", file=sys.stderr)
             results["warnings"] = warnings
     f = fidelity(recon, truth)

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .protocol import NetSpec, WaveplateSetting, bloch_vector, dedup_bloch
-from .measures import _fibonacci_directions, negativities_offdiag
+from .measures import negativities_offdiag
 
 # Largest `verify_covering` resolution: it holds one (bases, points) float array
 # of dot products, 26 MB at the 16 distinct bases of the default net; a
@@ -65,6 +65,16 @@ def _basis_chords(bases: np.ndarray, points: np.ndarray) -> np.ndarray:
         np.subtract(x, np.multiply(sign, m[:, None], out=d), out=d)
         sq += np.square(d, out=d)
     return np.sqrt(sq, out=sq)
+
+
+def _fibonacci_directions(count: int) -> np.ndarray:
+    """Deterministic quasi-uniform unit vectors (Fibonacci lattice)."""
+    golden = (1.0 + math.sqrt(5.0)) / 2.0
+    i = np.arange(count)
+    z = 1.0 - 2.0 * (i + 0.5) / count
+    az = 2.0 * math.pi * i / golden
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(az), r * np.sin(az), z], axis=1)
 
 
 def verify_covering(bases: np.ndarray, epsilon: float, resolution: int = 10_000):

@@ -166,16 +166,6 @@ def discord_x_state(chi: DensityMatrix) -> float:
     return math.sqrt((g1_sq * h + lo * g) / (h + g) if h + g > 0.0 else g1_sq)
 
 
-def _fibonacci_directions(count: int) -> np.ndarray:
-    """Deterministic quasi-uniform unit vectors (Fibonacci lattice)."""
-    golden = (1.0 + math.sqrt(5.0)) / 2.0
-    i = np.arange(count)
-    z = 1.0 - 2.0 * (i + 0.5) / count
-    az = 2.0 * math.pi * i / golden
-    r = np.sqrt(1.0 - z * z)
-    return np.stack([r * np.cos(az), r * np.sin(az), z], axis=1)
-
-
 def minimize(*args, **kwargs):
     """Kept as a name for the benchmark's tracing; the exact discord calls no optimiser."""
     raise NotImplementedError("negativity_of_quantumness runs no optimiser")

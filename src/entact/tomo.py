@@ -8,8 +8,8 @@ Counts are int arrays (setting, outcome): the 3^n settings in
 qubit 0 most significant, bit 1 the -1 eigenvalue.  One parity matrix describes
 the measurement both ways: it maps a state's Pauli expectations to its Born
 probabilities, and the observed frequencies back to the expectations.  One
-batched pipeline (counts, inversion, projection over a stack of reps) serves
-both the Monte-Carlo loop and the single-shot functions.
+batched pipeline (counts, inversion, projection over a stack of reps) runs the
+Monte-Carlo blocks; the single-shot functions pass it a stack of one.
 """
 
 from __future__ import annotations
@@ -223,26 +223,19 @@ def _reconstruct(counts: np.ndarray, n_qubits: int):
 
 
 class Tomography(NamedTuple):
-    """Simulated tomography of one state, one entry per rep."""
+    """One simulated tomography run: the reconstruction of rep 0 and its diagnostics."""
 
-    states: np.ndarray  # (reps, d, d) reconstructed density matrices
-    clipped_mass: np.ndarray  # negative eigenvalue mass of the raw inversion
-    zero_settings: np.ndarray  # settings that recorded no counts
+    state: DensityMatrix
+    clipped_mass: float  # negative eigenvalue mass of the raw inversion
+    zero_settings: int  # settings that recorded no counts
 
 
-def tomography(rho: DensityMatrix, exposure: float, seed: int,
-               reps: Sequence[int] = (0,)) -> Tomography:
-    """Counts, linear inversion and PSD projection of `rho` for each rep index in
-    `reps`, over all 3^n Pauli settings; rep r draws from Philox(seed).jumped(r)."""
-    _check_exposure(exposure)
-    seed = _check_index("seed", seed, 64)
-    if not isinstance(reps, range):
-        reps = [_check_index("rep", r, 128) for r in reps]
-    if not reps:
-        raise ValueError("the rep set is empty: tomography draws at least one rep")
-    for r in (reps[0], reps[-1]):  # a range's two ends bound all of its integers
-        _check_index("rep", r, 128)
-    return Tomography(*_reconstruct(_draw(exposure * _born(rho), seed, reps), rho.n_qubits))
+def tomography(rho: DensityMatrix, exposure: float, seed: int) -> Tomography:
+    """Counts, linear inversion and PSD projection of `rho` over all 3^n Pauli
+    settings: `reconstruct(simulate_counts(rho, exposure, seed))` with its diagnostics."""
+    (state,), (clipped,), (zero,) = _reconstruct(simulate_counts(rho, exposure, seed)[None],
+                                                 rho.n_qubits)
+    return Tomography(DensityMatrix(state, rho.dims), float(clipped), int(zero))
 
 
 class ErrorBar(NamedTuple):
@@ -259,9 +252,9 @@ def mc_errorbar(rho: DensityMatrix, exposure: float, reps: int, seed: int,
                 functional: Callable[[np.ndarray], np.ndarray]) -> ErrorBar:
     """Monte-Carlo spread of a reconstructed quantity: the mean and std over the
     reps of `functional`, which maps a (reps, d, d) stack of reconstructions to one
-    value per rep.  The Born probabilities are taken once, and the reps run in blocks
-    of `_BLOCK` through the batched pipeline of `tomography`, so peak memory does not
-    grow with `reps`; rep r reads the same counts as `simulate_counts(..., rep=r)`.
+    value per rep.  The Born probabilities are taken once, and the reps run through
+    `_draw` and `_reconstruct` in blocks of `_BLOCK`, so peak memory does not grow
+    with `reps`; rep r reads the same counts as `simulate_counts(..., rep=r)`.
     """
     if not isinstance(reps, numbers.Integral) or not MC_REPS_MIN <= reps <= MC_REPS_MAX:
         raise ValueError(f"reps must be an integer in [{MC_REPS_MIN}, {MC_REPS_MAX}]")

@@ -13,8 +13,8 @@ import numpy as np
 
 from entact.qcore import I2, PAULIS, DensityMatrix, chi_q, projector
 from entact.protocol import NetSpec, WaveplateSetting, bloch_vector, premeasurement, u_b
-from entact.measures import _fibonacci_directions, negativities_offdiag, negativity
-from entact.epsnet import _basis_chords
+from entact.measures import negativities_offdiag, negativity
+from entact.epsnet import _basis_chords, _fibonacci_directions
 
 _KET = np.eye(4, dtype=complex)  # |00>, |01>, |10>, |11> with |H> = |0>, |V> = |1>
 BELL_KETS = {

@@ -85,6 +85,9 @@ SPECIAL_COLUMNS = [0.5, [0.0, -0.0, 0.0, math.nan], np.array([math.inf, -math.in
 
 
 COMMANDS = ("activate", "certify", "discord-match", "witness", "tomo-demo", "net-verify")
+NET_COMMANDS = ("activate", "certify", "discord-match", "net-verify")
+# the largest net angle a config may hold, the last float with 12 |angle| finite
+NET_ANGLE_MAX = math.nextafter(sys.float_info.max / 12, 0.0)
 # JSON values that no config field takes: booleans, strings, integers past 64 bits
 # (2**1024 overflows a float), NaN, the infinities, and lists of them
 BAD_LEAVES = (st.booleans() | st.text(max_size=6) | st.integers(2**64, 10**400)
@@ -290,12 +293,19 @@ class TestCommands:
         assert (args.q, args.exact) == (0.2, False)
         assert built == []
 
-    @pytest.mark.parametrize("command", ["certify", "discord-match", "activate"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", NET_COMMANDS)
     @pytest.mark.parametrize("net", [
         '{"thetas": [], "phis": [0.0]}',
         '{"thetas": [0.0], "phis": []}',
         '{"thetas": [NaN], "phis": [0.0]}',
         '{"thetas": [0.0], "phis": [-Infinity]}',
+        # finite angles whose sums overflow: 4 theta - 8 phi, the argument of
+        # n_theory, was nan at these, and certify's scan raised
+        '{"thetas": [0.0], "phis": [1e308]}',
+        '{"thetas": [0.0], "phis": [2.5e307]}',
+        '{"thetas": [%r], "phis": [0.0]}' % math.nextafter(NET_ANGLE_MAX, math.inf),
+        '{"thetas": [0.0], "phis": [%r]}' % -math.nextafter(NET_ANGLE_MAX, math.inf),
     ])
     def test_bad_net_exits_2(self, tmp_path, capsys, command, net):
         # JSON NaN and Infinity parse, and an empty net yields no records
@@ -303,8 +313,20 @@ class TestCommands:
         cfg.write_text('{"q_values": [0.2], "net": %s}' % net)
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: net") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", NET_COMMANDS)
+    def test_largest_net_angles_run(self, tmp_path, command):
+        # 12 |angle| just inside the float range: |4 theta - 8 phi| at its largest
+        assert math.isfinite(12 * NET_ANGLE_MAX)
+        assert not math.isfinite(12 * math.nextafter(NET_ANGLE_MAX, math.inf))
+        net = {"thetas": [NET_ANGLE_MAX], "phis": [-NET_ANGLE_MAX]}
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps({"q_values": [0.2], "grid_step": math.pi / 90, "net": net}))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
 
     def test_bad_config_field_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

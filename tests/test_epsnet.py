@@ -19,7 +19,6 @@ from entact.protocol import (
     premeasurement,
 )
 from entact.measures import (
-    _fibonacci_directions,
     negativities_offdiag,
     negativities_theory,
     negativity,
@@ -30,6 +29,7 @@ from entact.epsnet import (
     MIN_GRID_STEP,
     MAX_NET_SETTINGS,
     _basis_chords,
+    _fibonacci_directions,
     cap_radius,
     net_negativities,
     scan_axes,

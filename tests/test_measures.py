@@ -12,10 +12,9 @@ from hypothesis.extra.numpy import arrays
 
 from entact.qcore import DensityMatrix, chi_q
 from entact import cli, measures
-from entact.epsnet import sphere_scan
+from entact.epsnet import _fibonacci_directions, sphere_scan
 from entact.protocol import WaveplateSetting, bloch_vector, default_net, premeasurement, setting_of
 from entact.measures import (
-    _fibonacci_directions,
     _great_circle,
     _pauli_block,
     discord_numeric,

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from entact.tomo import (
     _draw,
     _inversion_matrices,
     _project,
+    _reconstruct,
     mc_errorbar,
     pauli_expectations_exact,
     project_psd,
@@ -250,27 +252,6 @@ class TestCounts:
     def test_bad_rep_raises(self, rho3, rep):
         with pytest.raises(ValueError, match="rep"):
             simulate_counts(rho3, 1e4, 1, rep=rep)
-        with pytest.raises(ValueError, match="rep"):
-            tomography(rho3, 1e4, 1, (0, rep))
-
-    @pytest.mark.parametrize("reps", [range(-1, 3), range(2**128 - 2, 2**128 + 1),
-                                      range(4, -3, -2)])
-    def test_bad_rep_range_raises(self, rho3, reps):
-        # a range is checked by its two ends alone
-        with pytest.raises(ValueError, match="rep"):
-            tomography(rho3, 1e4, 1, reps)
-
-    @pytest.mark.parametrize("reps", [[], (), range(0), range(5, 2)])
-    def test_empty_rep_set_is_named(self, rho3, monkeypatch, reps):
-        # named before any count is drawn, where numpy's reshape would fail unnamed
-        monkeypatch.setattr(tomo, "_draw", None)
-        with pytest.raises(ValueError, match="the rep set is empty"):
-            tomography(rho3, 1e4, 1, reps)
-
-    def test_rep_range_reads_as_its_list(self, rho3):
-        for reps in (range(3), range(2**128 - 5, 2**128, 2), range(6, 0, -3)):
-            run, listed = tomography(rho3, 1e3, 4, reps), tomography(rho3, 1e3, 4, list(reps))
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(run, listed)), reps
 
     def test_numpy_integer_seeds_and_reps(self, rho3):
         counts = simulate_counts(rho3, 1e4, np.uint64(2**64 - 1), rep=np.int64(3))
@@ -422,13 +403,13 @@ class TestProjection:
         # loop's rounds clip each raw eigenvalue once, so the masses agree
         rho = random_state(11, rank=6)
         counts = _draw(1e4 * _born(rho), 5, range(40))
-        run = tomography(rho, 1e4, 5, range(40))
+        states, masses, _ = _reconstruct(counts, 3)
         raw = np.array([inversion_reference(c, 3) for c in counts])
         negative_mass = np.maximum(-np.linalg.eigvalsh(raw), 0.0).sum(axis=1)
         assert _project(raw)[1] == pytest.approx(negative_mass, abs=1e-15)
-        assert run.clipped_mass == pytest.approx(negative_mass, abs=1e-14)
+        assert masses == pytest.approx(negative_mass, abs=1e-14)
         only_negatives = 0
-        for state, clipped, h in zip(run.states, run.clipped_mass, raw):
+        for state, clipped, h in zip(states, masses, raw):
             # both spectra ascend, and the projection keeps their order
             mu, zeroed = np.linalg.eigvalsh(h), np.linalg.eigvalsh(state) <= 1e-14
             if zeroed.any() and (mu[zeroed] < 0).all():
@@ -548,6 +529,22 @@ class TestErrorBars:
         assert len(calls) == 1 and calls[0] is rho3
         assert len(bar.clipped_mass) == 131
 
+    def test_blocks_bound_memory(self, rho3):
+        # past its 24 bytes a rep (value, clipped mass, zero-count settings) keeps
+        # nothing: 100 times the reps moves the peak by those bytes and a fixed
+        # slack, where one unblocked stack of 6,400 reps would hold some 83 MB
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                mc_errorbar(rho3, 1e4, reps, seed=1, functional=AB_M)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(_BLOCK)
+        small, large = peak(_BLOCK), peak(100 * _BLOCK)
+        assert large - small <= 24 * 99 * _BLOCK + 256 * 1024
+
     @pytest.mark.parametrize("functional", ["negativity", None, 0.5, [AB_M]])
     def test_non_callable_functional_raises(self, rho3, monkeypatch, functional):
         # a name is no functional either, and the check runs before any count is drawn
@@ -578,27 +575,27 @@ class TestBatchedPipeline:
     def test_matches_per_rep_reference(self, state_seed, exposure, reps, seed):
         rho = random_state(state_seed)
         counts = _draw(exposure * _born(rho), seed, range(reps))
-        run = tomography(rho, exposure, seed, range(reps))
+        states, masses, zeros = _reconstruct(counts, 3)
         values = []
         for rep in range(reps):
             single = simulate_counts(rho, exposure, seed, rep=rep)
             assert np.array_equal(counts[rep], single)
-            assert np.array_equal(reconstruct(single).mat, run.states[rep])
+            assert np.array_equal(reconstruct(single).mat, states[rep])
             h = inversion_reference(single, 3)
             mat = project_reference(h)[0]
-            assert np.abs(run.states[rep] - mat).max() <= 1e-12
+            assert np.abs(states[rep] - mat).max() <= 1e-12
             clipped = project_spectrum_sgs(np.linalg.eigvalsh(h))[1]
-            assert run.clipped_mass[rep] == pytest.approx(clipped, abs=1e-12)
-            assert run.zero_settings[rep] == (single.sum(axis=1) == 0).sum()
+            assert masses[rep] == pytest.approx(clipped, abs=1e-12)
+            assert zeros[rep] == (single.sum(axis=1) == 0).sum()
             values.append(negativity_reference(mat))
-        assert np.abs(negativities(run.states, (2, 2, 2), [0, 1]) - values).max() <= 1e-12
+        assert np.abs(negativities(states, (2, 2, 2), [0, 1]) - values).max() <= 1e-12
         bar = mc_errorbar(rho, exposure, reps, seed, AB_M)
         assert bar.mean == pytest.approx(np.mean(values), abs=1e-12)
         assert bar.std == pytest.approx(np.std(values, ddof=1), abs=1e-12)
-        assert np.array_equal(bar.clipped_mass, run.clipped_mass)
-        assert np.array_equal(bar.zero_settings, run.zero_settings)
+        assert np.array_equal(bar.clipped_mass, masses)
+        assert np.array_equal(bar.zero_settings, zeros)
         if exposure == 1.0:
-            assert run.zero_settings.max() > 0
+            assert zeros.max() > 0
 
     @settings(max_examples=25, deadline=None)
     @example(n_qubits=2, state_seed=0, exposure=1.0, offset=0, size=_BLOCK, seed=1)
@@ -610,13 +607,12 @@ class TestBatchedPipeline:
     def test_rep_is_bit_identical_alone_and_in_a_block(self, n_qubits, state_seed, exposure,
                                                        offset, size, seed):
         # the BLAS products must not depend on how many reps share them
-        rho = random_state(state_seed, n_qubits)
-        block = tomography(rho, exposure, seed, range(offset, offset + size))
+        lam = exposure * _born(random_state(state_seed, n_qubits))
+        block = _reconstruct(_draw(lam, seed, range(offset, offset + size)), n_qubits)
         for i, rep in enumerate(range(offset, offset + size)):
-            alone = tomography(rho, exposure, seed, (rep,))
-            assert alone.states[0].tobytes() == block.states[i].tobytes()
-            assert alone.clipped_mass[0].tobytes() == block.clipped_mass[i].tobytes()
-            assert alone.zero_settings[0] == block.zero_settings[i]
+            alone = _reconstruct(_draw(lam, seed, (rep,)), n_qubits)
+            for a, b in zip(alone, block):
+                assert a[0].tobytes() == b[i].tobytes()
 
     def test_blocks_match_single_shot_reps(self, rho3):
         reps = 2 * _BLOCK + 3
@@ -625,9 +621,23 @@ class TestBatchedPipeline:
                   for r in range(reps)]
         assert bar.mean == float(np.mean(values))
         assert bar.std == float(np.std(values, ddof=1))
-        run = tomography(rho3, 1e4, 9, range(reps))
-        assert bar.clipped_mass.tobytes() == run.clipped_mass.tobytes()
-        assert bar.zero_settings.tobytes() == run.zero_settings.tobytes()
+        _, masses, zeros = _reconstruct(_draw(1e4 * _born(rho3), 9, range(reps)), 3)
+        assert bar.clipped_mass.tobytes() == masses.tobytes()
+        assert bar.zero_settings.tobytes() == zeros.tobytes()
+
+    @pytest.mark.parametrize("n_qubits", [2, 3])
+    @pytest.mark.parametrize("exposure", [1.0, 1e4])
+    def test_tomography_is_one_rep(self, n_qubits, exposure):
+        # the bits of `reconstruct` on rep 0's counts, with the diagnostics that
+        # mc_errorbar reports for its rep 0, as scalars
+        rho = random_state(4, n_qubits)
+        run = tomography(rho, exposure, 7)
+        single = reconstruct(simulate_counts(rho, exposure, 7))
+        assert run.state.dims == rho.dims and run.state.mat.tobytes() == single.mat.tobytes()
+        bar = mc_errorbar(rho, exposure, 50, 7, lambda mats: np.trace(mats, axis1=1, axis2=2).real)
+        assert type(run.clipped_mass) is float and type(run.zero_settings) is int
+        assert (run.clipped_mass, run.zero_settings) == (bar.clipped_mass[0], bar.zero_settings[0])
+        assert (run.zero_settings > 0) == (exposure == 1.0)
 
     @pytest.mark.parametrize("name, single", [
         ("negativity", lambda dm: negativity(dm, [0, 1])),

@@ -14,10 +14,13 @@ temporary directory: the six commands at their defaults, the six under
 default net and q values), `activate --mc-reps 131` on that config: two
 full Monte-Carlo blocks of 64 reps and a partial one, `certify` on a net full
 of twin settings (a repeated theta, and phi = pi/4, which gives -n), whose scan
-keeps only the net's distinct bases, and `certify --grid-step 0.0349`, a step
+keeps only the net's distinct bases, `certify --grid-step 0.0349`, a step
 that does not divide the angle ranges, so the scan's bounds run on a second
-grid.  Every file a run writes gets
-one line, and so do its stdout, its stderr and its exit code.  A manifest is
+grid, and `certify` on a net angle of 1e308, finite but past the float range
+once multiplied by 12, which exits 2 with one `config error:` line.  Every file
+a run writes gets one line, and so do its stdout, its stderr and its exit code;
+an uncaught exception is printed to stderr as a traceback and read as exit 1,
+as the interpreter would exit.  A manifest is
 hashed with `config.output_dir` removed, as that path names the temporary
 directory.
 """
@@ -29,18 +32,21 @@ import json
 import math
 import sys
 import tempfile
+import traceback
 from pathlib import Path
 
 COMMANDS = ("activate", "certify", "discord-match", "witness", "tomo-demo", "net-verify")
 MC_CONFIG = {"q_values": [0.2], "net": {"thetas": [0.0, 3 * (math.pi / 12)], "phis": [0.0]}}
 TWIN_CONFIG = {"net": {"thetas": [0.0, math.pi / 12, math.pi / 12, math.pi / 2],
                        "phis": [0.0, math.pi / 4]}}
+OVERFLOW_CONFIG = {"net": {"thetas": [0.0], "phis": [1e308]}}
 
 
 def runs(tmp: Path):
     """(name, argv) of every run, each without its --out."""
     (config := tmp / "mc.json").write_text(json.dumps(MC_CONFIG))
     (twins := tmp / "twins.json").write_text(json.dumps(TWIN_CONFIG))
+    (overflow := tmp / "overflow.json").write_text(json.dumps(OVERFLOW_CONFIG))
     yield from ((c, [c]) for c in COMMANDS)
     yield from ((f"{c}.werner", [c, "--noise", "werner:0.9"]) for c in COMMANDS)
     yield "tomo-demo.exact", ["tomo-demo", "--exact"]
@@ -50,6 +56,7 @@ def runs(tmp: Path):
     yield "activate.mc-blocks", ["activate", "--mc-reps", "131", "--config", str(config)]
     yield "certify.twins", ["certify", "--config", str(twins)]
     yield "certify.step", ["certify", "--grid-step", "0.0349"]
+    yield "certify.overflow", ["certify", "--config", str(overflow)]
 
 
 def sha(data: bytes) -> str:
@@ -78,6 +85,9 @@ def main(argv) -> int:
                     code = entact_main(args + ["--seed", "1", "--out", str(out)])
                 except SystemExit as e:  # argparse errors
                     code = e.code
+                except Exception:
+                    traceback.print_exc()
+                    code = 1
             print(f"{name} stdout {sha(stdout.getvalue().encode())}")
             print(f"{name} stderr {sha(stderr.getvalue().encode())}")
             print(f"{name} exit {sha(str(code).encode())}")
